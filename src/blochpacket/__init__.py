@@ -5,16 +5,15 @@ the periodic operator (`bloch`), the band-driven classical flow (`flow`),
 the homogenized envelope equation (`envelope`), corrector fields restoring
 the expansion order (`corrector`), fine-grid synthesis (`assembly`), a
 direct oscillatory solver for validation (`reference`), and experiment
-pipelines plus a CLI (`config`, `experiments`, `cli`).
+pipelines plus a CLI (`config`, `experiments`, `cli`). The periodic grid
+and the split-step and Runge-Kutta kernels they share live in `grid`.
 """
 
 from .assembly import (
     GridWaveField,
-    SpatialGrid,
     fourier_interpolate,
     make_grid_for,
     read_field,
-    superpose,
     synthesize_app,
     synthesize_packet,
     write_field,
@@ -28,10 +27,8 @@ from .bloch import (
     build_bloch_hamiltonian,
     cell_inner,
     default_cutoff,
-    evaluate_bloch,
     gap_check,
     gauge_fix,
-    solve_bands,
 )
 from .config import ExperimentConfig, ExternalPotentialSpec, LatticePotentialSpec
 from .corrector import (
@@ -75,9 +72,9 @@ from .flow import (
     Trajectory,
     TrajectoryState,
     integrate_flow,
-    phase_at,
     total_energy,
 )
+from .grid import SpatialGrid
 from .lattice import FourierPotential, LatticeSpec
 from .reference import (
     SolverParams,

@@ -20,10 +20,9 @@ from .corrector import CorrectorField
 from .envelope import GaussianEnvelope, GridEnvelope, gaussian_eval
 from .errors import GridError
 from .flow import TrajectoryState
+from .grid import THRESHOLD, SpatialGrid
 
 POINTS_PER_OSCILLATION = 16
-SUPPORT_SHELL = 0.1
-SUPPORT_THRESHOLD = 1e-8
 MOMENTUM_MATCH_TOL = 1e-8
 TIME_MATCH_TOL = 1e-10
 
@@ -33,49 +32,6 @@ def next_pow2(n: int) -> int:
     while out < n:
         out *= 2
     return out
-
-
-@dataclass(frozen=True)
-class SpatialGrid:
-    """Uniform periodic grid on [-half_width, half_width)^dimension."""
-
-    dimension: int
-    half_width: float
-    npoints: int
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise GridError("dimension must be at least 1")
-        if self.half_width <= 0:
-            raise GridError("half_width must be positive")
-        if self.npoints < 2:
-            raise GridError("need at least two points per axis")
-
-    @property
-    def dx(self) -> float:
-        return 2.0 * self.half_width / self.npoints
-
-    @property
-    def shape(self) -> tuple:
-        return (self.npoints,) * self.dimension
-
-    @property
-    def size(self) -> int:
-        return self.npoints**self.dimension
-
-    def axis(self) -> np.ndarray:
-        return -self.half_width + self.dx * np.arange(self.npoints)
-
-    def axes(self) -> list:
-        return [self.axis() for _ in range(self.dimension)]
-
-    def freq_axis(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.npoints, d=self.dx)
-
-    def points(self) -> np.ndarray:
-        """All grid points, shape (npoints**dimension, dimension)."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def make_grid_for(
@@ -122,32 +78,10 @@ class GridWaveField:
         object.__setattr__(self, "values", vals)
 
     def mass(self) -> float:
-        """Grid L2 norm (trapezoid rule, exact for the periodic grid)."""
-        dv = self.grid.dx**self.grid.dimension
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * dv))
+        return self.grid.norm(self.values)
 
     def boundary_mass_fraction(self) -> float:
-        """Mass fraction in the outer shell of the box (union over axes)."""
-        edge = (1.0 - SUPPORT_SHELL) * self.grid.half_width
-        axis = self.grid.axis()
-        outer = np.abs(axis) > edge
-        mask = np.zeros(self.grid.shape, dtype=bool)
-        for j in range(self.grid.dimension):
-            shape = [1] * self.grid.dimension
-            shape[j] = self.grid.npoints
-            mask |= outer.reshape(shape)
-        total = float(np.sum(np.abs(self.values) ** 2))
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(np.abs(self.values[mask]) ** 2)) / total
-
-    def scaled(self, factor: complex) -> "GridWaveField":
-        return GridWaveField(
-            grid=self.grid,
-            epsilon=self.epsilon,
-            time=self.time,
-            values=factor * self.values,
-        )
+        return self.grid.shell_fraction(self.values)
 
     def require_compatible(self, other: "GridWaveField", *, same_time: bool = True):
         if self.grid != other.grid:
@@ -171,9 +105,9 @@ def fourier_interpolate(u: GridEnvelope, target_axes) -> np.ndarray:
     axes = [np.atleast_1d(np.asarray(t, dtype=float)) for t in target_axes]
     if len(axes) != u.dimension:
         raise GridError("need one target axis per envelope dimension")
-    n = u.npoints
+    n = u.grid.npoints
     coeffs = np.fft.fftn(u.values) / float(n**u.dimension)
-    freqs = u.freq_axis()
+    freqs = u.grid.freq_axis()
     out = coeffs.astype(complex, copy=True)
     for j in reversed(range(u.dimension)):
         t = axes[j]
@@ -212,9 +146,7 @@ def _phase_factor(state: TrajectoryState, epsilon: float, grid: SpatialGrid) -> 
     phase = np.full(grid.shape, float(state.S))
     axis = grid.axis()
     for j in range(grid.dimension):
-        shape = [1] * grid.dimension
-        shape[j] = grid.npoints
-        phase = phase + (state.p[j] * (axis - state.q[j])).reshape(shape)
+        phase = phase + grid.along(j, state.p[j] * (axis - state.q[j]))
     return np.exp(1j * phase / epsilon)
 
 
@@ -223,13 +155,16 @@ def _cell_on_grid(lattice, cutoff: int, coeffs: np.ndarray, epsilon: float, grid
     return evaluate_cell_coeffs(lattice, cutoff, coeffs, pts).reshape(grid.shape)
 
 
-def _check_support(field: GridWaveField):
-    frac = field.boundary_mass_fraction()
-    if frac > SUPPORT_THRESHOLD:
+def _packet_field(vals, t: float, epsilon: float, grid: SpatialGrid, check_support: bool):
+    """Packet samples as a field, guarded against mass at the box edge."""
+    field = GridWaveField(grid=grid, epsilon=epsilon, time=t, values=vals)
+    frac = field.boundary_mass_fraction() if check_support else 0.0
+    if frac > THRESHOLD:
         raise GridError(
             f"packet mass fraction {frac:.3e} reached the box boundary;"
             " enlarge the box"
         )
+    return field
 
 
 def _check_node(state: TrajectoryState, pair: BlochEigenpair, grid: SpatialGrid):
@@ -259,14 +194,11 @@ def synthesize_packet(
     function by its plane-wave sum at x/eps.
     """
     _check_node(state, pair, grid)
-    d = grid.dimension
     uvals = _envelope_on_grid(envelope, state, epsilon, grid)
     chivals = _cell_on_grid(pair.lattice, pair.cutoff, pair.coeffs, epsilon, grid)
-    vals = epsilon ** (-d / 4.0) * uvals * chivals * _phase_factor(state, epsilon, grid)
-    field = GridWaveField(grid=grid, epsilon=epsilon, time=state.t, values=vals)
-    if check_support:
-        _check_support(field)
-    return field
+    vals = epsilon ** (-grid.dimension / 4.0) * uvals * chivals
+    vals = vals * _phase_factor(state, epsilon, grid)
+    return _packet_field(vals, state.t, epsilon, grid, check_support)
 
 
 def synthesize_app(
@@ -289,7 +221,6 @@ def synthesize_app(
         raise GridError("the leading corrector term is required")
     pair = u0.pair
     _check_node(state, pair, grid)
-    d = grid.dimension
     root = np.sqrt(epsilon)
     z_axes = _stretched_axes(state, epsilon, grid)
 
@@ -304,27 +235,8 @@ def synthesize_app(
             zvals = fourier_interpolate(env, z_axes)
             yvals = _cell_on_grid(pair.lattice, pair.cutoff, y_coeffs, epsilon, grid)
             total += weight * zvals * yvals
-
-    vals = epsilon ** (-d / 4.0) * total * _phase_factor(state, epsilon, grid)
-    field = GridWaveField(grid=grid, epsilon=epsilon, time=state.t, values=vals)
-    if check_support:
-        _check_support(field)
-    return field
-
-
-def superpose(fields) -> GridWaveField:
-    """Pointwise sum of packets on one grid at one epsilon and time."""
-    fields = list(fields)
-    if not fields:
-        raise GridError("nothing to superpose")
-    first = fields[0]
-    total = np.zeros(first.grid.shape, dtype=complex)
-    for f in fields:
-        first.require_compatible(f)
-        total += f.values
-    return GridWaveField(
-        grid=first.grid, epsilon=first.epsilon, time=first.time, values=total
-    )
+    vals = epsilon ** (-grid.dimension / 4.0) * total * _phase_factor(state, epsilon, grid)
+    return _packet_field(vals, state.t, epsilon, grid, check_support)
 
 
 def write_field(field: GridWaveField, stem) -> tuple:

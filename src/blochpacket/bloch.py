@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateBandError, EigensolverError, GaugeError
+from .grid import as_points
 from .lattice import FourierPotential, LatticeSpec
 
 EIG_RESIDUAL_TOL = 1e-9
@@ -103,83 +104,6 @@ def build_bloch_hamiltonian(
         h = h.real.copy()
     h[np.diag_indices_from(h)] += kinetic
     return h
-
-
-def _deterministic_degenerate_basis(vectors: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize a degenerate eigenspace in a basis-independent way.
-
-    Projects unit plane-wave axes (in lexicographic order) onto the subspace
-    and Gram-Schmidts the nonzero projections, so the returned basis depends
-    only on the subspace, not on the eigensolver's arbitrary rotation.
-    """
-    dim, r = vectors.shape
-    basis = []
-    for axis in range(dim):
-        proj = vectors @ np.conj(vectors[axis, :])
-        for b in basis:
-            proj = proj - b * np.vdot(b, proj)
-        norm = np.linalg.norm(proj)
-        if norm > 1e-8:
-            basis.append(proj / norm)
-        if len(basis) == r:
-            break
-    if len(basis) < r:
-        raise EigensolverError("failed to fix a degenerate eigenspace basis")
-    return np.stack(basis, axis=1)
-
-
-def solve_bands(
-    h: np.ndarray,
-    lattice: LatticeSpec,
-    num_bands: int,
-    *,
-    k,
-    cutoff: int,
-) -> list[BlochEigenpair]:
-    """Lowest num_bands eigenpairs of a fiber Hamiltonian, pinned gauge."""
-    dim = h.shape[0]
-    if num_bands < 1 or num_bands > dim:
-        raise EigensolverError(f"num_bands {num_bands} outside [1, {dim}]")
-    try:
-        evals, evecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
-
-    # Deterministic bases inside (numerically) degenerate clusters.
-    scale = max(float(evals[-1] - evals[0]), 1.0)
-    tol = 1e-12 * scale
-    start = 0
-    while start < num_bands:
-        stop = start + 1
-        while stop < dim and evals[stop] - evals[stop - 1] <= tol:
-            stop += 1
-        if stop - start > 1:
-            evecs[:, start:stop] = _deterministic_degenerate_basis(
-                evecs[:, start:stop]
-            )
-        start = stop
-
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    pairs = []
-    for m in range(1, num_bands + 1):
-        vec = evecs[:, m - 1]
-        residual = np.linalg.norm(h @ vec - evals[m - 1] * vec)
-        if residual > EIG_RESIDUAL_TOL:
-            raise EigensolverError(
-                f"eigen-residual {residual:.3e} above {EIG_RESIDUAL_TOL:.1e}"
-                f" for band {m}"
-            )
-        pair = BlochEigenpair(
-            k=k,
-            m=m,
-            energy=float(evals[m - 1]),
-            coeffs=vec.astype(complex) / np.sqrt(lattice.cell_volume),
-            cutoff=cutoff,
-            lattice=lattice,
-            gauge="raw",
-        )
-        pairs.append(gauge_fix(pair))
-    return pairs
 
 
 def _pin_index(coeffs: np.ndarray) -> int:
@@ -369,9 +293,7 @@ def gap_check(
 def evaluate_cell_coeffs(lattice, cutoff: int, coeffs: np.ndarray, points) -> np.ndarray:
     """Values of sum_n c_n exp(i <G_n, y>) at points (..., d) for any c."""
     d = lattice.dimension
-    pts = np.asarray(points, dtype=float)
-    if d == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-        pts = pts[..., None]
+    pts = as_points(points, d)
     n = pw_indices(d, cutoff)
     g = lattice.dual_vectors(n)
     # chunked to bound memory on large point sets
@@ -382,11 +304,6 @@ def evaluate_cell_coeffs(lattice, cutoff: int, coeffs: np.ndarray, points) -> np
         block = flat[start : start + step]
         out[start : start + step] = np.exp(1j * (block @ g.T)) @ coeffs
     return out.reshape(pts.shape[:-1])
-
-
-def evaluate_bloch(pair: BlochEigenpair, points) -> np.ndarray:
-    """Cell function values sum_n c_n exp(i <G_n, y>) at points (..., d)."""
-    return evaluate_cell_coeffs(pair.lattice, pair.cutoff, pair.coeffs, points)
 
 
 def _shift_coeffs(coeffs: np.ndarray, winding: np.ndarray, dimension: int, cutoff: int) -> np.ndarray:

@@ -55,18 +55,10 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         summary = RUNNERS[config.kind](config)
-    except ConfigError as exc:
+    except (BlochpacketError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except BlochpacketError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    except OSError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0

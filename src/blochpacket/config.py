@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +35,67 @@ INITIAL_DATA_KINDS = ("packet", "well_prepared")
 CONVERGENCE_MODES = ("error", "residual")
 EXTERNAL_KINDS = ("quadratic", "cosine-well")
 LATTICE_POTENTIAL_KINDS = ("cosine", "fourier", "zero")
+# JSON value types each field annotation accepts; bool never counts as a number
+_JSON_TYPES = {
+    "str": str,
+    "int": int,
+    "float": (int, float),
+    "int | None": (int, type(None)),
+    "tuple": (list, tuple),
+}
+
+
+def _plain(value):
+    """JSON form: dataclasses become dicts, tuples become lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _from_plain(cls, data, where: str = "config"):
+    """Dataclass cls built from its JSON form; a malformed entry raises ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config keys in {where}: {unknown}")
+    kwargs = {}
+    for key, value in data.items():
+        kind, nested = known[key].type, known[key].default_factory
+        if is_dataclass(nested):
+            kwargs[key] = _from_plain(nested, value, f"{where}.{key}")
+        elif isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+            raise ConfigError(f"{where}.{key} must be of type {kind}, got {value!r}")
+        else:
+            kwargs[key] = _tuples(value)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed entry in {where}: {exc}") from exc
+
+
+class _Serializable:
+    """to_dict / from_dict derived from the dataclass fields."""
+
+    def to_dict(self) -> dict:
+        return _plain(self)
+
+    @classmethod
+    def from_dict(cls, data):
+        return _from_plain(cls, data)
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)
-class LatticePotentialSpec:
+class LatticePotentialSpec(_Serializable):
     """Periodic potential as a named form or explicit Fourier data."""
 
     type: str = "cosine"
@@ -46,13 +103,18 @@ class LatticePotentialSpec:
     # explicit coefficients for type="fourier": ((index...), re, im) rows
     coeffs: tuple = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "amplitude", float(self.amplitude))
+        rows = tuple((tuple(int(c) for c in n), float(re), float(im)) for n, re, im in self.coeffs)
+        object.__setattr__(self, "coeffs", rows)
+
     def validate(self, dimension: int):
         if self.type not in LATTICE_POTENTIAL_KINDS:
             raise ConfigError(f"unknown lattice potential type {self.type!r}")
         if self.type == "fourier" and not self.coeffs:
             raise ConfigError("fourier lattice potential needs coefficients")
         for row in self.coeffs:
-            if len(row) != 3 or len(row[0]) != dimension:
+            if len(row[0]) != dimension:
                 raise ConfigError("fourier coefficient rows are ((n,)*d, re, im)")
 
     def build(self, dimension: int) -> FourierPotential:
@@ -61,31 +123,12 @@ class LatticePotentialSpec:
             return FourierPotential.cosine(dimension, self.amplitude)
         if self.type == "zero":
             return FourierPotential.zero(dimension)
-        mapping = {tuple(int(c) for c in n): complex(re, im) for n, re, im in self.coeffs}
+        mapping = {n: complex(re, im) for n, re, im in self.coeffs}
         return FourierPotential.from_coeffs(mapping)
-
-    def to_dict(self) -> dict:
-        return {
-            "type": self.type,
-            "amplitude": self.amplitude,
-            "coeffs": [[list(n), re, im] for n, re, im in self.coeffs],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatticePotentialSpec":
-        coeffs = tuple(
-            (tuple(int(c) for c in row[0]), float(row[1]), float(row[2]))
-            for row in data.get("coeffs", [])
-        )
-        return cls(
-            type=str(data.get("type", "cosine")),
-            amplitude=float(data.get("amplitude", 1.0)),
-            coeffs=coeffs,
-        )
 
 
 @dataclass(frozen=True)
-class ExternalPotentialSpec:
+class ExternalPotentialSpec(_Serializable):
     """Slow external potential from the admissible whitelist.
 
     The quadratic form is given by (constant, linear, hessian), which makes
@@ -100,6 +143,13 @@ class ExternalPotentialSpec:
     amplitude: float = 1.0
     frequencies: tuple = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "constant", float(self.constant))
+        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "linear", _floats(self.linear))
+        object.__setattr__(self, "hessian", tuple(_floats(r) for r in self.hessian))
+        object.__setattr__(self, "frequencies", _floats(self.frequencies))
+
     def validate(self, dimension: int):
         if self.type not in EXTERNAL_KINDS:
             raise ConfigError(
@@ -110,7 +160,7 @@ class ExternalPotentialSpec:
             if self.linear and len(self.linear) != dimension:
                 raise ConfigError("linear term has the wrong dimension")
             if self.hessian:
-                rows = [tuple(r) for r in self.hessian]
+                rows = self.hessian
                 if len(rows) != dimension or any(len(r) != dimension for r in rows):
                     raise ConfigError("hessian must be d x d")
         else:
@@ -132,39 +182,18 @@ class ExternalPotentialSpec:
         freqs = np.asarray(self.frequencies or (1.0,) * dimension, dtype=float)
         return CosineWellPotential.create(self.amplitude, freqs)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": self.type,
-            "constant": self.constant,
-            "linear": list(self.linear),
-            "hessian": [list(r) for r in self.hessian],
-            "amplitude": self.amplitude,
-            "frequencies": list(self.frequencies),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExternalPotentialSpec":
-        return cls(
-            type=str(data.get("type", "quadratic")),
-            constant=float(data.get("constant", 0.0)),
-            linear=tuple(float(v) for v in data.get("linear", [])),
-            hessian=tuple(tuple(float(v) for v in r) for r in data.get("hessian", [])),
-            amplitude=float(data.get("amplitude", 1.0)),
-            frequencies=tuple(float(v) for v in data.get("frequencies", [])),
-        )
-
 
 def _matrix_tuple(rows, dimension: int, name: str) -> tuple:
     if not rows:
-        return tuple(tuple(float(v) for v in r) for r in np.eye(dimension))
-    out = tuple(tuple(float(v) for v in r) for r in rows)
+        return tuple(_floats(r) for r in np.eye(dimension))
+    out = tuple(_floats(r) for r in rows)
     if len(out) != dimension or any(len(r) != dimension for r in out):
         raise ConfigError(f"{name} must be a {dimension} x {dimension} matrix")
     return out
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Serializable):
     """One experiment: model, initial data, sweep values, and step sizes."""
 
     kind: str = "convergence"
@@ -204,21 +233,19 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "q0", tuple(float(v) for v in self.q0))
-        object.__setattr__(self, "p0", tuple(float(v) for v in self.p0))
+        object.__setattr__(self, "q0", _floats(self.q0))
+        object.__setattr__(self, "p0", _floats(self.p0))
         object.__setattr__(
             self, "envelope_a", _matrix_tuple(self.envelope_a, self.dimension, "envelope_a")
         )
         object.__setattr__(
             self, "envelope_b", _matrix_tuple(self.envelope_b, self.dimension, "envelope_b")
         )
-        object.__setattr__(self, "epsilons", tuple(float(v) for v in self.epsilons))
+        object.__setattr__(self, "epsilons", _floats(self.epsilons))
         object.__setattr__(
-            self,
-            "sample_times",
-            tuple(float(v) for v in self.sample_times) or (float(self.t_final),),
+            self, "sample_times", _floats(self.sample_times) or (float(self.t_final),)
         )
-        object.__setattr__(self, "c0_list", tuple(float(v) for v in self.c0_list))
+        object.__setattr__(self, "c0_list", _floats(self.c0_list))
 
     def validate(self) -> "ExperimentConfig":
         if self.kind not in EXPERIMENT_KINDS:
@@ -296,63 +323,6 @@ class ExperimentConfig:
         return gaussian_init(a, b)
 
     # ---- serialization --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dimension": self.dimension,
-            "lattice_period": self.lattice_period,
-            "lattice_potential": self.lattice_potential.to_dict(),
-            "external": self.external.to_dict(),
-            "band_index": self.band_index,
-            "cutoff": self.cutoff,
-            "q0": list(self.q0),
-            "p0": list(self.p0),
-            "envelope_a": [list(r) for r in self.envelope_a],
-            "envelope_b": [list(r) for r in self.envelope_b],
-            "initial_data": self.initial_data,
-            "epsilons": list(self.epsilons),
-            "t_final": self.t_final,
-            "flow_dt": self.flow_dt,
-            "envelope_dt": self.envelope_dt,
-            "grid_envelope_dt": self.grid_envelope_dt,
-            "reference_dt_factor": self.reference_dt_factor,
-            "sample_times": list(self.sample_times),
-            "residual_time": self.residual_time,
-            "residual_delta_factor": self.residual_delta_factor,
-            "convergence_mode": self.convergence_mode,
-            "c0_list": list(self.c0_list),
-            "half_width": self.half_width,
-            "points_per_period": self.points_per_period,
-            "envelope_half_width": self.envelope_half_width,
-            "envelope_points": self.envelope_points,
-            "k_samples": self.k_samples,
-            "num_bands": self.num_bands,
-            "output_dir": self.output_dir,
-            "jobs": self.jobs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        unknown = set(data) - set(cls().to_dict())
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for key, value in data.items():
-            if key == "lattice_potential":
-                kwargs[key] = LatticePotentialSpec.from_dict(value)
-            elif key == "external":
-                kwargs[key] = ExternalPotentialSpec.from_dict(value)
-            elif key in ("envelope_a", "envelope_b"):
-                kwargs[key] = tuple(tuple(float(v) for v in r) for r in value)
-            elif key in ("q0", "p0", "epsilons", "sample_times", "c0_list"):
-                kwargs[key] = tuple(value)
-            elif key == "cutoff":
-                kwargs[key] = None if value is None else int(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

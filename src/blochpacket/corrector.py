@@ -26,12 +26,10 @@ from .bloch import (
 from .envelope import (
     ConstantCoefficients,
     GridEnvelope,
-    quadratic_form_grid,
     evolve_grid_envelope,
     spectral_gradient,
     spectral_hessian,
 )
-from .errors import EnvelopeError
 
 
 @dataclass(frozen=True)
@@ -47,12 +45,6 @@ class CorrectorField:
     @property
     def dimension(self) -> int:
         return self.pair.dimension
-
-    def scaled(self, factor: complex) -> "CorrectorField":
-        terms = tuple((factor * f, g.copy()) for f, g in self.terms)
-        return CorrectorField(
-            order=self.order, terms=terms, half_width=self.half_width, t=self.t, pair=self.pair
-        )
 
     def chi_projection(self) -> np.ndarray:
         """<chi, field>(z): projection onto the cell function."""
@@ -86,6 +78,14 @@ def _dy(pair: BlochEigenpair, vec: np.ndarray, axis: int) -> np.ndarray:
     n = pw_indices(pair.dimension, pair.cutoff)
     g = pair.lattice.dual_vectors(n)
     return 1j * g[:, axis] * vec
+
+
+def _node_data(band, state) -> tuple:
+    """Cell function, band derivatives and fiber Hamiltonian at state.p."""
+    pair = band.eigenpair(state.p)
+    derivs = band.derivatives(state.p)
+    h = build_bloch_hamiltonian(pair.lattice, band.potential, pair.k, pair.cutoff)
+    return pair, derivs, h.astype(complex)
 
 
 def build_U0(u: GridEnvelope, pair: BlochEigenpair) -> CorrectorField:
@@ -161,11 +161,7 @@ def build_U2(
     Assembles the projected right-hand side and solves (H(p) - E) w = rhs
     for each separable term with <chi, w> = 0, so <chi, U_2> = 0.
     """
-    pair = band.eigenpair(state.p)
-    derivs = band.derivatives(state.p)
-    h = build_bloch_hamiltonian(
-        pair.lattice, band.potential, pair.k, pair.cutoff
-    ).astype(complex)
+    pair, derivs, h = _node_data(band, state)
     chi_unit = pair.unit_coeffs()
     scale = np.sqrt(pair.lattice.cell_volume)
     terms = []
@@ -216,7 +212,6 @@ def solvability_defect(
     pair = band.eigenpair(state.p)
     derivs = band.derivatives(state.p)
     d = u.dimension
-    vol = u.dz() ** d
 
     grads = spectral_gradient(u)
     drift = np.atleast_1d(state.p) - derivs.grad
@@ -225,7 +220,7 @@ def solvability_defect(
     for j in range(d):
         dchi = cell_inner(pair.lattice, chi, _dy(pair, chi, j))
         g1 += 1j * drift[j] * grads[j] + dchi * grads[j]
-    defect1 = float(np.sqrt(np.sum(np.abs(g1) ** 2) * vol))
+    defect1 = u.grid.norm(g1)
 
     if du_dt is None:
         du_dt = time_derivative(u, _frozen_coefficients(state, band, external), fd_delta)
@@ -238,14 +233,14 @@ def solvability_defect(
     pdot = -external.grad(state.q)
     berry = derivs.berry
 
-    g2 = 1j * du_dt - 0.5 * quadratic_form_grid(u, qmat) * u.values
+    g2 = 1j * du_dt - 0.5 * u.grid.quadratic_form(qmat) * u.values
     g2 = g2 + (1j * complex(pdot @ berry)) * u.values
     for j in range(d):
         g2 = g2 + 0.5 * hess_u[j, j]
         for l in range(d):
             t_jl = -1j * cell_inner(pair.lattice, chi, _dy(pair, xs[l], j))
             g2 = g2 + t_jl * hess_u[j, l]
-    defect2 = float(np.sqrt(np.sum(np.abs(g2) ** 2) * vol))
+    defect2 = u.grid.norm(g2)
     return defect1, defect2
 
 
@@ -265,14 +260,10 @@ def system_residuals(
     close on it), so small residuals certify the eigensolve, the resolvent
     solves and the coefficient algebra jointly.
     """
-    pair = band.eigenpair(state.p)
-    derivs = band.derivatives(state.p)
-    h = build_bloch_hamiltonian(
-        pair.lattice, band.potential, pair.k, pair.cutoff
-    ).astype(complex)
+    pair, derivs, h = _node_data(band, state)
     lattice = pair.lattice
     d = u.dimension
-    vol = u.dz() ** d
+    vol = u.grid.dv
 
     def l0(y: np.ndarray) -> np.ndarray:
         return pair.energy * y - h @ y
@@ -299,11 +290,11 @@ def system_residuals(
     mmat = derivs.hess
     qmat = external.hess(state.q)
     beta = 1j * complex(band.berry(state.p) @ external.grad(state.q)).imag
-    idtu = 0.5 * quadratic_form_grid(u, qmat) * u.values + beta * u.values
+    idtu = 0.5 * u.grid.quadratic_form(qmat) * u.values + beta * u.values
     for j in range(d):
         for l in range(d):
             idtu = idtu - 0.5 * mmat[j, l] * hess_u[j, l]
-    scalar = idtu - 0.5 * quadratic_form_grid(u, qmat) * u.values
+    scalar = idtu - 0.5 * u.grid.quadratic_form(qmat) * u.values
     for j in range(d):
         scalar = scalar + 0.5 * hess_u[j, j]
     r2_terms.append((scalar, chi.copy()))

@@ -8,19 +8,22 @@ B' = i Q A for Gaussian data, and a Strang-split Fourier scheme on a
 periodic z-grid for general data. Both evolve the same unknown: the
 Gaussian state accumulates the integral of beta so its values include the
 geometric factor, and the grid scheme applies that factor per step.
+
+The grid scheme takes the shared `grid.strang_step`, the Fourier split
+step the reference solver uses for the full oscillatory equation; the
+Gaussian flow takes the shared `grid.rk4_step`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EnvelopeError
+from .grid import THRESHOLD, SpatialGrid, as_points, rk4_step, step_count, strang_step
 
-BOUNDARY_SHELL = 0.1           # outer fraction of the box watched for mass
-BOUNDARY_THRESHOLD = 1e-8      # max mass fraction allowed in the shell
 INVARIANT_TOL = 1e-6           # Gaussian structure drift that raises
 SPECTRAL_TAIL_FRACTION = 1 / 3  # top spectrum band used by the tail monitor
 SPECTRAL_TAIL_TOL = 1e-6
@@ -32,7 +35,7 @@ class HomogenizedCoefficients:
 
     Evaluated pointwise at trajectory states obtained from the trajectory's
     own dense-output interpolation, so the coefficient smoothness matches
-    the flow data. Node samples are exposed for export and tests.
+    the flow data.
     """
 
     def __init__(self, trajectory, band, potential):
@@ -54,15 +57,6 @@ class HomogenizedCoefficients:
         state = self.trajectory.state_at(t)
         rate = complex(self.band.berry(state.p) @ self.potential.grad(state.q))
         return 1j * rate.imag
-
-    def node_samples(self) -> dict:
-        ts = self.trajectory.ts
-        return {
-            "t": ts.copy(),
-            "dispersion": np.stack([self.dispersion(t) for t in ts]),
-            "vhess": np.stack([self.vhess(t) for t in ts]),
-            "berry_rate": np.array([self.berry_rate(t) for t in ts]),
-        }
 
 
 class ConstantCoefficients:
@@ -167,8 +161,6 @@ def evolve_gaussian(
     coefficients,
     t_final: float,
     dt: float,
-    *,
-    invariant_tol: float = INVARIANT_TOL,
 ) -> GaussianEnvelope:
     """RK4 on (A, B, log det A, integral of beta) from env.t to t_final.
 
@@ -181,32 +173,28 @@ def evolve_gaussian(
         return env
     if dt <= 0:
         raise EnvelopeError("dt must be positive")
-    nsteps = max(1, int(np.ceil(abs(t1 - t0) / dt - 1e-12)))
+    nsteps = step_count(abs(t1 - t0), dt)
     h = (t1 - t0) / nsteps
     d = env.dimension
+    n = d * d
 
-    def rhs(t, a, b):
+    # state vector: A and B row-major, then log det A and the beta integral
+    def rhs(t, y):
+        a, b = y[:n].reshape(d, d), y[n : 2 * n].reshape(d, d)
         m = coefficients.dispersion(t)
         q = coefficients.vhess(t)
-        da = 1j * m @ b
-        db = 1j * q @ a
         dld = 1j * np.trace(np.linalg.solve(a, m @ b))
-        dbr = coefficients.berry_rate(t)
-        return da, db, dld, dbr
+        return np.concatenate(
+            [(1j * m @ b).ravel(), (1j * q @ a).ravel(), [dld, coefficients.berry_rate(t)]]
+        )
 
-    a, b = env.A.copy(), env.B.copy()
-    ld, br = env.log_det, env.berry_integral
+    y = np.concatenate([env.A.ravel(), env.B.ravel(), [env.log_det, env.berry_integral]])
     t = t0
     for _ in range(nsteps):
-        k1 = rhs(t, a, b)
-        k2 = rhs(t + 0.5 * h, a + 0.5 * h * k1[0], b + 0.5 * h * k1[1])
-        k3 = rhs(t + 0.5 * h, a + 0.5 * h * k2[0], b + 0.5 * h * k2[1])
-        k4 = rhs(t + h, a + h * k3[0], b + h * k3[1])
-        a = a + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        b = b + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        ld = ld + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        br = br + (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+        y = rk4_step(rhs, t, y, h)
         t += h
+    a, b = y[:n].reshape(d, d), y[n : 2 * n].reshape(d, d)
+    ld, br = complex(y[-2]), complex(y[-1])
 
     # Branch snap: exact modulus, tracked argument continued to the nearest
     # 2 pi branch of the principal argument.
@@ -218,7 +206,7 @@ def evolve_gaussian(
     out = GaussianEnvelope(A=a, B=b, log_det=ld, berry_integral=br, t=t1)
     defects = gaussian_invariant_defects(out)
     worst = max(defects["symmetry"], defects["inverse_width"], defects["det_branch"])
-    if worst > invariant_tol or defects["min_re_eig"] <= 0:
+    if worst > INVARIANT_TOL or defects["min_re_eig"] <= 0:
         raise EnvelopeError(
             f"Gaussian invariants drifted to {worst:.3e}; use a smaller dt"
         )
@@ -227,30 +215,11 @@ def evolve_gaussian(
 
 def gaussian_eval(env: GaussianEnvelope, points) -> np.ndarray:
     """Envelope values at z points (..., d) (or (...,) when d = 1)."""
-    z = _zpoints(points, env.dimension)
+    z = as_points(points, env.dimension)
     w = env.width_matrix()
     quad = np.einsum("...i,ij,...j->...", z, w, z)
     amp = np.exp(-0.5 * env.log_det + env.berry_integral)
     return amp * np.exp(-0.5 * quad)
-
-
-def gaussian_eval_with_derivatives(env: GaussianEnvelope, points):
-    """(u, grad u, hess u) at z points; closed forms of the Gaussian."""
-    z = _zpoints(points, env.dimension)
-    u = gaussian_eval(env, points)
-    w = env.width_matrix()
-    wz = z @ w.T  # (..., d)
-    grad = -wz * u[..., None]
-    outer = wz[..., :, None] * wz[..., None, :]
-    hess = (outer - w) * u[..., None, None]
-    return u, grad, hess
-
-
-def _zpoints(points, dimension: int) -> np.ndarray:
-    z = np.asarray(points, dtype=float)
-    if dimension == 1 and (z.ndim == 0 or z.shape[-1] != 1):
-        z = z[..., None]
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -270,82 +239,28 @@ class GridEnvelope:
         return self.values.ndim
 
     @property
-    def npoints(self) -> int:
-        return self.values.shape[0]
-
-    def axis(self) -> np.ndarray:
-        n = self.npoints
-        return -self.half_width + (2.0 * self.half_width / n) * np.arange(n)
-
-    def dz(self) -> float:
-        return 2.0 * self.half_width / self.npoints
-
-    def points(self) -> np.ndarray:
-        """Grid points flattened to (N^d, d)."""
-        mesh = np.meshgrid(*([self.axis()] * self.dimension), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def freq_axis(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.npoints, d=self.dz())
+    def grid(self) -> SpatialGrid:
+        return SpatialGrid(self.dimension, self.half_width, self.values.shape[0])
 
     def mass(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.dz() ** self.dimension))
+        return self.grid.norm(self.values)
 
     def boundary_mass_fraction(self) -> float:
-        ax = np.abs(self.axis())
-        edge = ax > (1.0 - BOUNDARY_SHELL) * self.half_width
-        mask = np.zeros(self.values.shape, dtype=bool)
-        for axi in range(self.dimension):
-            shape = [1] * self.dimension
-            shape[axi] = self.npoints
-            mask |= edge.reshape(shape)
-        total = float(np.sum(np.abs(self.values) ** 2))
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(np.abs(self.values[mask]) ** 2) / total)
+        return self.grid.shell_fraction(self.values)
 
     def spectral_tail_fraction(self) -> float:
-        spec = np.abs(np.fft.fftn(self.values)) ** 2
-        freq = np.abs(self.freq_axis())
-        cut = (1.0 - SPECTRAL_TAIL_FRACTION) * freq.max()
-        tail = np.zeros(spec.shape, dtype=bool)
-        for axi in range(self.dimension):
-            shape = [1] * self.dimension
-            shape[axi] = self.npoints
-            tail |= (freq > cut).reshape(shape)
-        total = float(spec.sum())
-        if total == 0.0:
-            return 0.0
-        return float(spec[tail].sum() / total)
+        freq = np.abs(self.grid.freq_axis())
+        tail = freq > (1.0 - SPECTRAL_TAIL_FRACTION) * freq.max()
+        return self.grid.edge_fraction(np.abs(np.fft.fftn(self.values)) ** 2, tail)
 
 
 def grid_envelope_from_gaussian(
     env: GaussianEnvelope, half_width: float, npoints: int
 ) -> GridEnvelope:
     """Sample a Gaussian state onto a periodic z-grid."""
-    probe = GridEnvelope(
-        values=np.zeros((npoints,) * env.dimension, dtype=complex),
-        half_width=half_width,
-        t=env.t,
-    )
-    pts = probe.points()
-    vals = gaussian_eval(env, pts).reshape((npoints,) * env.dimension)
-    return replace(probe, values=vals)
-
-
-def quadratic_form_grid(u: GridEnvelope, mat: np.ndarray) -> np.ndarray:
-    """<z, mat z> evaluated on the grid, shaped like u.values."""
-    pts = u.points()
-    form = np.einsum("pi,ij,pj->p", pts, mat, pts)
-    return form.reshape(u.values.shape)
-
-
-def _kinetic_symbol(u: GridEnvelope, mat: np.ndarray) -> np.ndarray:
-    axes = [u.freq_axis()] * u.dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    zeta = np.stack([m.ravel() for m in mesh], axis=-1)
-    form = np.einsum("pi,ij,pj->p", zeta, mat, zeta)
-    return form.reshape(u.values.shape)
+    grid = SpatialGrid(env.dimension, half_width, npoints)
+    vals = gaussian_eval(env, grid.points()).reshape(grid.shape)
+    return GridEnvelope(values=vals, half_width=half_width, t=env.t)
 
 
 def evolve_grid_envelope(
@@ -353,25 +268,25 @@ def evolve_grid_envelope(
     coefficients,
     t_final: float,
     dt: float,
-    *,
-    boundary_threshold: float = BOUNDARY_THRESHOLD,
 ) -> GridEnvelope:
     """Strang-split Fourier stepping of the envelope equation.
 
-    Each step applies a half quadratic phase, a full Fourier kinetic factor
-    with the dispersion frozen at the step midpoint, the second half phase,
-    and the exact (unimodular) geometric factor from a Simpson rule on
-    beta. Every factor has unit modulus, so the grid mass is conserved to
-    rounding; a boundary-shell monitor guards the periodic box.
+    Each step is one `strang_step`: a half quadratic phase, a full Fourier
+    kinetic factor with the dispersion frozen at the step midpoint and the
+    second half phase. The exact (unimodular) geometric factor from a
+    Simpson rule on beta follows. Every factor has unit modulus, so the grid
+    mass is conserved to rounding; a boundary-shell monitor guards the
+    periodic box after every step.
     """
     t0, t1 = u.t, float(t_final)
     if t1 == t0:
         return u
     if dt <= 0:
         raise EnvelopeError("dt must be positive")
-    if u.boundary_mass_fraction() > boundary_threshold:
+    grid = u.grid
+    if grid.shell_fraction(u.values) > THRESHOLD:
         raise EnvelopeError("initial envelope already touches the box boundary")
-    nsteps = max(1, int(np.ceil(abs(t1 - t0) / dt - 1e-12)))
+    nsteps = step_count(abs(t1 - t0), dt)
     h = (t1 - t0) / nsteps
 
     vals = u.values.astype(complex, copy=True)
@@ -380,20 +295,17 @@ def evolve_grid_envelope(
         mid = t + 0.5 * h
         q = coefficients.vhess(mid)
         m = coefficients.dispersion(mid)
-        half_phase = np.exp(-0.25j * h * quadratic_form_grid(u, q))
-        kinetic = np.exp(-0.5j * h * _kinetic_symbol(u, m))
+        half_phase = np.exp(-0.25j * h * grid.quadratic_form(q))
+        kinetic = np.exp(-0.5j * h * grid.quadratic_form(m, fourier=True))
         beta_int = (h / 6.0) * (
             coefficients.berry_rate(t)
             + 4.0 * coefficients.berry_rate(mid)
             + coefficients.berry_rate(t + h)
         )
-        vals = half_phase * vals
-        vals = np.fft.ifftn(kinetic * np.fft.fftn(vals))
-        vals = half_phase * vals
+        vals = strang_step(vals, half_phase, kinetic)
         vals = np.exp(1j * beta_int.imag) * vals
         t += h
-        state = GridEnvelope(values=vals, half_width=u.half_width, t=t)
-        if state.boundary_mass_fraction() > boundary_threshold:
+        if grid.shell_fraction(vals) > THRESHOLD:
             raise EnvelopeError(
                 f"envelope mass reached the box boundary near t = {t:.6g};"
                 " enlarge the z-box"
@@ -403,32 +315,22 @@ def evolve_grid_envelope(
 
 def spectral_gradient(u: GridEnvelope) -> list[np.ndarray]:
     """First z-derivatives of the grid envelope, one array per axis."""
+    grid = u.grid
     hat = np.fft.fftn(u.values)
-    out = []
-    for axi in range(u.dimension):
-        shape = [1] * u.dimension
-        shape[axi] = u.npoints
-        zeta = u.freq_axis().reshape(shape)
-        out.append(np.fft.ifftn(1j * zeta * hat))
-    return out
+    return [np.fft.ifftn(1j * grid.along(j, grid.freq_axis()) * hat) for j in range(u.dimension)]
 
 
 def spectral_hessian(u: GridEnvelope) -> np.ndarray:
     """Second z-derivatives, shape (d, d) of grid arrays."""
+    grid = u.grid
     hat = np.fft.fftn(u.values)
     d = u.dimension
     out = np.empty((d, d), dtype=object)
     for i in range(d):
         for j in range(i, d):
-            shape_i = [1] * d
-            shape_i[i] = u.npoints
-            shape_j = [1] * d
-            shape_j[j] = u.npoints
-            zi = u.freq_axis().reshape(shape_i)
-            zj = u.freq_axis().reshape(shape_j)
-            val = np.fft.ifftn(-(zi * zj) * hat)
-            out[i, j] = val
-            out[j, i] = val
+            zi = grid.along(i, grid.freq_axis())
+            zj = grid.along(j, grid.freq_axis())
+            out[i, j] = out[j, i] = np.fft.ifftn(-(zi * zj) * hat)
     return out
 
 
@@ -443,14 +345,10 @@ def sigma_norm(u: GridEnvelope, order: int) -> float:
     if order > 0 and u.spectral_tail_fraction() > SPECTRAL_TAIL_TOL:
         raise EnvelopeError("spectral tail too large for the requested order")
     d = u.dimension
-    pts = u.points()
-    vol = u.dz() ** d
+    grid = u.grid
+    pts = grid.points()
     hat = np.fft.fftn(u.values)
-    freq = [None] * d
-    for axi in range(d):
-        shape = [1] * d
-        shape[axi] = u.npoints
-        freq[axi] = u.freq_axis().reshape(shape)
+    freq = [grid.along(j, grid.freq_axis()) for j in range(d)]
 
     total = 0.0
     for a in _multi_indices(d, order):
@@ -465,8 +363,7 @@ def sigma_norm(u: GridEnvelope, order: int) -> float:
             for axi in range(d):
                 if a[axi]:
                     weight = weight * pts[:, axi] ** a[axi]
-            term = db.ravel() * weight
-            total += float(np.sqrt(np.sum(np.abs(term) ** 2) * vol))
+            total += grid.norm(db.ravel() * weight)
     return total
 
 

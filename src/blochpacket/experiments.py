@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import make_grid_for, synthesize_app, synthesize_packet, write_field
-from .bloch import build_bloch_hamiltonian, default_cutoff
+from .bloch import build_bloch_hamiltonian
 from .config import ExperimentConfig
 from .corrector import build_U0, build_U1, build_U2
 from .envelope import (
@@ -48,20 +48,22 @@ def _tkey(t: float) -> float:
     return round(float(t), TIME_KEY_DIGITS)
 
 
-def _write_csv(path: Path, fieldnames, rows, config_hash: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
+def _write_outputs(config: ExperimentConfig, kind: str, fieldnames, rows, **extra) -> dict:
+    """Write <kind>.csv, with the config hash on every row, and the summary
+    <kind>_summary.json; return the summary."""
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    config_hash = config.config_hash()
+    csv_path = out / f"{kind}.csv"
+    with open(csv_path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(fieldnames) + ["config"])
         writer.writeheader()
         for row in rows:
             writer.writerow({**row, "config": config_hash})
-    return path
-
-
-def _write_summary(path: Path, summary: dict) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return path
+    summary = {"kind": kind, "config": config_hash, **extra, "csv": str(csv_path)}
+    summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    (out / f"{kind}_summary.json").write_text(summary_text)
+    return summary
 
 
 def loglog_fit(epsilons, values) -> dict:
@@ -179,6 +181,16 @@ def _initial_field(bundle: DynamicsBundle, epsilon: float, grid):
     return _leading_packet(bundle, 0.0, epsilon, grid)
 
 
+def _reference_snapshots(bundle: DynamicsBundle, epsilon: float, grid, times) -> tuple:
+    """Initial field on the grid and its reference solution at the times."""
+    psi0 = _initial_field(bundle, epsilon, grid)
+    params = SolverParams(dt=bundle.config.reference_dt_factor * epsilon)
+    snaps = solve_schrodinger(
+        psi0, bundle.lattice, bundle.lattice_potential, bundle.external, times, params
+    )
+    return psi0, snaps
+
+
 def _make_grid(config: ExperimentConfig, epsilon: float):
     return make_grid_for(
         epsilon,
@@ -195,12 +207,8 @@ def _make_grid(config: ExperimentConfig, epsilon: float):
 
 def run_bands(config: ExperimentConfig) -> dict:
     config.validate()
-    out = Path(config.output_dir)
-    lattice = config.make_lattice()
-    potential = config.make_lattice_potential()
-    cutoff = config.cutoff if config.cutoff is not None else default_cutoff(config.dimension)
     band = config.make_band()
-    m = config.band_index
+    lattice, m = band.lattice, config.band_index
 
     fracs = np.linspace(-0.5, 0.5, config.k_samples)
     direction = lattice.dual_basis[0]
@@ -212,7 +220,7 @@ def run_bands(config: ExperimentConfig) -> dict:
     max_hess_dev = 0.0
     for frac in fracs:
         k = frac * direction
-        h = build_bloch_hamiltonian(lattice, potential, k, cutoff)
+        h = build_bloch_hamiltonian(lattice, band.potential, k, band.cutoff)
         evals = np.linalg.eigvalsh(h)[: config.num_bands]
         row = {"k_frac": frac}
         for j, val in enumerate(np.atleast_1d(k)):
@@ -244,21 +252,18 @@ def run_bands(config: ExperimentConfig) -> dict:
         except BlochpacketError as exc:
             failures.append({"k_frac": float(frac), "reason": str(exc)})
 
-    fieldnames = list(rows[0].keys())
-    csv_path = _write_csv(out / "bands.csv", fieldnames, rows, config.config_hash())
-    summary = {
-        "kind": "bands",
-        "config": config.config_hash(),
-        "k_samples": config.k_samples,
-        "num_bands": config.num_bands,
-        "band_index": m,
-        "max_grad_deviation": max_grad_dev,
-        "max_hess_deviation": max_hess_dev,
-        "derivative_failures": failures,
-        "csv": str(csv_path),
-    }
-    _write_summary(out / "bands_summary.json", summary)
-    return summary
+    return _write_outputs(
+        config,
+        "bands",
+        rows[0].keys(),
+        rows,
+        k_samples=config.k_samples,
+        num_bands=config.num_bands,
+        band_index=m,
+        max_grad_deviation=max_grad_dev,
+        max_hess_deviation=max_hess_dev,
+        derivative_failures=failures,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +272,6 @@ def run_bands(config: ExperimentConfig) -> dict:
 
 def run_flow(config: ExperimentConfig) -> dict:
     config.validate()
-    out = Path(config.output_dir)
     band = config.make_band()
     external = config.make_external()
     trajectory = integrate_flow(
@@ -291,22 +295,19 @@ def run_flow(config: ExperimentConfig) -> dict:
         row.update({"S": state.S, "theta": state.theta, "energy": energy, "energy_drift": drift})
         rows.append(row)
 
-    csv_path = _write_csv(out / "flow.csv", list(rows[0].keys()), rows, config.config_hash())
-    summary = {
-        "kind": "flow",
-        "config": config.config_hash(),
-        "t_final": config.t_final,
-        "dt": config.flow_dt,
-        "max_energy_drift": max_drift,
-        "csv": str(csv_path),
-    }
-    _write_summary(out / "flow_summary.json", summary)
-    return summary
+    return _write_outputs(
+        config,
+        "flow",
+        rows[0].keys(),
+        rows,
+        t_final=config.t_final,
+        dt=config.flow_dt,
+        max_energy_drift=max_drift,
+    )
 
 
 def run_envelope(config: ExperimentConfig) -> dict:
     config.validate()
-    out = Path(config.output_dir)
     times = sorted({_tkey(t) for t in config.sample_times} | {_tkey(config.t_final)})
     bundle = prepare_dynamics(config, times)
 
@@ -331,8 +332,7 @@ def run_envelope(config: ExperimentConfig) -> dict:
         sampled = grid_envelope_from_gaussian(
             gauss, config.envelope_half_width, config.envelope_points
         )
-        dz = u_grid.dz() ** config.dimension
-        diff = float(np.sqrt(np.sum(np.abs(u_grid.values - sampled.values) ** 2) * dz))
+        diff = u_grid.grid.norm(u_grid.values - sampled.values)
         drift = abs(u_grid.mass() - mass0)
         max_mass_drift = max(max_mass_drift, drift)
         max_diff = max(max_diff, diff)
@@ -351,17 +351,15 @@ def run_envelope(config: ExperimentConfig) -> dict:
             }
         )
 
-    csv_path = _write_csv(out / "envelope.csv", list(rows[0].keys()), rows, config.config_hash())
-    summary = {
-        "kind": "envelope",
-        "config": config.config_hash(),
-        "max_gaussian_defect": max_defect,
-        "max_grid_mass_drift": max_mass_drift,
-        "max_grid_vs_gaussian_l2": max_diff,
-        "csv": str(csv_path),
-    }
-    _write_summary(out / "envelope_summary.json", summary)
-    return summary
+    return _write_outputs(
+        config,
+        "envelope",
+        rows[0].keys(),
+        rows,
+        max_gaussian_defect=max_defect,
+        max_grid_mass_drift=max_mass_drift,
+        max_grid_vs_gaussian_l2=max_diff,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +385,9 @@ def run_packet(config: ExperimentConfig) -> dict:
                 "stem": stem.name,
             }
         )
-    csv_path = _write_csv(out / "packet.csv", list(rows[0].keys()), rows, config.config_hash())
-    summary = {
-        "kind": "packet",
-        "config": config.config_hash(),
-        "initial_data": config.initial_data,
-        "csv": str(csv_path),
-    }
-    _write_summary(out / "packet_summary.json", summary)
-    return summary
+    return _write_outputs(
+        config, "packet", rows[0].keys(), rows, initial_data=config.initial_data
+    )
 
 
 def run_reference(config: ExperimentConfig) -> dict:
@@ -406,27 +398,14 @@ def run_reference(config: ExperimentConfig) -> dict:
     rows = []
     max_drift = 0.0
     for i, eps in enumerate(config.epsilons):
-        grid = _make_grid(config, eps)
-        psi0 = _initial_field(bundle, eps, grid)
+        psi0, snaps = _reference_snapshots(bundle, eps, _make_grid(config, eps), times)
         mass0 = psi0.mass()
-        params = SolverParams(dt=config.reference_dt_factor * eps)
-        snaps = solve_schrodinger(
-            psi0, bundle.lattice, bundle.lattice_potential, bundle.external, times, params
-        )
         for t, snap in zip(times, snaps):
             drift = abs(snap.mass() - mass0)
             max_drift = max(max_drift, drift)
             rows.append({"epsilon": eps, "t": t, "mass": snap.mass(), "mass_drift": drift})
         write_field(snaps[-1], out / f"reference_eps{i}")
-    csv_path = _write_csv(out / "reference.csv", list(rows[0].keys()), rows, config.config_hash())
-    summary = {
-        "kind": "reference",
-        "config": config.config_hash(),
-        "max_mass_drift": max_drift,
-        "csv": str(csv_path),
-    }
-    _write_summary(out / "reference_summary.json", summary)
-    return summary
+    return _write_outputs(config, "reference", rows[0].keys(), rows, max_mass_drift=max_drift)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +416,7 @@ def _error_cell(bundle: DynamicsBundle, eps: float) -> list:
     config = bundle.config
     grid = _make_grid(config, eps)
     times = sorted({_tkey(t) for t in config.sample_times})
-    psi0 = _initial_field(bundle, eps, grid)
-    params = SolverParams(dt=config.reference_dt_factor * eps)
-    snaps = solve_schrodinger(
-        psi0, bundle.lattice, bundle.lattice_potential, bundle.external, times, params
-    )
+    _, snaps = _reference_snapshots(bundle, eps, grid, times)
     rows = []
     for t, snap in zip(times, snaps):
         packet = _leading_packet(bundle, t, eps, grid)
@@ -490,11 +465,7 @@ def _ehrenfest_cell(bundle: DynamicsBundle, eps: float) -> list:
     config = bundle.config
     grid = _make_grid(config, eps)
     horizon_times = sorted({_tkey(c0 * np.log(1.0 / eps)) for c0 in config.c0_list})
-    psi0 = _initial_field(bundle, eps, grid)
-    params = SolverParams(dt=config.reference_dt_factor * eps)
-    snaps = solve_schrodinger(
-        psi0, bundle.lattice, bundle.lattice_potential, bundle.external, horizon_times, params
-    )
+    _, snaps = _reference_snapshots(bundle, eps, grid, horizon_times)
     by_time = dict(zip(horizon_times, snaps))
     rows = []
     for c0 in config.c0_list:
@@ -533,16 +504,19 @@ def _needed_times(config: ExperimentConfig, mode: str) -> list:
     return sorted(times)
 
 
-def _sweep_worker(payload: str) -> tuple:
-    data = json.loads(payload)
-    config = ExperimentConfig.from_dict(data["config"])
-    mode = data["mode"]
-    eps = data["epsilon"]
-    bundle = prepare_dynamics(config, _needed_times(config, mode))
+def _run_cell(bundle: DynamicsBundle, mode: str, eps: float) -> tuple:
+    """(epsilon, rows, failure reason or None) of one sweep cell."""
     try:
         return eps, _CELL_RUNNERS[mode](bundle, eps), None
     except BlochpacketError as exc:
         return eps, [], f"{type(exc).__name__}: {exc}"
+
+
+def _sweep_worker(payload: str) -> tuple:
+    data = json.loads(payload)
+    config = ExperimentConfig.from_dict(data["config"])
+    bundle = prepare_dynamics(config, _needed_times(config, data["mode"]))
+    return _run_cell(bundle, data["mode"], data["epsilon"])
 
 
 def _run_sweep(config: ExperimentConfig, mode: str) -> tuple:
@@ -559,10 +533,7 @@ def _run_sweep(config: ExperimentConfig, mode: str) -> tuple:
         results = []
         for eps in config.epsilons:
             logger.info("%s sweep: epsilon = %g", mode, eps)
-            try:
-                results.append((eps, _CELL_RUNNERS[mode](bundle, eps), None))
-            except BlochpacketError as exc:
-                results.append((eps, [], f"{type(exc).__name__}: {exc}"))
+            results.append(_run_cell(bundle, mode, eps))
     rows = [row for _, cell_rows, _ in results for row in cell_rows]
     failures = [
         {"epsilon": eps, "reason": reason} for eps, _, reason in results if reason
@@ -572,7 +543,6 @@ def _run_sweep(config: ExperimentConfig, mode: str) -> tuple:
 
 def run_convergence(config: ExperimentConfig) -> dict:
     config.validate()
-    out = Path(config.output_dir)
     mode = config.convergence_mode
     rows, failures = _run_sweep(config, mode)
 
@@ -595,23 +565,20 @@ def run_convergence(config: ExperimentConfig) -> dict:
             ),
         }
 
-    csv_path = _write_csv(out / "convergence.csv", fieldnames, rows, config.config_hash())
-    summary = {
-        "kind": "convergence",
-        "mode": mode,
-        "config": config.config_hash(),
-        "initial_data": config.initial_data,
-        "failures": failures,
-        "csv": str(csv_path),
+    return _write_outputs(
+        config,
+        "convergence",
+        fieldnames,
+        rows,
+        mode=mode,
+        initial_data=config.initial_data,
+        failures=failures,
         **extra,
-    }
-    _write_summary(out / "convergence_summary.json", summary)
-    return summary
+    )
 
 
 def run_ehrenfest(config: ExperimentConfig) -> dict:
     config.validate()
-    out = Path(config.output_dir)
     rows, failures = _run_sweep(config, "ehrenfest")
 
     monotone = {}
@@ -628,18 +595,14 @@ def run_ehrenfest(config: ExperimentConfig) -> dict:
             ),
         }
 
-    csv_path = _write_csv(
-        out / "ehrenfest.csv", ["epsilon", "c0", "time", "error"], rows, config.config_hash()
+    return _write_outputs(
+        config,
+        "ehrenfest",
+        ["epsilon", "c0", "time", "error"],
+        rows,
+        failures=failures,
+        horizons=monotone,
     )
-    summary = {
-        "kind": "ehrenfest",
-        "config": config.config_hash(),
-        "failures": failures,
-        "horizons": monotone,
-        "csv": str(csv_path),
-    }
-    _write_summary(out / "ehrenfest_summary.json", summary)
-    return summary
 
 
 RUNNERS = {

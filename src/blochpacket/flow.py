@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlowError, PotentialError
+from .grid import as_points, rk4_step, step_count
 
 DEFAULT_Q_BOUND = 1e6
 
@@ -31,10 +32,6 @@ class QuadraticPotential:
         return cls.create(dimension, hessian=strength * np.eye(dimension))
 
     @classmethod
-    def zero(cls, dimension: int) -> "QuadraticPotential":
-        return cls.create(dimension)
-
-    @classmethod
     def create(cls, dimension: int, constant=0.0, linear=None, hessian=None):
         lin = np.zeros(dimension) if linear is None else np.asarray(linear, float)
         hes = np.zeros((dimension, dimension)) if hessian is None else np.asarray(hessian, float)
@@ -49,22 +46,16 @@ class QuadraticPotential:
         return self.linear.shape[0]
 
     def value(self, x) -> np.ndarray:
-        x = _pointize(x, self.dimension)
+        x = as_points(x, self.dimension)
         quad = 0.5 * np.einsum("...i,ij,...j->...", x, self.hessian, x)
         return self.constant + x @ self.linear + quad
 
     def grad(self, x) -> np.ndarray:
-        x = _pointize(x, self.dimension)
+        x = as_points(x, self.dimension)
         return self.linear + x @ self.hessian
 
     def hess(self, x) -> np.ndarray:
         return self.hessian.copy()
-
-    def hess_bound(self) -> float:
-        return float(np.linalg.norm(self.hessian, 2))
-
-    def third_bound(self) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -86,46 +77,18 @@ class CosineWellPotential:
         return self.frequencies.shape[0]
 
     def value(self, x) -> np.ndarray:
-        x = _pointize(x, self.dimension)
+        x = as_points(x, self.dimension)
         return self.amplitude * np.sum(1.0 - np.cos(self.frequencies * x), axis=-1)
 
     def grad(self, x) -> np.ndarray:
-        x = _pointize(x, self.dimension)
+        x = as_points(x, self.dimension)
         return self.amplitude * self.frequencies * np.sin(self.frequencies * x)
 
     def hess(self, x) -> np.ndarray:
-        x = _pointize(x, self.dimension)
+        x = as_points(x, self.dimension)
         if x.ndim != 1:
             raise PotentialError("hess expects a single point")
         return np.diag(self.amplitude * self.frequencies**2 * np.cos(self.frequencies * x))
-
-    def hess_bound(self) -> float:
-        return float(self.amplitude * np.max(self.frequencies**2))
-
-    def third_bound(self) -> float:
-        return float(self.amplitude * np.max(self.frequencies**3))
-
-
-def _pointize(x, dimension: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if dimension == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-        x = x[..., None]
-    return x
-
-
-def validate_gradients(potential, probes, step: float = 1e-4, tol: float = 1e-5) -> float:
-    """Max deviation between grad() and centered differences of value()."""
-    worst = 0.0
-    for x in np.atleast_2d(np.asarray(probes, dtype=float)):
-        g = potential.grad(x)
-        for j in range(x.shape[0]):
-            e = np.zeros_like(x)
-            e[j] = step
-            fd = (potential.value(x + e) - potential.value(x - e)) / (2 * step)
-            worst = max(worst, abs(float(fd) - g[j]))
-    if worst > tol:
-        raise PotentialError(f"gradient check failed: deviation {worst:.3e}")
-    return worst
 
 
 @dataclass(frozen=True)
@@ -234,11 +197,11 @@ def integrate_flow(
         raise FlowError("q0 and p0 dimensions differ")
     if t_final <= 0 or dt <= 0:
         raise FlowError("time window and step must be positive")
-    nsteps = max(1, int(np.ceil(t_final / dt - 1e-12)))
+    nsteps = step_count(t_final, dt)
     h = t_final / nsteps
     sign = -1.0 if reverse else 1.0
 
-    def rhs(y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
         dq, dp, ds, dth = flow_rhs(y[:d], y[d : 2 * d], band, potential)
         return sign * np.concatenate([dq, dp, [ds], [dth]])
 
@@ -247,27 +210,15 @@ def integrate_flow(
     derivs = np.empty_like(states)
     y = np.concatenate([q0, p0, [0.0], [0.0]])
     states[0] = y
-    derivs[0] = rhs(y)
+    derivs[0] = rhs(0.0, y)
     for i in range(nsteps):
-        k1 = derivs[i]
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        # the node derivative doubles as the first stage
+        y = rk4_step(rhs, ts[i], y, h, k1=derivs[i])
         if not np.all(np.isfinite(y)) or np.linalg.norm(y[:d]) > q_bound:
             raise FlowError(f"trajectory blow-up near t = {ts[i + 1]:.6g}")
         states[i + 1] = y
-        derivs[i + 1] = rhs(y)
+        derivs[i + 1] = rhs(ts[i + 1], y)
     return Trajectory(ts=ts, states=states, derivs=derivs, dimension=d)
-
-
-def phase_at(trajectory: Trajectory, t: float, x) -> np.ndarray:
-    """Eikonal phase S(t) + <p(t), x - q(t)> at spatial points x (..., d)."""
-    state = trajectory.state_at(t)
-    pts = np.asarray(x, dtype=float)
-    if trajectory.dimension == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-        pts = pts[..., None]
-    return state.S + (pts - state.q) @ state.p
 
 
 def total_energy(state: TrajectoryState, band, potential) -> float:

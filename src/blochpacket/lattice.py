@@ -8,11 +8,12 @@ fundamental cell of the dual lattice serves as the Brillouin zone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LatticeError, PotentialError
+from .grid import as_points
 
 DUALITY_TOL = 1e-12
 
@@ -137,9 +138,7 @@ class FourierPotential:
 
     def evaluate(self, lattice: LatticeSpec, points) -> np.ndarray:
         """Real values V(y) at points of shape (..., d) (or (...,) when d=1)."""
-        pts = np.asarray(points, dtype=float)
-        if lattice.dimension == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., None]
+        pts = as_points(points, lattice.dimension)
         out = np.zeros(pts.shape[:-1], dtype=complex)
         for n, v in self.coeffs:
             g = lattice.dual_vectors(np.asarray(n))

@@ -2,7 +2,8 @@
 
 The equation  i eps d_t psi = -(eps^2/2) Lap psi + (V_lat(x/eps) + V(x)) psi
 is advanced in the rescaled form  i d_t psi = -(eps/2) Lap psi + (1/eps) V_tot psi
-by Strang splitting: the potential factor is a pointwise phase, the kinetic
+by the shared `grid.strang_step`, the same Fourier split step the envelope
+propagator takes: the potential factor is a pointwise phase, the kinetic
 factor is exact in Fourier space.  Both factors are unimodular, so the grid
 mass is conserved to rounding and the time step budget is purely one of
 accuracy (default dt = eps/100 against the O(1/eps) effective potential).
@@ -16,10 +17,10 @@ import numpy as np
 
 from .assembly import GridWaveField
 from .errors import SolverError
+from .grid import THRESHOLD, SpatialGrid, step_count, strang_step
 
 DEFAULT_DT_FACTOR = 0.01  # dt = factor * eps
-BOUNDARY_THRESHOLD = 1e-8
-BOUNDARY_CHECK_EVERY = 16
+BOUNDARY_CHECK_EVERY = 16  # steps between boundary-shell checks
 RESIDUAL_DELTA_LIMIT = 0.1  # require delta <= eps / 10
 
 
@@ -28,8 +29,7 @@ class SolverParams:
     """Step control for the split-step reference propagation."""
 
     dt: float | None = None  # None -> DEFAULT_DT_FACTOR * epsilon
-    boundary_threshold: float = BOUNDARY_THRESHOLD
-    check_every: int = BOUNDARY_CHECK_EVERY
+    boundary_threshold: float = THRESHOLD
 
     def resolve_dt(self, epsilon: float) -> float:
         dt = DEFAULT_DT_FACTOR * epsilon if self.dt is None else float(self.dt)
@@ -46,15 +46,9 @@ def _total_potential_grid(psi: GridWaveField, lattice, lattice_potential, extern
     return (vlat + vext).reshape(psi.grid.shape)
 
 
-def _kinetic_symbol_grid(psi: GridWaveField) -> np.ndarray:
+def _kinetic_symbol(grid: SpatialGrid) -> np.ndarray:
     """|xi|^2 / 2 on the FFT frequency tensor grid."""
-    freqs = psi.grid.freq_axis()
-    total = np.zeros(psi.grid.shape)
-    for j in range(psi.grid.dimension):
-        shape = [1] * psi.grid.dimension
-        shape[j] = psi.grid.npoints
-        total = total + (freqs**2).reshape(shape)
-    return 0.5 * total
+    return 0.5 * grid.quadratic_form(np.eye(grid.dimension), fourier=True)
 
 
 def solve_schrodinger(
@@ -83,7 +77,7 @@ def solve_schrodinger(
     eps = psi0.epsilon
     dt = params.resolve_dt(eps)
     vgrid = _total_potential_grid(psi0, lattice, lattice_potential, external)
-    ksym = _kinetic_symbol_grid(psi0)
+    ksym = _kinetic_symbol(psi0.grid)
 
     vals = psi0.values.astype(complex, copy=True)
     t = psi0.time
@@ -91,26 +85,23 @@ def solve_schrodinger(
     for target in times:
         span = target - t
         if span > 1e-14:
-            nsteps = max(1, int(np.ceil(span / dt - 1e-12)))
+            nsteps = step_count(span, dt)
             h = span / nsteps
             half_potential = np.exp(-0.5j * h * vgrid / eps)
             kinetic = np.exp(-1j * h * eps * ksym)
             for step in range(nsteps):
-                vals = half_potential * vals
-                vals = np.fft.ifftn(kinetic * np.fft.fftn(vals))
-                vals = half_potential * vals
-                if (step + 1) % params.check_every == 0:
-                    _boundary_guard(vals, psi0, t + (step + 1) * h, params)
+                vals = strang_step(vals, half_potential, kinetic)
+                if (step + 1) % BOUNDARY_CHECK_EVERY == 0:
+                    _boundary_guard(vals, psi0.grid, t + (step + 1) * h, params)
         t = target
         snap = GridWaveField(grid=psi0.grid, epsilon=eps, time=t, values=vals.copy())
-        _boundary_guard(vals, psi0, t, params)
+        _boundary_guard(vals, psi0.grid, t, params)
         snapshots.append(snap)
     return snapshots
 
 
-def _boundary_guard(vals: np.ndarray, psi0: GridWaveField, t: float, params: SolverParams):
-    probe = GridWaveField(grid=psi0.grid, epsilon=psi0.epsilon, time=t, values=vals)
-    frac = probe.boundary_mass_fraction()
+def _boundary_guard(vals: np.ndarray, grid: SpatialGrid, t: float, params: SolverParams):
+    frac = grid.shell_fraction(vals)
     if frac > params.boundary_threshold:
         raise SolverError(
             f"packet mass fraction {frac:.3e} reached the box boundary"
@@ -121,8 +112,7 @@ def _boundary_guard(vals: np.ndarray, psi0: GridWaveField, t: float, params: Sol
 def l2_error(a: GridWaveField, b: GridWaveField) -> float:
     """Grid L2 norm of a - b (exact trapezoid on the periodic grid)."""
     a.require_compatible(b)
-    dv = a.grid.dx**a.grid.dimension
-    return float(np.sqrt(np.sum(np.abs(a.values - b.values) ** 2) * dv))
+    return a.grid.norm(a.values - b.values)
 
 
 def self_convergence_ratio(
@@ -149,7 +139,7 @@ def self_convergence_ratio(
 
 def laplacian(field: GridWaveField) -> np.ndarray:
     """Spectral Laplacian of the samples."""
-    ksym = _kinetic_symbol_grid(field)
+    ksym = _kinetic_symbol(field.grid)
     return np.fft.ifftn(-2.0 * ksym * np.fft.fftn(field.values))
 
 
@@ -186,5 +176,4 @@ def pde_residual(
         + 0.5 * eps**2 * laplacian(middle)
         - vgrid * middle.values
     )
-    dv = middle.grid.dx**middle.grid.dimension
-    return float(np.sqrt(np.sum(np.abs(resid) ** 2) * dv))
+    return middle.grid.norm(resid)

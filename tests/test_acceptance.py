@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from blochpacket.assembly import GridWaveField, SpatialGrid
+from blochpacket.assembly import GridWaveField
 from blochpacket.bloch import BlochBand
 from blochpacket.config import ExperimentConfig
 from blochpacket.corrector import build_U1, build_U2, solvability_defect
@@ -32,6 +32,7 @@ from blochpacket.experiments import (
     prepare_dynamics,
 )
 from blochpacket.flow import QuadraticPotential, TrajectoryState, integrate_flow, total_energy
+from blochpacket.grid import SpatialGrid
 from blochpacket.lattice import FourierPotential, LatticeSpec
 from blochpacket.reference import SolverParams, l2_error, solve_schrodinger
 
@@ -230,7 +231,7 @@ def test_envelope_propagator_equivalence(capsys, config, bundle, grid_run):
         gauss_final, config.envelope_half_width, config.envelope_points
     )
     diff = float(
-        np.sqrt(np.sum(np.abs(u_grid.values - closed.values) ** 2) * u_grid.dz())
+        np.sqrt(np.sum(np.abs(u_grid.values - closed.values) ** 2) * u_grid.grid.dx)
     )
     ok = diff <= 1e-6
     _report(
@@ -331,8 +332,8 @@ def test_free_lattice_closed_forms(capsys, lattice1d, free_band):
     pair = free_band.eigenpair(state.p)
     derivs = free_band.derivatives(state.p)
     corr_norm = max(
-        build_U1(u, pair, derivs).norm(u.dz()),
-        build_U2(u, state, free_band, QuadraticPotential.harmonic(1)).norm(u.dz()),
+        build_U1(u, pair, derivs).norm(u.grid.dx),
+        build_U2(u, state, free_band, QuadraticPotential.harmonic(1)).norm(u.grid.dx),
     )
 
     # plane wave under the reference solver picks up the exact phase

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,10 @@ from hypothesis import strategies as st
 
 from blochpacket.assembly import (
     GridWaveField,
-    SpatialGrid,
     fourier_interpolate,
     make_grid_for,
     next_pow2,
     read_field,
-    superpose,
     synthesize_app,
     synthesize_packet,
     write_field,
@@ -27,6 +26,7 @@ from blochpacket.envelope import (
 )
 from blochpacket.errors import GridError
 from blochpacket.flow import QuadraticPotential, TrajectoryState
+from blochpacket.grid import SpatialGrid
 from blochpacket.lattice import FourierPotential, LatticeSpec
 
 # leading-order packet mass for u = exp(-z^2/2) and unit-average cell
@@ -193,7 +193,8 @@ def test_synthesize_app_corrector_scaling(mathieu_band):
     lead = synthesize_app(u0, None, None, state, eps, grid)
     with_u1 = synthesize_app(u0, u1, None, state, eps, grid)
     both = with_u1.values - lead.values
-    doubled = synthesize_app(u0, u1.scaled(2.0), None, state, eps, grid)
+    u1_doubled = replace(u1, terms=tuple((2.0 * f, g) for f, g in u1.terms))
+    doubled = synthesize_app(u0, u1_doubled, None, state, eps, grid)
     assert np.allclose(doubled.values - lead.values, 2.0 * both, atol=1e-12)
 
 
@@ -227,19 +228,6 @@ def test_support_check_fires_for_offcenter_packet(mathieu_band):
         synthesize_packet(g, state, pair, eps, make_grid_for(eps))
     # explicit opt-out skips the guard
     synthesize_packet(g, state, pair, eps, make_grid_for(eps), check_support=False)
-
-
-def test_superpose_linearity(mathieu_band):
-    eps = 2**-4
-    state = make_state()
-    pair = mathieu_band.eigenpair(state.p)
-    g = gaussian_init(np.eye(1), np.eye(1))
-    grid = make_grid_for(eps)
-    f = synthesize_packet(g, state, pair, eps, grid)
-    s = superpose([f, f.scaled(-1.0)])
-    assert np.max(np.abs(s.values)) == 0.0
-    with pytest.raises(GridError):
-        superpose([])
 
 
 def test_write_read_round_trip(tmp_path, mathieu_band):

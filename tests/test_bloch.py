@@ -9,15 +9,13 @@ from blochpacket.bloch import (
     build_bloch_hamiltonian,
     cell_inner,
     default_cutoff,
-    evaluate_bloch,
     evaluate_cell_coeffs,
     gap_check,
     gauge_fix,
     pw_indices,
     reduced_resolvent_solve,
-    solve_bands,
 )
-from blochpacket.errors import DegenerateBandError, EigensolverError
+from blochpacket.errors import DegenerateBandError
 from blochpacket.lattice import FourierPotential, LatticeSpec
 
 # Flat-band reference values for -1/2 d^2/dy^2 + cos(y), ground band.
@@ -55,26 +53,23 @@ def test_energies_real_sorted_periodic(k, amp):
     lat = LatticeSpec.cubic(1)
     pot = FourierPotential.cosine(1, amp)
     h = build_bloch_hamiltonian(lat, pot, np.array([k]), 8)
-    pairs = solve_bands(h, lat, 4, k=np.array([k]), cutoff=8)
-    es = [p.energy for p in pairs]
+    es = list(np.linalg.eigvalsh(h)[:4])
     assert all(np.isfinite(es))
     assert es == sorted(es)
     # shifting k by a dual vector leaves the spectrum unchanged
     h2 = build_bloch_hamiltonian(lat, pot, np.array([k + 1.0]), 8)
-    pairs2 = solve_bands(h2, lat, 4, k=np.array([k + 1.0]), cutoff=8)
-    assert np.allclose(es, [p.energy for p in pairs2], atol=1e-10)
+    assert np.allclose(es, np.linalg.eigvalsh(h2)[:4], atol=1e-10)
 
 
 def test_cell_normalization(lattice1d, cosine1d):
-    h = build_bloch_hamiltonian(lattice1d, cosine1d, np.array([0.3]), 16)
-    (pair,) = solve_bands(h, lattice1d, 1, k=np.array([0.3]), cutoff=16)
+    pair, _ = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 16)
     # |Y| sum |c_n|^2 = 1 so |chi| has unit cell average
     assert cell_inner(lattice1d, pair.coeffs, pair.coeffs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigen_residual(lattice1d, cosine1d):
     h = build_bloch_hamiltonian(lattice1d, cosine1d, np.array([0.3]), 32)
-    (pair,) = solve_bands(h, lattice1d, 1, k=np.array([0.3]), cutoff=32)
+    pair, _ = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 32)
     res = h @ pair.coeffs - pair.energy * pair.coeffs
     assert np.linalg.norm(res) < 1e-12
 
@@ -137,14 +132,16 @@ def test_dk_coeffs_match_finite_difference_cell_functions(lattice1d, cosine1d):
     pp = gauge_fix(pp, reference=pair)
     pm = gauge_fix(pm, reference=pair)
     y = np.linspace(0.0, 2.0 * np.pi, 13)
-    fd = (evaluate_bloch(pp, y) - evaluate_bloch(pm, y)) / (2 * h)
+    fd = (
+        evaluate_cell_coeffs(lattice1d, pp.cutoff, pp.coeffs, y)
+        - evaluate_cell_coeffs(lattice1d, pm.cutoff, pm.coeffs, y)
+    ) / (2 * h)
     direct = evaluate_cell_coeffs(lattice1d, pair.cutoff, der.dk_coeffs[0], y)
     assert np.max(np.abs(fd - direct)) < 1e-5
 
 
 def test_gauge_fix_pins_phase(lattice1d, cosine1d):
-    h = build_bloch_hamiltonian(lattice1d, cosine1d, np.array([0.3]), 16)
-    (pair,) = solve_bands(h, lattice1d, 1, k=np.array([0.3]), cutoff=16)
+    pair, _ = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 16)
     rotated = pair.__class__(
         k=pair.k,
         m=pair.m,
@@ -171,7 +168,7 @@ def test_gauge_fix_with_reference_maximizes_overlap(lattice1d, cosine1d):
 
 def test_reduced_resolvent_solve_properties(lattice1d, cosine1d):
     h = build_bloch_hamiltonian(lattice1d, cosine1d, np.array([0.3]), 16)
-    (pair,) = solve_bands(h, lattice1d, 1, k=np.array([0.3]), cutoff=16)
+    pair, _ = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 16)
     chi_unit = pair.coeffs / np.linalg.norm(pair.coeffs)
     rng = np.random.default_rng(7)
     rhs = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
@@ -204,8 +201,8 @@ def test_band_cache_unfolds_momenta(mathieu_band):
     pair2 = mathieu_band.eigenpair(shifted)
     # chi_{k+G}(y) = exp(-i<G, y>) chi_k(y): same Bloch wave e^{iky}chi
     y = np.linspace(0.0, 2.0 * np.pi, 9)
-    wave0 = np.exp(1j * p[0] * y) * evaluate_bloch(pair0, y)
-    wave2 = np.exp(1j * shifted[0] * y) * evaluate_bloch(pair2, y)
+    wave0 = np.exp(1j * p[0] * y) * evaluate_cell_coeffs(pair0.lattice, 32, pair0.coeffs, y)
+    wave2 = np.exp(1j * shifted[0] * y) * evaluate_cell_coeffs(pair2.lattice, 32, pair2.coeffs, y)
     assert np.max(np.abs(wave0 - wave2)) < 1e-10
 
 
@@ -229,12 +226,6 @@ def test_band_derivatives_2d_gradient():
 def test_gap_check_positive_for_mathieu(lattice1d, cosine1d):
     gap = gap_check(lattice1d, cosine1d, 1, [np.array([0.3])], 4, 16, bz_points=33)
     assert gap > 0.4  # first gap of the cos potential is order one
-
-
-def test_solve_bands_rejects_bad_band_count(lattice1d, cosine1d):
-    h = build_bloch_hamiltonian(lattice1d, cosine1d, np.array([0.3]), 4)
-    with pytest.raises(EigensolverError):
-        solve_bands(h, lattice1d, 0, k=np.array([0.3]), cutoff=4)
 
 
 def test_default_cutoff():

@@ -45,6 +45,14 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+def test_malformed_config_value_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"lattice_potential": "cosine"}))
+    code = main(["flow", "--config", str(path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 def test_subcommand_overrides_config_kind(tmp_path, capsys):
     # config says convergence, but the subcommand wins
     path = tmp_path / "cfg.json"

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,3 +139,46 @@ def test_round_trip_is_identity_on_valid_configs(eps, t_final, band):
     cfg.validate()
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg
     assert cfg.config_hash() == ExperimentConfig.from_json(cfg.to_json()).config_hash()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"epsilons": 0.1},
+        {"lattice_potential": "cosine"},
+        {"jobs": "2"},
+        {"q0": [0, "a"]},
+        {"external": {"hessian": 3}},
+        {"dimension": "1"},
+        {"external": {"not_a_field": 1.0}},
+        {"lattice_potential": {"coeffs": [[1, 0.5, 0.0]]}},
+        {"jobs": True},
+    ],
+)
+def test_from_dict_malformed_values_raise_config_error(data):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(data)
+
+
+CONFIG_HASHES = {
+    "bands.json": "f9fc1c2aff48",
+    "convergence_error.json": "2d4d77c0b561",
+    "ehrenfest.json": "2cb5fa9e5537",
+    "free_lattice_packet.json": "c11113026156",
+    "residual.json": "5f1e168bb90d",
+}
+
+
+def test_config_hash_values_are_stable():
+    # provenance hashes of earlier runs stay valid; int-valued floats keep
+    # their JSON spelling at the top level and become floats in the specs
+    assert ExperimentConfig().config_hash() == "2d4d77c0b561"
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for name, want in CONFIG_HASHES.items():
+        assert ExperimentConfig.from_file(configs / name).config_hash() == want
+    nested_ints = {
+        "t_final": 1,
+        "lattice_potential": {"amplitude": 2},
+        "external": {"hessian": [[1]], "linear": [0]},
+    }
+    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "dc095295468f"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ def test_u0_is_product_state(node, mathieu_band):
     assert np.allclose(zprof, u.values)
     assert np.allclose(ycoef, pair.coeffs)
     # norm separates: ||u|| * ||chi||_L2(Y) with unit cell normalization
-    assert u0.norm(u.dz()) == pytest.approx(u.mass(), rel=1e-12)
+    assert u0.norm(u.grid.dx) == pytest.approx(u.mass(), rel=1e-12)
 
 
 def test_u1_orthogonal_to_cell_function(node, mathieu_band):
@@ -78,7 +80,8 @@ def test_scaled_corrector_norm(node, mathieu_band):
     pair = mathieu_band.eigenpair(state.p)
     der = mathieu_band.derivatives(state.p)
     u1 = build_U1(u, pair, der)
-    assert u1.scaled(3.0).norm(u.dz()) == pytest.approx(3.0 * u1.norm(u.dz()), rel=1e-12)
+    tripled = replace(u1, terms=tuple((3.0 * f, g) for f, g in u1.terms))
+    assert tripled.norm(u.grid.dx) == pytest.approx(3.0 * u1.norm(u.grid.dx), rel=1e-12)
 
 
 def test_correctors_vanish_on_free_lattice(free_band):
@@ -88,8 +91,8 @@ def test_correctors_vanish_on_free_lattice(free_band):
     pair = free_band.eigenpair(state.p)
     der = free_band.derivatives(state.p)
     ext = QuadraticPotential.harmonic(1)
-    assert build_U1(u, pair, der).norm(u.dz()) < 1e-14
-    assert build_U2(u, state, free_band, ext).norm(u.dz()) < 1e-14
+    assert build_U1(u, pair, der).norm(u.grid.dx) < 1e-14
+    assert build_U2(u, state, free_band, ext).norm(u.grid.dx) < 1e-14
 
 
 def test_solvability_defect1_vanishes(node, mathieu_band):
@@ -119,7 +122,7 @@ def test_time_derivative_matches_envelope_equation():
     g = gaussian_init(np.eye(1), np.eye(1))
     u = grid_envelope_from_gaussian(g, 16.0, 512)
     du = time_derivative(u, coeffs, 1e-6)
-    z = u.axis()
+    z = u.grid.axis()
     d2u = spectral_hessian(u)[0, 0]
     rhs = 1j * 0.5 * m * d2u - 1j * 0.5 * q * z * z * u.values + beta * u.values
     assert np.max(np.abs(du - rhs)) < 1e-8

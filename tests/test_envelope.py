@@ -10,7 +10,6 @@ from blochpacket.envelope import (
     evolve_gaussian,
     evolve_grid_envelope,
     gaussian_eval,
-    gaussian_eval_with_derivatives,
     gaussian_init,
     gaussian_invariant_defects,
     grid_envelope_from_gaussian,
@@ -142,9 +141,9 @@ def test_grid_envelope_accessors():
     g = gaussian_init(np.eye(1), np.eye(1))
     u = grid_envelope_from_gaussian(g, 8.0, 128)
     assert u.dimension == 1
-    assert u.npoints == 128
-    assert u.dz() == pytest.approx(16.0 / 128)
-    assert u.axis()[0] == pytest.approx(-8.0)
+    assert u.grid.npoints == 128
+    assert u.grid.dx == pytest.approx(16.0 / 128)
+    assert u.grid.axis()[0] == pytest.approx(-8.0)
     assert u.mass() == pytest.approx(SIGMA0, rel=1e-10)
     assert u.boundary_mass_fraction() < 1e-12
     assert u.spectral_tail_fraction() < 1e-12
@@ -159,8 +158,8 @@ def test_grid_propagator_matches_gaussian_random_constant_coefficients():
         gau = evolve_gaussian(g, coeffs, t, 1e-4)
         u0 = grid_envelope_from_gaussian(g, 16.0, 512)
         ugrid = evolve_grid_envelope(u0, coeffs, t, 1e-4)
-        exact = gaussian_eval(gau, ugrid.points()).reshape(ugrid.values.shape)
-        err = np.sqrt(np.sum(np.abs(ugrid.values - exact) ** 2) * ugrid.dz())
+        exact = gaussian_eval(gau, ugrid.grid.points()).reshape(ugrid.values.shape)
+        err = np.sqrt(np.sum(np.abs(ugrid.values - exact) ** 2) * ugrid.grid.dx)
         assert err < 1e-6
 
 
@@ -178,7 +177,7 @@ def test_grid_propagator_backward_inverts_forward():
     u0 = grid_envelope_from_gaussian(g, 16.0, 256)
     u1 = evolve_grid_envelope(u0, coeffs, 0.4, 1e-3)
     u2 = evolve_grid_envelope(u1, coeffs, 0.0, 1e-3)
-    err = np.sqrt(np.sum(np.abs(u2.values - u0.values) ** 2) * u0.dz())
+    err = np.sqrt(np.sum(np.abs(u2.values - u0.values) ** 2) * u0.grid.dx)
     assert err < 1e-10
 
 
@@ -195,24 +194,11 @@ def test_evolve_grid_envelope_boundary_guard():
 def test_spectral_derivatives_match_analytic():
     g = gaussian_init(np.eye(1), np.eye(1))
     u = grid_envelope_from_gaussian(g, 16.0, 512)
-    z = u.axis()
+    z = u.grid.axis()
     du = spectral_gradient(u)[0]
     d2u = spectral_hessian(u)[0, 0]
     assert np.max(np.abs(du - (-z) * u.values)) < 1e-11
     assert np.max(np.abs(d2u - (z * z - 1.0) * u.values)) < 1e-10
-
-
-def test_gaussian_eval_with_derivatives_consistent():
-    # chirped but admissible pair: B A^-1 = 1 + i c keeps Re(BA^-1)^-1 = AA*
-    g = gaussian_init(np.array([[1.0]]), np.array([[1.0 + 0.5j]]))
-    z = np.linspace(-2, 2, 9).reshape(-1, 1)
-    vals, grads, hesses = gaussian_eval_with_derivatives(g, z)
-    h = 1e-6
-    fd = (gaussian_eval(g, z + h) - gaussian_eval(g, z - h)) / (2 * h)
-    fd2 = (gaussian_eval(g, z + h) - 2 * vals + gaussian_eval(g, z - h)) / h**2
-    assert np.allclose(grads[..., 0], fd, atol=1e-7)
-    assert np.allclose(hesses[..., 0, 0], fd2, atol=1e-3)
-    assert np.allclose(vals, gaussian_eval(g, z))
 
 
 def test_coefficients_along_trajectory_interpolates(mathieu_band):
@@ -234,3 +220,15 @@ def test_sigma_norm_rejects_negative_order():
     u = grid_envelope_from_gaussian(g, 8.0, 64)
     with pytest.raises(EnvelopeError):
         sigma_norm(u, -1)
+
+
+def test_grid_propagator_matches_gaussian_2d():
+    coeffs = ConstantCoefficients(
+        dispersion=[[1.0, 0.2], [0.2, 0.8]], vhess=np.diag([1.0, 0.5]), berry_rate=0.03j
+    )
+    g = gaussian_init(np.eye(2), np.eye(2))
+    u0 = grid_envelope_from_gaussian(g, 8.0, 64)
+    u1 = evolve_grid_envelope(u0, coeffs, 1.0, 1e-3)
+    exact = grid_envelope_from_gaussian(evolve_gaussian(g, coeffs, 1.0, 1e-3), 8.0, 64)
+    assert u1.grid.norm(u1.values - exact.values) <= 1e-6
+    assert abs(u1.mass() - u0.mass()) <= 1e-12

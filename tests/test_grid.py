@@ -1,0 +1,69 @@
+import numpy as np
+import pytest
+
+from blochpacket.errors import GridError
+from blochpacket.grid import SpatialGrid, as_points, rk4_step, step_count, strang_step
+
+
+def test_shell_fraction_is_union_over_axes_2d():
+    grid = SpatialGrid(dimension=2, half_width=4.0, npoints=64)
+    row_strip = np.zeros(grid.shape, dtype=complex)
+    row_strip[0, :] = 1.0  # x_0 = -4 only: the edge strip of axis 0
+    col_strip = np.zeros(grid.shape, dtype=complex)
+    col_strip[:, -1] = 1.0j  # x_1 at its upper end: the edge strip of axis 1
+    assert grid.shell_fraction(row_strip) == 1.0
+    assert grid.shell_fraction(col_strip) == 1.0
+    x, y = np.meshgrid(grid.axis(), grid.axis(), indexing="ij")
+    centred = np.exp(-(x**2 + y**2) / 0.1)
+    assert grid.shell_fraction(centred) < 1e-50
+    assert grid.shell_fraction(np.zeros(grid.shape)) == 0.0
+
+
+def test_norm_and_quadratic_forms_2d():
+    grid = SpatialGrid(dimension=2, half_width=np.pi, npoints=16)
+    assert grid.dv == pytest.approx((2 * np.pi / 16) ** 2)
+    assert grid.norm(np.ones(grid.shape)) == pytest.approx(2 * np.pi)
+    mat = np.array([[2.0, 0.5], [0.5, 1.0]])
+    x, y = np.meshgrid(grid.axis(), grid.axis(), indexing="ij")
+    want = 2.0 * x * x + x * y + y * y
+    assert np.allclose(grid.quadratic_form(mat), want, atol=1e-12)
+    xi, eta = np.meshgrid(grid.freq_axis(), grid.freq_axis(), indexing="ij")
+    assert np.allclose(grid.quadratic_form(np.eye(2), fourier=True), xi**2 + eta**2)
+    assert grid.along(1, grid.axis()).shape == (1, 16)
+
+
+def test_grid_rejects_bad_geometry():
+    with pytest.raises(GridError):
+        SpatialGrid(dimension=0, half_width=1.0, npoints=8)
+    with pytest.raises(GridError):
+        SpatialGrid(dimension=1, half_width=-1.0, npoints=8)
+    with pytest.raises(GridError):
+        SpatialGrid(dimension=1, half_width=1.0, npoints=1)
+
+
+def test_as_points_shapes():
+    assert as_points(0.5, 1).shape == (1,)
+    assert as_points(np.zeros(7), 1).shape == (7, 1)
+    assert as_points(np.zeros((7, 1)), 1).shape == (7, 1)
+    assert as_points(np.zeros((7, 2)), 2).shape == (7, 2)
+
+
+def test_step_count_lands_on_the_span():
+    assert step_count(1.0, 1e-3) == 1000
+    assert step_count(1.0, 0.3) == 4
+    assert step_count(1e-20, 1.0) == 1
+
+
+def test_rk4_step_exact_for_cubic_in_time():
+    # y' = 3 t^2 is integrated exactly by a fourth-order step
+    y = rk4_step(lambda t, y: np.array([3.0 * t * t]), 0.5, np.array([0.0]), 0.25)
+    assert y[0] == pytest.approx(0.75**3 - 0.5**3, abs=1e-15)
+
+
+def test_strang_step_is_unitary():
+    rng = np.random.default_rng(2)
+    vals = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    phase = np.exp(1j * rng.normal(size=(8, 8)))
+    kinetic = np.exp(1j * rng.normal(size=(8, 8)))
+    out = strang_step(vals, phase, kinetic)
+    assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(vals), rel=1e-13)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from blochpacket.assembly import GridWaveField, SpatialGrid, make_grid_for, synthesize_packet
+from blochpacket.assembly import GridWaveField, make_grid_for, synthesize_packet
 from blochpacket.envelope import gaussian_init
 from blochpacket.errors import SolverError
 from blochpacket.flow import QuadraticPotential, TrajectoryState
+from blochpacket.grid import SpatialGrid
 from blochpacket.lattice import FourierPotential, LatticeSpec
 from blochpacket.reference import (
     SolverParams,
@@ -188,3 +189,24 @@ def test_dt_validation():
     with pytest.raises(SolverError):
         params.resolve_dt(0.1)
     assert SolverParams().resolve_dt(0.5) == pytest.approx(0.005)
+
+
+def test_unitarity_2d():
+    eps = 0.25
+    lattice = LatticeSpec.cubic(2)
+    grid = SpatialGrid(dimension=2, half_width=4.0, npoints=64)
+    x, y = np.meshgrid(grid.axis(), grid.axis(), indexing="ij")
+    vals = np.exp(-(x**2 + y**2) / (2 * eps) + 1j * (0.3 * x - 0.2 * y) / eps) / np.sqrt(eps)
+    psi0 = GridWaveField(grid=grid, epsilon=eps, time=0.0, values=vals)
+    snaps = solve_schrodinger(
+        psi0,
+        lattice,
+        FourierPotential.cosine(2),
+        QuadraticPotential.harmonic(2),
+        [0.25, 0.5],
+        SolverParams(),
+    )
+    assert [s.time for s in snaps] == [0.25, 0.5]
+    for snap in snaps:
+        assert abs(snap.mass() - psi0.mass()) <= 1e-12
+    assert snaps[-1].boundary_mass_fraction() < 1e-12
