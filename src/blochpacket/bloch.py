@@ -194,6 +194,8 @@ def band_derivatives(
     d = lattice.dimension
     k = np.atleast_1d(np.asarray(k, dtype=float))
     h = build_bloch_hamiltonian(lattice, potential, k, cutoff)
+    if not 1 <= m <= h.shape[0]:
+        raise EigensolverError(f"band index {m} outside [1, {h.shape[0]}]")
     try:
         evals, evecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -350,6 +352,8 @@ class BlochBand:
     ):
         if cutoff is None:
             cutoff = default_cutoff(lattice.dimension)
+        if m < 1:
+            raise EigensolverError(f"band index {m} must be at least 1")
         self.lattice = lattice
         self.potential = potential
         self.m = int(m)

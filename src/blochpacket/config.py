@@ -341,9 +341,6 @@ class ExperimentConfig(_Serializable):
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_json(Path(path).read_text())
 
-    def to_file(self, path):
-        Path(path).write_text(self.to_json())
-
     def config_hash(self) -> str:
         # identifies the scientific configuration: output location and
         # parallelism do not change any computed number

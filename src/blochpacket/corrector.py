@@ -27,6 +27,7 @@ from .envelope import (
     ConstantCoefficients,
     GridEnvelope,
     evolve_grid_envelope,
+    geometric_rate,
     spectral_gradient,
     spectral_hessian,
 )
@@ -45,13 +46,6 @@ class CorrectorField:
     @property
     def dimension(self) -> int:
         return self.pair.dimension
-
-    def chi_projection(self) -> np.ndarray:
-        """<chi, field>(z): projection onto the cell function."""
-        out = np.zeros(self.terms[0][0].shape, dtype=complex)
-        for f, g in self.terms:
-            out += f * cell_inner(self.pair.lattice, self.pair.coeffs, g)
-        return out
 
     def norm(self, dz_volume: float) -> float:
         """L2(dz x dy) norm via the Gram matrices of both factors."""
@@ -181,11 +175,10 @@ def time_derivative(u: GridEnvelope, coefficients, delta: float) -> np.ndarray:
 
 
 def _frozen_coefficients(state, band, external) -> ConstantCoefficients:
-    berry = complex(band.berry(state.p) @ external.grad(state.q))
     return ConstantCoefficients(
         dispersion=band.hess_energy(state.p),
         vhess=external.hess(state.q),
-        berry_rate=1j * berry.imag,
+        berry_rate=geometric_rate(band, external, state),
     )
 
 
@@ -230,11 +223,10 @@ def solvability_defect(
     hess_u = spectral_hessian(u)
     xs = [_perp(pair, derivs.dk_coeffs[j]) for j in range(d)]
     qmat = external.hess(state.q)
-    pdot = -external.grad(state.q)
-    berry = derivs.berry
 
+    # the parallel momentum drag i p' . <chi, grad_k chi> is -i beta
     g2 = 1j * du_dt - 0.5 * u.grid.quadratic_form(qmat) * u.values
-    g2 = g2 + (1j * complex(pdot @ berry)) * u.values
+    g2 = g2 - 1j * geometric_rate(band, external, state) * u.values
     for j in range(d):
         g2 = g2 + 0.5 * hess_u[j, j]
         for l in range(d):
@@ -289,7 +281,7 @@ def system_residuals(
     hess_u = spectral_hessian(u)
     mmat = derivs.hess
     qmat = external.hess(state.q)
-    beta = 1j * complex(band.berry(state.p) @ external.grad(state.q)).imag
+    beta = geometric_rate(band, external, state)
     idtu = 0.5 * u.grid.quadratic_form(qmat) * u.values + beta * u.values
     for j in range(d):
         for l in range(d):
@@ -299,9 +291,8 @@ def system_residuals(
         scalar = scalar + 0.5 * hess_u[j, j]
     r2_terms.append((scalar, chi.copy()))
     # parallel part of the momentum drag (the perpendicular part is already
-    # inside the rhs terms); it balances the geometric term inside i d_t u
-    pdot = -external.grad(state.q)
-    parallel_drag = 1j * complex(pdot @ derivs.berry)
-    r2_terms.append((parallel_drag * u.values, chi.copy()))
+    # inside the rhs terms), i p' . <chi, grad_k chi> = -i beta; it balances
+    # the geometric term inside i d_t u
+    r2_terms.append((-1j * beta * u.values, chi.copy()))
     r2 = _terms_norm(r2_terms, lattice, vol)
     return r0, r1, r2

@@ -292,7 +292,7 @@ def run_flow(config: ExperimentConfig) -> dict:
             row[f"q_{j}"] = state.q[j]
         for j in range(state.dimension):
             row[f"p_{j}"] = state.p[j]
-        row.update({"S": state.S, "theta": state.theta, "energy": energy, "energy_drift": drift})
+        row.update({"S": state.S, "energy": energy, "energy_drift": drift})
         rows.append(row)
 
     return _write_outputs(
@@ -614,11 +614,3 @@ RUNNERS = {
     "convergence": run_convergence,
     "ehrenfest": run_ehrenfest,
 }
-
-
-def run_experiment(config: ExperimentConfig) -> dict:
-    try:
-        runner = RUNNERS[config.kind]
-    except KeyError:
-        raise BlochpacketError(f"no runner for experiment kind {config.kind!r}")
-    return runner(config)

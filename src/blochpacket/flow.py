@@ -1,10 +1,11 @@
-"""Band-driven classical flow: trajectory, action and geometric phase.
+"""Band-driven classical flow: trajectory and action.
 
 The trajectory solves q' = grad E(p), p' = -grad V(q) with the band energy
 playing the role of the kinetic Hamiltonian. Alongside it we accumulate the
-action integral of p . grad E(p) - E(p) - V(q) and the real geometric phase
-whose rate is -i <chi, grad_k chi> . grad V(q). Momenta are never folded
-here; spectral lookups fold internally, phases always see the unfolded p.
+action integral of p . grad E(p) - E(p) - V(q). The geometric phase is not
+integrated here: the envelope carries it (`envelope.geometric_rate`). Momenta
+are never folded here; spectral lookups fold internally, phases always see
+the unfolded p.
 """
 
 from __future__ import annotations
@@ -93,34 +94,25 @@ class CosineWellPotential:
 
 @dataclass(frozen=True)
 class TrajectoryState:
-    """Flow state at one time: positions, momentum, action, geometric phase."""
+    """Flow state at one time: positions, momentum, action."""
 
     t: float
     q: np.ndarray
     p: np.ndarray      # unfolded momentum
     S: float
-    theta: float
 
     @property
     def dimension(self) -> int:
         return np.asarray(self.q).shape[0]
 
 
-def flow_rhs(q, p, band, potential) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Time derivatives (dq, dp, dS, dtheta) of the band-driven flow."""
+def flow_rhs(q, p, band, potential) -> tuple[np.ndarray, np.ndarray, float]:
+    """Time derivatives (dq, dp, dS) of the band-driven flow."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     grad_e = band.grad_energy(p)
-    grad_v = potential.grad(q)
-    dq = grad_e
-    dp = -grad_v
     ds = float(p @ grad_e - band.energy(p) - potential.value(q))
-    berry = band.berry(p)
-    rate = complex(berry @ grad_v)
-    if abs(rate.real) > 1e-10 * max(1.0, abs(rate.imag)):
-        raise FlowError("geometric phase rate has a real part")
-    dtheta = rate.imag  # theta' = -i * rate with rate purely imaginary
-    return dq, dp, ds, dtheta
+    return grad_e, -potential.grad(q), ds
 
 
 class Trajectory:
@@ -133,7 +125,7 @@ class Trajectory:
 
     def __init__(self, ts: np.ndarray, states: np.ndarray, derivs: np.ndarray, dimension: int):
         self.ts = ts
-        self.states = states      # (N+1, 2d+2): q, p, S, theta
+        self.states = states      # (N+1, 2d+1): q, p, S
         self.derivs = derivs
         self.dimension = dimension
 
@@ -146,9 +138,7 @@ class Trajectory:
 
     def _make_state(self, t: float, y: np.ndarray) -> TrajectoryState:
         d = self.dimension
-        return TrajectoryState(
-            t=t, q=y[:d].copy(), p=y[d : 2 * d].copy(), S=float(y[2 * d]), theta=float(y[2 * d + 1])
-        )
+        return TrajectoryState(t=t, q=y[:d].copy(), p=y[d : 2 * d].copy(), S=float(y[2 * d]))
 
     def state_at(self, t: float) -> TrajectoryState:
         ts = self.ts
@@ -184,7 +174,7 @@ def integrate_flow(
     reverse: bool = False,
     q_bound: float = DEFAULT_Q_BOUND,
 ) -> Trajectory:
-    """Classical RK4 on (q, p, S, theta) over a uniform grid.
+    """Classical RK4 on (q, p, S) over a uniform grid.
 
     The step is shrunk to divide t_final exactly. With reverse=True the
     vector field is negated, which retraces a forward trajectory from its
@@ -202,13 +192,13 @@ def integrate_flow(
     sign = -1.0 if reverse else 1.0
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        dq, dp, ds, dth = flow_rhs(y[:d], y[d : 2 * d], band, potential)
-        return sign * np.concatenate([dq, dp, [ds], [dth]])
+        dq, dp, ds = flow_rhs(y[:d], y[d : 2 * d], band, potential)
+        return sign * np.concatenate([dq, dp, [ds]])
 
     ts = np.linspace(0.0, t_final, nsteps + 1)
-    states = np.empty((nsteps + 1, 2 * d + 2))
+    states = np.empty((nsteps + 1, 2 * d + 1))
     derivs = np.empty_like(states)
-    y = np.concatenate([q0, p0, [0.0], [0.0]])
+    y = np.concatenate([q0, p0, [0.0]])
     states[0] = y
     derivs[0] = rhs(0.0, y)
     for i in range(nsteps):

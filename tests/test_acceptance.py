@@ -327,7 +327,7 @@ def test_free_lattice_closed_forms(capsys, lattice1d, free_band):
         )
 
     # both corrector fields vanish when the cell potential is zero
-    state = TrajectoryState(t=0.0, q=np.array([0.1]), p=np.array([0.3]), S=0.0, theta=0.0)
+    state = TrajectoryState(t=0.0, q=np.array([0.1]), p=np.array([0.3]), S=0.0)
     u = grid_envelope_from_gaussian(gaussian_init(np.eye(1), np.eye(1)), 16.0, 256)
     pair = free_band.eigenpair(state.p)
     derivs = free_band.derivatives(state.p)

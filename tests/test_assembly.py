@@ -35,7 +35,7 @@ PACKET_MASS = np.pi**0.25 / np.sqrt(2.0 * np.pi)
 
 
 def make_state(q=0.0, p=0.3, t=0.0, S=0.0):
-    return TrajectoryState(t=t, q=np.array([q]), p=np.array([p]), S=S, theta=0.0)
+    return TrajectoryState(t=t, q=np.array([q]), p=np.array([p]), S=S)
 
 
 def test_next_pow2():

@@ -15,7 +15,7 @@ from blochpacket.bloch import (
     pw_indices,
     reduced_resolvent_solve,
 )
-from blochpacket.errors import DegenerateBandError
+from blochpacket.errors import DegenerateBandError, EigensolverError
 from blochpacket.lattice import FourierPotential, LatticeSpec
 
 # Flat-band reference values for -1/2 d^2/dy^2 + cos(y), ground band.
@@ -72,6 +72,20 @@ def test_eigen_residual(lattice1d, cosine1d):
     pair, _ = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 32)
     res = h @ pair.coeffs - pair.energy * pair.coeffs
     assert np.linalg.norm(res) < 1e-12
+
+
+@pytest.mark.parametrize("m", [0, -1, 18])
+def test_band_index_outside_range_rejected(lattice1d, cosine1d, m):
+    # cutoff 8 keeps M = 17 plane waves, so bands 1..17 exist; 0 and -1
+    # would otherwise index the eigenvalues from the top of the spectrum
+    with pytest.raises(EigensolverError):
+        band_derivatives(lattice1d, cosine1d, np.array([0.3]), m, 8)
+    if m < 1:
+        with pytest.raises(EigensolverError):
+            BlochBand(lattice1d, cosine1d, m, 8)
+    else:
+        with pytest.raises(EigensolverError):
+            BlochBand(lattice1d, cosine1d, m, 8).energy(np.array([0.3]))
 
 
 def test_flat_band_values(mathieu_band):

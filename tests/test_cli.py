@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from blochpacket.cli import SUBCOMMANDS, build_parser, main
+from blochpacket.config import ExperimentConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_help_exits_zero(capsys):
@@ -90,3 +94,13 @@ def test_parser_lists_every_runner():
     ns = parser.parse_args(["bands"])
     assert ns.command == "bands"
     assert ns.config is None and ns.out is None and ns.jobs is None
+
+
+def test_shipped_configs_validate_and_name_a_subcommand():
+    # README runs each of them as `blochpacket <kind> --config configs/<file>`
+    paths = sorted(CONFIGS.glob("*.json"))
+    assert paths
+    for path in paths:
+        config = ExperimentConfig.from_file(path).validate()
+        assert config.kind in SUBCOMMANDS, path.name
+        assert build_parser().parse_args([config.kind, "--config", str(path)]).command == config.kind

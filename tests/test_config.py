@@ -42,7 +42,7 @@ def test_round_trip_json():
 def test_file_round_trip(tmp_path):
     cfg = ExperimentConfig(kind="bands", k_samples=17)
     path = tmp_path / "cfg.json"
-    cfg.to_file(path)
+    path.write_text(cfg.to_json())
     assert ExperimentConfig.from_file(path) == cfg
 
 

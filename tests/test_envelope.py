@@ -12,12 +12,14 @@ from blochpacket.envelope import (
     gaussian_eval,
     gaussian_init,
     gaussian_invariant_defects,
+    geometric_rate,
     grid_envelope_from_gaussian,
     sigma_norm,
     spectral_gradient,
     spectral_hessian,
 )
 from blochpacket.errors import EnvelopeError
+from blochpacket.flow import QuadraticPotential, TrajectoryState
 
 # Weighted-norm oracles for u(z) = exp(-z^2/2) (A = B = 1), by hand:
 # ||u|| = pi^(1/4), ||z u|| = ||u'|| = pi^(1/4)/sqrt(2),
@@ -161,6 +163,55 @@ def test_grid_propagator_matches_gaussian_random_constant_coefficients():
         exact = gaussian_eval(gau, ugrid.grid.points()).reshape(ugrid.values.shape)
         err = np.sqrt(np.sum(np.abs(ugrid.values - exact) ** 2) * ugrid.grid.dx)
         assert err < 1e-6
+
+
+class BreathingCoefficients:
+    """M(t) = 1 + 0.3 sin t, Q = 1, beta(t) = 0.4i cos 3t."""
+
+    dimension = 1
+
+    def dispersion(self, t):
+        return np.array([[1.0 + 0.3 * np.sin(t)]])
+
+    def vhess(self, t):
+        return np.eye(1)
+
+    def berry_rate(self, t):
+        return 0.4j * np.cos(3.0 * t)
+
+
+def test_grid_propagator_time_dependent_geometric_factor():
+    # all three coefficients move in time; the Gaussian flow at dt 1e-4 is
+    # the reference, and the grid scheme must stay second order
+    coeffs = BreathingCoefficients()
+    g = gaussian_init(np.eye(1), np.eye(1))
+    exact = grid_envelope_from_gaussian(evolve_gaussian(g, coeffs, 1.0, 1e-4), 16.0, 512)
+    u0 = grid_envelope_from_gaussian(g, 16.0, 512)
+    errs = [
+        exact.grid.norm(evolve_grid_envelope(u0, coeffs, 1.0, dt).values - exact.values)
+        for dt in (1e-3, 2.5e-4)
+    ]
+    assert errs[0] <= 1e-6
+    assert errs[0] / errs[1] >= 12.0
+
+
+class FixedConnectionBand:
+    """Band stub whose connection <chi, d_k chi> is a given constant."""
+
+    def __init__(self, connection):
+        self.connection = np.array([connection])
+
+    def berry(self, p):
+        return self.connection
+
+
+def test_geometric_rate_rejects_real_part():
+    # grad V = q = 0.5, so an imaginary connection 0.2i gives rate 0.1i
+    state = TrajectoryState(t=0.0, q=np.array([0.5]), p=np.array([0.3]), S=0.0)
+    pot = QuadraticPotential.harmonic(1)
+    assert geometric_rate(FixedConnectionBand(0.2j), pot, state) == pytest.approx(0.1j)
+    with pytest.raises(EnvelopeError):
+        geometric_rate(FixedConnectionBand(0.1 + 0.2j), pot, state)
 
 
 def test_grid_propagator_mass_conservation():

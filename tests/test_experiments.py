@@ -1,12 +1,10 @@
 import csv
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from blochpacket.config import ExperimentConfig
-from blochpacket.errors import BlochpacketError
 from blochpacket.experiments import (
     DynamicsBundle,
     _tkey,
@@ -14,7 +12,6 @@ from blochpacket.experiments import (
     prepare_dynamics,
     run_bands,
     run_convergence,
-    run_experiment,
     run_flow,
 )
 
@@ -106,6 +103,7 @@ def test_run_flow_writes_nodes(tmp_path):
     assert summary["max_energy_drift"] < 1e-10
     rows = read_rows(tmp_path / "flow.csv")
     assert len(rows) == 21
+    assert list(rows[0]) == ["t", "q_0", "p_0", "S", "energy", "energy_drift", "config"]
     assert float(rows[0]["q_0"]) == pytest.approx(0.0)
     assert float(rows[0]["p_0"]) == pytest.approx(0.3)
     assert float(rows[-1]["t"]) == pytest.approx(0.2)
@@ -147,14 +145,3 @@ def test_run_convergence_parallel_matches_inline(tmp_path):
     assert r1 == r2
     assert s1["slopes"] == s2["slopes"]
 
-
-def test_run_experiment_dispatch(tmp_path):
-    cfg = ExperimentConfig(
-        kind="envelope", t_final=0.2, residual_time=0.2, output_dir=str(tmp_path)
-    )
-    summary = run_experiment(cfg)
-    assert summary["kind"] == "envelope"
-
-    bogus = replace(cfg, kind="sideband")  # kind is only checked by validate()
-    with pytest.raises(BlochpacketError):
-        run_experiment(bogus)

@@ -59,7 +59,6 @@ def test_harmonic_oscillator_closed_form():
     amp2 = q0 * q0 + p0 * p0
     s_exact = 0.5 * (p0 * p0 - q0 * q0) * np.sin(t) * np.cos(t) - q0 * p0 * np.sin(t) ** 2
     assert st_.S == pytest.approx(s_exact, abs=1e-9)
-    assert st_.theta == pytest.approx(0.0, abs=1e-12)
     assert amp2 == pytest.approx(st_.q[0] ** 2 + st_.p[0] ** 2, abs=1e-10)
 
 
@@ -161,5 +160,5 @@ def test_invalid_inputs():
 
 
 def test_trajectory_state_dimension():
-    st_ = TrajectoryState(t=0.0, q=np.zeros(3), p=np.zeros(3), S=0.0, theta=0.0)
+    st_ = TrajectoryState(t=0.0, q=np.zeros(3), p=np.zeros(3), S=0.0)
     assert st_.dimension == 3

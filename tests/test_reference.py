@@ -59,7 +59,7 @@ def test_constant_potential_pure_phase(lattice1d):
 
 def test_unitarity(lattice1d, cosine1d, mathieu_band):
     eps = 2**-4
-    state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0, theta=0.0)
+    state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0)
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
@@ -72,7 +72,7 @@ def test_unitarity(lattice1d, cosine1d, mathieu_band):
 
 def test_snapshots_at_multiple_times(lattice1d, cosine1d, mathieu_band):
     eps = 2**-4
-    state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0, theta=0.0)
+    state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0)
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
@@ -101,7 +101,7 @@ def test_times_must_be_nondecreasing(lattice1d, cosine1d):
 
 def test_self_convergence_second_order(lattice1d, cosine1d, mathieu_band):
     eps = 2**-3
-    state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0, theta=0.0)
+    state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0)
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
@@ -123,7 +123,7 @@ def test_laplacian_spectral(mathieu_band):
 def test_pde_residual_small_for_solver_output(lattice1d, cosine1d, mathieu_band):
     eps = 2**-4
     delta = 0.25 * eps * eps
-    state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0, theta=0.0)
+    state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0)
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
@@ -139,7 +139,7 @@ def test_pde_residual_small_for_solver_output(lattice1d, cosine1d, mathieu_band)
 def test_pde_residual_rejects_wide_stencil(lattice1d, cosine1d, mathieu_band):
     # centered stencil wider than eps/10 is outside the guard
     eps = 2**-4
-    state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0, theta=0.0)
+    state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0)
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
@@ -155,7 +155,7 @@ def test_pde_residual_rejects_wide_stencil(lattice1d, cosine1d, mathieu_band):
 
 def test_pde_residual_rejects_asymmetric_stencil(lattice1d, cosine1d, mathieu_band):
     eps = 2**-4
-    state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0, theta=0.0)
+    state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0)
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
