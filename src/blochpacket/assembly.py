@@ -23,6 +23,7 @@ from .flow import TrajectoryState
 from .grid import THRESHOLD, SpatialGrid
 
 POINTS_PER_OSCILLATION = 16
+MIN_POINTS = 64
 MOMENTUM_MATCH_TOL = 1e-8
 TIME_MATCH_TOL = 1e-10
 
@@ -41,7 +42,6 @@ def make_grid_for(
     half_width: float = 16.0,
     lattice_period: float = 2.0 * np.pi,
     points_per_period: int = POINTS_PER_OSCILLATION,
-    min_points: int = 64,
 ) -> SpatialGrid:
     """Smallest power-of-two grid resolving the eps-scale oscillations.
 
@@ -56,7 +56,7 @@ def make_grid_for(
     return SpatialGrid(
         dimension=dimension,
         half_width=half_width,
-        npoints=next_pow2(max(min_points, needed)),
+        npoints=next_pow2(max(MIN_POINTS, needed)),
     )
 
 
@@ -155,10 +155,10 @@ def _cell_on_grid(lattice, cutoff: int, coeffs: np.ndarray, epsilon: float, grid
     return evaluate_cell_coeffs(lattice, cutoff, coeffs, pts).reshape(grid.shape)
 
 
-def _packet_field(vals, t: float, epsilon: float, grid: SpatialGrid, check_support: bool):
+def _packet_field(vals, t: float, epsilon: float, grid: SpatialGrid):
     """Packet samples as a field, guarded against mass at the box edge."""
     field = GridWaveField(grid=grid, epsilon=epsilon, time=t, values=vals)
-    frac = field.boundary_mass_fraction() if check_support else 0.0
+    frac = field.boundary_mass_fraction()
     if frac > THRESHOLD:
         raise GridError(
             f"packet mass fraction {frac:.3e} reached the box boundary;"
@@ -184,8 +184,6 @@ def synthesize_packet(
     pair: BlochEigenpair,
     epsilon: float,
     grid: SpatialGrid,
-    *,
-    check_support: bool = True,
 ) -> GridWaveField:
     """Leading-order packet  eps^(-d/4) u(z) chi(x/eps) exp(i phase/eps).
 
@@ -198,7 +196,7 @@ def synthesize_packet(
     chivals = _cell_on_grid(pair.lattice, pair.cutoff, pair.coeffs, epsilon, grid)
     vals = epsilon ** (-grid.dimension / 4.0) * uvals * chivals
     vals = vals * _phase_factor(state, epsilon, grid)
-    return _packet_field(vals, state.t, epsilon, grid, check_support)
+    return _packet_field(vals, state.t, epsilon, grid)
 
 
 def synthesize_app(
@@ -208,8 +206,6 @@ def synthesize_app(
     state: TrajectoryState,
     epsilon: float,
     grid: SpatialGrid,
-    *,
-    check_support: bool = True,
 ) -> GridWaveField:
     """Corrected packet  eps^(-d/4) (U0 + sqrt(eps) U1 + eps U2) e^(i phase/eps).
 
@@ -236,7 +232,7 @@ def synthesize_app(
             yvals = _cell_on_grid(pair.lattice, pair.cutoff, y_coeffs, epsilon, grid)
             total += weight * zvals * yvals
     vals = epsilon ** (-grid.dimension / 4.0) * total * _phase_factor(state, epsilon, grid)
-    return _packet_field(vals, state.t, epsilon, grid, check_support)
+    return _packet_field(vals, state.t, epsilon, grid)
 
 
 def write_field(field: GridWaveField, stem) -> tuple:

@@ -7,6 +7,10 @@ vector. With L_0 = E(p) - H(p), L_1 = i (p - grad E) . grad_z
 the hierarchy solves L_0 U_0 = 0, L_0 U_1 + L_1 U_0 = 0 and
 L_0 U_2 + L_1 U_1 + L_2 U_0 = 0, with the scalar parts of U_1, U_2 set to
 zero so each corrector is orthogonal to the cell function.
+
+The right-hand sides are written once, as separable terms: U_2 applies the
+reduced resolvent to them, the solvability defects project them onto the
+cell function and the residuals add L_0 U_k to them.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from .envelope import (
     spectral_gradient,
     spectral_hessian,
 )
+
+FD_DELTA = 1e-5  # step of the centered time difference in solvability_defect
 
 
 @dataclass(frozen=True)
@@ -82,15 +88,90 @@ def _node_data(band, state) -> tuple:
     return pair, derivs, h.astype(complex)
 
 
+# ---------------------------------------------------------------------------
+# The hierarchy, written once
+
+
+def _first_order_terms(u: GridEnvelope, state, pair: BlochEigenpair, derivs) -> list:
+    """Separable terms of L_1 U_0 = sum_j (d_j u) [i (p - grad E)_j chi + d_y_j chi]."""
+    drift = np.atleast_1d(state.p) - derivs.grad
+    chi = pair.coeffs
+    return [
+        (grad, 1j * drift[j] * chi + _dy(pair, chi, j))
+        for j, grad in enumerate(spectral_gradient(u))
+    ]
+
+
+def _second_order_terms(
+    u: GridEnvelope, hess_u, state, pair: BlochEigenpair, derivs, external
+) -> list:
+    """Separable terms of L_1 U_1 + L_2 U_0 whose cell factor is not chi.
+
+    With x_l the orthogonal k-derivative and p' = -grad V(q) these are
+      sum_jl (d2_jl u) [ (p - grad E)_j x_l - i d_y_j x_l ]  +  u (i p' . x);
+    the rest of the right-hand side is `_parallel_profile` times chi.
+    """
+    d = u.dimension
+    xs = [_perp(pair, derivs.dk_coeffs[j]) for j in range(d)]
+    drift = np.atleast_1d(state.p) - derivs.grad
+    pdot = -external.grad(state.q)
+    terms = [
+        (hess_u[j, l], drift[j] * xs[l] - 1j * _dy(pair, xs[l], j))
+        for j in range(d)
+        for l in range(d)
+    ]
+    drag = sum(1j * pdot[j] * xs[j] for j in range(d))
+    return terms + [(u.values.copy(), drag)]
+
+
+def _parallel_profile(u: GridEnvelope, hess_u, idtu, qmat, beta: complex) -> np.ndarray:
+    """z-profile of chi in L_1 U_1 + L_2 U_0, given i d_t u.
+
+    i d_t u + 0.5 Lap u - 0.5 <z, Q z> u - i beta u; the last term is the
+    cell-parallel momentum drag i p' . <chi, grad_k chi>.
+    """
+    out = idtu - 0.5 * u.grid.quadratic_form(qmat) * u.values - 1j * beta * u.values
+    for j in range(u.dimension):
+        out = out + 0.5 * hess_u[j, j]
+    return out
+
+
+def _envelope_idt(u: GridEnvelope, hess_u, mmat, qmat, beta: complex) -> np.ndarray:
+    """i d_t u from the envelope equation: -0.5 M : Hess u + 0.5 <z, Q z> u + i beta u."""
+    out = 0.5 * u.grid.quadratic_form(qmat) * u.values + 1j * beta * u.values
+    for j in range(u.dimension):
+        for l in range(u.dimension):
+            out = out - 0.5 * mmat[j, l] * hess_u[j, l]
+    return out
+
+
+def _chi_profile(pair: BlochEigenpair, terms) -> np.ndarray:
+    """<chi, sum f g>(z): projection of separable terms onto the cell function."""
+    return sum(f * cell_inner(pair.lattice, pair.coeffs, g) for f, g in terms)
+
+
+def _merged(terms) -> list:
+    """Terms with equal z-profiles summed into one, so that cancellations
+    happen in the cell factors rather than in the Gram sum of the norm."""
+    out = []
+    for f, g in terms:
+        for i, (fo, go) in enumerate(out):
+            if np.array_equal(fo, f):
+                out[i] = (fo, go + g)
+                break
+        else:
+            out.append((f, g))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Correctors and diagnostics
+
+
 def build_U0(u: GridEnvelope, pair: BlochEigenpair) -> CorrectorField:
     """Leading term: envelope times cell function."""
-    return CorrectorField(
-        order=0,
-        terms=((u.values.copy(), pair.coeffs.copy()),),
-        half_width=u.half_width,
-        t=u.t,
-        pair=pair,
-    )
+    terms = ((u.values.copy(), pair.coeffs.copy()),)
+    return CorrectorField(order=0, terms=terms, half_width=u.half_width, t=u.t, pair=pair)
 
 
 def build_U1(
@@ -102,69 +183,28 @@ def build_U1(
     the cell function in every direction regardless of the gauge's phase
     rate.
     """
-    grads = spectral_gradient(u)
-    terms = []
-    for j in range(u.dimension):
-        xj = _perp(pair, derivs.dk_coeffs[j])
-        terms.append((grads[j], -1j * xj))
-    return CorrectorField(
-        order=1, terms=tuple(terms), half_width=u.half_width, t=u.t, pair=pair
+    terms = tuple(
+        (grad, -1j * _perp(pair, derivs.dk_coeffs[j]))
+        for j, grad in enumerate(spectral_gradient(u))
     )
+    return CorrectorField(order=1, terms=terms, half_width=u.half_width, t=u.t, pair=pair)
 
 
-def _second_corrector_rhs(
-    u: GridEnvelope,
-    state,
-    pair: BlochEigenpair,
-    derivs: BandDerivatives,
-    external,
-) -> list:
-    """Separable terms of L_1 U_1 + L_2 U_0 that survive the projector.
-
-    The scalar (cell-parallel) parts cancel once the envelope equation is
-    substituted for i d_t u, so only second-derivative couplings and the
-    momentum-drag term remain:
-      sum_jl (d2_jl u) [ (p - grad E)_j x_l - i d_y_j x_l ]  +  u (i p' . x)
-    with x_l the orthogonal k-derivative and p' = -grad V(q).
-    """
-    d = u.dimension
-    hess_u = spectral_hessian(u)
-    xs = [_perp(pair, derivs.dk_coeffs[j]) for j in range(d)]
-    drift = np.atleast_1d(state.p) - derivs.grad
-    pdot = -external.grad(state.q)
-    terms = []
-    for j in range(d):
-        for l in range(d):
-            y = drift[j] * xs[l] - 1j * _dy(pair, xs[l], j)
-            terms.append((hess_u[j, l], y))
-    drag = np.zeros_like(xs[0])
-    for j in range(d):
-        drag = drag + 1j * pdot[j] * xs[j]
-    terms.append((u.values.copy(), drag))
-    return terms
-
-
-def build_U2(
-    u: GridEnvelope,
-    state,
-    band,
-    external,
-) -> CorrectorField:
+def build_U2(u: GridEnvelope, state, band, external) -> CorrectorField:
     """Second corrector: reduced resolvent applied to -(L_1 U_1 + L_2 U_0).
 
-    Assembles the projected right-hand side and solves (H(p) - E) w = rhs
-    for each separable term with <chi, w> = 0, so <chi, U_2> = 0.
+    Solves (H(p) - E) w = P_perp y for each separable term of the
+    right-hand side with <chi, w> = 0, so <chi, U_2> = 0; the chi-parallel
+    part is the envelope equation and drops out.
     """
     pair, derivs, h = _node_data(band, state)
     chi_unit = pair.unit_coeffs()
     scale = np.sqrt(pair.lattice.cell_volume)
-    terms = []
-    for zprof, y in _second_corrector_rhs(u, state, pair, derivs, external):
-        w_unit = reduced_resolvent_solve(h, pair.energy, chi_unit, y * scale)
-        terms.append((zprof, w_unit / scale))
-    return CorrectorField(
-        order=2, terms=tuple(terms), half_width=u.half_width, t=u.t, pair=pair
+    terms = tuple(
+        (zprof, reduced_resolvent_solve(h, pair.energy, chi_unit, y * scale) / scale)
+        for zprof, y in _second_order_terms(u, spectral_hessian(u), state, pair, derivs, external)
     )
+    return CorrectorField(order=2, terms=terms, half_width=u.half_width, t=u.t, pair=pair)
 
 
 def time_derivative(u: GridEnvelope, coefficients, delta: float) -> np.ndarray:
@@ -174,21 +214,8 @@ def time_derivative(u: GridEnvelope, coefficients, delta: float) -> np.ndarray:
     return (ahead.values - behind.values) / (2.0 * delta)
 
 
-def _frozen_coefficients(state, band, external) -> ConstantCoefficients:
-    return ConstantCoefficients(
-        dispersion=band.hess_energy(state.p),
-        vhess=external.hess(state.q),
-        berry_rate=geometric_rate(band, external, state),
-    )
-
-
 def solvability_defect(
-    u: GridEnvelope,
-    state,
-    band,
-    external,
-    du_dt: np.ndarray | None = None,
-    fd_delta: float = 1e-5,
+    u: GridEnvelope, state, band, external, du_dt: np.ndarray | None = None
 ) -> tuple[float, float]:
     """Cell-function projections of the first two hierarchy right-hand sides.
 
@@ -199,51 +226,30 @@ def solvability_defect(
     the envelope equation. The time derivative entering L_2 is taken from
     du_dt when given (e.g. a centered difference of propagator snapshots,
     or zeros to probe stale data); by default it is generated by two short
-    propagator steps with coefficients frozen at this node, which makes
-    defect2 a consistency check of the coefficient algebra alone.
+    propagator steps of FD_DELTA with coefficients frozen at this node,
+    which makes defect2 a consistency check of the coefficient algebra alone.
     """
     pair = band.eigenpair(state.p)
     derivs = band.derivatives(state.p)
-    d = u.dimension
-
-    grads = spectral_gradient(u)
-    drift = np.atleast_1d(state.p) - derivs.grad
-    chi = pair.coeffs
-    g1 = np.zeros(u.values.shape, dtype=complex)
-    for j in range(d):
-        dchi = cell_inner(pair.lattice, chi, _dy(pair, chi, j))
-        g1 += 1j * drift[j] * grads[j] + dchi * grads[j]
-    defect1 = u.grid.norm(g1)
-
+    qmat = external.hess(state.q)
+    beta = geometric_rate(band, external, state)
     if du_dt is None:
-        du_dt = time_derivative(u, _frozen_coefficients(state, band, external), fd_delta)
+        frozen = ConstantCoefficients(dispersion=derivs.hess, vhess=qmat, berry_rate=beta)
+        du_dt = time_derivative(u, frozen, FD_DELTA)
     elif isinstance(du_dt, GridEnvelope):
         du_dt = du_dt.values
 
     hess_u = spectral_hessian(u)
-    xs = [_perp(pair, derivs.dk_coeffs[j]) for j in range(d)]
-    qmat = external.hess(state.q)
-
-    # the parallel momentum drag i p' . <chi, grad_k chi> is -i beta
-    g2 = 1j * du_dt - 0.5 * u.grid.quadratic_form(qmat) * u.values
-    g2 = g2 - 1j * geometric_rate(band, external, state) * u.values
-    for j in range(d):
-        g2 = g2 + 0.5 * hess_u[j, j]
-        for l in range(d):
-            t_jl = -1j * cell_inner(pair.lattice, chi, _dy(pair, xs[l], j))
-            g2 = g2 + t_jl * hess_u[j, l]
-    defect2 = u.grid.norm(g2)
+    defect1 = u.grid.norm(_chi_profile(pair, _first_order_terms(u, state, pair, derivs)))
+    second = _second_order_terms(u, hess_u, state, pair, derivs, external)
+    parallel = _parallel_profile(u, hess_u, 1j * du_dt, qmat, beta)
+    defect2 = u.grid.norm(parallel + _chi_profile(pair, second))
     return defect1, defect2
 
 
 def system_residuals(
-    u: GridEnvelope,
-    state,
-    band,
-    external,
-    u0: CorrectorField,
-    u1: CorrectorField,
-    u2: CorrectorField,
+    u: GridEnvelope, state, band, external,
+    u0: CorrectorField, u1: CorrectorField, u2: CorrectorField,
 ) -> tuple[float, float, float]:
     """L2(dz x dy) residuals of the three hierarchy equations.
 
@@ -253,46 +259,18 @@ def system_residuals(
     solves and the coefficient algebra jointly.
     """
     pair, derivs, h = _node_data(band, state)
-    lattice = pair.lattice
-    d = u.dimension
-    vol = u.grid.dv
-
-    def l0(y: np.ndarray) -> np.ndarray:
-        return pair.energy * y - h @ y
-
-    # L_0 U_0
-    r0_terms = [(f, l0(g)) for f, g in u0.terms]
-    r0 = _terms_norm(r0_terms, lattice, vol)
-
-    # L_0 U_1 + L_1 U_0
-    grads = spectral_gradient(u)
-    drift = np.atleast_1d(state.p) - derivs.grad
-    chi = pair.coeffs
-    r1_terms = []
-    for j, (f, g) in enumerate(u1.terms):
-        y = l0(g) + 1j * drift[j] * chi + _dy(pair, chi, j)
-        r1_terms.append((grads[j], y))
-    r1 = _terms_norm(r1_terms, lattice, vol)
-
-    # L_0 U_2 + L_1 U_1 + L_2 U_0 with i d_t u from the envelope equation
-    r2_terms = [(f, l0(g)) for f, g in u2.terms]
-    r2_terms.extend(_second_corrector_rhs(u, state, pair, derivs, external))
-
     hess_u = spectral_hessian(u)
-    mmat = derivs.hess
     qmat = external.hess(state.q)
     beta = geometric_rate(band, external, state)
-    idtu = 0.5 * u.grid.quadratic_form(qmat) * u.values + beta * u.values
-    for j in range(d):
-        for l in range(d):
-            idtu = idtu - 0.5 * mmat[j, l] * hess_u[j, l]
-    scalar = idtu - 0.5 * u.grid.quadratic_form(qmat) * u.values
-    for j in range(d):
-        scalar = scalar + 0.5 * hess_u[j, j]
-    r2_terms.append((scalar, chi.copy()))
-    # parallel part of the momentum drag (the perpendicular part is already
-    # inside the rhs terms), i p' . <chi, grad_k chi> = -i beta; it balances
-    # the geometric term inside i d_t u
-    r2_terms.append((-1j * beta * u.values, chi.copy()))
-    r2 = _terms_norm(r2_terms, lattice, vol)
+    idtu = _envelope_idt(u, hess_u, derivs.hess, qmat, beta)
+    parallel = (_parallel_profile(u, hess_u, idtu, qmat, beta), pair.coeffs)
+
+    def residual(field: CorrectorField, rhs: list) -> float:
+        """|| L_0 U_k + rhs || with L_0 = E - H(p)."""
+        terms = [(f, pair.energy * g - h @ g) for f, g in field.terms] + rhs
+        return _terms_norm(_merged(terms), pair.lattice, u.grid.dv)
+
+    r0 = residual(u0, [])
+    r1 = residual(u1, _first_order_terms(u, state, pair, derivs))
+    r2 = residual(u2, _second_order_terms(u, hess_u, state, pair, derivs, external) + [parallel])
     return r0, r1, r2

@@ -18,6 +18,7 @@ Gaussian flow takes the shared `grid.rk4_step`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -187,15 +188,17 @@ def evolve_gaussian(
     d = env.dimension
     n = d * d
 
+    # RK4 stages 2 and 3 share a time, and stage 4 is the next step's stage 1
+    @functools.lru_cache(maxsize=2)
+    def coefficients_at(t):
+        return coefficients.dispersion(t), coefficients.vhess(t), coefficients.berry_rate(t)
+
     # state vector: A and B row-major, then log det A and the beta integral
     def rhs(t, y):
         a, b = y[:n].reshape(d, d), y[n : 2 * n].reshape(d, d)
-        m = coefficients.dispersion(t)
-        q = coefficients.vhess(t)
+        m, q, beta = coefficients_at(t)
         dld = 1j * np.trace(np.linalg.solve(a, m @ b))
-        return np.concatenate(
-            [(1j * m @ b).ravel(), (1j * q @ a).ravel(), [dld, coefficients.berry_rate(t)]]
-        )
+        return np.concatenate([(1j * m @ b).ravel(), (1j * q @ a).ravel(), [dld, beta]])
 
     y = np.concatenate([env.A.ravel(), env.B.ravel(), [env.log_det, env.berry_integral]])
     t = t0

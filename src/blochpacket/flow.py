@@ -171,14 +171,11 @@ def integrate_flow(
     band,
     potential,
     *,
-    reverse: bool = False,
     q_bound: float = DEFAULT_Q_BOUND,
 ) -> Trajectory:
     """Classical RK4 on (q, p, S) over a uniform grid.
 
-    The step is shrunk to divide t_final exactly. With reverse=True the
-    vector field is negated, which retraces a forward trajectory from its
-    endpoint back to its start (up to the integrator's own error).
+    The step is shrunk to divide t_final exactly.
     """
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
@@ -189,11 +186,10 @@ def integrate_flow(
         raise FlowError("time window and step must be positive")
     nsteps = step_count(t_final, dt)
     h = t_final / nsteps
-    sign = -1.0 if reverse else 1.0
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         dq, dp, ds = flow_rhs(y[:d], y[d : 2 * d], band, potential)
-        return sign * np.concatenate([dq, dp, [ds]])
+        return np.concatenate([dq, dp, [ds]])
 
     ts = np.linspace(0.0, t_final, nsteps + 1)
     states = np.empty((nsteps + 1, 2 * d + 1))

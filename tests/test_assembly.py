@@ -226,8 +226,6 @@ def test_support_check_fires_for_offcenter_packet(mathieu_band):
     g = gaussian_init(np.eye(1), np.eye(1))
     with pytest.raises(GridError):
         synthesize_packet(g, state, pair, eps, make_grid_for(eps))
-    # explicit opt-out skips the guard
-    synthesize_packet(g, state, pair, eps, make_grid_for(eps), check_support=False)
 
 
 def test_write_read_round_trip(tmp_path, mathieu_band):

@@ -15,6 +15,7 @@ from blochpacket.corrector import (
 from blochpacket.envelope import (
     ConstantCoefficients,
     gaussian_init,
+    geometric_rate,
     grid_envelope_from_gaussian,
     spectral_hessian,
 )
@@ -29,63 +30,68 @@ def chi_projection(field):
 
 
 @pytest.fixture(scope="module")
-def node(mathieu_band):
-    # mid-trajectory state of the flat-band configuration
-    state = TrajectoryState(t=0.0, q=np.array([0.02]), p=np.array([0.29]), S=0.1)
+def nodes(mathieu_band, lattice1d):
+    # one mid-trajectory node on two bands: the unit cosine, whose connection
+    # vanishes, and cos y + 0.4 sin 2y, whose connection at p = 0.3 is
+    # 0.0571i, so the geometric rate at q = 0.8 is 0.0457i
+    tilted = FourierPotential.from_coeffs({(1,): 0.5, (-1,): 0.5, (2,): -0.2j, (-2,): 0.2j})
+    state = TrajectoryState(t=0.0, q=np.array([0.8]), p=np.array([0.3]), S=0.1)
     g = gaussian_init(np.eye(1), np.eye(1))
     u = grid_envelope_from_gaussian(g, 16.0, 512)
-    return state, u
+    return [(mathieu_band, state, u), (BlochBand(lattice1d, tilted, 1, 32), state, u)]
 
 
-def test_u0_is_product_state(node, mathieu_band):
-    state, u = node
-    pair = mathieu_band.eigenpair(state.p)
-    u0 = build_U0(u, pair)
-    assert u0.order == 0
-    assert len(u0.terms) == 1
-    zprof, ycoef = u0.terms[0]
-    assert np.allclose(zprof, u.values)
-    assert np.allclose(ycoef, pair.coeffs)
-    # norm separates: ||u|| * ||chi||_L2(Y) with unit cell normalization
-    assert u0.norm(u.grid.dx) == pytest.approx(u.mass(), rel=1e-12)
+def test_nodes_cover_a_nonzero_geometric_rate(nodes):
+    ext = QuadraticPotential.harmonic(1)
+    (cos_band, state, _), (tilted_band, _, _) = nodes
+    assert geometric_rate(cos_band, ext, state) == 0
+    assert geometric_rate(tilted_band, ext, state) == pytest.approx(0.0457j, abs=1e-4)
 
 
-def test_u1_orthogonal_to_cell_function(node, mathieu_band):
-    state, u = node
-    pair = mathieu_band.eigenpair(state.p)
-    der = mathieu_band.derivatives(state.p)
-    u1 = build_U1(u, pair, der)
-    assert u1.order == 1
-    proj = chi_projection(u1)
-    assert np.max(np.abs(proj)) < 1e-12
+def test_u0_is_product_state(nodes):
+    for band, state, u in nodes:
+        pair = band.eigenpair(state.p)
+        u0 = build_U0(u, pair)
+        assert u0.order == 0
+        assert len(u0.terms) == 1
+        zprof, ycoef = u0.terms[0]
+        assert np.allclose(zprof, u.values)
+        assert np.allclose(ycoef, pair.coeffs)
+        # norm separates: ||u|| * ||chi||_L2(Y) with unit cell normalization
+        assert u0.norm(u.grid.dx) == pytest.approx(u.mass(), rel=1e-12)
 
 
-def test_u2_orthogonal_to_cell_function(node, mathieu_band):
-    state, u = node
-    u2 = build_U2(u, state, mathieu_band, QuadraticPotential.harmonic(1))
-    assert u2.order == 2
-    assert np.max(np.abs(chi_projection(u2))) < 1e-12
+def test_u1_orthogonal_to_cell_function(nodes):
+    for band, state, u in nodes:
+        u1 = build_U1(u, band.eigenpair(state.p), band.derivatives(state.p))
+        assert u1.order == 1
+        assert np.max(np.abs(chi_projection(u1))) < 1e-12
 
 
-def test_u1_linear_in_envelope(node, mathieu_band):
-    state, u = node
-    pair = mathieu_band.eigenpair(state.p)
-    der = mathieu_band.derivatives(state.p)
-    u1 = build_U1(u, pair, der)
-    scaled_env = u.__class__(values=2.5 * u.values, half_width=u.half_width, t=u.t)
-    u1b = build_U1(scaled_env, pair, der)
-    for (f, g), (fb, gb) in zip(u1.terms, u1b.terms):
-        assert np.allclose(2.5 * f, fb, atol=1e-12)
-        assert np.allclose(g, gb, atol=1e-14)
+def test_u2_orthogonal_to_cell_function(nodes):
+    for band, state, u in nodes:
+        u2 = build_U2(u, state, band, QuadraticPotential.harmonic(1))
+        assert u2.order == 2
+        assert np.max(np.abs(chi_projection(u2))) < 1e-12
 
 
-def test_scaled_corrector_norm(node, mathieu_band):
-    state, u = node
-    pair = mathieu_band.eigenpair(state.p)
-    der = mathieu_band.derivatives(state.p)
-    u1 = build_U1(u, pair, der)
-    tripled = replace(u1, terms=tuple((3.0 * f, g) for f, g in u1.terms))
-    assert tripled.norm(u.grid.dx) == pytest.approx(3.0 * u1.norm(u.grid.dx), rel=1e-12)
+def test_u1_linear_in_envelope(nodes):
+    for band, state, u in nodes:
+        pair = band.eigenpair(state.p)
+        der = band.derivatives(state.p)
+        u1 = build_U1(u, pair, der)
+        scaled_env = u.__class__(values=2.5 * u.values, half_width=u.half_width, t=u.t)
+        u1b = build_U1(scaled_env, pair, der)
+        for (f, g), (fb, gb) in zip(u1.terms, u1b.terms):
+            assert np.allclose(2.5 * f, fb, atol=1e-12)
+            assert np.allclose(g, gb, atol=1e-14)
+
+
+def test_scaled_corrector_norm(nodes):
+    for band, state, u in nodes:
+        u1 = build_U1(u, band.eigenpair(state.p), band.derivatives(state.p))
+        tripled = replace(u1, terms=tuple((3.0 * f, g) for f, g in u1.terms))
+        assert tripled.norm(u.grid.dx) == pytest.approx(3.0 * u1.norm(u.grid.dx), rel=1e-12)
 
 
 def test_correctors_vanish_on_free_lattice(free_band):
@@ -99,26 +105,24 @@ def test_correctors_vanish_on_free_lattice(free_band):
     assert build_U2(u, state, free_band, ext).norm(u.grid.dx) < 1e-14
 
 
-def test_solvability_defect1_vanishes(node, mathieu_band):
-    state, u = node
-    d1, _ = solvability_defect(u, state, mathieu_band, QuadraticPotential.harmonic(1))
-    assert d1 < 1e-10
+def test_solvability_defect1_vanishes(nodes):
+    for band, state, u in nodes:
+        d1, _ = solvability_defect(u, state, band, QuadraticPotential.harmonic(1))
+        assert d1 < 1e-10
 
 
-def test_solvability_defect2_consistent_vs_stale(node, mathieu_band):
-    state, u = node
+def test_solvability_defect2_consistent_vs_stale(nodes):
     ext = QuadraticPotential.harmonic(1)
-    _, d2 = solvability_defect(u, state, mathieu_band, ext)
-    assert d2 < 1e-6
-    # a time derivative of zeros is maximally stale data
-    _, d2_stale = solvability_defect(
-        u, state, mathieu_band, ext, du_dt=np.zeros_like(u.values)
-    )
-    assert d2_stale > 1e-2
+    for band, state, u in nodes:
+        _, d2 = solvability_defect(u, state, band, ext)
+        assert d2 < 1e-6
+        # a time derivative of zeros is maximally stale data
+        _, d2_stale = solvability_defect(u, state, band, ext, du_dt=np.zeros_like(u.values))
+        assert d2_stale > 1e-2
 
 
 def test_time_derivative_matches_envelope_equation():
-    # constant coefficients: i d_t u = -(1/2) m u'' + (q/2) z^2 u - i beta u
+    # constant coefficients: i d_t u = -(1/2) m u'' + (q/2) z^2 u + i beta u
     m, q, beta = 0.8, 1.3, 0.21j
     coeffs = ConstantCoefficients(
         dispersion=m * np.eye(1), vhess=q * np.eye(1), berry_rate=beta
@@ -132,47 +136,42 @@ def test_time_derivative_matches_envelope_equation():
     assert np.max(np.abs(du - rhs)) < 1e-8
 
 
-def test_system_residuals_hierarchy(node, mathieu_band):
-    state, u = node
+def test_system_residuals_hierarchy(nodes):
     ext = QuadraticPotential.harmonic(1)
-    pair = mathieu_band.eigenpair(state.p)
-    der = mathieu_band.derivatives(state.p)
-    u0 = build_U0(u, pair)
-    u1 = build_U1(u, pair, der)
-    u2 = build_U2(u, state, mathieu_band, ext)
-    r0, r1, r2 = system_residuals(u, state, mathieu_band, ext, u0, u1, u2)
-    # first two hierarchy equations are solved exactly by construction
-    assert r0 < 1e-10
-    assert r1 < 1e-10
-    # the third is solved up to the envelope-equation defect
-    assert r2 < 1e-6
+    for band, state, u in nodes:
+        pair = band.eigenpair(state.p)
+        der = band.derivatives(state.p)
+        u0 = build_U0(u, pair)
+        u1 = build_U1(u, pair, der)
+        u2 = build_U2(u, state, band, ext)
+        r0, r1, r2 = system_residuals(u, state, band, ext, u0, u1, u2)
+        # first two hierarchy equations are solved exactly by construction
+        assert r0 < 1e-10
+        assert r1 < 1e-10
+        # the third is solved up to the envelope-equation defect
+        assert r2 < 1e-6
 
 
-def test_defects_gauge_invariant(node, mathieu_band):
+def test_defects_gauge_invariant(nodes):
     # rebuilding the band data at an equivalent momentum (unfolding by a
     # dual vector) must leave the physical defects unchanged
-    state, u = node
     ext = QuadraticPotential.harmonic(1)
-    d1a, d2a = solvability_defect(u, state, mathieu_band, ext)
-    shifted = TrajectoryState(t=state.t, q=state.q, p=state.p + 1.0, S=state.S)
-    d1b, d2b = solvability_defect(u, shifted, mathieu_band, ext)
-    assert d1a == pytest.approx(d1b, abs=1e-11)
-    assert d2a == pytest.approx(d2b, rel=1e-4, abs=1e-9)
+    for band, state, u in nodes:
+        d1a, d2a = solvability_defect(u, state, band, ext)
+        shifted = TrajectoryState(t=state.t, q=state.q, p=state.p + 1.0, S=state.S)
+        d1b, d2b = solvability_defect(u, shifted, band, ext)
+        assert d1a == pytest.approx(d1b, abs=1e-11)
+        assert d2a == pytest.approx(d2b, rel=1e-4, abs=1e-9)
 
 
-def test_effective_mass_identity(node, mathieu_band):
-    # the cell-averaged kinetic coupling reproduces the band Hessian:
-    # delta_jl + 2 sym<x_j, (d_j H) applied in direction l> = hess E
-    state, _ = node
+def test_effective_mass_identity(nodes):
+    # the cell-averaged kinetic coupling reproduces the band Hessian for any
+    # cell potential: E'' = 1 + 2 Re t00, t00 = -i <chi, d_y x_0>
     from blochpacket.corrector import _dy, _perp
 
-    pair = mathieu_band.eigenpair(state.p)
-    der = mathieu_band.derivatives(state.p)
-    chi = pair.coeffs
-    x0 = _perp(pair, der.dk_coeffs[0])
-    t00 = -1j * cell_inner(pair.lattice, chi, _dy(pair, x0, 0))
-    drift = state.p[0] - der.grad[0]
-    # 1d identity: E'' = 1 + 2 Re t00 - 2 |<chi, dk chi>|-type drift term;
-    # at the flat band the drift contribution is the gradient mismatch
-    recon = 1.0 + 2.0 * t00.real + 2.0 * drift * 0.0
-    assert recon == pytest.approx(der.hess[0, 0], abs=1e-9)
+    for band, state, _ in nodes:
+        pair = band.eigenpair(state.p)
+        der = band.derivatives(state.p)
+        x0 = _perp(pair, der.dk_coeffs[0])
+        t00 = -1j * cell_inner(pair.lattice, pair.coeffs, _dy(pair, x0, 0))
+        assert 1.0 + 2.0 * t00.real == pytest.approx(der.hess[0, 0], abs=1e-9)

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from blochpacket.config import ExperimentConfig
+from blochpacket.config import ExperimentConfig, LatticePotentialSpec
+from blochpacket.envelope import geometric_rate
 from blochpacket.experiments import (
     DynamicsBundle,
     _tkey,
@@ -145,3 +146,39 @@ def test_run_convergence_parallel_matches_inline(tmp_path):
     assert r1 == r2
     assert s1["slopes"] == s2["slopes"]
 
+
+def test_residual_law_with_nonzero_geometric_phase(capsys, tmp_path):
+    # cos y + 0.4 sin 2y launched from q0 = 1: the geometric rate at the
+    # residual time is 0.0625i, where the unit cosine gives exactly 0
+    tilted = LatticePotentialSpec(
+        type="fourier",
+        coeffs=(((1,), 0.5, 0.0), ((-1,), 0.5, 0.0), ((2,), 0.0, -0.2), ((-2,), 0.0, 0.2)),
+    )
+    cfg = ExperimentConfig(
+        kind="convergence",
+        convergence_mode="residual",
+        lattice_potential=tilted,
+        q0=(1.0,),
+        epsilons=(2**-4, 2**-5, 2**-6),
+        output_dir=str(tmp_path),
+    ).validate()
+    bundle = prepare_dynamics(cfg, [cfg.residual_time])
+    state, _, _ = bundle.at(cfg.residual_time)
+    beta = abs(geometric_rate(bundle.band, bundle.external, state))
+
+    summary = run_convergence(cfg)
+    rows = read_rows(summary["csv"])
+    below = all(float(r["residual_full"]) < float(r["residual_leading"]) for r in rows)
+    slope_full = summary["slope_full"]["slope"]
+    slope_leading = summary["slope_leading"]["slope"]
+    ok = beta > 1e-2 and 1.3 <= slope_full <= 1.7 and slope_leading < 1.0 and below
+    with capsys.disabled():
+        print(
+            f"residual law with geometric phase at t=0.5: |beta|={beta:.4f} > 1e-2, "
+            f"slope={slope_full:.4f} target [1.30, 1.70], ablated slope={slope_leading:.4f} < 1, "
+            f"full < leading at every eps: {below} -> {'PASS' if ok else 'FAIL'}"
+        )
+    assert beta > 1e-2
+    assert 1.3 <= slope_full <= 1.7
+    assert slope_leading < 1.0
+    assert below
