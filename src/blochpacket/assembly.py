@@ -17,7 +17,7 @@ import numpy as np
 
 from .bloch import BlochEigenpair, evaluate_cell_coeffs
 from .corrector import CorrectorField
-from .envelope import GaussianEnvelope, GridEnvelope, gaussian_eval
+from .envelope import GaussianEnvelope, gaussian_eval
 from .errors import GridError
 from .flow import TrajectoryState
 from .grid import THRESHOLD, SpatialGrid
@@ -94,70 +94,71 @@ class GridWaveField:
             )
 
 
-def fourier_interpolate(u: GridEnvelope, target_axes) -> np.ndarray:
-    """Trigonometric interpolation of the envelope on a tensor target grid.
+def fourier_interpolate(values, half_width: float, target_axes) -> np.ndarray:
+    """Trigonometric interpolation of periodic z-samples on a tensor target grid.
 
-    Targets outside [-half_width, half_width) evaluate to zero.  The trig
-    interpolant is periodic, and the stretched-frame targets sweep many
-    periods of the envelope box; without the mask every period would
-    receive a spurious copy of the packet.
+    The last d = len(target_axes) axes of values hold samples on the box
+    [-half_width, half_width)^d; leading axes are a batch, interpolated
+    with one phase matrix per axis whose rows are the targets inside the
+    box.  Targets outside it evaluate to zero.  The trig interpolant is
+    periodic, and the stretched-frame targets sweep many periods of the
+    envelope box; without the mask every period would receive a spurious
+    copy of the packet.
     """
     axes = [np.atleast_1d(np.asarray(t, dtype=float)) for t in target_axes]
-    if len(axes) != u.dimension:
-        raise GridError("need one target axis per envelope dimension")
-    n = u.grid.npoints
-    coeffs = np.fft.fftn(u.values) / float(n**u.dimension)
-    freqs = u.grid.freq_axis()
-    out = coeffs.astype(complex, copy=True)
-    for j in reversed(range(u.dimension)):
+    values = np.asarray(values)
+    d = len(axes)
+    box = SpatialGrid(d, half_width, values.shape[-1])
+    if values.shape[values.ndim - d :] != box.shape:
+        raise GridError("need one target axis per axis of a square sample box")
+    lead = values.ndim - d
+    out = np.fft.fftn(values, axes=tuple(range(lead, values.ndim))) / float(box.size)
+    freqs = box.freq_axis()
+    for j in reversed(range(d)):
         t = axes[j]
-        mat = np.zeros((t.size, n), dtype=complex)
-        inside = (t >= -u.half_width) & (t < u.half_width)
-        if np.any(inside):
-            # chunked to bound the transient phase matrix
-            idx = np.nonzero(inside)[0]
-            step = 1 << 12
-            for start in range(0, idx.size, step):
-                rows = idx[start : start + step]
-                # samples sit at z_k = -L + k dz, so the interpolant phase
-                # is exp(i xi (z + L)), not exp(i xi z)
-                mat[rows] = np.exp(1j * np.outer(t[rows] + u.half_width, freqs))
-        out = np.moveaxis(np.moveaxis(out, j, -1) @ mat.T, -1, j)
+        idx = np.nonzero((t >= -half_width) & (t < half_width))[0]
+        mat = np.empty((idx.size, box.npoints), dtype=complex)
+        step = 1 << 12  # chunked to bound the transient phase matrix
+        for start in range(0, idx.size, step):
+            # samples sit at z_k = -L + k dz, so the interpolant phase is
+            # exp(i xi (z + L)), not exp(i xi z)
+            rows = t[idx[start : start + step]] + half_width
+            mat[start : start + step] = np.exp(1j * np.outer(rows, freqs))
+        moved = np.moveaxis(out, lead + j, -1)
+        out = np.zeros(moved.shape[:-1] + t.shape, dtype=complex)
+        out[..., idx] = moved @ mat.T
+        out = np.moveaxis(out, -1, lead + j)
     return out
 
 
-def _stretched_axes(state: TrajectoryState, epsilon: float, grid: SpatialGrid) -> list:
-    root = np.sqrt(epsilon)
-    return [(grid.axis() - state.q[j]) / root for j in range(grid.dimension)]
+def _synthesize(
+    state: TrajectoryState, pair: BlochEigenpair, epsilon: float, grid: SpatialGrid,
+    zvals, cell_coeffs: np.ndarray,
+) -> GridWaveField:
+    """eps^(-d/4) sum_r f_r(z) chi_r(x/eps) exp(i (S + p.(x - q)) / eps).
 
-
-def _envelope_on_grid(envelope, state, epsilon: float, grid: SpatialGrid) -> np.ndarray:
-    z_axes = _stretched_axes(state, epsilon, grid)
-    if isinstance(envelope, GaussianEnvelope):
-        mesh = np.stack(np.meshgrid(*z_axes, indexing="ij"), axis=-1)
-        return gaussian_eval(envelope, mesh)
-    if isinstance(envelope, GridEnvelope):
-        return fourier_interpolate(envelope, z_axes)
-    raise GridError(f"unsupported envelope type {type(envelope).__name__}")
-
-
-def _phase_factor(state: TrajectoryState, epsilon: float, grid: SpatialGrid) -> np.ndarray:
-    """exp(i (S + p.(x - q)) / eps) on the tensor grid."""
-    phase = np.full(grid.shape, float(state.S))
+    zvals maps the stretched axes z = (x - q) / sqrt(eps) to the R
+    profiles f_r on the grid, shape (R, *grid.shape); the columns of
+    cell_coeffs (M, R) are the plane-wave coefficients of the chi_r.  The
+    node must match the grid and the cell momentum, and the packet's mass
+    must stay off the box edge.
+    """
+    if state.dimension != grid.dimension:
+        raise GridError("trajectory node dimension does not match the grid")
+    if pair.lattice.dimension != grid.dimension:
+        raise GridError("lattice dimension does not match the grid")
+    if np.max(np.abs(np.asarray(pair.k) - state.p)) > MOMENTUM_MATCH_TOL:
+        raise GridError("cell function momentum disagrees with the trajectory node")
     axis = grid.axis()
+    fvals = zvals([(axis - state.q[j]) / np.sqrt(epsilon) for j in range(grid.dimension)])
+    pts = grid.points().reshape(*grid.shape, grid.dimension) / epsilon
+    chivals = evaluate_cell_coeffs(pair.lattice, pair.cutoff, cell_coeffs, pts)
+    phase = np.full(grid.shape, float(state.S))
     for j in range(grid.dimension):
         phase = phase + grid.along(j, state.p[j] * (axis - state.q[j]))
-    return np.exp(1j * phase / epsilon)
-
-
-def _cell_on_grid(lattice, cutoff: int, coeffs: np.ndarray, epsilon: float, grid: SpatialGrid) -> np.ndarray:
-    pts = grid.points() / epsilon
-    return evaluate_cell_coeffs(lattice, cutoff, coeffs, pts).reshape(grid.shape)
-
-
-def _packet_field(vals, t: float, epsilon: float, grid: SpatialGrid):
-    """Packet samples as a field, guarded against mass at the box edge."""
-    field = GridWaveField(grid=grid, epsilon=epsilon, time=t, values=vals)
+    vals = np.einsum("r...,...r->...", fvals, chivals)
+    vals = epsilon ** (-grid.dimension / 4.0) * vals * np.exp(1j * phase / epsilon)
+    field = GridWaveField(grid=grid, epsilon=epsilon, time=state.t, values=vals)
     frac = field.boundary_mass_fraction()
     if frac > THRESHOLD:
         raise GridError(
@@ -167,36 +168,21 @@ def _packet_field(vals, t: float, epsilon: float, grid: SpatialGrid):
     return field
 
 
-def _check_node(state: TrajectoryState, pair: BlochEigenpair, grid: SpatialGrid):
-    if state.dimension != grid.dimension:
-        raise GridError("trajectory node dimension does not match the grid")
-    if pair.lattice.dimension != grid.dimension:
-        raise GridError("lattice dimension does not match the grid")
-    if np.max(np.abs(np.asarray(pair.k) - state.p)) > MOMENTUM_MATCH_TOL:
-        raise GridError(
-            "cell function momentum disagrees with the trajectory node"
-        )
-
-
 def synthesize_packet(
-    envelope,
+    envelope: GaussianEnvelope,
     state: TrajectoryState,
     pair: BlochEigenpair,
     epsilon: float,
     grid: SpatialGrid,
 ) -> GridWaveField:
-    """Leading-order packet  eps^(-d/4) u(z) chi(x/eps) exp(i phase/eps).
+    """Leading-order packet  eps^(-d/4) u(z) chi(x/eps) exp(i phase/eps),
+    with the Gaussian u evaluated in closed form."""
 
-    The envelope is evaluated in the stretched frame by closed form
-    (Gaussian) or trigonometric interpolation (grid samples); the cell
-    function by its plane-wave sum at x/eps.
-    """
-    _check_node(state, pair, grid)
-    uvals = _envelope_on_grid(envelope, state, epsilon, grid)
-    chivals = _cell_on_grid(pair.lattice, pair.cutoff, pair.coeffs, epsilon, grid)
-    vals = epsilon ** (-grid.dimension / 4.0) * uvals * chivals
-    vals = vals * _phase_factor(state, epsilon, grid)
-    return _packet_field(vals, state.t, epsilon, grid)
+    def gaussian(z_axes):
+        mesh = np.stack(np.meshgrid(*z_axes, indexing="ij"), axis=-1)
+        return gaussian_eval(envelope, mesh)[None]
+
+    return _synthesize(state, pair, epsilon, grid, gaussian, pair.coeffs[:, None])
 
 
 def synthesize_app(
@@ -209,30 +195,28 @@ def synthesize_app(
 ) -> GridWaveField:
     """Corrected packet  eps^(-d/4) (U0 + sqrt(eps) U1 + eps U2) e^(i phase/eps).
 
-    u1 and u2 may be None to ablate the expansion; each corrector is a sum
-    of separable terms whose stretched-frame profile is interpolated and
-    whose cell profile is synthesized from its plane-wave coefficients.
+    u1 and u2 may be None to ablate the expansion.  The weighted z-profiles
+    of every separable term are interpolated as one batch, so all
+    correctors must share the leading term's z-box.
     """
     if u0 is None:
         raise GridError("the leading corrector term is required")
-    pair = u0.pair
-    _check_node(state, pair, grid)
-    root = np.sqrt(epsilon)
-    z_axes = _stretched_axes(state, epsilon, grid)
-
-    total = np.zeros(grid.shape, dtype=complex)
-    for order, weight, field in ((0, 1.0, u0), (1, root, u1), (2, epsilon, u2)):
+    shape = u0.terms[0][0].shape
+    profiles, cells = [], []
+    for order, weight, field in ((0, 1.0, u0), (1, np.sqrt(epsilon), u1), (2, epsilon, u2)):
         if field is None:
             continue
         if field.order != order:
             raise GridError("corrector passed in the wrong expansion slot")
-        for z_profile, y_coeffs in field.terms:
-            env = GridEnvelope(values=z_profile, half_width=field.half_width, t=field.t)
-            zvals = fourier_interpolate(env, z_axes)
-            yvals = _cell_on_grid(pair.lattice, pair.cutoff, y_coeffs, epsilon, grid)
-            total += weight * zvals * yvals
-    vals = epsilon ** (-grid.dimension / 4.0) * total * _phase_factor(state, epsilon, grid)
-    return _packet_field(vals, state.t, epsilon, grid)
+        if field.half_width != u0.half_width or any(f.shape != shape for f, _ in field.terms):
+            raise GridError("correctors must share the leading term's z-box")
+        profiles += [weight * f for f, _ in field.terms]
+        cells += [g for _, g in field.terms]
+
+    def interpolated(z_axes):
+        return fourier_interpolate(np.stack(profiles), u0.half_width, z_axes)
+
+    return _synthesize(state, u0.pair, epsilon, grid, interpolated, np.stack(cells, axis=-1))
 
 
 def write_field(field: GridWaveField, stem) -> tuple:

@@ -293,19 +293,23 @@ def gap_check(
 
 
 def evaluate_cell_coeffs(lattice, cutoff: int, coeffs: np.ndarray, points) -> np.ndarray:
-    """Values of sum_n c_n exp(i <G_n, y>) at points (..., d) for any c."""
+    """Values of sum_n c_n exp(i <G_n, y>) at points (..., d) for any c.
+
+    Coefficient columns (M, R) give R cell functions at once, on a
+    trailing axis of the result.
+    """
     d = lattice.dimension
     pts = as_points(points, d)
     n = pw_indices(d, cutoff)
     g = lattice.dual_vectors(n)
     # chunked to bound memory on large point sets
     flat = pts.reshape(-1, d)
-    out = np.empty(flat.shape[0], dtype=complex)
+    out = np.empty(flat.shape[:1] + coeffs.shape[1:], dtype=complex)
     step = 1 << 14
     for start in range(0, flat.shape[0], step):
         block = flat[start : start + step]
         out[start : start + step] = np.exp(1j * (block @ g.T)) @ coeffs
-    return out.reshape(pts.shape[:-1])
+    return out.reshape(pts.shape[:-1] + coeffs.shape[1:])
 
 
 def _shift_coeffs(coeffs: np.ndarray, winding: np.ndarray, dimension: int, cutoff: int) -> np.ndarray:

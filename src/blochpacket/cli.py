@@ -43,7 +43,7 @@ def _load_config(args) -> ExperimentConfig:
     updates = {"kind": args.command}
     if args.out:
         updates["output_dir"] = args.out
-    if args.jobs:
+    if args.jobs is not None:
         updates["jobs"] = args.jobs
     return config.with_updates(**updates).validate()
 

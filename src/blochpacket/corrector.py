@@ -54,18 +54,18 @@ class CorrectorField:
         return self.pair.dimension
 
     def norm(self, dz_volume: float) -> float:
-        """L2(dz x dy) norm via the Gram matrices of both factors."""
-        return _terms_norm(list(self.terms), self.pair.lattice, dz_volume)
+        """L2(dz x dy) norm of the sum of terms."""
+        return _terms_norm(self.terms, self.pair.lattice, dz_volume)
 
 
 def _terms_norm(terms, lattice, dz_volume: float) -> float:
-    total = 0.0 + 0.0j
-    for fr, gr in terms:
-        for fs, gs in terms:
-            zin = np.vdot(fr, fs) * dz_volume
-            yin = cell_inner(lattice, gr, gs)
-            total += zin * yin
-    return float(np.sqrt(max(total.real, 0.0)))
+    """|| sum_r f_r g_r ||_L2(dz x dy) as || R G^T || sqrt(dz |Y|), with
+    F = QR the stacked z-profiles, so cancellations between terms happen
+    in the small product R G^T rather than in a Gram sum."""
+    zmat = np.stack([np.ravel(f) for f, _ in terms], axis=-1)
+    ymat = np.stack([g for _, g in terms])
+    rmat = np.linalg.qr(zmat, mode="r")
+    return float(np.linalg.norm(rmat @ ymat) * np.sqrt(dz_volume * lattice.cell_volume))
 
 
 def _perp(pair: BlochEigenpair, vec: np.ndarray) -> np.ndarray:
@@ -148,20 +148,6 @@ def _envelope_idt(u: GridEnvelope, hess_u, mmat, qmat, beta: complex) -> np.ndar
 def _chi_profile(pair: BlochEigenpair, terms) -> np.ndarray:
     """<chi, sum f g>(z): projection of separable terms onto the cell function."""
     return sum(f * cell_inner(pair.lattice, pair.coeffs, g) for f, g in terms)
-
-
-def _merged(terms) -> list:
-    """Terms with equal z-profiles summed into one, so that cancellations
-    happen in the cell factors rather than in the Gram sum of the norm."""
-    out = []
-    for f, g in terms:
-        for i, (fo, go) in enumerate(out):
-            if np.array_equal(fo, f):
-                out[i] = (fo, go + g)
-                break
-        else:
-            out.append((f, g))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +254,7 @@ def system_residuals(
     def residual(field: CorrectorField, rhs: list) -> float:
         """|| L_0 U_k + rhs || with L_0 = E - H(p)."""
         terms = [(f, pair.energy * g - h @ g) for f, g in field.terms] + rhs
-        return _terms_norm(_merged(terms), pair.lattice, u.grid.dv)
+        return _terms_norm(terms, pair.lattice, u.grid.dv)
 
     r0 = residual(u0, [])
     r1 = residual(u1, _first_order_terms(u, state, pair, derivs))

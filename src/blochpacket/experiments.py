@@ -49,14 +49,17 @@ def _tkey(t: float) -> float:
 
 
 def _write_outputs(config: ExperimentConfig, kind: str, fieldnames, rows, **extra) -> dict:
-    """Write <kind>.csv, with the config hash on every row, and the summary
-    <kind>_summary.json; return the summary."""
+    """Write the named columns of the rows to <kind>.csv, with the config
+    hash on every row, and the summary <kind>_summary.json; return the
+    summary."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     config_hash = config.config_hash()
     csv_path = out / f"{kind}.csv"
     with open(csv_path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(fieldnames) + ["config"])
+        writer = csv.DictWriter(
+            handle, fieldnames=list(fieldnames) + ["config"], extrasaction="ignore"
+        )
         writer.writeheader()
         for row in rows:
             writer.writerow({**row, "config": config_hash})
@@ -412,20 +415,34 @@ def run_reference(config: ExperimentConfig) -> dict:
 # epsilon sweeps: error law, residual law, Ehrenfest horizon
 
 
-def _error_cell(bundle: DynamicsBundle, eps: float) -> list:
+def _cell_times(config: ExperimentConfig, mode: str, eps: float) -> list:
+    """Sample times of one error or Ehrenfest cell; the Ehrenfest horizons
+    c0 ln(1/eps) follow c0_list."""
+    if mode == "ehrenfest":
+        return [_tkey(c0 * np.log(1.0 / eps)) for c0 in config.c0_list]
+    return sorted({_tkey(t) for t in config.sample_times})
+
+
+def _error_cell(bundle: DynamicsBundle, eps: float, mode: str) -> list:
+    """Leading-packet error against the reference at the cell's times; an
+    Ehrenfest cell labels its rows by c0."""
     config = bundle.config
     grid = _make_grid(config, eps)
-    times = sorted({_tkey(t) for t in config.sample_times})
-    _, snaps = _reference_snapshots(bundle, eps, grid, times)
+    times = _cell_times(config, mode, eps)
+    solve_times = sorted(set(times))
+    _, snaps = _reference_snapshots(bundle, eps, grid, solve_times)
+    by_time = dict(zip(solve_times, snaps))
+    labels = config.c0_list if mode == "ehrenfest" else [None] * len(times)
     rows = []
-    for t, snap in zip(times, snaps):
+    for c0, t in zip(labels, times):
         packet = _leading_packet(bundle, t, eps, grid)
         rows.append(
             {
                 "epsilon": eps,
+                "c0": c0,
                 "time": t,
-                "error": l2_error(snap, packet),
-                "reference_mass": snap.mass(),
+                "error": l2_error(by_time[t], packet),
+                "reference_mass": by_time[t].mass(),
                 "packet_mass": packet.mass(),
             }
         )
@@ -461,53 +478,21 @@ def _residual_cell(bundle: DynamicsBundle, eps: float) -> list:
     ]
 
 
-def _ehrenfest_cell(bundle: DynamicsBundle, eps: float) -> list:
-    config = bundle.config
-    grid = _make_grid(config, eps)
-    horizon_times = sorted({_tkey(c0 * np.log(1.0 / eps)) for c0 in config.c0_list})
-    _, snaps = _reference_snapshots(bundle, eps, grid, horizon_times)
-    by_time = dict(zip(horizon_times, snaps))
-    rows = []
-    for c0 in config.c0_list:
-        t = _tkey(c0 * np.log(1.0 / eps))
-        packet = _leading_packet(bundle, t, eps, grid)
-        rows.append(
-            {
-                "epsilon": eps,
-                "c0": c0,
-                "time": t,
-                "error": l2_error(by_time[t], packet),
-            }
-        )
-    return rows
-
-
-_CELL_RUNNERS = {
-    "error": _error_cell,
-    "residual": _residual_cell,
-    "ehrenfest": _ehrenfest_cell,
-}
-
-
 def _needed_times(config: ExperimentConfig, mode: str) -> list:
-    if mode == "error":
-        return sorted({_tkey(t) for t in config.sample_times})
     if mode == "residual":
         # pad the horizon so the +delta residual snapshot stays inside the
         # trajectory's dense-output range for every epsilon
         pad = config.residual_delta_factor * max(config.epsilons) ** 2
         return [_tkey(config.residual_time), _tkey(config.residual_time + 2 * pad)]
-    times = set()
-    for eps in config.epsilons:
-        for c0 in config.c0_list:
-            times.add(_tkey(c0 * np.log(1.0 / eps)))
-    return sorted(times)
+    return sorted({t for eps in config.epsilons for t in _cell_times(config, mode, eps)})
 
 
 def _run_cell(bundle: DynamicsBundle, mode: str, eps: float) -> tuple:
     """(epsilon, rows, failure reason or None) of one sweep cell."""
     try:
-        return eps, _CELL_RUNNERS[mode](bundle, eps), None
+        if mode == "residual":
+            return eps, _residual_cell(bundle, eps), None
+        return eps, _error_cell(bundle, eps, mode), None
     except BlochpacketError as exc:
         return eps, [], f"{type(exc).__name__}: {exc}"
 

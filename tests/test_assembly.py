@@ -76,7 +76,7 @@ def test_fourier_interpolate_reproduces_samples():
     spec[n // 4 : 3 * n // 4] = 0.0
     vals = np.fft.ifft(spec)
     u = GridEnvelope(values=vals, half_width=hw, t=0.0)
-    got = fourier_interpolate(u, [ax])
+    got = fourier_interpolate(u.values, u.half_width, [ax])
     assert np.max(np.abs(got - vals)) < 1e-12
 
 
@@ -98,7 +98,7 @@ def test_fourier_interpolate_band_limited_exactness(shift):
 
     u = GridEnvelope(values=f(ax).astype(complex), half_width=hw, t=0.0)
     target = np.linspace(-3.9, 3.9, 17) + shift * 0.1
-    got = fourier_interpolate(u, [target])
+    got = fourier_interpolate(u.values, u.half_width, [target])
     assert np.max(np.abs(got - f(target))) < 1e-11
 
 
@@ -106,8 +106,20 @@ def test_fourier_interpolate_masks_outside_box():
     g = gaussian_init(np.eye(1), np.eye(1))
     u = grid_envelope_from_gaussian(g, 8.0, 128)
     target = np.array([-12.0, -8.5, 8.0, 9.3, 40.0])
-    got = fourier_interpolate(u, [target])
+    got = fourier_interpolate(u.values, u.half_width, [target])
     assert np.max(np.abs(got)) < 1e-14
+
+
+def test_fourier_interpolate_batch_matches_single_calls():
+    # leading axes are a batch: each slice is interpolated on its own
+    rng = np.random.default_rng(7)
+    n, hw = 16, 3.0
+    batch = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    axes = [np.linspace(-4.0, 4.0, 9), np.linspace(-2.5, 2.9, 7)]
+    got = fourier_interpolate(batch, hw, axes)
+    assert got.shape == (3, 9, 7)
+    for r in range(3):
+        assert np.allclose(got[r], fourier_interpolate(batch[r], hw, axes), atol=1e-13)
 
 
 def test_free_lattice_leading_packet_closed_form(free_band):
@@ -208,6 +220,27 @@ def test_synthesize_app_rejects_wrong_slot(mathieu_band):
     u1 = build_U1(u, pair, der)
     with pytest.raises(GridError):
         synthesize_app(u1, None, None, state, eps, make_grid_for(eps))
+
+
+def test_synthesize_app_rejects_correctors_on_another_box(mathieu_band):
+    # the terms of U0, U1 and U2 are interpolated as one batch on U0's z-box
+    eps = 2**-4
+    state = make_state()
+    pair = mathieu_band.eigenpair(state.p)
+    der = mathieu_band.derivatives(state.p)
+    g = gaussian_init(np.eye(1), np.eye(1))
+    u = grid_envelope_from_gaussian(g, 16.0, 256)
+    u0 = build_U0(u, pair)
+    grid = make_grid_for(eps)
+    for other in (
+        grid_envelope_from_gaussian(g, 12.0, 256),
+        grid_envelope_from_gaussian(g, 16.0, 512),
+    ):
+        with pytest.raises(GridError):
+            synthesize_app(u0, build_U1(other, pair, der), None, state, eps, grid)
+        u2 = build_U2(other, state, mathieu_band, QuadraticPotential.harmonic(1))
+        with pytest.raises(GridError):
+            synthesize_app(u0, None, u2, state, eps, grid)
 
 
 def test_momentum_mismatch_rejected(mathieu_band):

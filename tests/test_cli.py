@@ -57,6 +57,15 @@ def test_malformed_config_value_exits_two(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_nonpositive_jobs_exits_two(tmp_path, capsys, jobs):
+    code = main(["flow", "--out", str(tmp_path), "--jobs", jobs])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "jobs" in err["message"]
+
+
 def test_subcommand_overrides_config_kind(tmp_path, capsys):
     # config says convergence, but the subcommand wins
     path = tmp_path / "cfg.json"

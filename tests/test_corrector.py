@@ -152,6 +152,21 @@ def test_system_residuals_hierarchy(nodes):
         assert r2 < 1e-6
 
 
+def test_system_residuals_resolve_rounding(nodes):
+    # with i d_t u taken from the envelope equation every hierarchy
+    # equation holds to rounding, so the norm must resolve a sum of terms
+    # that cancels to ~1e-16 rather than the ~1e-8 square root of a Gram sum
+    ext = QuadraticPotential.harmonic(1)
+    for band, state, u in nodes:
+        pair = band.eigenpair(state.p)
+        u0 = build_U0(u, pair)
+        u1 = build_U1(u, pair, band.derivatives(state.p))
+        u2 = build_U2(u, state, band, ext)
+        _, r1, r2 = system_residuals(u, state, band, ext, u0, u1, u2)
+        assert r1 <= 1e-12
+        assert r2 <= 1e-12
+
+
 def test_defects_gauge_invariant(nodes):
     # rebuilding the band data at an equivalent momentum (unfolding by a
     # dual vector) must leave the physical defects unchanged

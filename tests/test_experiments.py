@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from blochpacket.assembly import read_field
 from blochpacket.config import ExperimentConfig, LatticePotentialSpec
 from blochpacket.envelope import geometric_rate
 from blochpacket.experiments import (
@@ -13,7 +14,10 @@ from blochpacket.experiments import (
     prepare_dynamics,
     run_bands,
     run_convergence,
+    run_ehrenfest,
     run_flow,
+    run_packet,
+    run_reference,
 )
 
 
@@ -182,3 +186,77 @@ def test_residual_law_with_nonzero_geometric_phase(capsys, tmp_path):
     assert 1.3 <= slope_full <= 1.7
     assert slope_leading < 1.0
     assert below
+
+
+# recorded values of the pipelines that the acceptance gate does not run
+PIN_REL = 1e-9
+
+
+@pytest.mark.parametrize(
+    "initial_data, masses",
+    [
+        ("packet", (0.5237827430994135, 0.5309923827940729)),
+        ("well_prepared", (0.5247372390011473, 0.5334415469326511)),
+    ],
+)
+def test_run_packet_masses(tmp_path, initial_data, masses):
+    cfg = ExperimentConfig(
+        kind="packet",
+        epsilons=(2**-4, 2**-5),
+        initial_data=initial_data,
+        output_dir=str(tmp_path),
+    ).validate()
+    summary = run_packet(cfg)
+    assert summary["initial_data"] == initial_data
+    rows = read_rows(summary["csv"])
+    assert [float(r["mass"]) for r in rows] == pytest.approx(masses, rel=PIN_REL)
+    field = read_field(tmp_path / rows[-1]["stem"])
+    assert field.epsilon == 2**-5
+    assert field.mass() == pytest.approx(masses[-1], rel=PIN_REL)
+
+
+def test_run_convergence_well_prepared(tmp_path):
+    cfg = ExperimentConfig(
+        kind="convergence",
+        initial_data="well_prepared",
+        epsilons=(2**-4, 2**-5, 2**-6),
+        flow_dt=1e-2,
+        envelope_dt=1e-2,
+        output_dir=str(tmp_path),
+    ).validate()
+    summary = run_convergence(cfg)
+    assert summary["failures"] == []
+    errors = [float(r["error"]) for r in read_rows(summary["csv"])]
+    want = (0.10561240348671634, 0.07057421318448336, 0.05126116825853945)
+    assert errors == pytest.approx(want, rel=PIN_REL)
+
+
+def test_run_ehrenfest_labels_rows_by_c0(tmp_path):
+    cfg = ExperimentConfig(
+        kind="ehrenfest",
+        epsilons=(2**-4, 2**-5),
+        c0_list=(0.1, 0.2),
+        output_dir=str(tmp_path),
+    ).validate()
+    summary = run_ehrenfest(cfg)
+    assert summary["failures"] == []
+    rows = read_rows(summary["csv"])
+    assert list(rows[0]) == ["epsilon", "c0", "time", "error", "config"]
+    assert [(float(r["epsilon"]), float(r["c0"])) for r in rows] == [
+        (2**-4, 0.1), (2**-4, 0.2), (2**-5, 0.1), (2**-5, 0.2)
+    ]
+    for r in rows:
+        horizon = float(r["c0"]) * np.log(1.0 / float(r["epsilon"]))
+        assert float(r["time"]) == pytest.approx(horizon)
+    want = (0.13131896828611062, 0.12383865270814341, 0.09925701230349687, 0.042163898501473944)
+    assert [float(r["error"]) for r in rows] == pytest.approx(want, rel=PIN_REL)
+    assert summary["horizons"]["0.1"]["errors"] == pytest.approx(want[0::2], rel=PIN_REL)
+
+
+def test_run_reference_conserves_mass(tmp_path):
+    cfg = ExperimentConfig(
+        kind="reference", epsilons=(2**-4,), output_dir=str(tmp_path)
+    ).validate()
+    summary = run_reference(cfg)
+    assert summary["max_mass_drift"] <= 1e-12
+    assert read_field(tmp_path / "reference_eps0").time == pytest.approx(cfg.t_final)
