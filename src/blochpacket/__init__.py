@@ -27,8 +27,6 @@ from .bloch import (
     build_bloch_hamiltonian,
     cell_inner,
     default_cutoff,
-    gap_check,
-    gauge_fix,
 )
 from .config import ExperimentConfig, ExternalPotentialSpec, LatticePotentialSpec
 from .corrector import (

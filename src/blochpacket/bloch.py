@@ -13,6 +13,7 @@ Inner products over the cell in this scaling are |Y| * sum conj(a) b.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +25,8 @@ from .lattice import FourierPotential, LatticeSpec
 EIG_RESIDUAL_TOL = 1e-9
 GAP_TOL_RELATIVE = 1e-8
 ORTHO_TOL = 1e-12
-OVERLAP_FLOOR = 1e-6
+ANCHOR_FLOOR = 1e-3  # smallest |psi_k(y0)| (unit-norm coefficients) the gauge accepts
+ANCHOR_SAMPLES = 16  # cell points per axis searched for the anchor point
 MOMENTUM_QUANTUM = 1e-12  # cache key resolution for quasimomenta
 
 
@@ -38,7 +40,7 @@ def pw_indices(dimension: int, cutoff: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlochEigenpair:
-    """One Bloch band value and gauge-fixed cell function at one k."""
+    """One Bloch band value and anchored cell function at one k."""
 
     k: np.ndarray            # quasimomentum, possibly outside the first zone
     m: int                   # band index, 1-based, bands sorted ascending
@@ -46,7 +48,6 @@ class BlochEigenpair:
     coeffs: np.ndarray       # cell-scaled plane-wave coefficients, lex order
     cutoff: int
     lattice: LatticeSpec
-    gauge: str               # "raw", "pinned" or "transport"
 
     @property
     def dimension(self) -> int:
@@ -64,7 +65,7 @@ class BandDerivatives:
     grad: np.ndarray       # (d,) gradient of the band energy
     hess: np.ndarray       # (d, d) symmetric Hessian of the band energy
     dk_coeffs: np.ndarray  # (d, M) cell-scaled coefficients of d_k(cell function)
-    berry: np.ndarray      # (d,) purely imaginary <chi, d_k chi> in the pinned gauge
+    berry: np.ndarray      # (d,) purely imaginary <chi, d_k chi> in the anchored gauge
 
 
 def cell_inner(lattice: LatticeSpec, a: np.ndarray, b: np.ndarray) -> complex:
@@ -106,39 +107,30 @@ def build_bloch_hamiltonian(
     return h
 
 
-def _pin_index(coeffs: np.ndarray) -> int:
-    """Index of the largest-modulus coefficient, first (lowest lex) on ties."""
-    return int(np.argmax(np.abs(coeffs)))
+@functools.lru_cache(maxsize=None)
+def _anchor_point(basis: tuple, potential: FourierPotential, m: int, cutoff: int) -> np.ndarray:
+    """Cell point y0 at which band m's Bloch waves are anchored.
 
-
-def gauge_fix(pair: BlochEigenpair, reference: BlochEigenpair | None = None) -> BlochEigenpair:
-    """Fix the overall phase of a cell function.
-
-    Without a reference the largest-modulus coefficient is rotated to the
-    positive real axis (ties break to the lowest lexicographic index). With
-    a reference the phase is chosen so <chi_ref, chi> is real positive,
-    which is one discrete parallel-transport step.
+    At the zone corners k in {0, b/2}^d the Bloch waves are real and vanish
+    somewhere; y0 is the point of an ANCHOR_SAMPLES^d cell grid maximizing
+    the smallest |chi_k(y0)| / max |chi_k| over the corners.
     """
-    if reference is None:
-        j = _pin_index(pair.coeffs)
-        c = pair.coeffs[j]
-        if abs(c) == 0.0:
-            raise GaugeError("cell function has no nonzero coefficient to pin")
-        phase = np.conj(c) / abs(c)
-        return replace(pair, coeffs=pair.coeffs * phase, gauge="pinned")
-    if reference.cutoff != pair.cutoff or reference.dimension != pair.dimension:
-        raise GaugeError("reference eigenpair lives on a different basis")
-    overlap = cell_inner(pair.lattice, reference.coeffs, pair.coeffs)
-    if abs(overlap) < OVERLAP_FLOOR:
-        raise GaugeError(
-            f"overlap modulus {abs(overlap):.3e} too small for phase transport"
-        )
-    phase = np.conj(overlap) / abs(overlap)
-    return replace(pair, coeffs=pair.coeffs * phase, gauge="transport")
+    lattice = LatticeSpec.from_basis(basis)
+    d = lattice.dimension
+    fracs = np.arange(ANCHOR_SAMPLES) / ANCHOR_SAMPLES
+    points = np.array(list(itertools.product(fracs, repeat=d))) @ lattice.basis
+    worst = np.full(points.shape[0], np.inf)
+    for corner in itertools.product((0.0, 0.5), repeat=d):
+        k = np.asarray(corner) @ lattice.dual_basis
+        h = build_bloch_hamiltonian(lattice, potential, k, cutoff)
+        vec = np.linalg.eigh(h)[1][:, m - 1]
+        values = np.abs(evaluate_cell_coeffs(lattice, cutoff, vec, points))
+        worst = np.minimum(worst, values / values.max())
+    return points[int(np.argmax(worst))]
 
 
-def _check_isolated(evals: np.ndarray, m: int) -> float:
-    """Gap from band m (1-based) to its nearest neighbor at the same k."""
+def _check_isolated(evals: np.ndarray, m: int) -> None:
+    """Raise unless band m (1-based) is apart from its neighbors at the same k."""
     others = np.delete(evals, m - 1)
     gap = float(np.min(np.abs(others - evals[m - 1])))
     scale = max(float(evals[-1] - evals[0]), 1.0)
@@ -146,7 +138,6 @@ def _check_isolated(evals: np.ndarray, m: int) -> float:
         raise DegenerateBandError(
             f"band {m} gap {gap:.3e} below {GAP_TOL_RELATIVE:.1e} * {scale:.3e}"
         )
-    return gap
 
 
 def reduced_resolvent_solve(
@@ -186,10 +177,16 @@ def band_derivatives(
 ) -> tuple[BlochEigenpair, BandDerivatives]:
     """Eigenpair plus grad/Hessian/k-derivative data for one simple band.
 
+    The cell function is in the anchored gauge: its phase makes the Bloch
+    wave psi_k(y0) = sum_n c_n exp(i <G_n + k, y0>) real and positive at the
+    anchor point y0 of `_anchor_point`. psi_k and psi_{k+G} are the same
+    function, so chi(k + G) = exp(-i <G, y>) chi(k) exactly, and the gauge is
+    smooth wherever psi_k(y0) != 0 (in 1D, the whole zone interior).
+
     The gradient is the velocity expectation <chi, (-i grad_y + k) chi>. The
     coefficient derivative combines the reduced-resolvent solution x_j (the
-    component orthogonal to chi) with the phase rate of the pinned gauge; the
-    latter is also returned as the purely imaginary connection vector.
+    component orthogonal to chi) with the phase rate of the anchored gauge;
+    the latter is also returned as the purely imaginary connection vector.
     """
     d = lattice.dimension
     k = np.atleast_1d(np.asarray(k, dtype=float))
@@ -205,91 +202,43 @@ def band_derivatives(
     residual = np.linalg.norm(h @ vec - evals[m - 1] * vec)
     if residual > EIG_RESIDUAL_TOL:
         raise EigensolverError(f"eigen-residual {residual:.3e} for band {m}")
-    pair = gauge_fix(
-        BlochEigenpair(
-            k=k,
-            m=m,
-            energy=float(evals[m - 1]),
-            coeffs=vec / np.sqrt(lattice.cell_volume),
-            cutoff=cutoff,
-            lattice=lattice,
-            gauge="raw",
-        )
-    )
-
     n = pw_indices(d, cutoff)
     g_plus_k = lattice.dual_vectors(n) + k
-    a = pair.unit_coeffs()
+    y0 = _anchor_point(tuple(map(tuple, lattice.basis.tolist())), potential, m, cutoff)
+    row = np.exp(1j * (g_plus_k @ y0))
+    anchor = complex(row @ vec)
+    if abs(anchor) < ANCHOR_FLOOR:
+        raise GaugeError(
+            f"Bloch wave at the anchor point has modulus {abs(anchor):.3e}"
+            f" below {ANCHOR_FLOOR:.0e} at k = {k}"
+        )
+    a = vec * (np.conj(anchor) / abs(anchor))
+    pair = BlochEigenpair(
+        k=k,
+        m=m,
+        energy=float(evals[m - 1]),
+        coeffs=a / np.sqrt(lattice.cell_volume),
+        cutoff=cutoff,
+        lattice=lattice,
+    )
     grad = (np.abs(a) ** 2) @ g_plus_k
 
-    h_c = h.astype(complex)
-    xs = []
-    for j in range(d):
-        rhs = -(g_plus_k[:, j] * a)
-        xs.append(reduced_resolvent_solve(h_c, pair.energy, a, rhs))
-
-    hess = np.eye(d)
-    for j in range(d):
-        for l in range(j, d):
-            term = np.vdot(a, g_plus_k[:, j] * xs[l]) + np.vdot(
-                a, g_plus_k[:, l] * xs[j]
-            )
-            if abs(term.imag) > 1e-9 * max(1.0, abs(term.real)):
-                raise EigensolverError("Hessian assembly produced imaginary part")
-            hess[j, l] += term.real
-            if l != j:
-                hess[l, j] += term.real
-
-    # Phase rate of the pinned gauge: differentiating Im c_pin = 0 gives
-    # alpha_j = -Im(x_j at pin) / c_pin with c_pin real positive.
-    pin = _pin_index(a)
-    if abs(a[pin].imag) > 1e-10 or a[pin].real <= 0:
-        raise GaugeError("derivatives require the pinned gauge")
-    alphas = np.array([-x[pin].imag / a[pin].real for x in xs])
-    berry = 1j * alphas
-
-    scale = 1.0 / np.sqrt(lattice.cell_volume)
-    dk = np.stack(
-        [(xs[j] + 1j * alphas[j] * a) * scale for j in range(d)], axis=0
+    xs = np.array(
+        [reduced_resolvent_solve(h, pair.energy, a, -(g_plus_k[:, j] * a)) for j in range(d)]
     )
-    derivs = BandDerivatives(grad=grad, hess=hess, dk_coeffs=dk, berry=berry)
-    return pair, derivs
+    # Hess E_jl = delta_jl + <a, (G + k)_j x_l> + <a, (G + k)_l x_j>
+    terms = (np.conj(a) * g_plus_k.T) @ xs.T
+    terms = terms + terms.T
+    if np.any(np.abs(terms.imag) > 1e-9 * np.maximum(1.0, np.abs(terms.real))):
+        raise EigensolverError("Hessian assembly produced imaginary part")
+    hess = np.eye(d) + terms.real
 
-
-def gap_check(
-    lattice: LatticeSpec,
-    potential: FourierPotential,
-    m: int,
-    k_samples,
-    num_bands: int,
-    cutoff: int,
-    bz_points: int = 129,
-) -> float:
-    """Worst isolation margin of band m against all other bands.
-
-    For each sampled quasimomentum, band m's value is compared against every
-    other band over a full Brillouin-zone grid (bz_points per axis); the
-    minimum of |E_m(k_sample) - E_n(k')| over n != m and k' is returned.
-    """
-    if num_bands < 2:
-        raise DegenerateBandError("gap check needs at least two bands")
-    d = lattice.dimension
-    fracs = np.linspace(-0.5, 0.5, bz_points)
-    mesh = np.meshgrid(*([fracs] * d), indexing="ij")
-    grid_k = np.stack([g.ravel() for g in mesh], axis=-1) @ lattice.dual_basis
-
-    grid_bands = np.empty((grid_k.shape[0], num_bands))
-    for i, kk in enumerate(grid_k):
-        h = build_bloch_hamiltonian(lattice, potential, kk, cutoff)
-        grid_bands[i] = np.linalg.eigvalsh(h)[:num_bands]
-    others = np.delete(grid_bands, m - 1, axis=1)
-
-    worst = np.inf
-    for ks in np.atleast_2d(np.asarray(k_samples, dtype=float)):
-        h = build_bloch_hamiltonian(lattice, potential, ks, cutoff)
-        e_m = np.linalg.eigvalsh(h)[m - 1]
-        worst = min(worst, float(np.min(np.abs(others - e_m))))
-    return worst
+    # Phase rate of the anchored gauge: differentiating Im psi_k(y0) = 0 with
+    # d_k row = i y0 row and psi_k(y0) = |anchor| gives
+    # alpha_j = -y0_j - Im(row @ x_j) / |anchor|.
+    alphas = -y0 - (xs @ row).imag / abs(anchor)
+    dk = (xs + 1j * alphas[:, None] * a) / np.sqrt(lattice.cell_volume)
+    return pair, BandDerivatives(grad=grad, hess=hess, dk_coeffs=dk, berry=1j * alphas)
 
 
 def evaluate_cell_coeffs(lattice, cutoff: int, coeffs: np.ndarray, points) -> np.ndarray:
@@ -313,7 +262,8 @@ def evaluate_cell_coeffs(lattice, cutoff: int, coeffs: np.ndarray, points) -> np
 
 
 def _shift_coeffs(coeffs: np.ndarray, winding: np.ndarray, dimension: int, cutoff: int) -> np.ndarray:
-    """Coefficients of exp(-i <G_w, y>) * chi given those of chi.
+    """Coefficients of exp(-i <G_w, y>) * chi given those of chi, on the
+    last axis.
 
     Re-indexes c'_n = c_{n + w}; entries pushed past the cutoff box are
     dropped (they sit in the spectral tail for converged cutoffs).
@@ -322,9 +272,9 @@ def _shift_coeffs(coeffs: np.ndarray, winding: np.ndarray, dimension: int, cutof
     if not np.any(w):
         return coeffs
     side = 2 * cutoff + 1
-    src = coeffs.reshape((side,) * dimension)
+    src = coeffs.reshape(coeffs.shape[:-1] + (side,) * dimension)
     dst = np.zeros_like(src)
-    src_slices, dst_slices = [], []
+    src_slices, dst_slices = [...], [...]
     for ax in range(dimension):
         shift = int(w[ax])
         lo = max(0, shift)
@@ -332,7 +282,7 @@ def _shift_coeffs(coeffs: np.ndarray, winding: np.ndarray, dimension: int, cutof
         src_slices.append(slice(lo, hi))
         dst_slices.append(slice(lo - shift, hi - shift))
     dst[tuple(dst_slices)] = src[tuple(src_slices)]
-    return dst.ravel()
+    return dst.reshape(coeffs.shape)
 
 
 class BlochBand:
@@ -396,26 +346,16 @@ class BlochBand:
         return self._entry(p)[1].berry
 
     def eigenpair(self, p) -> BlochEigenpair:
-        """Cell function at the unfolded momentum p (pinned gauge)."""
+        """Cell function at the unfolded momentum p (anchored gauge)."""
         pair, _, winding = self._entry(p)
         p = np.atleast_1d(np.asarray(p, dtype=float))
         coeffs = _shift_coeffs(pair.coeffs, winding, self.dimension, self.cutoff)
         return replace(pair, k=p, coeffs=coeffs)
 
     def derivatives(self, p) -> BandDerivatives:
-        pair, derivs, winding = self._entry(p)
-        if not np.any(winding):
-            return derivs
-        dk = np.stack(
-            [
-                _shift_coeffs(row, winding, self.dimension, self.cutoff)
-                for row in derivs.dk_coeffs
-            ],
-            axis=0,
-        )
-        return BandDerivatives(
-            grad=derivs.grad, hess=derivs.hess, dk_coeffs=dk, berry=derivs.berry
-        )
+        _, derivs, winding = self._entry(p)
+        dk = _shift_coeffs(derivs.dk_coeffs, winding, self.dimension, self.cutoff)
+        return replace(derivs, dk_coeffs=dk)
 
 
 class QuadraticBand:

@@ -233,6 +233,10 @@ class ExperimentConfig(_Serializable):
     jobs: int = 1
 
     def __post_init__(self):
+        # a JSON int in a float field must hash like its float spelling
+        for f in fields(self):
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
         object.__setattr__(self, "q0", _floats(self.q0))
         object.__setattr__(self, "p0", _floats(self.p0))
         object.__setattr__(
@@ -242,9 +246,7 @@ class ExperimentConfig(_Serializable):
             self, "envelope_b", _matrix_tuple(self.envelope_b, self.dimension, "envelope_b")
         )
         object.__setattr__(self, "epsilons", _floats(self.epsilons))
-        object.__setattr__(
-            self, "sample_times", _floats(self.sample_times) or (float(self.t_final),)
-        )
+        object.__setattr__(self, "sample_times", _floats(self.sample_times) or (self.t_final,))
         object.__setattr__(self, "c0_list", _floats(self.c0_list))
 
     def validate(self) -> "ExperimentConfig":
@@ -262,6 +264,13 @@ class ExperimentConfig(_Serializable):
             raise ConfigError(
                 f"band index {self.band_index} exceeds num_bands {self.num_bands}"
             )
+        cutoff = self.cutoff if self.cutoff is not None else default_cutoff(self.dimension)
+        if cutoff < self.make_lattice_potential().cutoff:
+            raise ConfigError(f"cutoff {cutoff} below the lattice potential's support")
+        # band scans read num_bands bands; every other pipeline reads one band
+        name = "num_bands" if self.kind == "bands" else "band_index"
+        if getattr(self, name) > (2 * cutoff + 1) ** self.dimension:
+            raise ConfigError(f"{name} exceeds the (2 cutoff + 1)^d plane waves of cutoff {cutoff}")
         if len(self.q0) != self.dimension or len(self.p0) != self.dimension:
             raise ConfigError("q0 and p0 must have length = dimension")
         if self.initial_data not in INITIAL_DATA_KINDS:
@@ -277,7 +286,8 @@ class ExperimentConfig(_Serializable):
                 raise ConfigError(f"{name} must be positive")
         if self.convergence_mode not in CONVERGENCE_MODES:
             raise ConfigError(f"unknown convergence mode {self.convergence_mode!r}")
-        if not 0.0 < self.residual_time <= self.t_final:
+        residual_run = self.kind == "convergence" and self.convergence_mode == "residual"
+        if residual_run and not 0.0 < self.residual_time <= self.t_final:
             raise ConfigError("residual_time must lie in (0, t_final]")
         if any(t < 0 or t > self.t_final + 1e-12 for t in self.sample_times):
             raise ConfigError("sample times must lie in [0, t_final]")
@@ -309,12 +319,8 @@ class ExperimentConfig(_Serializable):
         return self.external.build(self.dimension)
 
     def make_band(self) -> BlochBand:
-        cutoff = self.cutoff if self.cutoff is not None else default_cutoff(self.dimension)
         return BlochBand(
-            self.make_lattice(),
-            self.make_lattice_potential(),
-            self.band_index,
-            cutoff,
+            self.make_lattice(), self.make_lattice_potential(), self.band_index, self.cutoff
         )
 
     def make_gaussian(self) -> GaussianEnvelope:

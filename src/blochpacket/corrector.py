@@ -47,7 +47,7 @@ class CorrectorField:
     terms: tuple            # tuple of (z_profile array, y_coeffs array)
     half_width: float       # envelope box of the z-profiles
     t: float
-    pair: BlochEigenpair    # carries lattice, cutoff and the gauge used
+    pair: BlochEigenpair    # carries lattice and cutoff
 
     @property
     def dimension(self) -> int:
@@ -165,9 +165,9 @@ def build_U1(
 ) -> CorrectorField:
     """First corrector -i sum_j (d_j u) P_perp d_k_j chi.
 
-    The projector is applied explicitly so the corrector is orthogonal to
-    the cell function in every direction regardless of the gauge's phase
-    rate.
+    d_k chi carries the anchored gauge's phase rate (berry times chi); the
+    projector is applied explicitly so the corrector is orthogonal to the
+    cell function in every direction.
     """
     terms = tuple(
         (grad, -1j * _perp(pair, derivs.dk_coeffs[j]))

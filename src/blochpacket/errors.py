@@ -26,7 +26,7 @@ class DegenerateBandError(BlochpacketError):
 
 
 class GaugeError(BlochpacketError):
-    """Phase alignment failed (vanishing overlap or ill-defined pin)."""
+    """Anchored gauge undefined: the Bloch wave vanishes at the anchor point."""
 
 
 class FlowError(BlochpacketError):

@@ -218,6 +218,7 @@ def run_bands(config: ExperimentConfig) -> dict:
     fd_step = 1e-4
 
     rows = []
+    spectra = []
     failures = []
     max_grad_dev = 0.0
     max_hess_dev = 0.0
@@ -225,6 +226,7 @@ def run_bands(config: ExperimentConfig) -> dict:
         k = frac * direction
         h = build_bloch_hamiltonian(lattice, band.potential, k, band.cutoff)
         evals = np.linalg.eigvalsh(h)[: config.num_bands]
+        spectra.append(evals)
         row = {"k_frac": frac}
         for j, val in enumerate(np.atleast_1d(k)):
             row[f"k_{j}"] = val
@@ -255,6 +257,12 @@ def run_bands(config: ExperimentConfig) -> dict:
         except BlochpacketError as exc:
             failures.append({"k_frac": float(frac), "reason": str(exc)})
 
+    # isolation of band m against every other band over the whole scan:
+    # min |E_m(k) - E_n(k')| over scanned k, k' and n != m
+    spectra = np.array(spectra)
+    others = np.delete(spectra, m - 1, axis=1).ravel()
+    gaps = np.abs(spectra[:, m - 1, None] - others)
+    uniform_gap = float(gaps.min()) if gaps.size else float("nan")
     return _write_outputs(
         config,
         "bands",
@@ -263,6 +271,7 @@ def run_bands(config: ExperimentConfig) -> dict:
         k_samples=config.k_samples,
         num_bands=config.num_bands,
         band_index=m,
+        uniform_gap=uniform_gap,
         max_grad_deviation=max_grad_dev,
         max_hess_deviation=max_hess_dev,
         derivative_failures=failures,

@@ -123,10 +123,13 @@ def test_fourier_interpolate_batch_matches_single_calls():
 
 
 def test_free_lattice_leading_packet_closed_form(free_band):
-    # chi = |Y|^{-1/2} exactly, so the packet is a pure modulated Gaussian
+    # chi is the constant |Y|^{-1/2} times a unit phase, so the packet is a
+    # pure modulated Gaussian
     eps = 2**-4
     state = make_state(q=0.1, p=0.3, S=0.25)
     pair = free_band.eigenpair(state.p)
+    chi_phase = pair.unit_coeffs()[pair.cutoff]
+    assert abs(chi_phase) == pytest.approx(1.0, abs=1e-12)
     g = gaussian_init(np.eye(1), np.eye(1))
     grid = make_grid_for(eps)
     field = synthesize_packet(g, state, pair, eps, grid)
@@ -134,7 +137,7 @@ def test_free_lattice_leading_packet_closed_form(free_band):
     z = (x - state.q[0]) / np.sqrt(eps)
     phase = (state.S + state.p[0] * (x - state.q[0])) / eps
     want = eps**-0.25 * np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi) * np.exp(1j * phase)
-    assert np.max(np.abs(field.values - want)) < 1e-12
+    assert np.max(np.abs(field.values - chi_phase * want)) < 1e-12
 
 
 def test_packet_mass_converges_to_cell_average(mathieu_band):
@@ -166,10 +169,7 @@ def test_leading_term_gauge_invariant_modulus(mathieu_band):
     eps = 2**-4
     state = make_state()
     pair = mathieu_band.eigenpair(state.p)
-    rotated = pair.__class__(
-        k=pair.k, m=pair.m, energy=pair.energy, coeffs=pair.coeffs * np.exp(0.9j),
-        cutoff=pair.cutoff, lattice=pair.lattice, gauge=pair.gauge,
-    )
+    rotated = replace(pair, coeffs=pair.coeffs * np.exp(0.9j))
     g = gaussian_init(np.eye(1), np.eye(1))
     grid = make_grid_for(eps)
     a = synthesize_packet(g, state, pair, eps, grid)

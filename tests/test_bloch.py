@@ -10,8 +10,6 @@ from blochpacket.bloch import (
     cell_inner,
     default_cutoff,
     evaluate_cell_coeffs,
-    gap_check,
-    gauge_fix,
     pw_indices,
     reduced_resolvent_solve,
 )
@@ -123,10 +121,31 @@ def test_hellmann_feynman_vs_finite_differences(lattice1d, cosine1d):
         assert der.hess[0, 0] == pytest.approx(fd_hess, abs=1e-6)
 
 
-def test_berry_vanishes_for_real_coefficient_potential(lattice1d, cosine1d):
-    for k in (0.0, 0.17, 0.3):
-        _, der = band_derivatives(lattice1d, cosine1d, np.array([k]), 1, 32)
-        assert np.max(np.abs(der.berry)) < 1e-12
+def test_berry_matches_finite_difference_connection(lattice1d, cosine1d):
+    # berry = <chi, d_k chi> of the anchored gauge, against i Im <chi, D chi>
+    # with D the centred difference of the anchored cell functions
+    h = 1e-5
+    for k in (0.0, 0.17, 0.3, 0.49, -0.49):
+        pair, der = band_derivatives(lattice1d, cosine1d, np.array([k]), 1, 32)
+        pp, _ = band_derivatives(lattice1d, cosine1d, np.array([k + h]), 1, 32)
+        pm, _ = band_derivatives(lattice1d, cosine1d, np.array([k - h]), 1, 32)
+        fd = cell_inner(lattice1d, pair.coeffs, (pp.coeffs - pm.coeffs) / (2 * h))
+        assert abs(der.berry[0].real) < 1e-12
+        assert der.berry[0] == pytest.approx(1j * fd.imag, abs=1e-6)
+
+
+def test_anchored_gauge_is_continuous_across_the_zone_edge(mathieu_band):
+    # the unfolded cell function is continuous where the folding winds
+    below = mathieu_band.eigenpair(np.array([0.5 - 1e-6])).unit_coeffs()
+    above = mathieu_band.eigenpair(np.array([0.5 + 1e-6])).unit_coeffs()
+    assert np.max(np.abs(below - above)) <= 1e-4
+
+
+def test_anchored_connection_of_the_unit_cosine_is_constant(mathieu_band):
+    # the cell is symmetric about y0 = pi, where band 1 peaks, so the
+    # connection is the constant -i pi: the Zak phase pi spread evenly
+    for k in (0.0, 0.21, -0.37, 0.49):
+        assert mathieu_band.berry(np.array([k]))[0] == pytest.approx(-1j * np.pi, abs=1e-9)
 
 
 def test_dk_coeffs_orthogonality_real_part(lattice1d, cosine1d):
@@ -137,14 +156,12 @@ def test_dk_coeffs_orthogonality_real_part(lattice1d, cosine1d):
 
 
 def test_dk_coeffs_match_finite_difference_cell_functions(lattice1d, cosine1d):
-    # compare d_k chi against a centered difference of gauge-aligned
-    # eigenvectors evaluated at sample points in the cell
+    # compare d_k chi, phase rate included, against a centered difference of
+    # the anchored eigenvectors evaluated at sample points in the cell
     k, h = 0.3, 1e-5
     pair, der = band_derivatives(lattice1d, cosine1d, np.array([k]), 1, 32)
     pp, _ = band_derivatives(lattice1d, cosine1d, np.array([k + h]), 1, 32)
     pm, _ = band_derivatives(lattice1d, cosine1d, np.array([k - h]), 1, 32)
-    pp = gauge_fix(pp, reference=pair)
-    pm = gauge_fix(pm, reference=pair)
     y = np.linspace(0.0, 2.0 * np.pi, 13)
     fd = (
         evaluate_cell_coeffs(lattice1d, pp.cutoff, pp.coeffs, y)
@@ -152,32 +169,6 @@ def test_dk_coeffs_match_finite_difference_cell_functions(lattice1d, cosine1d):
     ) / (2 * h)
     direct = evaluate_cell_coeffs(lattice1d, pair.cutoff, der.dk_coeffs[0], y)
     assert np.max(np.abs(fd - direct)) < 1e-5
-
-
-def test_gauge_fix_pins_phase(lattice1d, cosine1d):
-    pair, _ = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 16)
-    rotated = pair.__class__(
-        k=pair.k,
-        m=pair.m,
-        energy=pair.energy,
-        coeffs=pair.coeffs * np.exp(0.7j),
-        cutoff=pair.cutoff,
-        lattice=pair.lattice,
-        gauge=pair.gauge,
-    )
-    refixed = gauge_fix(rotated)
-    assert np.allclose(refixed.coeffs, pair.coeffs, atol=1e-12)
-
-
-def test_gauge_fix_with_reference_maximizes_overlap(lattice1d, cosine1d):
-    pair, _ = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 16)
-    rotated = gauge_fix(pair.__class__(
-        k=pair.k, m=pair.m, energy=pair.energy, coeffs=pair.coeffs * np.exp(-1.2j),
-        cutoff=pair.cutoff, lattice=pair.lattice, gauge=pair.gauge,
-    ), reference=pair)
-    ov = cell_inner(lattice1d, pair.coeffs, rotated.coeffs)
-    assert ov.real > 0
-    assert abs(ov.imag) < 1e-12
 
 
 def test_reduced_resolvent_solve_properties(lattice1d, cosine1d):
@@ -235,11 +226,6 @@ def test_band_derivatives_2d_gradient():
         em, _ = band_derivatives(lat, pot, k - step, 1, 8)
         assert der.grad[j] == pytest.approx((ep.energy - em.energy) / (2 * h), abs=1e-7)
     assert np.allclose(der.hess, der.hess.T, atol=1e-10)
-
-
-def test_gap_check_positive_for_mathieu(lattice1d, cosine1d):
-    gap = gap_check(lattice1d, cosine1d, 1, [np.array([0.3])], 4, 16, bz_points=33)
-    assert gap > 0.4  # first gap of the cos potential is order one
 
 
 def test_default_cutoff():

@@ -41,6 +41,37 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     assert "t_final" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "command, data, named",
+    [
+        ("flow", {"cutoff": 0}, "cutoff"),
+        ("bands", {"num_bands": 80, "cutoff": 2}, "num_bands"),
+        ("convergence", {"convergence_mode": "residual", "t_final": 0.3}, "residual_time"),
+    ],
+)
+def test_config_problems_exit_two(tmp_path, capsys, command, data, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert named in err["message"]
+
+
+def test_envelope_run_ignores_residual_time(tmp_path, capsys):
+    # residual_time is read by residual-mode convergence runs only
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        json.dumps(
+            {"t_final": 0.3, "flow_dt": 1e-2, "envelope_dt": 1e-2, "grid_envelope_dt": 1e-2}
+        )
+    )
+    code = main(["envelope", "--config", str(path), "--out", str(tmp_path / "env")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "envelope"
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"t_fnal": 1.0}))

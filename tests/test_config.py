@@ -62,7 +62,10 @@ def test_validation_rejections():
         dict(kind="convergence", t_final=-1.0),
         dict(kind="convergence", convergence_mode="bogus"),
         dict(kind="convergence", initial_data="bogus"),
-        dict(kind="convergence", residual_time=2.0, t_final=1.0),
+        dict(kind="convergence", convergence_mode="residual", residual_time=2.0, t_final=1.0),
+        dict(kind="convergence", cutoff=0),  # below the cosine's support
+        dict(kind="convergence", cutoff=1, band_index=4),  # 3 plane waves
+        dict(kind="bands", cutoff=2, num_bands=80),  # 5 plane waves
         dict(kind="ehrenfest", c0_list=()),
         dict(kind="convergence", flow_dt=0.0),
     ]
@@ -111,6 +114,19 @@ def test_config_hash_ignores_operational_fields():
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
     assert len(a.config_hash()) == 12
+
+
+def test_config_hash_ignores_int_spelling_of_floats():
+    assert ExperimentConfig(t_final=1) == ExperimentConfig(t_final=1.0)
+    assert ExperimentConfig(t_final=1).config_hash() == ExperimentConfig(t_final=1.0).config_hash()
+    assert ExperimentConfig().config_hash() == "2d4d77c0b561"
+
+
+def test_residual_time_bound_applies_to_residual_runs_only():
+    ExperimentConfig(kind="envelope", t_final=0.3).validate()
+    ExperimentConfig(kind="convergence", t_final=0.3).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="convergence", convergence_mode="residual", t_final=0.3).validate()
 
 
 def test_with_updates():
@@ -170,8 +186,8 @@ CONFIG_HASHES = {
 
 
 def test_config_hash_values_are_stable():
-    # provenance hashes of earlier runs stay valid; int-valued floats keep
-    # their JSON spelling at the top level and become floats in the specs
+    # provenance hashes of earlier runs stay valid; int-valued floats become
+    # floats at the top level and in the specs alike
     assert ExperimentConfig().config_hash() == "2d4d77c0b561"
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name, want in CONFIG_HASHES.items():
@@ -181,4 +197,6 @@ def test_config_hash_values_are_stable():
         "lattice_potential": {"amplitude": 2},
         "external": {"hessian": [[1]], "linear": [0]},
     }
-    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "dc095295468f"
+    float_spelling = dict(nested_ints, t_final=1.0)
+    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "3bf24226707f"
+    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "3bf24226707f"

@@ -31,9 +31,10 @@ def chi_projection(field):
 
 @pytest.fixture(scope="module")
 def nodes(mathieu_band, lattice1d):
-    # one mid-trajectory node on two bands: the unit cosine, whose connection
-    # vanishes, and cos y + 0.4 sin 2y, whose connection at p = 0.3 is
-    # 0.0571i, so the geometric rate at q = 0.8 is 0.0457i
+    # one mid-trajectory node on two bands: the unit cosine, whose anchored
+    # connection is the constant -i pi, so the geometric rate at q = 0.8 is
+    # -0.8 pi i, and cos y + 0.4 sin 2y, whose connection at p = 0.3 is
+    # -2.8476i, so the geometric rate there is -2.2780i
     tilted = FourierPotential.from_coeffs({(1,): 0.5, (-1,): 0.5, (2,): -0.2j, (-2,): 0.2j})
     state = TrajectoryState(t=0.0, q=np.array([0.8]), p=np.array([0.3]), S=0.1)
     g = gaussian_init(np.eye(1), np.eye(1))
@@ -44,8 +45,8 @@ def nodes(mathieu_band, lattice1d):
 def test_nodes_cover_a_nonzero_geometric_rate(nodes):
     ext = QuadraticPotential.harmonic(1)
     (cos_band, state, _), (tilted_band, _, _) = nodes
-    assert geometric_rate(cos_band, ext, state) == 0
-    assert geometric_rate(tilted_band, ext, state) == pytest.approx(0.0457j, abs=1e-4)
+    assert geometric_rate(cos_band, ext, state) == pytest.approx(-0.8j * np.pi, abs=1e-12)
+    assert geometric_rate(tilted_band, ext, state) == pytest.approx(-2.2780j, abs=1e-4)
 
 
 def test_u0_is_product_state(nodes):

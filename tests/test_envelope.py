@@ -262,8 +262,8 @@ def test_coefficients_along_trajectory_interpolates(mathieu_band):
     state = traj.state_at(t)
     assert np.allclose(coeffs.dispersion(t), mathieu_band.hess_energy(state.p), atol=1e-9)
     assert np.allclose(coeffs.vhess(t), pot.hess(state.q), atol=1e-12)
-    # real potential band: the geometric rate vanishes identically
-    assert abs(coeffs.berry_rate(t)) < 1e-12
+    # the unit cosine's anchored connection is -i pi, so beta = -i pi q
+    assert coeffs.berry_rate(t) == pytest.approx(-1j * np.pi * state.q[0], abs=1e-12)
 
 
 def test_sigma_norm_rejects_negative_order():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blochpacket.assembly import read_field
+from blochpacket.bloch import cell_inner
 from blochpacket.config import ExperimentConfig, LatticePotentialSpec
 from blochpacket.envelope import geometric_rate
 from blochpacket.experiments import (
@@ -78,6 +79,15 @@ def test_run_bands_mathieu(tmp_path):
     assert all(r["config"] == cfg.config_hash() for r in rows)
     # lowest band of the cosine cell potential stays below the others
     assert all(float(r["E_1"]) < float(r["E_2"]) for r in rows)
+
+
+def test_run_bands_uniform_gap_positive_for_mathieu(tmp_path):
+    cfg = ExperimentConfig(
+        kind="bands", k_samples=33, num_bands=4, cutoff=16, output_dir=str(tmp_path)
+    )
+    assert run_bands(cfg)["uniform_gap"] > 0.4  # first gap of the cos potential is order one
+    lone = cfg.with_updates(num_bands=1, output_dir=str(tmp_path / "lone"))
+    assert np.isnan(run_bands(lone)["uniform_gap"])  # no other band to compare against
 
 
 def test_run_bands_records_degenerate_points(tmp_path):
@@ -260,3 +270,53 @@ def test_run_reference_conserves_mass(tmp_path):
     summary = run_reference(cfg)
     assert summary["max_mass_drift"] <= 1e-12
     assert read_field(tmp_path / "reference_eps0").time == pytest.approx(cfg.t_final)
+
+
+# Launch point whose momentum crosses the zone edge p = 0.5 before T = 1, at
+# the two largest epsilons with coarse flow and envelope steps. The default
+# launch point gives errors of about 0.15 and 0.11 at these settings; a cell
+# function whose phase jumps at the edge gives about 1.06.
+ZONE_EDGE = {
+    "kind": "convergence",
+    "convergence_mode": "error",
+    "q0": (-0.25,),
+    "p0": (0.35,),
+    "epsilons": (0.0625, 0.03125),
+    "flow_dt": 1e-2,
+    "envelope_dt": 1e-2,
+}
+
+
+def test_zone_edge_launch_keeps_the_error_law(tmp_path):
+    summary = run_convergence(ExperimentConfig(**ZONE_EDGE, output_dir=str(tmp_path)))
+    assert not summary["failures"]
+    errors = [float(r["error"]) for r in read_rows(summary["csv"])]
+    assert len(errors) == 2
+    assert max(errors) <= 0.3
+
+
+@pytest.mark.parametrize(
+    "band_index, q0, p0",
+    [
+        (1, -0.25, 0.35),  # p(1) = 0.598: crosses the zone edge
+        (2, 0.3, 0.1),  # crosses k = 0 on the second band
+    ],
+)
+def test_geometric_factor_matches_discrete_transport(tmp_path, band_index, q0, p0):
+    # chi(p0) carried along the flow nodes by discrete overlap transport must
+    # equal chi(p(1)) times the envelope's geometric factor exp(berry_integral)
+    cfg = ExperimentConfig(
+        band_index=band_index, q0=(q0,), p0=(p0,), output_dir=str(tmp_path)
+    ).validate()
+    bundle = prepare_dynamics(cfg, [1.0])
+    band, trajectory = bundle.band, bundle.trajectory
+    lattice = band.lattice
+    carried = band.eigenpair(trajectory.node_state(0).p).coeffs
+    for i in range(1, len(trajectory.ts)):
+        nxt = band.eigenpair(trajectory.node_state(i).p).coeffs
+        link = cell_inner(lattice, carried, nxt)
+        carried = nxt * np.conj(link) / abs(link)
+    _, pair, gauss = bundle.at(1.0)
+    overlap = cell_inner(lattice, carried, pair.coeffs * np.exp(gauss.berry_integral))
+    assert abs(1.0 - abs(overlap)) <= 1e-9
+    assert abs(np.angle(overlap)) <= 1e-9
