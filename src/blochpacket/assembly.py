@@ -20,10 +20,11 @@ from .corrector import CorrectorField
 from .envelope import GaussianEnvelope, gaussian_eval
 from .errors import GridError
 from .flow import TrajectoryState
-from .grid import THRESHOLD, SpatialGrid
+from .grid import CELL_TOL, THRESHOLD, SpatialGrid
 
 POINTS_PER_OSCILLATION = 16
 MIN_POINTS = 64
+BOX_HALF_WIDTH = 2.0 * np.pi  # default fine box [-2 pi, 2 pi)^d
 MOMENTUM_MATCH_TOL = 1e-8
 TIME_MATCH_TOL = 1e-10
 
@@ -39,24 +40,26 @@ def make_grid_for(
     epsilon: float,
     dimension: int = 1,
     *,
-    half_width: float = 16.0,
+    half_width: float = BOX_HALF_WIDTH,
     lattice_period: float = 2.0 * np.pi,
     points_per_period: int = POINTS_PER_OSCILLATION,
 ) -> SpatialGrid:
-    """Smallest power-of-two grid resolving the eps-scale oscillations.
+    """Grid of whole lattice cells resolving the eps-scale oscillations.
 
-    The cell function repeats every lattice_period * eps in x, so the grid
-    needs points_per_period samples per repeat across the whole box; the
-    sqrt(eps) envelope scale is automatically far coarser.
+    The box holds K cells of side lattice_period * eps, the smallest power
+    of two K that covers [-half_width, half_width), with points_per_period
+    points in each (more, to reach MIN_POINTS), so every eps-periodic
+    factor can be sampled on one cell and tiled; the sqrt(eps) envelope
+    scale is automatically far coarser.
     """
     if not 0.0 < epsilon < 1.0:
         raise GridError("epsilon must lie in (0, 1)")
-    oscillations = 2.0 * half_width / (lattice_period * epsilon)
-    needed = int(np.ceil(oscillations * points_per_period))
+    cell = lattice_period * epsilon
+    ratio = 2.0 * half_width / cell
+    cells = next_pow2(int(np.ceil(ratio * (1.0 - CELL_TOL))))
+    per_cell = max(points_per_period, -(-MIN_POINTS // cells))
     return SpatialGrid(
-        dimension=dimension,
-        half_width=half_width,
-        npoints=next_pow2(max(MIN_POINTS, needed)),
+        dimension=dimension, half_width=0.5 * cells * cell, npoints=cells * per_cell
     )
 
 
@@ -140,8 +143,9 @@ def _synthesize(
     zvals maps the stretched axes z = (x - q) / sqrt(eps) to the R
     profiles f_r on the grid, shape (R, *grid.shape); the columns of
     cell_coeffs (M, R) are the plane-wave coefficients of the chi_r.  The
-    node must match the grid and the cell momentum, and the packet's mass
-    must stay off the box edge.
+    node must match the grid and the cell momentum, its center must lie in
+    the box and its mass must stay off the box edge.  The chi_r are
+    evaluated on one lattice cell and tiled.
     """
     if state.dimension != grid.dimension:
         raise GridError("trajectory node dimension does not match the grid")
@@ -149,10 +153,15 @@ def _synthesize(
         raise GridError("lattice dimension does not match the grid")
     if np.max(np.abs(np.asarray(pair.k) - state.p)) > MOMENTUM_MATCH_TOL:
         raise GridError("cell function momentum disagrees with the trajectory node")
+    box = grid.half_width
+    if np.any((state.q < -box) | (state.q >= box)):
+        raise GridError(
+            f"packet center q = {state.q} lies outside the box [-{box:.6g}, {box:.6g})"
+        )
+    cell = grid.cell_mesh(pair.lattice.basis, epsilon)
     axis = grid.axis()
     fvals = zvals([(axis - state.q[j]) / np.sqrt(epsilon) for j in range(grid.dimension)])
-    pts = grid.points().reshape(*grid.shape, grid.dimension) / epsilon
-    chivals = evaluate_cell_coeffs(pair.lattice, pair.cutoff, cell_coeffs, pts)
+    chivals = grid.tile(evaluate_cell_coeffs(pair.lattice, pair.cutoff, cell_coeffs, cell))
     phase = np.full(grid.shape, float(state.S))
     for j in range(grid.dimension):
         phase = phase + grid.along(j, state.p[j] * (axis - state.q[j]))

@@ -248,17 +248,8 @@ def evaluate_cell_coeffs(lattice, cutoff: int, coeffs: np.ndarray, points) -> np
     trailing axis of the result.
     """
     d = lattice.dimension
-    pts = as_points(points, d)
-    n = pw_indices(d, cutoff)
-    g = lattice.dual_vectors(n)
-    # chunked to bound memory on large point sets
-    flat = pts.reshape(-1, d)
-    out = np.empty(flat.shape[:1] + coeffs.shape[1:], dtype=complex)
-    step = 1 << 14
-    for start in range(0, flat.shape[0], step):
-        block = flat[start : start + step]
-        out[start : start + step] = np.exp(1j * (block @ g.T)) @ coeffs
-    return out.reshape(pts.shape[:-1] + coeffs.shape[1:])
+    g = lattice.dual_vectors(pw_indices(d, cutoff))
+    return np.exp(1j * (as_points(points, d) @ g.T)) @ coeffs
 
 
 def _shift_coeffs(coeffs: np.ndarray, winding: np.ndarray, dimension: int, cutoff: int) -> np.ndarray:

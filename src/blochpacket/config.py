@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .assembly import BOX_HALF_WIDTH, POINTS_PER_OSCILLATION
 from .bloch import BlochBand, default_cutoff
 from .envelope import GaussianEnvelope, gaussian_init
 from .errors import ConfigError
@@ -222,8 +223,8 @@ class ExperimentConfig(_Serializable):
     convergence_mode: str = "error"
     c0_list: tuple = (0.1,)
 
-    half_width: float = 16.0
-    points_per_period: int = 16
+    half_width: float = BOX_HALF_WIDTH
+    points_per_period: int = POINTS_PER_OSCILLATION
     envelope_half_width: float = 16.0
     envelope_points: int = 512
 
@@ -260,7 +261,7 @@ class ExperimentConfig(_Serializable):
         self.external.validate(self.dimension)
         if self.band_index < 1:
             raise ConfigError("band index is 1-based")
-        if self.band_index > self.num_bands:
+        if self.kind == "bands" and self.band_index > self.num_bands:
             raise ConfigError(
                 f"band index {self.band_index} exceeds num_bands {self.num_bands}"
             )

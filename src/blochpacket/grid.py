@@ -18,6 +18,7 @@ from .errors import GridError
 
 SHELL = 0.1       # outer fraction of each axis watched for mass
 THRESHOLD = 1e-8  # largest mass fraction a guard allows in that shell
+CELL_TOL = 1e-9   # relative slack when counting whole cells in a box
 
 
 def as_points(x, dimension: int) -> np.ndarray:
@@ -106,6 +107,39 @@ class SpatialGrid:
     def points(self) -> np.ndarray:
         """All grid points, shape (npoints**dimension, dimension)."""
         return self._mesh(self.axis())
+
+    def cell_mesh(self, basis: np.ndarray, scale: float) -> np.ndarray:
+        """y = x / scale at the grid points of the box's first cell of the
+        lattice whose generators are the rows of scale * basis; shape
+        (P,)*d + (d,).
+
+        A factor periodic on that lattice, sampled here, covers the grid
+        exactly through `tile`.  Raises GridError unless the lattice is cubic
+        and the box holds a whole number of its cells, each of P whole grid
+        points.
+        """
+        period = basis[0, 0]
+        ratio = 2.0 * self.half_width / (period * scale)
+        cells = round(ratio)
+        if (
+            not np.array_equal(basis, period * np.eye(self.dimension))
+            or cells < 1
+            or abs(ratio - cells) > CELL_TOL * ratio
+            or self.npoints % cells
+        ):
+            raise GridError(
+                f"box [-{self.half_width:.6g}, {self.half_width:.6g})^{self.dimension} of"
+                f" {self.npoints} points does not hold whole cells of {scale:.6g} * {basis.tolist()}"
+            )
+        axis = self.axis()[: self.npoints // cells] / scale
+        return np.stack(np.meshgrid(*([axis] * self.dimension), indexing="ij"), axis=-1)
+
+    def tile(self, cell_values: np.ndarray) -> np.ndarray:
+        """Samples at the `cell_mesh` points, (P,)*d + trailing axes, repeated
+        over the whole grid."""
+        cells = self.npoints // cell_values.shape[0]
+        trailing = cell_values.ndim - self.dimension
+        return np.tile(cell_values, (cells,) * self.dimension + (1,) * trailing)
 
     def quadratic_form(self, mat: np.ndarray, *, fourier: bool = False) -> np.ndarray:
         """<x, mat x> on the grid points, or <xi, mat xi> on the FFT

@@ -39,11 +39,10 @@ class SolverParams:
 
 
 def _total_potential_grid(psi: GridWaveField, lattice, lattice_potential, external) -> np.ndarray:
-    """(V_lat(x/eps) + V(x)) sampled on the grid."""
-    pts = psi.grid.points()
-    vlat = lattice_potential.evaluate(lattice, pts / psi.epsilon)
-    vext = external.value(pts)
-    return (vlat + vext).reshape(psi.grid.shape)
+    """(V_lat(x/eps) + V(x)) sampled on the grid, V_lat on one cell and tiled."""
+    grid = psi.grid
+    vlat = lattice_potential.evaluate(lattice, grid.cell_mesh(lattice.basis, psi.epsilon))
+    return grid.tile(vlat) + external.value(grid.points()).reshape(grid.shape)
 
 
 def _kinetic_symbol(grid: SpatialGrid) -> np.ndarray:

@@ -16,7 +16,7 @@ from blochpacket.assembly import (
     synthesize_packet,
     write_field,
 )
-from blochpacket.bloch import BlochBand
+from blochpacket.bloch import BlochBand, evaluate_cell_coeffs
 from blochpacket.corrector import build_U0, build_U1, build_U2
 from blochpacket.envelope import (
     GridEnvelope,
@@ -32,6 +32,7 @@ from blochpacket.lattice import FourierPotential, LatticeSpec
 # leading-order packet mass for u = exp(-z^2/2) and unit-average cell
 # function: ||u|| * |Y|^{-1/2} = pi^(1/4) / sqrt(2 pi), by hand
 PACKET_MASS = np.pi**0.25 / np.sqrt(2.0 * np.pi)
+LATTICE_1D = LatticeSpec.cubic(1).basis
 
 
 def make_state(q=0.0, p=0.3, t=0.0, S=0.0):
@@ -46,15 +47,67 @@ def test_next_pow2():
 
 
 def test_make_grid_for_sizes():
+    # the default box [-2 pi, 2 pi) holds 2 / eps whole cells of 16 points
     g = make_grid_for(2**-4)
-    assert g.npoints == 2048
-    assert g.half_width == 16.0
+    assert g.npoints == 512
+    assert g.half_width == 2.0 * np.pi
     g7 = make_grid_for(2**-7)
-    assert g7.npoints == 16384
+    assert g7.npoints == 4096
+    assert g7.half_width == 2.0 * np.pi
     tiny = make_grid_for(0.9, half_width=1.0)
-    assert tiny.npoints == 64  # floor kicks in
+    assert tiny.npoints == 64  # floor kicks in: one cell of 64 points
+    assert tiny.cell_mesh(LATTICE_1D, 0.9).shape == (64, 1)
     with pytest.raises(GridError):
         make_grid_for(1.5)
+
+
+def test_make_grid_for_float_edge_does_not_double_the_grid():
+    eps = 2**-7
+    g = make_grid_for(eps, half_width=4096.0000001 * np.pi * eps)
+    assert g.npoints == 4096 * 16
+    assert g.cell_mesh(LATTICE_1D, eps).shape == (16, 1)
+
+
+@pytest.mark.parametrize("eps, half_width", [(0.1, 2.0 * np.pi), (0.1, 16.0), (2**-4, 16.0)])
+def test_make_grid_for_rounds_up_to_whole_cells(eps, half_width):
+    g = make_grid_for(eps, half_width=half_width)
+    cells = 2.0 * g.half_width / (2.0 * np.pi * eps)
+    assert cells == pytest.approx(round(cells), rel=1e-12)
+    assert next_pow2(round(cells)) == round(cells)
+    assert half_width <= g.half_width < 2.0 * half_width
+    assert g.npoints == 16 * round(cells)
+    assert g.cell_mesh(LATTICE_1D, eps).shape == (16, 1)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_tiled_cell_factors_match_direct_evaluation(dimension):
+    eps = 0.25
+    lattice = LatticeSpec.cubic(dimension)
+    grid = make_grid_for(eps, dimension)
+    y = grid.points().reshape(*grid.shape, dimension) / eps
+    cell = grid.cell_mesh(lattice.basis, eps)
+    assert cell.shape == (16,) * dimension + (dimension,)
+    rng = np.random.default_rng(0)
+    cutoff = 3
+    coeffs = rng.normal(size=((2 * cutoff + 1) ** dimension, 2)) * (1 + 1j)
+    direct = evaluate_cell_coeffs(lattice, cutoff, coeffs, y)
+    tiled = grid.tile(evaluate_cell_coeffs(lattice, cutoff, coeffs, cell))
+    assert tiled.shape == direct.shape
+    assert np.max(np.abs(tiled - direct)) <= 1e-13 * np.max(np.abs(direct))
+    pot = FourierPotential.cosine(dimension)
+    direct_v = pot.evaluate(lattice, y)
+    tiled_v = grid.tile(pot.evaluate(lattice, cell))
+    assert np.max(np.abs(tiled_v - direct_v)) <= 1e-13
+
+
+def test_cell_mesh_rejects_a_box_without_whole_cells():
+    with pytest.raises(GridError):
+        SpatialGrid(dimension=1, half_width=16.0, npoints=2048).cell_mesh(LATTICE_1D, 2**-4)
+    with pytest.raises(GridError):  # three whole cells of 512 / 3 points
+        make_grid_for(2**-4).cell_mesh(LATTICE_1D, 2.0 / 3.0)
+    skewed = LatticeSpec.from_basis([[2.0 * np.pi, 0.0], [1.0, 2.0 * np.pi]])
+    with pytest.raises(GridError):
+        make_grid_for(2**-4, 2).cell_mesh(skewed.basis, 2**-4)
 
 
 def test_spatial_grid_accessors():
@@ -254,10 +307,20 @@ def test_momentum_mismatch_rejected(mathieu_band):
 
 def test_support_check_fires_for_offcenter_packet(mathieu_band):
     eps = 2**-4
-    state = make_state(q=15.5)  # packet parked on the box boundary
+    state = make_state(q=2.0 * np.pi - 0.5)  # packet parked on the box boundary
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     with pytest.raises(GridError):
+        synthesize_packet(g, state, pair, eps, make_grid_for(eps))
+
+
+def test_support_check_fires_for_packet_outside_the_box(mathieu_band):
+    # wholly outside the box the field is zero, so no edge fraction can fire
+    eps = 2**-4
+    state = make_state(q=40.0)
+    pair = mathieu_band.eigenpair(state.p)
+    g = gaussian_init(np.eye(1), np.eye(1))
+    with pytest.raises(GridError, match=r"q = \[40\.\].*box"):
         synthesize_packet(g, state, pair, eps, make_grid_for(eps))
 
 
@@ -271,7 +334,7 @@ def test_write_read_round_trip(tmp_path, mathieu_band):
     meta = json.loads(meta_path.read_text())
     assert meta["epsilon"] == eps
     assert meta["time"] == 0.7
-    assert meta["shape"] == [2048]
+    assert meta["shape"] == [512]
     assert meta["byte_order"] == "little-endian"
     back = read_field(tmp_path / "pkt")
     assert back.epsilon == field.epsilon

@@ -47,6 +47,7 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
         ("flow", {"cutoff": 0}, "cutoff"),
         ("bands", {"num_bands": 80, "cutoff": 2}, "num_bands"),
         ("convergence", {"convergence_mode": "residual", "t_final": 0.3}, "residual_time"),
+        ("bands", {"band_index": 9, "num_bands": 8}, "num_bands"),
     ],
 )
 def test_config_problems_exit_two(tmp_path, capsys, command, data, named):

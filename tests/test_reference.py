@@ -3,7 +3,7 @@ import pytest
 
 from blochpacket.assembly import GridWaveField, make_grid_for, synthesize_packet
 from blochpacket.envelope import gaussian_init
-from blochpacket.errors import SolverError
+from blochpacket.errors import GridError, SolverError
 from blochpacket.flow import QuadraticPotential, TrajectoryState
 from blochpacket.grid import SpatialGrid
 from blochpacket.lattice import FourierPotential, LatticeSpec
@@ -172,7 +172,7 @@ def test_pde_residual_rejects_asymmetric_stencil(lattice1d, cosine1d, mathieu_ba
 def test_boundary_guard_trips_for_escaping_packet(lattice1d):
     # free packet with momentum in a small box reaches the shell
     eps = 2**-3
-    grid = SpatialGrid(dimension=1, half_width=2.0, npoints=512)
+    grid = SpatialGrid(dimension=1, half_width=np.pi, npoints=512)
     x = grid.axis()
     z = x / np.sqrt(eps)
     vals = (eps**-0.25) * np.exp(-0.5 * z * z) * np.exp(1j * 0.8 * x / eps)
@@ -181,6 +181,17 @@ def test_boundary_guard_trips_for_escaping_packet(lattice1d):
         solve_schrodinger(
             psi0, lattice1d, FourierPotential.zero(1), QuadraticPotential.create(1),
             [40.0], SolverParams(dt=1e-2),
+        )
+
+
+def test_reference_rejects_a_box_without_whole_cells(lattice1d, cosine1d):
+    # V_lat(x/eps) is tiled from one cell, so the box must hold whole cells
+    eps = 2**-4
+    grid = SpatialGrid(dimension=1, half_width=16.0, npoints=2048)
+    psi0 = GridWaveField(grid=grid, epsilon=eps, time=0.0, values=np.ones(grid.shape))
+    with pytest.raises(GridError):
+        solve_schrodinger(
+            psi0, lattice1d, cosine1d, QuadraticPotential.harmonic(1), [0.1], SolverParams()
         )
 
 
@@ -194,7 +205,7 @@ def test_dt_validation():
 def test_unitarity_2d():
     eps = 0.25
     lattice = LatticeSpec.cubic(2)
-    grid = SpatialGrid(dimension=2, half_width=4.0, npoints=64)
+    grid = make_grid_for(eps, 2)
     x, y = np.meshgrid(grid.axis(), grid.axis(), indexing="ij")
     vals = np.exp(-(x**2 + y**2) / (2 * eps) + 1j * (0.3 * x - 0.2 * y) / eps) / np.sqrt(eps)
     psi0 = GridWaveField(grid=grid, epsilon=eps, time=0.0, values=vals)
