@@ -8,12 +8,17 @@ kinetic diagonal 0.5 * |G_n + k|^2 and potential entries vhat(n - n').
 Eigenvector coefficients are stored in the "cell" scaling c_n, normalized so
 that |Y| * sum |c_n|^2 = 1, i.e. the cell function has unit L^2(Y) norm.
 Inner products over the cell in this scaling are |Y| * sum conj(a) b.
+
+`BlochBand` serves band energy, gradient, Hessian and connection from a band
+table: Chebyshev interpolants on patches of the Brillouin zone, each built
+from `band_derivatives` at its nodes the first time a query falls inside it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +32,10 @@ GAP_TOL_RELATIVE = 1e-8
 ORTHO_TOL = 1e-12
 ANCHOR_FLOOR = 1e-3  # smallest |psi_k(y0)| (unit-norm coefficients) the gauge accepts
 ANCHOR_SAMPLES = 16  # cell points per axis searched for the anchor point
-MOMENTUM_QUANTUM = 1e-12  # cache key resolution for quasimomenta
+PATCHES_PER_AXIS = 8  # band-table patches per zone axis; k = 0 and the edge are patch boundaries
+PATCH_NODES = (16, 32, 64)  # Chebyshev points per patch axis, doubled while the tail is too large
+TAIL_TOL = 1e-12  # largest last-quarter Chebyshev coefficient, relative to max(1, |node values|)
+DIRECT_CACHE_SIZE = 64  # direct solves kept for the synthesis and corrector momenta
 
 
 @functools.lru_cache(maxsize=None)
@@ -60,12 +68,14 @@ class BlochEigenpair:
 
 @dataclass(frozen=True)
 class BandDerivatives:
-    """First and second k-derivatives of one band at one k."""
+    """First and second k-derivatives of one band at one k, and its isolation."""
 
     grad: np.ndarray       # (d,) gradient of the band energy
     hess: np.ndarray       # (d, d) symmetric Hessian of the band energy
     dk_coeffs: np.ndarray  # (d, M) cell-scaled coefficients of d_k(cell function)
     berry: np.ndarray      # (d,) purely imaginary <chi, d_k chi> in the anchored gauge
+    gaps: np.ndarray       # distances to the bands just below and above, where they exist
+    width: float           # spectrum width E_M - E_1, the scale of the isolation test
 
 
 def cell_inner(lattice: LatticeSpec, a: np.ndarray, b: np.ndarray) -> complex:
@@ -129,11 +139,10 @@ def _anchor_point(basis: tuple, potential: FourierPotential, m: int, cutoff: int
     return points[int(np.argmax(worst))]
 
 
-def _check_isolated(evals: np.ndarray, m: int) -> None:
-    """Raise unless band m (1-based) is apart from its neighbors at the same k."""
-    others = np.delete(evals, m - 1)
-    gap = float(np.min(np.abs(others - evals[m - 1])))
-    scale = max(float(evals[-1] - evals[0]), 1.0)
+def _check_isolated(gap: float, width: float, m: int) -> None:
+    """Raise unless band m (1-based) is apart from its neighbors at the same
+    k, given its smallest gap to them and the spectrum width."""
+    scale = max(float(width), 1.0)
     if gap < GAP_TOL_RELATIVE * scale:
         raise DegenerateBandError(
             f"band {m} gap {gap:.3e} below {GAP_TOL_RELATIVE:.1e} * {scale:.3e}"
@@ -197,7 +206,9 @@ def band_derivatives(
         evals, evecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
-    _check_isolated(evals, m)
+    gaps = np.concatenate([evals[m - 1] - evals[m - 2 : m - 1], evals[m : m + 1] - evals[m - 1]])
+    width = float(evals[-1] - evals[0])
+    _check_isolated(float(gaps.min(initial=np.inf)), width, m)
     vec = evecs[:, m - 1].astype(complex)
     residual = np.linalg.norm(h @ vec - evals[m - 1] * vec)
     if residual > EIG_RESIDUAL_TOL:
@@ -238,7 +249,9 @@ def band_derivatives(
     # alpha_j = -y0_j - Im(row @ x_j) / |anchor|.
     alphas = -y0 - (xs @ row).imag / abs(anchor)
     dk = (xs + 1j * alphas[:, None] * a) / np.sqrt(lattice.cell_volume)
-    return pair, BandDerivatives(grad=grad, hess=hess, dk_coeffs=dk, berry=1j * alphas)
+    return pair, BandDerivatives(
+        grad=grad, hess=hess, dk_coeffs=dk, berry=1j * alphas, gaps=gaps, width=width
+    )
 
 
 def evaluate_cell_coeffs(lattice, cutoff: int, coeffs: np.ndarray, points) -> np.ndarray:
@@ -276,16 +289,73 @@ def _shift_coeffs(coeffs: np.ndarray, winding: np.ndarray, dimension: int, cutof
     return dst.reshape(coeffs.shape)
 
 
-class BlochBand:
-    """Memoized spectral data for one band of one periodic potential.
+@functools.lru_cache(maxsize=None)
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-kind Chebyshev points on [-1, 1], their barycentric weights and
+    the matrix taking values at the points to Chebyshev coefficients."""
+    theta = (2 * np.arange(n) + 1) * np.pi / (2 * n)
+    to_coeffs = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
+    to_coeffs[0] /= 2
+    return np.cos(theta), (-1.0) ** np.arange(n) * np.sin(theta), to_coeffs
 
-    Quasimomenta are folded into the first zone for the eigensolve; cell
-    functions at unfolded momenta are recovered by the exact integer
-    re-indexing chi(k + G_w) = exp(-i <G_w, y>) chi(k). Band energy and its
-    k-derivatives are periodic, so they are served from the folded cache
-    directly. The cache is keyed on the folded momentum quantized at 1e-12;
-    instances are safe for concurrent reads once warmed, and a single
-    trajectory integration should own its instance while writing.
+
+def _chebyshev_tail(values: np.ndarray, dimension: int) -> float:
+    """Largest Chebyshev coefficient of degree >= 3n/4 along some axis, per
+    column relative to max(1, max |node value|), over all columns."""
+    n = values.shape[0]
+    coeffs = values
+    for axis in range(dimension):
+        coeffs = np.moveaxis(np.tensordot(_chebyshev(n)[2], coeffs, axes=(1, axis)), 0, axis)
+    trailing = np.indices((n,) * dimension).max(axis=0) >= n - n // 4
+    scale = np.maximum(1.0, np.abs(values.reshape(-1, values.shape[-1])).max(axis=0))
+    return float(np.max(np.abs(coeffs[trailing]).max(axis=0) / scale))
+
+
+class BandPatch:
+    """Band data at the n^d Chebyshev points of one zone patch.
+
+    values is (n,) * d + (columns,): E, grad E, Hess E (row-major), Im berry,
+    the gaps to the neighboring bands and the spectrum width. tail is the
+    `_chebyshev_tail` of the E, grad E, Hess E and berry columns.
+    """
+
+    def __init__(self, values: np.ndarray, tail: float):
+        self.nodes = values.shape[0]
+        self.values = values
+        self.tail = tail
+        self._points, self._weights, _ = _chebyshev(self.nodes)
+        self._point_set = frozenset(self._points.tolist())
+
+    def interpolate(self, x) -> np.ndarray:
+        """Barycentric interpolant of every column at local coordinates x in [-1, 1]^d."""
+        out = self.values
+        for xj in x:
+            if xj in self._point_set:
+                row = (self._points == xj).astype(float)
+            else:
+                row = self._weights / (xj - self._points)
+                row /= row.sum()
+            out = row @ out.reshape(self.nodes, -1)
+        return out
+
+
+class BlochBand:
+    """Spectral data for one band of one periodic potential.
+
+    Energy, gradient, Hessian and connection come from the band table. The
+    first zone, [-1/2, 1/2)^d in fractional coordinates, is split into
+    PATCHES_PER_AXIS^d equal patches. The first query inside a patch calls
+    `band_derivatives` at its PATCH_NODES[0]^d Chebyshev points (none on a
+    patch boundary); queries interpolate the node values. A patch whose
+    Chebyshev tail exceeds TAIL_TOL is rebuilt with twice the points, and
+    past PATCH_NODES[-1] the build raises. The band's gaps to its neighbors
+    are interpolated too, and a query raises `DegenerateBandError` where the
+    solver at that k would.
+
+    The cell function and its k-derivative (`eigenpair`, `derivatives`) are
+    solved directly at the folded momentum, behind a bounded cache, and
+    unfolded by the exact re-indexing chi(k + G_w) = exp(-i <G_w, y>) chi(k).
+    A single trajectory integration should own its instance.
     """
 
     def __init__(
@@ -303,48 +373,108 @@ class BlochBand:
         self.potential = potential
         self.m = int(m)
         self.cutoff = int(cutoff)
-        self._cache: dict[tuple, tuple[BlochEigenpair, BandDerivatives]] = {}
+        self._to_frac = np.linalg.inv(lattice.dual_basis)
+        self.patches: dict[tuple, BandPatch] = {}
+        self._direct = functools.lru_cache(maxsize=DIRECT_CACHE_SIZE)(self._solve)
+        self._last: tuple = (None, None)  # the latest query and its values
+        self.node_solves = 0
+        self.min_gap = math.inf
 
     @property
     def dimension(self) -> int:
         return self.lattice.dimension
 
-    def _folded(self, p) -> tuple[np.ndarray, np.ndarray, tuple]:
-        folded, winding = self.lattice.fold(np.atleast_1d(np.asarray(p, dtype=float)))
-        key = tuple(np.round(folded / MOMENTUM_QUANTUM).astype(np.int64).tolist())
-        return folded, winding, key
+    def _build_patch(self, index: tuple) -> BandPatch:
+        d = self.dimension
+        smooth = 1 + 2 * d + d * d  # E, grad, Hess and berry columns
+        for n in PATCH_NODES:
+            points = _chebyshev(n)[0]
+            axes = [-0.5 + (i + 0.5 * (points + 1.0)) / PATCHES_PER_AXIS for i in index]
+            rows = []
+            for frac in itertools.product(*axes):
+                self.node_solves += 1
+                pair, der = band_derivatives(
+                    self.lattice, self.potential, np.asarray(frac) @ self.lattice.dual_basis,
+                    self.m, self.cutoff,
+                )
+                rows.append(np.concatenate(
+                    [[pair.energy], der.grad, der.hess.ravel(), der.berry.imag, der.gaps, [der.width]]
+                ))
+            values = np.array(rows).reshape((n,) * d + (-1,))
+            tail = _chebyshev_tail(values[..., :smooth], d)
+            if tail <= TAIL_TOL:
+                return BandPatch(values, tail)
+        raise EigensolverError(
+            f"band {self.m} table patch {index} unresolved by {n} Chebyshev points"
+            f" per axis: tail {tail:.3e} above {TAIL_TOL:.0e}"
+        )
 
-    def _entry(self, p) -> tuple[BlochEigenpair, BandDerivatives, np.ndarray]:
-        folded, winding, key = self._folded(p)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = band_derivatives(
-                self.lattice, self.potential, folded, self.m, self.cutoff
-            )
-            self._cache[key] = hit
-        return hit[0], hit[1], winding
+    def _table(self, p) -> np.ndarray:
+        """Interpolated E, grad E, Hess E, Im berry, gaps and width at p."""
+        p = np.atleast_1d(np.asarray(p, dtype=float))
+        key = p.tobytes()
+        if key == self._last[0]:
+            return self._last[1]
+        d = self.dimension
+        if p.shape != (d,) or not all(map(math.isfinite, p.tolist())):
+            raise EigensolverError(f"quasimomentum {p} is not a finite {d}-vector")
+        index, local = [], []
+        for frac in (p @ self._to_frac).tolist():
+            scaled = (frac - math.floor(frac + 0.5) + 0.5) * PATCHES_PER_AXIS
+            i = min(max(math.floor(scaled), 0), PATCHES_PER_AXIS - 1)
+            index.append(i)
+            local.append(2.0 * (scaled - i) - 1.0)
+        patch = self.patches.get(tuple(index))
+        if patch is None:
+            patch = self.patches[tuple(index)] = self._build_patch(tuple(index))
+        values = patch.interpolate(local)
+        gap = min(values[1 + 2 * d + d * d : -1].tolist(), default=math.inf)
+        _check_isolated(gap, values[-1], self.m)
+        self.min_gap = min(self.min_gap, gap)
+        self._last = (key, values)
+        return values
 
     def energy(self, p) -> float:
-        return self._entry(p)[0].energy
+        return float(self._table(p)[0])
 
     def grad_energy(self, p) -> np.ndarray:
-        return self._entry(p)[1].grad
+        return self._table(p)[1 : 1 + self.dimension]
 
     def hess_energy(self, p) -> np.ndarray:
-        return self._entry(p)[1].hess
+        d = self.dimension
+        return self._table(p)[1 + d : 1 + d + d * d].reshape(d, d)
 
     def berry(self, p) -> np.ndarray:
-        return self._entry(p)[1].berry
+        d = self.dimension
+        return 1j * self._table(p)[1 + d + d * d : 1 + 2 * d + d * d]
+
+    def table_summary(self) -> dict:
+        """Band-table monitor: patches built, node solves, the worst
+        Chebyshev tail and the smallest interpolated gap met so far."""
+        return {
+            "patches": len(self.patches),
+            "node_solves": self.node_solves,
+            "max_tail": max((patch.tail for patch in self.patches.values()), default=0.0),
+            "min_gap": self.min_gap if math.isfinite(self.min_gap) else None,
+        }
+
+    def _solve(self, folded: tuple) -> tuple[BlochEigenpair, BandDerivatives]:
+        return band_derivatives(self.lattice, self.potential, np.array(folded), self.m, self.cutoff)
+
+    def _direct_at(self, p) -> tuple[BlochEigenpair, BandDerivatives, np.ndarray]:
+        folded, winding = self.lattice.fold(np.atleast_1d(np.asarray(p, dtype=float)))
+        pair, derivs = self._direct(tuple(folded.tolist()))
+        return pair, derivs, winding
 
     def eigenpair(self, p) -> BlochEigenpair:
         """Cell function at the unfolded momentum p (anchored gauge)."""
-        pair, _, winding = self._entry(p)
+        pair, _, winding = self._direct_at(p)
         p = np.atleast_1d(np.asarray(p, dtype=float))
         coeffs = _shift_coeffs(pair.coeffs, winding, self.dimension, self.cutoff)
         return replace(pair, k=p, coeffs=coeffs)
 
     def derivatives(self, p) -> BandDerivatives:
-        _, derivs, winding = self._entry(p)
+        _, derivs, winding = self._direct_at(p)
         dk = _shift_coeffs(derivs.dk_coeffs, winding, self.dimension, self.cutoff)
         return replace(derivs, dk_coeffs=dk)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import make_grid_for, synthesize_app, synthesize_packet, write_field
-from .bloch import build_bloch_hamiltonian
+from .bloch import band_derivatives, build_bloch_hamiltonian
 from .config import ExperimentConfig
 from .corrector import build_U0, build_U1, build_U2
 from .envelope import (
@@ -35,13 +35,14 @@ from .envelope import (
     grid_envelope_from_gaussian,
     sigma_norm,
 )
-from .errors import BlochpacketError
+from .errors import BlochpacketError, EigensolverError
 from .flow import integrate_flow, total_energy
 from .reference import SolverParams, l2_error, pde_residual, solve_schrodinger
 
 logger = logging.getLogger("blochpacket")
 
 TIME_KEY_DIGITS = 12
+TABLE_DEVIATION_TOL = 1e-10  # largest |table - direct| / max(1, |direct|) a band scan accepts
 
 
 def _tkey(t: float) -> float:
@@ -209,6 +210,10 @@ def _make_grid(config: ExperimentConfig, epsilon: float):
 
 
 def run_bands(config: ExperimentConfig) -> dict:
+    """Spectrum scan along the first dual axis. The finite-difference checks
+    of the Hellmann-Feynman derivatives use direct solves; the band table is
+    held against the same solves at every sample and raises above
+    TABLE_DEVIATION_TOL."""
     config.validate()
     band = config.make_band()
     lattice, m = band.lattice, config.band_index
@@ -217,11 +222,15 @@ def run_bands(config: ExperimentConfig) -> dict:
     direction = lattice.dual_basis[0]
     fd_step = 1e-4
 
+    def direct(k):
+        return band_derivatives(lattice, band.potential, k, m, band.cutoff)
+
     rows = []
     spectra = []
     failures = []
     max_grad_dev = 0.0
     max_hess_dev = 0.0
+    max_table_dev = 0.0
     for frac in fracs:
         k = frac * direction
         h = build_bloch_hamiltonian(lattice, band.potential, k, band.cutoff)
@@ -237,25 +246,34 @@ def run_bands(config: ExperimentConfig) -> dict:
         rows.append(row)
 
         try:
-            grad = band.grad_energy(k)
-            hess = band.hess_energy(k)
+            pair, derivs = direct(k)
             d = lattice.dimension
             fd_grad = np.zeros(d)
             fd_hess = np.zeros((d, d))
             for j in range(d):
                 step = fd_step * np.eye(d)[j]
-                fd_grad[j] = (band.energy(k + step) - band.energy(k - step)) / (
-                    2 * fd_step
-                )
-                fd_hess[:, j] = (
-                    band.grad_energy(k + step) - band.grad_energy(k - step)
-                ) / (2 * fd_step)
-            max_grad_dev = max(max_grad_dev, float(np.max(np.abs(grad - fd_grad))))
+                ahead, behind = direct(k + step), direct(k - step)
+                fd_grad[j] = (ahead[0].energy - behind[0].energy) / (2 * fd_step)
+                fd_hess[:, j] = (ahead[1].grad - behind[1].grad) / (2 * fd_step)
+            max_grad_dev = max(max_grad_dev, float(np.max(np.abs(derivs.grad - fd_grad))))
             max_hess_dev = max(
-                max_hess_dev, float(np.max(np.abs(hess - 0.5 * (fd_hess + fd_hess.T))))
+                max_hess_dev,
+                float(np.max(np.abs(derivs.hess - 0.5 * (fd_hess + fd_hess.T)))),
             )
+            for table, solved in (
+                (band.energy(k), pair.energy),
+                (band.grad_energy(k), derivs.grad),
+                (band.hess_energy(k), derivs.hess),
+            ):
+                dev = np.abs(table - solved) / np.maximum(1.0, np.abs(solved))
+                max_table_dev = max(max_table_dev, float(np.max(dev)))
         except BlochpacketError as exc:
             failures.append({"k_frac": float(frac), "reason": str(exc)})
+    if max_table_dev > TABLE_DEVIATION_TOL:
+        raise EigensolverError(
+            f"band table deviates from direct solves by {max_table_dev:.3e}"
+            f" (relative, floor 1) above {TABLE_DEVIATION_TOL:.0e}"
+        )
 
     # isolation of band m against every other band over the whole scan:
     # min |E_m(k) - E_n(k')| over scanned k, k' and n != m
@@ -274,6 +292,7 @@ def run_bands(config: ExperimentConfig) -> dict:
         uniform_gap=uniform_gap,
         max_grad_deviation=max_grad_dev,
         max_hess_deviation=max_hess_dev,
+        max_table_deviation=max_table_dev,
         derivative_failures=failures,
     )
 
@@ -315,6 +334,7 @@ def run_flow(config: ExperimentConfig) -> dict:
         t_final=config.t_final,
         dt=config.flow_dt,
         max_energy_drift=max_drift,
+        band_table=band.table_summary(),
     )
 
 
@@ -371,6 +391,7 @@ def run_envelope(config: ExperimentConfig) -> dict:
         max_gaussian_defect=max_defect,
         max_grid_mass_drift=max_mass_drift,
         max_grid_vs_gaussian_l2=max_diff,
+        band_table=bundle.band.table_summary(),
     )
 
 

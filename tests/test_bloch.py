@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochpacket import bloch
 from blochpacket.bloch import (
+    DIRECT_CACHE_SIZE,
+    PATCHES_PER_AXIS,
     BlochBand,
     band_derivatives,
     build_bloch_hamiltonian,
@@ -241,3 +244,86 @@ def test_evaluate_cell_coeffs_single_mode(lattice1d):
     coeffs[np.where(idx.ravel() == 2)[0][0]] = 1.0
     y = np.linspace(-1.0, 5.0, 23)
     assert np.allclose(evaluate_cell_coeffs(lattice1d, cutoff, coeffs, y), np.exp(2j * y))
+
+
+TILTED = FourierPotential.from_coeffs({1: 0.5, -1: 0.5, 2: -0.2j, -2: 0.2j})  # cos y + 0.4 sin 2y
+
+
+def _relative_dev(table, solved) -> float:
+    return float(np.max(np.abs(np.asarray(table) - solved) / np.maximum(1.0, np.abs(solved))))
+
+
+@pytest.mark.parametrize(
+    "potential, m",
+    [(FourierPotential.cosine(1, 1.0), 1), (FourierPotential.cosine(1, 1.0), 2), (TILTED, 1)],
+    ids=["cosine-band1", "cosine-band2", "tilted-band1"],
+)
+def test_band_table_matches_direct_solves_off_node(lattice1d, potential, m):
+    # 34 seeded probes plus six next to k = 0 and k = +-1/2, where patches meet
+    near = [1e-9, -1e-9, 0.5 - 1e-9, -0.5, -0.5 + 1e-9, 0.0]
+    probes = np.concatenate([np.random.default_rng(11).uniform(-0.5, 0.5, 34), near])
+    band = BlochBand(lattice1d, potential, m, 32)
+    for k in probes:
+        p = np.array([k])
+        pair, der = band_derivatives(lattice1d, potential, p, m, 32)
+        assert _relative_dev(band.energy(p), pair.energy) <= 1e-11
+        assert _relative_dev(band.grad_energy(p), der.grad) <= 1e-11
+        assert _relative_dev(band.hess_energy(p), der.hess) <= 1e-11
+        assert _relative_dev(band.berry(p), der.berry) <= 1e-11
+
+
+def test_free_lattice_parabola_is_exact_on_the_zone_edge_patch(free_band):
+    for k in (0.376, 0.41, 0.45, 0.49, 0.499):
+        p = np.array([k])
+        assert abs(free_band.energy(p) - 0.5 * k * k) <= 1e-14
+        assert abs(free_band.grad_energy(p)[0] - k) <= 1e-14
+        assert abs(free_band.hess_energy(p)[0, 0] - 1.0) <= 1e-14
+    assert (PATCHES_PER_AXIS - 1,) in free_band.patches
+
+
+def test_unresolvable_band_raises_after_node_doubling(lattice1d):
+    # the 0.01 gap at the zone edge bends band 1 faster than 64 points resolve
+    band = BlochBand(lattice1d, FourierPotential.cosine(1, 0.01), 1, 32)
+    with pytest.raises(EigensolverError, match="64 Chebyshev points"):
+        band.energy(np.array([0.49]))
+    assert band.node_solves == 16 + 32 + 64
+
+
+def test_default_flow_makes_at_most_32_node_solves(monkeypatch):
+    from blochpacket.config import ExperimentConfig
+    from blochpacket.flow import integrate_flow
+
+    calls = []
+    solve = bloch.band_derivatives
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bloch, "band_derivatives", counted)
+    cfg = ExperimentConfig()
+    band = cfg.make_band()
+    integrate_flow(cfg.q0, cfg.p0, cfg.t_final, cfg.flow_dt, band, cfg.make_external())
+    assert len(calls) <= 32
+    assert band.node_solves == len(calls)
+
+
+def test_eigenpair_cache_is_bounded(lattice1d, cosine1d):
+    band = BlochBand(lattice1d, cosine1d, 1, 8)
+    for k in np.linspace(-0.5, 0.5, 1000, endpoint=False):
+        band.eigenpair(np.array([k]))
+    assert band._direct.cache_info().currsize <= DIRECT_CACHE_SIZE
+
+
+def test_band_table_2d_matches_direct_solve():
+    lat = LatticeSpec.cubic(2)
+    pot = FourierPotential.from_coeffs(
+        {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.25, (0, -1): 0.25}
+    )
+    band = BlochBand(lat, pot, 1, 4)
+    k = np.array([0.13, -0.21])
+    pair, der = band_derivatives(lat, pot, k, 1, 4)
+    assert _relative_dev(band.energy(k), pair.energy) <= 1e-11
+    assert _relative_dev(band.grad_energy(k), der.grad) <= 1e-11
+    assert _relative_dev(band.hess_energy(k), der.hess) <= 1e-11
+    assert _relative_dev(band.berry(k), der.berry) <= 1e-11

@@ -16,6 +16,7 @@ from blochpacket.experiments import (
     run_bands,
     run_convergence,
     run_ehrenfest,
+    run_envelope,
     run_flow,
     run_packet,
     run_reference,
@@ -106,6 +107,20 @@ def test_run_bands_records_degenerate_points(tmp_path):
     assert len(summary["derivative_failures"]) == 2
 
 
+def test_run_bands_holds_the_band_table_against_direct_solves(tmp_path, monkeypatch):
+    from blochpacket.bloch import BlochBand
+    from blochpacket.errors import EigensolverError
+
+    cfg = ExperimentConfig(
+        kind="bands", k_samples=9, num_bands=3, cutoff=8, output_dir=str(tmp_path)
+    )
+    assert run_bands(cfg)["max_table_deviation"] < 1e-12
+    table_energy = BlochBand.energy
+    monkeypatch.setattr(BlochBand, "energy", lambda band, p: table_energy(band, p) + 1e-9)
+    with pytest.raises(EigensolverError, match="band table deviates"):
+        run_bands(cfg)
+
+
 def test_run_flow_writes_nodes(tmp_path):
     cfg = ExperimentConfig(
         kind="flow",
@@ -122,6 +137,26 @@ def test_run_flow_writes_nodes(tmp_path):
     assert float(rows[0]["q_0"]) == pytest.approx(0.0)
     assert float(rows[0]["p_0"]) == pytest.approx(0.3)
     assert float(rows[-1]["t"]) == pytest.approx(0.2)
+
+
+def test_flow_and_envelope_summaries_carry_the_band_table(tmp_path):
+    from blochpacket.flow import integrate_flow
+
+    keys = {"patches", "node_solves", "max_tail", "min_gap"}
+    cfg = ExperimentConfig(kind="flow", output_dir=str(tmp_path / "flow"))
+    table = run_flow(cfg)["band_table"]
+    assert set(table) == keys
+    # the same flow again, to read the patches the summary counted
+    band = cfg.make_band()
+    integrate_flow(cfg.q0, cfg.p0, cfg.t_final, cfg.flow_dt, band, cfg.make_external())
+    assert band.table_summary() == table
+    assert table["node_solves"] == sum(p.nodes**cfg.dimension for p in band.patches.values())
+    assert table["max_tail"] <= 1e-12 and table["min_gap"] > 0.5
+    short = cfg.with_updates(
+        kind="envelope", t_final=0.2, residual_time=0.2, sample_times=(0.2,),
+        output_dir=str(tmp_path / "env"),
+    )
+    assert set(run_envelope(short)["band_table"]) == keys
 
 
 def test_run_convergence_error_mode(tmp_path):
