@@ -35,14 +35,12 @@ from .corrector import (
     build_U1,
     build_U2,
     solvability_defect,
-    system_residuals,
 )
 from .envelope import (
     ConstantCoefficients,
     GaussianEnvelope,
     GridEnvelope,
     HomogenizedCoefficients,
-    coefficients_along,
     evolve_gaussian,
     evolve_grid_envelope,
     gaussian_eval,

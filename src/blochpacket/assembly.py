@@ -120,13 +120,9 @@ def fourier_interpolate(values, half_width: float, target_axes) -> np.ndarray:
     for j in reversed(range(d)):
         t = axes[j]
         idx = np.nonzero((t >= -half_width) & (t < half_width))[0]
-        mat = np.empty((idx.size, box.npoints), dtype=complex)
-        step = 1 << 12  # chunked to bound the transient phase matrix
-        for start in range(0, idx.size, step):
-            # samples sit at z_k = -L + k dz, so the interpolant phase is
-            # exp(i xi (z + L)), not exp(i xi z)
-            rows = t[idx[start : start + step]] + half_width
-            mat[start : start + step] = np.exp(1j * np.outer(rows, freqs))
+        # samples sit at z_k = -L + k dz, so the interpolant phase is
+        # exp(i xi (z + L)), not exp(i xi z)
+        mat = np.exp(1j * np.outer(t[idx] + half_width, freqs))
         moved = np.moveaxis(out, lead + j, -1)
         out = np.zeros(moved.shape[:-1] + t.shape, dtype=complex)
         out[..., idx] = moved @ mat.T

@@ -9,8 +9,8 @@ L_0 U_2 + L_1 U_1 + L_2 U_0 = 0, with the scalar parts of U_1, U_2 set to
 zero so each corrector is orthogonal to the cell function.
 
 The right-hand sides are written once, as separable terms: U_2 applies the
-reduced resolvent to them, the solvability defects project them onto the
-cell function and the residuals add L_0 U_k to them.
+reduced resolvent to them and the solvability defects project them onto the
+cell function.
 """
 
 from __future__ import annotations
@@ -27,16 +27,7 @@ from .bloch import (
     cell_inner,
     pw_indices,
 )
-from .envelope import (
-    ConstantCoefficients,
-    GridEnvelope,
-    evolve_grid_envelope,
-    geometric_rate,
-    spectral_gradient,
-    spectral_hessian,
-)
-
-FD_DELTA = 1e-5  # step of the centered time difference in solvability_defect
+from .envelope import GridEnvelope, geometric_rate, spectral_gradient, spectral_hessian
 
 
 @dataclass(frozen=True)
@@ -78,14 +69,6 @@ def _dy(pair: BlochEigenpair, vec: np.ndarray, axis: int) -> np.ndarray:
     n = pw_indices(pair.dimension, pair.cutoff)
     g = pair.lattice.dual_vectors(n)
     return 1j * g[:, axis] * vec
-
-
-def _node_data(band, state) -> tuple:
-    """Cell function, band derivatives and fiber Hamiltonian at state.p."""
-    pair = band.eigenpair(state.p)
-    derivs = band.derivatives(state.p)
-    h = build_bloch_hamiltonian(pair.lattice, band.potential, pair.k, pair.cutoff)
-    return pair, derivs, h.astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +166,9 @@ def build_U2(u: GridEnvelope, state, band, external) -> CorrectorField:
     right-hand side with <chi, w> = 0, so <chi, U_2> = 0; the chi-parallel
     part is the envelope equation and drops out.
     """
-    pair, derivs, h = _node_data(band, state)
+    pair = band.eigenpair(state.p)
+    derivs = band.derivatives(state.p)
+    h = build_bloch_hamiltonian(pair.lattice, band.potential, pair.k, pair.cutoff).astype(complex)
     chi_unit = pair.unit_coeffs()
     scale = np.sqrt(pair.lattice.cell_volume)
     terms = tuple(
@@ -191,13 +176,6 @@ def build_U2(u: GridEnvelope, state, band, external) -> CorrectorField:
         for zprof, y in _second_order_terms(u, spectral_hessian(u), state, pair, derivs, external)
     )
     return CorrectorField(order=2, terms=terms, half_width=u.half_width, t=u.t, pair=pair)
-
-
-def time_derivative(u: GridEnvelope, coefficients, delta: float) -> np.ndarray:
-    """Centered difference d_t u from two single propagator steps."""
-    ahead = evolve_grid_envelope(u, coefficients, u.t + delta, delta)
-    behind = evolve_grid_envelope(u, coefficients, u.t - delta, delta)
-    return (ahead.values - behind.values) / (2.0 * delta)
 
 
 def solvability_defect(
@@ -210,53 +188,23 @@ def solvability_defect(
 
     defect2 = || <chi, L_1 U_1 + L_2 U_0> ||_L2(dz): vanishes when u solves
     the envelope equation. The time derivative entering L_2 is taken from
-    du_dt when given (e.g. a centered difference of propagator snapshots,
-    or zeros to probe stale data); by default it is generated by two short
-    propagator steps of FD_DELTA with coefficients frozen at this node,
-    which makes defect2 a consistency check of the coefficient algebra alone.
+    du_dt when given (zeros probe stale data); by default i d_t u comes from
+    the envelope equation with the M, Q and beta the envelope propagators
+    use at this node, so defect2 checks the band Hessian and the geometric
+    rate against the cell data to rounding.
     """
     pair = band.eigenpair(state.p)
     derivs = band.derivatives(state.p)
     qmat = external.hess(state.q)
     beta = geometric_rate(band, external, state)
-    if du_dt is None:
-        frozen = ConstantCoefficients(dispersion=derivs.hess, vhess=qmat, berry_rate=beta)
-        du_dt = time_derivative(u, frozen, FD_DELTA)
-    elif isinstance(du_dt, GridEnvelope):
-        du_dt = du_dt.values
-
     hess_u = spectral_hessian(u)
+    if du_dt is None:
+        idtu = _envelope_idt(u, hess_u, band.hess_energy(state.p), qmat, beta)
+    else:
+        idtu = 1j * du_dt
+
     defect1 = u.grid.norm(_chi_profile(pair, _first_order_terms(u, state, pair, derivs)))
     second = _second_order_terms(u, hess_u, state, pair, derivs, external)
-    parallel = _parallel_profile(u, hess_u, 1j * du_dt, qmat, beta)
+    parallel = _parallel_profile(u, hess_u, idtu, qmat, beta)
     defect2 = u.grid.norm(parallel + _chi_profile(pair, second))
     return defect1, defect2
-
-
-def system_residuals(
-    u: GridEnvelope, state, band, external,
-    u0: CorrectorField, u1: CorrectorField, u2: CorrectorField,
-) -> tuple[float, float, float]:
-    """L2(dz x dy) residuals of the three hierarchy equations.
-
-    The time derivative in L_2 U_0 is eliminated with the envelope equation
-    (the hierarchy is exactly the statement that the projected equations
-    close on it), so small residuals certify the eigensolve, the resolvent
-    solves and the coefficient algebra jointly.
-    """
-    pair, derivs, h = _node_data(band, state)
-    hess_u = spectral_hessian(u)
-    qmat = external.hess(state.q)
-    beta = geometric_rate(band, external, state)
-    idtu = _envelope_idt(u, hess_u, derivs.hess, qmat, beta)
-    parallel = (_parallel_profile(u, hess_u, idtu, qmat, beta), pair.coeffs)
-
-    def residual(field: CorrectorField, rhs: list) -> float:
-        """|| L_0 U_k + rhs || with L_0 = E - H(p)."""
-        terms = [(f, pair.energy * g - h @ g) for f, g in field.terms] + rhs
-        return _terms_norm(terms, pair.lattice, u.grid.dv)
-
-    r0 = residual(u0, [])
-    r1 = residual(u1, _first_order_terms(u, state, pair, derivs))
-    r2 = residual(u2, _second_order_terms(u, hess_u, state, pair, derivs, external) + [parallel])
-    return r0, r1, r2

@@ -89,11 +89,6 @@ class ConstantCoefficients:
         return self._beta
 
 
-def coefficients_along(trajectory, band, potential) -> HomogenizedCoefficients:
-    """Coefficient provider bound to a trajectory and its band data."""
-    return HomogenizedCoefficients(trajectory, band, potential)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian parameter flow
 

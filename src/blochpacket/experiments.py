@@ -19,6 +19,7 @@ import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .bloch import band_derivatives, build_bloch_hamiltonian
 from .config import ExperimentConfig
 from .corrector import build_U0, build_U1, build_U2
 from .envelope import (
-    coefficients_along,
+    HomogenizedCoefficients,
     evolve_gaussian,
     evolve_grid_envelope,
     gaussian_invariant_defects,
@@ -115,7 +116,7 @@ def prepare_dynamics(config: ExperimentConfig, times) -> DynamicsBundle:
     trajectory = integrate_flow(
         config.q0, config.p0, horizon, config.flow_dt, band, external
     )
-    coefficients = coefficients_along(trajectory, band, external)
+    coefficients = HomogenizedCoefficients(trajectory, band, external)
 
     entries = {}
     gauss = config.make_gaussian()
@@ -527,22 +528,16 @@ def _run_cell(bundle: DynamicsBundle, mode: str, eps: float) -> tuple:
         return eps, [], f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_worker(payload: str) -> tuple:
-    data = json.loads(payload)
-    config = ExperimentConfig.from_dict(data["config"])
-    bundle = prepare_dynamics(config, _needed_times(config, data["mode"]))
-    return _run_cell(bundle, data["mode"], data["epsilon"])
+def _sweep_worker(config: ExperimentConfig, mode: str, eps: float) -> tuple:
+    bundle = prepare_dynamics(config, _needed_times(config, mode))
+    return _run_cell(bundle, mode, eps)
 
 
 def _run_sweep(config: ExperimentConfig, mode: str) -> tuple:
     """Rows and failures for every epsilon, in config order."""
     if config.jobs > 1:
-        payloads = [
-            json.dumps({"config": config.to_dict(), "mode": mode, "epsilon": eps})
-            for eps in config.epsilons
-        ]
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
+            results = list(pool.map(partial(_sweep_worker, config, mode), config.epsilons))
     else:
         bundle = prepare_dynamics(config, _needed_times(config, mode))
         results = []

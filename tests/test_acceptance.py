@@ -17,7 +17,7 @@ from blochpacket.bloch import BlochBand
 from blochpacket.config import ExperimentConfig
 from blochpacket.corrector import build_U1, build_U2, solvability_defect
 from blochpacket.envelope import (
-    coefficients_along,
+    HomogenizedCoefficients,
     evolve_gaussian,
     evolve_grid_envelope,
     gaussian_init,
@@ -199,7 +199,7 @@ def test_band_derivative_identities(capsys, lattice1d, cosine1d):
 
 
 def test_gaussian_invariants_long_horizon(capsys, config, long_flow):
-    coeffs = coefficients_along(
+    coeffs = HomogenizedCoefficients(
         long_flow["trajectory"], long_flow["band"], long_flow["external"]
     )
     gauss = config.make_gaussian()

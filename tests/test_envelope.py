@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from blochpacket.envelope import (
     ConstantCoefficients,
     GridEnvelope,
-    coefficients_along,
+    HomogenizedCoefficients,
     evolve_gaussian,
     evolve_grid_envelope,
     gaussian_eval,
@@ -252,12 +252,12 @@ def test_spectral_derivatives_match_analytic():
     assert np.max(np.abs(d2u - (z * z - 1.0) * u.values)) < 1e-10
 
 
-def test_coefficients_along_trajectory_interpolates(mathieu_band):
+def test_homogenized_coefficients_interpolate_trajectory(mathieu_band):
     from blochpacket.flow import QuadraticPotential, integrate_flow
 
     pot = QuadraticPotential.harmonic(1)
     traj = integrate_flow([0.0], [0.3], 1.0, 1e-3, mathieu_band, pot)
-    coeffs = coefficients_along(traj, mathieu_band, pot)
+    coeffs = HomogenizedCoefficients(traj, mathieu_band, pot)
     t = 0.513
     state = traj.state_at(t)
     assert np.allclose(coeffs.dispersion(t), mathieu_band.hess_energy(state.p), atol=1e-9)
