@@ -76,7 +76,6 @@ from .reference import (
     SolverParams,
     l2_error,
     pde_residual,
-    self_convergence_ratio,
     solve_schrodinger,
 )
 

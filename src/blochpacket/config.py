@@ -22,6 +22,7 @@ from .envelope import GaussianEnvelope, gaussian_init
 from .errors import ConfigError
 from .flow import CosineWellPotential, QuadraticPotential
 from .lattice import FourierPotential, LatticeSpec
+from .reference import DEFAULT_DT_FACTOR
 
 EXPERIMENT_KINDS = (
     "bands",
@@ -216,7 +217,7 @@ class ExperimentConfig(_Serializable):
     flow_dt: float = 1e-3
     envelope_dt: float = 1e-3
     grid_envelope_dt: float = 2.5e-4
-    reference_dt_factor: float = 0.01
+    reference_dt_factor: float = DEFAULT_DT_FACTOR
     sample_times: tuple = ()
     residual_time: float = 0.5
     residual_delta_factor: float = 0.25  # delta = factor * eps^2

@@ -2,8 +2,8 @@
 
 `SpatialGrid` is the one geometry behind the envelope z-box, the fine
 x-grid of synthesized packets and the reference solver.  `strang_step` is
-the Fourier split step both Schroedinger propagators take: the time-splitting
-spectral scheme of Bao, Jin and Markowich (J. Comput. Phys. 175 (2002)).
+the Fourier split step of the grid envelope and the d >= 2 reference: the
+time-splitting spectral scheme of Bao, Jin and Markowich (J. Comput. Phys. 175 (2002)).
 `rk4_step` is the classical Runge-Kutta step of the flow and the Gaussian
 parameter equations.
 """

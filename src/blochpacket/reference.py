@@ -2,15 +2,19 @@
 
 The equation  i eps d_t psi = -(eps^2/2) Lap psi + (V_lat(x/eps) + V(x)) psi
 is advanced in the rescaled form  i d_t psi = -(eps/2) Lap psi + (1/eps) V_tot psi
-by the shared `grid.strang_step`, the same Fourier split step the envelope
-propagator takes: the potential factor is a pointwise phase, the kinetic
-factor is exact in Fourier space.  Both factors are unimodular, so the grid
-mass is conserved to rounding and the time step budget is purely one of
-accuracy (default dt = eps/100 against the O(1/eps) effective potential).
+by Strang splitting of the external V from H_per = -(eps/2) Lap + V_lat(x/eps)/eps.
+In d = 1 this is the Bloch-decomposition step of Huang, Jin, Markowich and
+Sparber (SIAM J. Sci. Comput. 29 (2007)): on K whole cells of P points, H_per
+is K Hermitian P x P blocks, one per residue r of the Fourier index mK + r,
+diagonalized once per solve and applied exactly, so only the splitting error
+of V limits the default dt = eps/10.  In d >= 2 the blocks do not fit in
+memory, and each step takes STRANG_SUBSTEPS steps of `grid.strang_step`.
+Every factor is unitary, so the grid mass is conserved to rounding.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +23,8 @@ from .assembly import GridWaveField
 from .errors import SolverError
 from .grid import THRESHOLD, SpatialGrid, step_count, strang_step
 
-DEFAULT_DT_FACTOR = 0.01  # dt = factor * eps
+DEFAULT_DT_FACTOR = 0.1  # dt = factor * eps
+STRANG_SUBSTEPS = 10  # Fourier split steps per step in d >= 2
 BOUNDARY_CHECK_EVERY = 16  # steps between boundary-shell checks
 RESIDUAL_DELTA_LIMIT = 0.1  # require delta <= eps / 10
 
@@ -50,6 +55,28 @@ def _kinetic_symbol(grid: SpatialGrid) -> np.ndarray:
     return 0.5 * grid.quadratic_form(np.eye(grid.dimension), fourier=True)
 
 
+def _bloch_blocks(grid: SpatialGrid, lattice, lattice_potential, eps: float) -> np.ndarray:
+    """H_per on the FFT coefficients of a 1D grid of K whole cells of P points:
+    blocks[r, m, n] = (eps/2) xi_{mK+r}^2 delta_mn + Vhat_{(m-n) mod P} / eps,
+    where Vhat is the DFT of V_cell on one cell over P; shape (K, P, P)."""
+    vcell = lattice_potential.evaluate(lattice, grid.cell_mesh(lattice.basis, eps))
+    m = np.arange(vcell.shape[0])
+    vhat = np.fft.fft(vcell) / (m.size * eps)
+    xi = grid.freq_axis().reshape(m.size, -1).T
+    blocks = np.tile(vhat[(m[:, None] - m) % m.size], (xi.shape[0], 1, 1))
+    blocks[:, m, m] += 0.5 * eps * xi**2
+    return blocks
+
+
+def _bloch_step(values: np.ndarray, half_phase: np.ndarray, phase: np.ndarray, vecs) -> np.ndarray:
+    """`grid.strang_step` with H_per's block propagator W diag(phase) W^H, W = vecs
+    of shape (K, P, P), as the kinetic factor; only W is held, not the product."""
+    coeffs = np.fft.fft(half_phase * values).reshape(-1, vecs.shape[0]).T
+    coeffs = phase * np.matmul(coeffs.conj()[:, None, :], vecs)[:, 0].conj()
+    coeffs = np.matmul(vecs, coeffs[..., None])[..., 0]
+    return half_phase * np.fft.ifft(coeffs.T.ravel())
+
+
 def solve_schrodinger(
     psi0: GridWaveField,
     lattice,
@@ -73,10 +100,15 @@ def solve_schrodinger(
     if times[0] < psi0.time - 1e-12:
         raise SolverError("cannot propagate backwards from the initial time")
 
-    eps = psi0.epsilon
+    eps, grid = psi0.epsilon, psi0.grid
     dt = params.resolve_dt(eps)
-    vgrid = _total_potential_grid(psi0, lattice, lattice_potential, external)
-    ksym = _kinetic_symbol(psi0.grid)
+    if grid.dimension == 1:  # H_per = W diag(lam) W^H on the FFT coefficients
+        vgrid = external.value(grid.points())
+        lam, vecs = np.linalg.eigh(_bloch_blocks(grid, lattice, lattice_potential, eps))
+        step_fn, substeps = functools.partial(_bloch_step, vecs=vecs), 1
+    else:  # only the kinetic part, diagonal on the FFT coefficients
+        vgrid = _total_potential_grid(psi0, lattice, lattice_potential, external)
+        lam, step_fn, substeps = eps * _kinetic_symbol(grid), strang_step, STRANG_SUBSTEPS
 
     vals = psi0.values.astype(complex, copy=True)
     t = psi0.time
@@ -84,17 +116,17 @@ def solve_schrodinger(
     for target in times:
         span = target - t
         if span > 1e-14:
-            nsteps = step_count(span, dt)
+            nsteps = step_count(span, dt) * substeps
             h = span / nsteps
             half_potential = np.exp(-0.5j * h * vgrid / eps)
-            kinetic = np.exp(-1j * h * eps * ksym)
+            kinetic = np.exp(-1j * h * lam)
             for step in range(nsteps):
-                vals = strang_step(vals, half_potential, kinetic)
-                if (step + 1) % BOUNDARY_CHECK_EVERY == 0:
-                    _boundary_guard(vals, psi0.grid, t + (step + 1) * h, params)
+                vals = step_fn(vals, half_potential, kinetic)
+                if (step + 1) % (BOUNDARY_CHECK_EVERY * substeps) == 0:
+                    _boundary_guard(vals, grid, t + (step + 1) * h, params)
         t = target
-        snap = GridWaveField(grid=psi0.grid, epsilon=eps, time=t, values=vals.copy())
-        _boundary_guard(vals, psi0.grid, t, params)
+        snap = GridWaveField(grid=grid, epsilon=eps, time=t, values=vals.copy())
+        _boundary_guard(vals, grid, t, params)
         snapshots.append(snap)
     return snapshots
 
@@ -112,28 +144,6 @@ def l2_error(a: GridWaveField, b: GridWaveField) -> float:
     """Grid L2 norm of a - b (exact trapezoid on the periodic grid)."""
     a.require_compatible(b)
     return a.grid.norm(a.values - b.values)
-
-
-def self_convergence_ratio(
-    psi0: GridWaveField,
-    lattice,
-    lattice_potential,
-    external,
-    t_final: float,
-    dt: float,
-) -> float:
-    """|psi_dt - psi_dt/2| / |psi_dt/2 - psi_dt/4| at t_final (2nd order -> 4)."""
-    outs = []
-    for k in range(3):
-        params = SolverParams(dt=dt / 2**k)
-        outs.append(
-            solve_schrodinger(psi0, lattice, lattice_potential, external, [t_final], params)[0]
-        )
-    coarse = l2_error(outs[0], outs[1])
-    fine = l2_error(outs[1], outs[2])
-    if fine == 0.0:
-        raise SolverError("self-convergence denominator vanished")
-    return coarse / fine
 
 
 def laplacian(field: GridWaveField) -> np.ndarray:

@@ -119,7 +119,7 @@ def test_config_hash_ignores_operational_fields():
 def test_config_hash_ignores_int_spelling_of_floats():
     assert ExperimentConfig(t_final=1) == ExperimentConfig(t_final=1.0)
     assert ExperimentConfig(t_final=1).config_hash() == ExperimentConfig(t_final=1.0).config_hash()
-    assert ExperimentConfig().config_hash() == "c0a7d873fc9f"
+    assert ExperimentConfig().config_hash() == "45bd46c4cdd2"
 
 
 def test_residual_time_bound_applies_to_residual_runs_only():
@@ -184,18 +184,18 @@ def test_from_dict_malformed_values_raise_config_error(data):
 
 
 CONFIG_HASHES = {
-    "bands.json": "ec2b5ffb2e4e",
-    "convergence_error.json": "c0a7d873fc9f",
-    "ehrenfest.json": "b08eb4f1ea87",
-    "free_lattice_packet.json": "ee27249b3b9d",
-    "residual.json": "1c2736b8b14d",
+    "bands.json": "6cf04735dc74",
+    "convergence_error.json": "45bd46c4cdd2",
+    "ehrenfest.json": "51f4c527d5a7",
+    "free_lattice_packet.json": "45e4a10a8558",
+    "residual.json": "b45e8a87e078",
 }
 
 
 def test_config_hash_values_are_stable():
     # provenance hashes are pinned, so a changed default shows here;
     # int-valued floats become floats at the top level and in the specs alike
-    assert ExperimentConfig().config_hash() == "c0a7d873fc9f"
+    assert ExperimentConfig().config_hash() == "45bd46c4cdd2"
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name, want in CONFIG_HASHES.items():
         assert ExperimentConfig.from_file(configs / name).config_hash() == want
@@ -205,5 +205,5 @@ def test_config_hash_values_are_stable():
         "external": {"hessian": [[1]], "linear": [0]},
     }
     float_spelling = dict(nested_ints, t_final=1.0)
-    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "624202f4cc90"
-    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "624202f4cc90"
+    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "e66e39234f9c"
+    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "e66e39234f9c"

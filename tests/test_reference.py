@@ -5,14 +5,17 @@ from blochpacket.assembly import GridWaveField, make_grid_for, synthesize_packet
 from blochpacket.envelope import gaussian_init
 from blochpacket.errors import GridError, SolverError
 from blochpacket.flow import QuadraticPotential, TrajectoryState
-from blochpacket.grid import SpatialGrid
+from blochpacket.grid import SpatialGrid, step_count, strang_step
 from blochpacket.lattice import FourierPotential, LatticeSpec
 from blochpacket.reference import (
     SolverParams,
+    _bloch_blocks,
+    _bloch_step,
+    _kinetic_symbol,
+    _total_potential_grid,
     l2_error,
     laplacian,
     pde_residual,
-    self_convergence_ratio,
     solve_schrodinger,
 )
 
@@ -99,16 +102,71 @@ def test_times_must_be_nondecreasing(lattice1d, cosine1d):
         )
 
 
-def test_self_convergence_second_order(lattice1d, cosine1d, mathieu_band):
-    eps = 2**-3
+def mathieu_packet(mathieu_band, eps):
     state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0)
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
-    psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
-    ratio = self_convergence_ratio(
-        psi0, lattice1d, cosine1d, QuadraticPotential.harmonic(1), 0.25, eps / 20
-    )
+    return synthesize_packet(g, state, pair, eps, make_grid_for(eps))
+
+
+def test_self_convergence_second_order(lattice1d, cosine1d, mathieu_band):
+    # |psi_dt - psi_dt/2| / |psi_dt/2 - psi_dt/4| -> 4 for a second-order step
+    eps = 2**-3
+    psi0 = mathieu_packet(mathieu_band, eps)
+    ext = QuadraticPotential.harmonic(1)
+    outs = [
+        solve_schrodinger(psi0, lattice1d, cosine1d, ext, [0.25], SolverParams(dt=eps / 20 / 2**k))[0]
+        for k in range(3)
+    ]
+    ratio = l2_error(outs[0], outs[1]) / l2_error(outs[1], outs[2])
     assert 3.5 < ratio < 4.5
+
+
+@pytest.mark.parametrize("eps", [2**-4, 2**-5])
+def test_bloch_blocks_equal_the_periodic_operator(lattice1d, eps):
+    # H_per v = (eps/2) |xi|^2 v^ + V_cell(x/eps) v / eps, with coefficient
+    # j = mK + r in block r: this pins the residue mapping of the blocks and
+    # of the step that applies them; cos y + 0.4 sin 2y is not even, so a
+    # transposed block shows too
+    tilted = FourierPotential.from_coeffs({1: 0.5, -1: 0.5, 2: -0.2j, -2: 0.2j})
+    grid = make_grid_for(eps)
+    blocks = _bloch_blocks(grid, lattice1d, tilted, eps)
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    lam, vecs = np.linalg.eigh(blocks)
+    lhs = _bloch_step(v, np.ones(grid.shape), lam, vecs)  # W diag(lam) W^H v
+    field = GridWaveField(grid=grid, epsilon=eps, time=0.0, values=v)
+    vtile = _total_potential_grid(field, lattice1d, tilted, QuadraticPotential.create(1))
+    rhs = np.fft.ifft(2 * _kinetic_symbol(grid) * np.fft.fft(v)) * eps / 2 + vtile * v / eps
+    assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def strang_solve(psi0, lattice, lattice_potential, external, t_final, dt):
+    """Fourier split step on the total potential, the d = 1 reference."""
+    eps = psi0.epsilon
+    nsteps = step_count(t_final - psi0.time, dt)
+    h = (t_final - psi0.time) / nsteps
+    vgrid = _total_potential_grid(psi0, lattice, lattice_potential, external)
+    half = np.exp(-0.5j * h * vgrid / eps)
+    kinetic = np.exp(-1j * h * eps * _kinetic_symbol(psi0.grid))
+    vals = psi0.values
+    for _ in range(nsteps):
+        vals = strang_step(vals, half, kinetic)
+    return GridWaveField(grid=psi0.grid, epsilon=eps, time=t_final, values=vals)
+
+
+@pytest.mark.parametrize("eps", [2**-4, 2**-5])
+def test_bloch_step_at_default_dt_beats_strang(lattice1d, cosine1d, mathieu_band, eps):
+    # the default dt = eps/10 against a Fourier split step at dt = eps/800;
+    # the block step leaves only the splitting error of the smooth V
+    psi0 = mathieu_packet(mathieu_band, eps)
+    ext = QuadraticPotential.harmonic(1)
+    bloch = solve_schrodinger(psi0, lattice1d, cosine1d, ext, [1.0])[0]
+    fine = strang_solve(psi0, lattice1d, cosine1d, ext, 1.0, eps / 800)
+    coarse = strang_solve(psi0, lattice1d, cosine1d, ext, 1.0, eps / 100)
+    deviation = l2_error(bloch, fine) / fine.grid.norm(fine.values)
+    assert deviation <= 2e-5
+    assert deviation < l2_error(coarse, fine) / fine.grid.norm(fine.values)
 
 
 def test_laplacian_spectral(mathieu_band):
@@ -199,7 +257,7 @@ def test_dt_validation():
     params = SolverParams(dt=-1.0)
     with pytest.raises(SolverError):
         params.resolve_dt(0.1)
-    assert SolverParams().resolve_dt(0.5) == pytest.approx(0.005)
+    assert SolverParams().resolve_dt(0.5) == pytest.approx(0.05)
 
 
 def test_unitarity_2d():
