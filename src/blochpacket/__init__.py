@@ -22,7 +22,6 @@ from .bloch import (
     BandDerivatives,
     BlochBand,
     BlochEigenpair,
-    QuadraticBand,
     band_derivatives,
     build_bloch_hamiltonian,
     cell_inner,
@@ -37,7 +36,6 @@ from .corrector import (
     solvability_defect,
 )
 from .envelope import (
-    ConstantCoefficients,
     GaussianEnvelope,
     GridEnvelope,
     HomogenizedCoefficients,

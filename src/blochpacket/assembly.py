@@ -101,12 +101,12 @@ def fourier_interpolate(values, half_width: float, target_axes) -> np.ndarray:
     """Trigonometric interpolation of periodic z-samples on a tensor target grid.
 
     The last d = len(target_axes) axes of values hold samples on the box
-    [-half_width, half_width)^d; leading axes are a batch, interpolated
-    with one phase matrix per axis whose rows are the targets inside the
-    box.  Targets outside it evaluate to zero.  The trig interpolant is
-    periodic, and the stretched-frame targets sweep many periods of the
-    envelope box; without the mask every period would receive a spurious
-    copy of the packet.
+    [-half_width, half_width)^d; leading axes are a batch.  Each target axis
+    must be uniform; its targets inside the box are evaluated by a chirp-z
+    transform (`_chirp_z`), and targets outside it evaluate to zero.  The
+    trig interpolant is periodic, and the stretched-frame targets sweep many
+    periods of the envelope box; without the mask every period would
+    receive a spurious copy of the packet.
     """
     axes = [np.atleast_1d(np.asarray(t, dtype=float)) for t in target_axes]
     values = np.asarray(values)
@@ -116,18 +116,41 @@ def fourier_interpolate(values, half_width: float, target_axes) -> np.ndarray:
         raise GridError("need one target axis per axis of a square sample box")
     lead = values.ndim - d
     out = np.fft.fftn(values, axes=tuple(range(lead, values.ndim))) / float(box.size)
-    freqs = box.freq_axis()
     for j in reversed(range(d)):
         t = axes[j]
         idx = np.nonzero((t >= -half_width) & (t < half_width))[0]
-        # samples sit at z_k = -L + k dz, so the interpolant phase is
-        # exp(i xi (z + L)), not exp(i xi z)
-        mat = np.exp(1j * np.outer(t[idx] + half_width, freqs))
         moved = np.moveaxis(out, lead + j, -1)
         out = np.zeros(moved.shape[:-1] + t.shape, dtype=complex)
-        out[..., idx] = moved @ mat.T
+        if idx.size:
+            out[..., idx] = _chirp_z(moved, half_width, t[idx])
         out = np.moveaxis(out, -1, lead + j)
     return out
+
+
+def _chirp_z(coeffs: np.ndarray, half_width: float, targets: np.ndarray) -> np.ndarray:
+    """sum_nu c_nu exp(i xi_nu (z + L)), L = half_width, at uniform targets z
+    (samples sit at -L + k dz), over the last axis of FFT coefficients c.
+
+    With xi_nu = omega (nu0 + j) and z_k = z_0 + k delta this is the chirp-z
+    transform sum_j a_j exp(i theta j k), theta = omega delta; j k = (j^2 +
+    k^2 - (k - j)^2) / 2 makes it one linear convolution, done by FFTs of
+    length >= n + m - 1 (Bluestein, Proc. IEEE 1968).
+    """
+    n, m = coeffs.shape[-1], targets.size
+    step = (targets[-1] - targets[0]) / (m - 1) if m > 1 else 0.0
+    if np.any(np.abs(np.diff(targets) - step) > 1e-9 * abs(step)):
+        raise GridError("fourier_interpolate needs uniform target axes")
+    omega, start, j, k = np.pi / half_width, targets[0] + half_width, np.arange(n), np.arange(m)
+    theta = omega * step
+    nu0 = -(n // 2)  # fftshift orders the frequencies nu0 .. nu0 + n - 1
+    a = np.fft.fftshift(coeffs, axes=-1) * np.exp(1j * (omega * j * start + 0.5 * theta * j**2))
+    size = next_pow2(n + m - 1)
+    # kernel[l mod size] = exp(-i theta l^2 / 2) for l = -(n - 1) .. m - 1
+    lags = np.concatenate([np.arange(m), np.arange(1 - n, 0)])
+    kernel = np.zeros(size, dtype=complex)
+    kernel[lags] = np.exp(-0.5j * theta * lags.astype(float) ** 2)
+    conv = np.fft.ifft(np.fft.fft(a, size, axis=-1) * np.fft.fft(kernel), axis=-1)[..., :m]
+    return conv * np.exp(1j * (omega * nu0 * (start + step * k) + 0.5 * theta * k**2))
 
 
 def _synthesize(

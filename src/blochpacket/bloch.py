@@ -338,6 +338,18 @@ class BandPatch:
             out = row @ out.reshape(self.nodes, -1)
         return out
 
+    def interpolate_rows(self, x: np.ndarray) -> np.ndarray:
+        """`interpolate` at N local points x, (N, d), one product per axis."""
+        out = self.values.reshape(1, self.nodes, -1)
+        for xj in x.T:
+            diff = xj[:, None] - self._points
+            hit = diff == 0.0
+            rows = np.divide(self._weights, diff, out=diff, where=~hit)  # in place: N may be large
+            np.copyto(rows, hit, where=hit.any(axis=1, keepdims=True))
+            rows /= rows.sum(axis=1, keepdims=True)
+            out = rows[:, None, :] @ out.reshape(len(out), self.nodes, -1)
+        return out.reshape(len(x), -1)
+
 
 class BlochBand:
     """Spectral data for one band of one periodic potential.
@@ -346,7 +358,8 @@ class BlochBand:
     first zone, [-1/2, 1/2)^d in fractional coordinates, is split into
     PATCHES_PER_AXIS^d equal patches. The first query inside a patch calls
     `band_derivatives` at its PATCH_NODES[0]^d Chebyshev points (none on a
-    patch boundary); queries interpolate the node values. A patch whose
+    patch boundary); queries interpolate the node values. The accessors take
+    one momentum (d,) or a batch (N, d), served patch by patch. A patch whose
     Chebyshev tail exceeds TAIL_TOL is rebuilt with twice the points, and
     past PATCH_NODES[-1] the build raises. The band's gaps to its neighbors
     are interpolated too, and a query raises `DegenerateBandError` where the
@@ -384,7 +397,10 @@ class BlochBand:
     def dimension(self) -> int:
         return self.lattice.dimension
 
-    def _build_patch(self, index: tuple) -> BandPatch:
+    def _patch(self, index: tuple) -> BandPatch:
+        """The patch at a patch index, built from node solves on first use."""
+        if index in self.patches:
+            return self.patches[index]
         d = self.dimension
         smooth = 1 + 2 * d + d * d  # E, grad, Hess and berry columns
         for n in PATCH_NODES:
@@ -403,15 +419,19 @@ class BlochBand:
             values = np.array(rows).reshape((n,) * d + (-1,))
             tail = _chebyshev_tail(values[..., :smooth], d)
             if tail <= TAIL_TOL:
-                return BandPatch(values, tail)
+                self.patches[index] = BandPatch(values, tail)
+                return self.patches[index]
         raise EigensolverError(
             f"band {self.m} table patch {index} unresolved by {n} Chebyshev points"
             f" per axis: tail {tail:.3e} above {TAIL_TOL:.0e}"
         )
 
     def _table(self, p) -> np.ndarray:
-        """Interpolated E, grad E, Hess E, Im berry, gaps and width at p."""
+        """Interpolated E, grad E, Hess E, Im berry, gaps and width at p,
+        or one row per momentum of p (N, d) by `_table_rows`."""
         p = np.atleast_1d(np.asarray(p, dtype=float))
+        if p.ndim == 2:
+            return self._table_rows(p)
         key = p.tobytes()
         if key == self._last[0]:
             return self._last[1]
@@ -424,29 +444,48 @@ class BlochBand:
             i = min(max(math.floor(scaled), 0), PATCHES_PER_AXIS - 1)
             index.append(i)
             local.append(2.0 * (scaled - i) - 1.0)
-        patch = self.patches.get(tuple(index))
-        if patch is None:
-            patch = self.patches[tuple(index)] = self._build_patch(tuple(index))
-        values = patch.interpolate(local)
+        values = self._patch(tuple(index)).interpolate(local)
         gap = min(values[1 + 2 * d + d * d : -1].tolist(), default=math.inf)
         _check_isolated(gap, values[-1], self.m)
         self.min_gap = min(self.min_gap, gap)
         self._last = (key, values)
         return values
 
+    def _table_rows(self, p: np.ndarray) -> np.ndarray:
+        """`_table` at momenta (N, d): grouped by patch, one barycentric
+        product per patch met, every row checked for isolation."""
+        d = self.dimension
+        if p.shape[1] != d or not np.all(np.isfinite(p)):
+            raise EigensolverError(f"quasimomenta of shape {p.shape} are not finite {d}-vectors")
+        frac = p @ self._to_frac
+        scaled = (frac - np.floor(frac + 0.5) + 0.5) * PATCHES_PER_AXIS
+        index = np.clip(np.floor(scaled), 0, PATCHES_PER_AXIS - 1)
+        local = 2.0 * (scaled - index) - 1.0
+        keys, group = np.unique(index.astype(int), axis=0, return_inverse=True)
+        values = np.empty((len(p), self._patch(tuple(keys[0].tolist())).values.shape[-1]))
+        for g, key in enumerate(map(tuple, keys.tolist())):
+            rows = group.ravel() == g
+            values[rows] = self._patch(key).interpolate_rows(local[rows])
+        gaps = values[:, 1 + 2 * d + d * d : -1].min(axis=1, initial=math.inf)
+        for gap, width in zip(gaps.tolist(), values[:, -1].tolist()):
+            _check_isolated(gap, width, self.m)
+        self.min_gap = min(self.min_gap, float(gaps.min()))
+        return values
+
     def energy(self, p) -> float:
-        return float(self._table(p)[0])
+        return self._table(p)[..., 0]
 
     def grad_energy(self, p) -> np.ndarray:
-        return self._table(p)[1 : 1 + self.dimension]
+        return self._table(p)[..., 1 : 1 + self.dimension]
 
     def hess_energy(self, p) -> np.ndarray:
         d = self.dimension
-        return self._table(p)[1 + d : 1 + d + d * d].reshape(d, d)
+        values = self._table(p)
+        return values[..., 1 + d : 1 + d + d * d].reshape(values.shape[:-1] + (d, d))
 
     def berry(self, p) -> np.ndarray:
         d = self.dimension
-        return 1j * self._table(p)[1 + d + d * d : 1 + 2 * d + d * d]
+        return 1j * self._table(p)[..., 1 + d + d * d : 1 + 2 * d + d * d]
 
     def table_summary(self) -> dict:
         """Band-table monitor: patches built, node solves, the worst
@@ -477,30 +516,6 @@ class BlochBand:
         _, derivs, winding = self._direct_at(p)
         dk = _shift_coeffs(derivs.dk_coeffs, winding, self.dimension, self.cutoff)
         return replace(derivs, dk_coeffs=dk)
-
-
-class QuadraticBand:
-    """Analytic dispersion E(k) = |k|^2 / 2, used to exercise the flow alone."""
-
-    def __init__(self, dimension: int = 1):
-        self._d = dimension
-
-    @property
-    def dimension(self) -> int:
-        return self._d
-
-    def energy(self, p) -> float:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        return float(0.5 * np.dot(p, p))
-
-    def grad_energy(self, p) -> np.ndarray:
-        return np.atleast_1d(np.asarray(p, dtype=float)).copy()
-
-    def hess_energy(self, p) -> np.ndarray:
-        return np.eye(self._d)
-
-    def berry(self, p) -> np.ndarray:
-        return np.zeros(self._d, dtype=complex)
 
 
 def default_cutoff(dimension: int) -> int:

@@ -11,6 +11,12 @@ geometric factor, and the grid scheme applies that factor per step. The
 rate beta = <chi, grad_k chi> . grad V(q) is defined once, in
 `geometric_rate`; the flow does not integrate it.
 
+The coefficient path is array-valued. A propagator knows every time at
+which it needs M, Q and beta before it starts (the RK4 stage times, the
+Strang midpoints), so it fetches them in one call per coefficient: one
+dense-output evaluation of the trajectory and one batched band-table
+lookup, grouped by table patch.
+
 The grid scheme takes the shared `grid.strang_step`, the Fourier split
 step the reference solver uses for the full oscillatory equation; the
 Gaussian flow takes the shared `grid.rk4_step`.
@@ -18,7 +24,6 @@ Gaussian flow takes the shared `grid.rk4_step`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,11 +38,11 @@ SPECTRAL_TAIL_TOL = 1e-6
 SIGMA_MAX_ORDER = 5
 
 
-def geometric_rate(band, potential, state) -> complex:
-    """Purely imaginary geometric rate <chi, grad_k chi> . grad V at a flow
-    state; a real part above rounding means a broken gauge and raises."""
-    rate = complex(band.berry(state.p) @ potential.grad(state.q))
-    if abs(rate.real) > 1e-10 * max(1.0, abs(rate.imag)):
+def geometric_rate(band, potential, state):
+    """Purely imaginary geometric rate <chi, grad_k chi> . grad V at a flow state (per
+    time of a batched state); a real part above rounding means a broken gauge and raises."""
+    rate = np.sum(band.berry(state.p) * potential.grad(state.q), axis=-1)
+    if np.any(np.abs(rate.real) > 1e-10 * np.maximum(1.0, np.abs(rate.imag))):
         raise EnvelopeError("geometric phase rate has a real part")
     return 1j * rate.imag
 
@@ -45,48 +50,27 @@ def geometric_rate(band, potential, state) -> complex:
 class HomogenizedCoefficients:
     """Time-dependent envelope coefficients M(t), Q(t), beta(t).
 
-    Evaluated pointwise at trajectory states obtained from the trajectory's
-    own dense-output interpolation, so the coefficient smoothness matches
-    the flow data.
+    Each accessor takes an array of N times and returns (N, d, d), (N, d, d)
+    or (N,), from the trajectory's own dense-output interpolation, so the
+    coefficient smoothness matches the flow data.
     """
 
     def __init__(self, trajectory, band, potential):
         self.trajectory = trajectory
         self.band = band
         self.potential = potential
-        self.dimension = trajectory.dimension
 
-    def dispersion(self, t: float) -> np.ndarray:
-        """Band Hessian M(t) at the trajectory momentum."""
+    def dispersion(self, t) -> np.ndarray:
+        """Band Hessians M(t) at the trajectory momenta."""
         return self.band.hess_energy(self.trajectory.state_at(t).p)
 
-    def vhess(self, t: float) -> np.ndarray:
-        """External Hessian Q(t) at the trajectory position."""
+    def vhess(self, t) -> np.ndarray:
+        """External Hessians Q(t) at the trajectory positions."""
         return self.potential.hess(self.trajectory.state_at(t).q)
 
-    def berry_rate(self, t: float) -> complex:
-        """Geometric rate beta(t) at the trajectory state."""
+    def berry_rate(self, t) -> np.ndarray:
+        """Geometric rates beta(t) at the trajectory states."""
         return geometric_rate(self.band, self.potential, self.trajectory.state_at(t))
-
-
-class ConstantCoefficients:
-    """Fixed M, Q, beta; handy for closed-form checks."""
-
-    def __init__(self, dispersion, vhess, berry_rate: complex = 0.0, dimension: int | None = None):
-        m = np.atleast_2d(np.asarray(dispersion, dtype=float))
-        q = np.atleast_2d(np.asarray(vhess, dtype=float))
-        self.dimension = dimension or m.shape[0]
-        self._m, self._q = m, q
-        self._beta = complex(berry_rate)
-
-    def dispersion(self, t: float) -> np.ndarray:
-        return self._m
-
-    def vhess(self, t: float) -> np.ndarray:
-        return self._q
-
-    def berry_rate(self, t: float) -> complex:
-        return self._beta
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +108,8 @@ def gaussian_invariant_defects(env: GaussianEnvelope) -> dict:
     w = b @ np.linalg.inv(a)
     sym = float(np.max(np.abs(w - w.T)))
     re_w = 0.5 * (w + w.conj().T).real
-    eigs = np.linalg.eigvalsh(re_w)
-    pos = float(eigs.min())
-    inv_identity = float(
-        np.max(np.abs(np.linalg.inv(re_w) - a @ a.conj().T))
-    )
+    pos = float(np.linalg.eigvalsh(re_w).min())
+    inv_identity = float(np.max(np.abs(np.linalg.inv(re_w) - a @ a.conj().T)))
     det_branch = float(abs(np.exp(env.log_det) - np.linalg.det(a)))
     return {"symmetry": sym, "min_re_eig": pos, "inverse_width": inv_identity, "det_branch": det_branch}
 
@@ -183,23 +164,23 @@ def evolve_gaussian(
     d = env.dimension
     n = d * d
 
-    # RK4 stages 2 and 3 share a time, and stage 4 is the next step's stage 1
-    @functools.lru_cache(maxsize=2)
-    def coefficients_at(t):
-        return coefficients.dispersion(t), coefficients.vhess(t), coefficients.berry_rate(t)
+    # every RK4 stage time t0 + k h / 2 fetched at once; rhs recovers k from t
+    stages = t0 + 0.5 * h * np.arange(2 * nsteps + 1)
+    stages[-1] = t1
+    ms, qs = coefficients.dispersion(stages), coefficients.vhess(stages)
+    betas = coefficients.berry_rate(stages)
 
     # state vector: A and B row-major, then log det A and the beta integral
     def rhs(t, y):
+        k = round(2.0 * (t - t0) / h)
         a, b = y[:n].reshape(d, d), y[n : 2 * n].reshape(d, d)
-        m, q, beta = coefficients_at(t)
+        m = ms[k]
         dld = 1j * np.trace(np.linalg.solve(a, m @ b))
-        return np.concatenate([(1j * m @ b).ravel(), (1j * q @ a).ravel(), [dld, beta]])
+        return np.concatenate([(1j * m @ b).ravel(), (1j * qs[k] @ a).ravel(), [dld, betas[k]]])
 
     y = np.concatenate([env.A.ravel(), env.B.ravel(), [env.log_det, env.berry_integral]])
-    t = t0
-    for _ in range(nsteps):
-        y = rk4_step(rhs, t, y, h)
-        t += h
+    for i in range(nsteps):
+        y = rk4_step(rhs, t0 + i * h, y, h)
     a, b = y[:n].reshape(d, d), y[n : 2 * n].reshape(d, d)
     ld, br = complex(y[-2]), complex(y[-1])
 
@@ -258,7 +239,8 @@ class GridEnvelope:
     def spectral_tail_fraction(self) -> float:
         freq = np.abs(self.grid.freq_axis())
         tail = freq > (1.0 - SPECTRAL_TAIL_FRACTION) * freq.max()
-        return self.grid.edge_fraction(np.abs(np.fft.fftn(self.values)) ** 2, tail)
+        weights = np.abs(np.fft.fftn(self.values)) ** 2
+        return self.grid.edge_fraction(weights, self.grid.edge_mask(tail))
 
 
 def grid_envelope_from_gaussian(
@@ -296,21 +278,18 @@ def evolve_grid_envelope(
     nsteps = step_count(abs(t1 - t0), dt)
     h = (t1 - t0) / nsteps
 
+    mids = t0 + h * (np.arange(nsteps) + 0.5)
+    qs, ms = coefficients.vhess(mids), coefficients.dispersion(mids)
+    factors = np.exp(1j * h * coefficients.berry_rate(mids).imag)
+
     vals = u.values.astype(complex, copy=True)
-    t = t0
-    for _ in range(nsteps):
-        mid = t + 0.5 * h
-        q = coefficients.vhess(mid)
-        m = coefficients.dispersion(mid)
-        half_phase = np.exp(-0.25j * h * grid.quadratic_form(q))
-        kinetic = np.exp(-0.5j * h * grid.quadratic_form(m, fourier=True))
-        beta = coefficients.berry_rate(mid)
-        vals = strang_step(vals, half_phase, kinetic)
-        vals = np.exp(1j * h * beta.imag) * vals
-        t += h
+    for k in range(nsteps):
+        half_phase = np.exp(-0.25j * h * grid.quadratic_form(qs[k]))
+        kinetic = np.exp(-0.5j * h * grid.quadratic_form(ms[k], fourier=True))
+        vals = factors[k] * strang_step(vals, half_phase, kinetic)
         if grid.shell_fraction(vals) > THRESHOLD:
             raise EnvelopeError(
-                f"envelope mass reached the box boundary near t = {t:.6g};"
+                f"envelope mass reached the box boundary near t = {t0 + (k + 1) * h:.6g};"
                 " enlarge the z-box"
             )
     return GridEnvelope(values=vals, half_width=u.half_width, t=t1)
@@ -329,11 +308,9 @@ def spectral_hessian(u: GridEnvelope) -> np.ndarray:
     hat = np.fft.fftn(u.values)
     d = u.dimension
     out = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(i, d):
-            zi = grid.along(i, grid.freq_axis())
-            zj = grid.along(j, grid.freq_axis())
-            out[i, j] = out[j, i] = np.fft.ifftn(-(zi * zj) * hat)
+    xi = [grid.along(j, grid.freq_axis()) for j in range(d)]
+    for i, j in itertools.combinations_with_replacement(range(d), 2):
+        out[i, j] = out[j, i] = np.fft.ifftn(-(xi[i] * xi[j]) * hat)
     return out
 
 

@@ -309,32 +309,23 @@ def run_flow(config: ExperimentConfig) -> dict:
     trajectory = integrate_flow(
         config.q0, config.p0, config.t_final, config.flow_dt, band, external
     )
-    state0 = trajectory.node_state(0)
-    e0 = total_energy(state0, band, external)
-
-    rows = []
-    max_drift = 0.0
-    for i in range(trajectory.ts.size):
-        state = trajectory.node_state(i)
-        energy = total_energy(state, band, external)
-        drift = abs(energy - e0)
-        max_drift = max(max_drift, drift)
-        row = {"t": state.t}
-        for j in range(state.dimension):
-            row[f"q_{j}"] = state.q[j]
-        for j in range(state.dimension):
-            row[f"p_{j}"] = state.p[j]
-        row.update({"S": state.S, "energy": energy, "energy_drift": drift})
-        rows.append(row)
+    states = trajectory.state_at(trajectory.ts)
+    energy = total_energy(states, band, external)
+    drift = np.abs(energy - energy[0])
+    columns = {"t": states.t}
+    columns.update({f"q_{j}": states.q[:, j] for j in range(config.dimension)})
+    columns.update({f"p_{j}": states.p[:, j] for j in range(config.dimension)})
+    columns.update({"S": states.S, "energy": energy, "energy_drift": drift})
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
 
     return _write_outputs(
         config,
         "flow",
-        rows[0].keys(),
+        columns,
         rows,
         t_final=config.t_final,
         dt=config.flow_dt,
-        max_energy_drift=max_drift,
+        max_energy_drift=float(drift.max()),
         band_table=band.table_summary(),
     )
 

@@ -29,10 +29,6 @@ class QuadraticPotential:
     hessian: np.ndarray
 
     @classmethod
-    def harmonic(cls, dimension: int, strength: float = 1.0) -> "QuadraticPotential":
-        return cls.create(dimension, hessian=strength * np.eye(dimension))
-
-    @classmethod
     def create(cls, dimension: int, constant=0.0, linear=None, hessian=None):
         lin = np.zeros(dimension) if linear is None else np.asarray(linear, float)
         hes = np.zeros((dimension, dimension)) if hessian is None else np.asarray(hessian, float)
@@ -56,7 +52,8 @@ class QuadraticPotential:
         return self.linear + x @ self.hessian
 
     def hess(self, x) -> np.ndarray:
-        return self.hessian.copy()
+        x = as_points(x, self.dimension)
+        return np.broadcast_to(self.hessian, x.shape[:-1] + self.hessian.shape).copy()
 
 
 @dataclass(frozen=True)
@@ -86,15 +83,15 @@ class CosineWellPotential:
         return self.amplitude * self.frequencies * np.sin(self.frequencies * x)
 
     def hess(self, x) -> np.ndarray:
+        """Hessians at points (..., d), shape (..., d, d)."""
         x = as_points(x, self.dimension)
-        if x.ndim != 1:
-            raise PotentialError("hess expects a single point")
-        return np.diag(self.amplitude * self.frequencies**2 * np.cos(self.frequencies * x))
+        diagonal = self.amplitude * self.frequencies**2 * np.cos(self.frequencies * x)
+        return diagonal[..., None] * np.eye(self.dimension)
 
 
 @dataclass(frozen=True)
 class TrajectoryState:
-    """Flow state at one time: positions, momentum, action."""
+    """Flow state at one time, or at N times with t, S (N,) and q, p (N, d)."""
 
     t: float
     q: np.ndarray
@@ -103,7 +100,7 @@ class TrajectoryState:
 
     @property
     def dimension(self) -> int:
-        return np.asarray(self.q).shape[0]
+        return np.asarray(self.q).shape[-1]
 
 
 def flow_rhs(q, p, band, potential) -> tuple[np.ndarray, np.ndarray, float]:
@@ -129,38 +126,24 @@ class Trajectory:
         self.derivs = derivs
         self.dimension = dimension
 
-    @property
-    def t_final(self) -> float:
-        return float(self.ts[-1])
-
-    def node_state(self, i: int) -> TrajectoryState:
-        return self._make_state(float(self.ts[i]), self.states[i])
-
-    def _make_state(self, t: float, y: np.ndarray) -> TrajectoryState:
-        d = self.dimension
-        return TrajectoryState(t=t, q=y[:d].copy(), p=y[d : 2 * d].copy(), S=float(y[2 * d]))
-
-    def state_at(self, t: float) -> TrajectoryState:
-        ts = self.ts
-        if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
-            raise FlowError(f"time {t} outside trajectory window [{ts[0]}, {ts[-1]}]")
-        t = min(max(t, float(ts[0])), float(ts[-1]))
-        i = int(np.searchsorted(ts, t, side="right") - 1)
-        i = min(max(i, 0), len(ts) - 2)
-        h = ts[i + 1] - ts[i]
-        s = (t - ts[i]) / h
-        if s == 0.0:
-            return self._make_state(float(ts[i]), self.states[i])
-        if s == 1.0:
-            return self._make_state(float(ts[i + 1]), self.states[i + 1])
+    def state_at(self, t) -> TrajectoryState:
+        """State at time t, or the states at an array of times in one
+        Hermite evaluation; node times give the stored states exactly."""
+        ts = np.asarray(t, dtype=float)
+        if np.any((ts < self.ts[0] - 1e-12) | (ts > self.ts[-1] + 1e-12)):
+            raise FlowError(f"time {t} outside trajectory window [{self.ts[0]}, {self.ts[-1]}]")
+        ts = np.clip(ts, self.ts[0], self.ts[-1])
+        i = np.clip(np.searchsorted(self.ts, ts, side="right") - 1, 0, len(self.ts) - 2)
+        h = (self.ts[i + 1] - self.ts[i])[..., None]
+        s = (ts - self.ts[i])[..., None] / h
         y0, y1 = self.states[i], self.states[i + 1]
-        f0, f1 = self.derivs[i], self.derivs[i + 1]
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s**2 * (3 - 2 * s)
         h11 = s**2 * (s - 1)
-        y = h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-        return self._make_state(t, y)
+        y = h00 * y0 + h10 * h * self.derivs[i] + h01 * y1 + h11 * h * self.derivs[i + 1]
+        d = self.dimension  # [()] turns 0-d results of a scalar t into scalars
+        return TrajectoryState(t=ts[()], q=y[..., :d], p=y[..., d : 2 * d], S=y[..., 2 * d][()])
 
 
 def integrate_flow(
@@ -208,5 +191,5 @@ def integrate_flow(
 
 
 def total_energy(state: TrajectoryState, band, potential) -> float:
-    """Conserved Hamiltonian E(p) + V(q) of the flow."""
-    return float(band.energy(state.p) + potential.value(state.q))
+    """Conserved Hamiltonian E(p) + V(q) of the flow, per time of a batched state."""
+    return band.energy(state.p) + potential.value(state.q)

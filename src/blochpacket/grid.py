@@ -11,6 +11,7 @@ parameter equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,28 +142,39 @@ class SpatialGrid:
         trailing = cell_values.ndim - self.dimension
         return np.tile(cell_values, (cells,) * self.dimension + (1,) * trailing)
 
+    @cached_property
+    def _products(self) -> dict:
+        """x_i x_j (key False) and xi_i xi_j (key True), (d * d, size) each, built on first use."""
+        return {}
+
     def quadratic_form(self, mat: np.ndarray, *, fourier: bool = False) -> np.ndarray:
         """<x, mat x> on the grid points, or <xi, mat xi> on the FFT
         frequencies when fourier is set, shaped like the grid."""
-        pts = self._mesh(self.freq_axis() if fourier else self.axis())
-        return np.einsum("pi,ij,pj->p", pts, mat, pts).reshape(self.shape)
+        if fourier not in self._products:
+            pts = self._mesh(self.freq_axis() if fourier else self.axis())
+            self._products[fourier] = np.einsum("pi,pj->ijp", pts, pts).reshape(-1, self.size)
+        return (np.ravel(mat) @ self._products[fourier]).reshape(self.shape)
 
     def norm(self, values: np.ndarray) -> float:
         """Grid L2 norm (trapezoid rule, exact for the periodic grid)."""
         return float(np.sqrt(np.sum(np.abs(values) ** 2) * self.dv))
 
-    def edge_fraction(self, weights: np.ndarray, outer: np.ndarray) -> float:
-        """Share of the weights on nodes whose index is flagged by the
-        per-axis mask `outer` along at least one axis."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for j in range(self.dimension):
-            mask |= self.along(j, outer)
+    def edge_mask(self, outer: np.ndarray) -> np.ndarray:
+        """Nodes flagged by the per-axis mask `outer` along at least one axis."""
+        axes = [self.along(j, outer) for j in range(self.dimension)]
+        return np.logical_or.reduce(np.broadcast_arrays(*axes))
+
+    def edge_fraction(self, weights: np.ndarray, mask: np.ndarray) -> float:
+        """Share of the weights on the nodes of an `edge_mask`."""
         total = float(np.sum(weights))
         if total == 0.0:
             return 0.0
         return float(np.sum(weights[mask])) / total
 
+    @cached_property
+    def _shell(self) -> np.ndarray:
+        return self.edge_mask(np.abs(self.axis()) > (1.0 - SHELL) * self.half_width)
+
     def shell_fraction(self, values: np.ndarray) -> float:
         """Mass fraction in the outer SHELL of the box (union over axes)."""
-        outer = np.abs(self.axis()) > (1.0 - SHELL) * self.half_width
-        return self.edge_fraction(np.abs(values) ** 2, outer)
+        return self.edge_fraction(np.abs(values) ** 2, self._shell)

@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import harmonic
+
 from blochpacket.assembly import GridWaveField
 from blochpacket.bloch import BlochBand
 from blochpacket.config import ExperimentConfig
@@ -250,10 +252,10 @@ def test_conservation_laws(capsys, sweep, long_flow, grid_run):
     reference_drift = max(sweep[eps]["mass_drift"] for eps in EPS_LIST)
 
     trajectory = long_flow["trajectory"]
-    e0 = total_energy(trajectory.node_state(0), long_flow["band"], long_flow["external"])
+    e0 = total_energy(trajectory.state_at(0.0), long_flow["band"], long_flow["external"])
     energy_drift = 0.0
     for i in range(len(trajectory.ts)):
-        e = total_energy(trajectory.node_state(i), long_flow["band"], long_flow["external"])
+        e = total_energy(trajectory.state_at(trajectory.ts[i]), long_flow["band"], long_flow["external"])
         energy_drift = max(energy_drift, abs(e - e0))
     ok = envelope_drift <= 1e-12 and reference_drift <= 1e-12 and energy_drift <= 1e-8
     _report(
@@ -333,7 +335,7 @@ def test_free_lattice_closed_forms(capsys, lattice1d, free_band):
     derivs = free_band.derivatives(state.p)
     corr_norm = max(
         build_U1(u, pair, derivs).norm(u.grid.dx),
-        build_U2(u, state, free_band, QuadraticPotential.harmonic(1)).norm(u.grid.dx),
+        build_U2(u, state, free_band, harmonic(1)).norm(u.grid.dx),
     )
 
     # plane wave under the reference solver picks up the exact phase

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import harmonic
+
 from blochpacket.assembly import (
     GridWaveField,
     fourier_interpolate,
@@ -25,7 +27,7 @@ from blochpacket.envelope import (
     grid_envelope_from_gaussian,
 )
 from blochpacket.errors import GridError
-from blochpacket.flow import QuadraticPotential, TrajectoryState
+from blochpacket.flow import TrajectoryState
 from blochpacket.grid import SpatialGrid
 from blochpacket.lattice import FourierPotential, LatticeSpec
 
@@ -175,6 +177,48 @@ def test_fourier_interpolate_batch_matches_single_calls():
         assert np.allclose(got[r], fourier_interpolate(batch[r], hw, axes), atol=1e-13)
 
 
+def dense_interpolate(values, half_width, target_axes):
+    """The trigonometric interpolant by one dense phase matrix per axis."""
+    d = len(target_axes)
+    lead = values.ndim - d
+    freqs = SpatialGrid(d, half_width, values.shape[-1]).freq_axis()
+    out = np.fft.fftn(values, axes=tuple(range(lead, values.ndim))) / values.shape[-1] ** d
+    for j in reversed(range(d)):
+        t = np.asarray(target_axes[j], dtype=float)
+        inside = (t >= -half_width) & (t < half_width)
+        mat = np.exp(1j * np.outer(t + half_width, freqs)) * inside[:, None]
+        out = np.moveaxis(np.moveaxis(out, lead + j, -1) @ mat.T, -1, lead + j)
+    return out
+
+
+def test_chirp_z_matches_the_dense_interpolant():
+    rng = np.random.default_rng(3)
+    # 1D: stretched fine-grid targets (z = (x - q) / sqrt(eps)) sweeping
+    # several box periods, over a batch of smooth profiles
+    n, hw = 512, 16.0
+    z = -hw + (2 * hw / n) * np.arange(n)
+    profiles = np.exp(-0.5 * (z - rng.normal(size=(4, 1))) ** 2 + 1j * z)
+    for eps, npoints in ((2**-4, 256), (2**-7, 2048)):
+        x = -2 * np.pi + (4 * np.pi / npoints) * np.arange(npoints)
+        target = (x - 0.123) / np.sqrt(eps)
+        want = dense_interpolate(profiles, hw, [target])
+        got = fourier_interpolate(profiles, hw, [target])
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+        assert np.all(got[:, np.abs(target) > hw + 1e-9] == 0.0)
+    # 2D with an odd side and targets outside the box on both axes
+    batch = rng.normal(size=(3, 15, 15)) + 1j * rng.normal(size=(3, 15, 15))
+    axes = [np.linspace(-6.0, 5.0, 41), np.linspace(-2.5, 4.9, 37)]
+    want = dense_interpolate(batch, 4.0, axes)
+    got = fourier_interpolate(batch, 4.0, axes)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_fourier_interpolate_rejects_nonuniform_targets():
+    u = grid_envelope_from_gaussian(gaussian_init(np.eye(1), np.eye(1)), 8.0, 64)
+    with pytest.raises(GridError):
+        fourier_interpolate(u.values, u.half_width, [np.array([-1.0, 0.0, 0.5, 2.0])])
+
+
 def test_free_lattice_leading_packet_closed_form(free_band):
     # chi is the constant |Y|^{-1/2} times a unit phase, so the packet is a
     # pure modulated Gaussian
@@ -291,7 +335,7 @@ def test_synthesize_app_rejects_correctors_on_another_box(mathieu_band):
     ):
         with pytest.raises(GridError):
             synthesize_app(u0, build_U1(other, pair, der), None, state, eps, grid)
-        u2 = build_U2(other, state, mathieu_band, QuadraticPotential.harmonic(1))
+        u2 = build_U2(other, state, mathieu_band, harmonic(1))
         with pytest.raises(GridError):
             synthesize_app(u0, None, u2, state, eps, grid)
 

@@ -200,6 +200,49 @@ def test_free_lattice_zone_edge_is_degenerate(free_band):
         free_band.energy(np.array([0.5]))
 
 
+def _rows_match_scalar_lookups(band, ps):
+    rows = band._table_rows(ps)
+    scalar = np.array([band._table(p) for p in ps])
+    assert rows.shape == scalar.shape
+    assert np.all(np.abs(rows - scalar) <= 1e-15 * np.maximum(1.0, np.abs(scalar)))
+
+
+def test_batched_table_matches_single_lookups(mathieu_band):
+    # both halves of the zone, its edges, folded momenta and the Chebyshev
+    # nodes of two patches, where the interpolant must hit the node values
+    nodes = bloch._chebyshev(16)[0]
+    fracs = np.concatenate([
+        np.linspace(-0.5, 0.5, 41),
+        [0.4999999, -0.7, 1.3],
+        -0.5 + (2 + 0.5 * (nodes + 1.0)) / PATCHES_PER_AXIS,
+        -0.5 + (6 + 0.5 * (nodes + 1.0)) / PATCHES_PER_AXIS,
+    ])
+    ps = fracs[:, None] * mathieu_band.lattice.dual_basis[0]
+    _rows_match_scalar_lookups(mathieu_band, ps)
+    hess = mathieu_band.hess_energy(ps)
+    berry = mathieu_band.berry(ps)
+    assert hess.shape == (fracs.size, 1, 1) and berry.shape == (fracs.size, 1)
+    assert np.allclose(hess[3], mathieu_band.hess_energy(ps[3]), rtol=0, atol=1e-15)
+    assert np.allclose(berry[3], mathieu_band.berry(ps[3]), rtol=0, atol=1e-15)
+
+
+def test_batched_table_matches_single_lookups_2d():
+    # cutoff 4 keeps the 2D patches cheap; the batch spans four patches
+    band = BlochBand(LatticeSpec.cubic(2), FourierPotential.cosine(2), 1, 4)
+    rng = np.random.default_rng(9)
+    ps = np.concatenate([rng.uniform(-0.125, 0.125, size=(12, 2)), [[0.0, 0.0], [0.1, -0.1]]])
+    _rows_match_scalar_lookups(band, ps)
+    assert len(band.patches) == 4
+    assert band.hess_energy(ps).shape == (14, 2, 2)
+
+
+def test_degenerate_row_inside_a_batch_raises(free_band):
+    ps = np.array([[0.1], [0.3], [0.5], [-0.2]])
+    with pytest.raises(DegenerateBandError):
+        free_band.hess_energy(ps)
+    assert free_band.hess_energy(ps[[0, 1, 3]]).shape == (3, 1, 1)
+
+
 def test_band_cache_unfolds_momenta(mathieu_band):
     # energy is periodic under dual shifts; cell coefficients re-index
     p = np.array([0.3])

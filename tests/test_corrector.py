@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import harmonic
+
 from blochpacket.bloch import BlochBand, cell_inner
 from blochpacket.corrector import (
     build_U0,
@@ -11,7 +13,7 @@ from blochpacket.corrector import (
     solvability_defect,
 )
 from blochpacket.envelope import gaussian_init, geometric_rate, grid_envelope_from_gaussian
-from blochpacket.flow import QuadraticPotential, TrajectoryState
+from blochpacket.flow import TrajectoryState
 from blochpacket.lattice import FourierPotential, LatticeSpec
 
 
@@ -35,7 +37,7 @@ def nodes(mathieu_band, lattice1d):
 
 
 def test_nodes_cover_a_nonzero_geometric_rate(nodes):
-    ext = QuadraticPotential.harmonic(1)
+    ext = harmonic(1)
     (cos_band, state, _), (tilted_band, _, _) = nodes
     assert geometric_rate(cos_band, ext, state) == pytest.approx(-0.8j * np.pi, abs=1e-12)
     assert geometric_rate(tilted_band, ext, state) == pytest.approx(-2.2780j, abs=1e-4)
@@ -63,7 +65,7 @@ def test_u1_orthogonal_to_cell_function(nodes):
 
 def test_u2_orthogonal_to_cell_function(nodes):
     for band, state, u in nodes:
-        u2 = build_U2(u, state, band, QuadraticPotential.harmonic(1))
+        u2 = build_U2(u, state, band, harmonic(1))
         assert u2.order == 2
         assert np.max(np.abs(chi_projection(u2))) < 1e-12
 
@@ -108,19 +110,19 @@ def test_correctors_vanish_on_free_lattice(free_band):
     u = grid_envelope_from_gaussian(g, 16.0, 256)
     pair = free_band.eigenpair(state.p)
     der = free_band.derivatives(state.p)
-    ext = QuadraticPotential.harmonic(1)
+    ext = harmonic(1)
     assert build_U1(u, pair, der).norm(u.grid.dx) < 1e-14
     assert build_U2(u, state, free_band, ext).norm(u.grid.dx) < 1e-14
 
 
 def test_solvability_defect1_vanishes(nodes):
     for band, state, u in nodes:
-        d1, _ = solvability_defect(u, state, band, QuadraticPotential.harmonic(1))
+        d1, _ = solvability_defect(u, state, band, harmonic(1))
         assert d1 < 1e-10
 
 
 def test_solvability_defect2_consistent_vs_stale(nodes):
-    ext = QuadraticPotential.harmonic(1)
+    ext = harmonic(1)
     for band, state, u in nodes:
         _, d2 = solvability_defect(u, state, band, ext)
         assert d2 < 1e-6
@@ -132,7 +134,7 @@ def test_solvability_defect2_consistent_vs_stale(nodes):
 def test_solvability_defect2_resolves_rounding(nodes):
     # with i d_t u taken from the envelope equation at the propagators' own
     # M, Q and beta, the cell-parallel projection cancels to rounding
-    ext = QuadraticPotential.harmonic(1)
+    ext = harmonic(1)
     for band, state, u in nodes:
         _, d2 = solvability_defect(u, state, band, ext)
         assert d2 <= 1e-12
@@ -141,7 +143,7 @@ def test_solvability_defect2_resolves_rounding(nodes):
 def test_defects_gauge_invariant(nodes):
     # rebuilding the band data at an equivalent momentum (unfolding by a
     # dual vector) must leave the physical defects unchanged
-    ext = QuadraticPotential.harmonic(1)
+    ext = harmonic(1)
     for band, state, u in nodes:
         d1a, d2a = solvability_defect(u, state, band, ext)
         shifted = TrajectoryState(t=state.t, q=state.q, p=state.p + 1.0, S=state.S)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ConstantCoefficients, harmonic
+
 from blochpacket.envelope import (
-    ConstantCoefficients,
     GridEnvelope,
     HomogenizedCoefficients,
     evolve_gaussian,
@@ -19,7 +20,7 @@ from blochpacket.envelope import (
     spectral_hessian,
 )
 from blochpacket.errors import EnvelopeError
-from blochpacket.flow import QuadraticPotential, TrajectoryState
+from blochpacket.flow import TrajectoryState, integrate_flow
 
 # Weighted-norm oracles for u(z) = exp(-z^2/2) (A = B = 1), by hand:
 # ||u|| = pi^(1/4), ||z u|| = ||u'|| = pi^(1/4)/sqrt(2),
@@ -166,15 +167,15 @@ def test_grid_propagator_matches_gaussian_random_constant_coefficients():
 
 
 class BreathingCoefficients:
-    """M(t) = 1 + 0.3 sin t, Q = 1, beta(t) = 0.4i cos 3t."""
+    """M(t) = 1 + 0.3 sin t, Q = 1, beta(t) = 0.4i cos 3t, at arrays of times."""
 
     dimension = 1
 
     def dispersion(self, t):
-        return np.array([[1.0 + 0.3 * np.sin(t)]])
+        return (1.0 + 0.3 * np.sin(t))[:, None, None]
 
     def vhess(self, t):
-        return np.eye(1)
+        return np.ones((len(t), 1, 1))
 
     def berry_rate(self, t):
         return 0.4j * np.cos(3.0 * t)
@@ -208,10 +209,25 @@ class FixedConnectionBand:
 def test_geometric_rate_rejects_real_part():
     # grad V = q = 0.5, so an imaginary connection 0.2i gives rate 0.1i
     state = TrajectoryState(t=0.0, q=np.array([0.5]), p=np.array([0.3]), S=0.0)
-    pot = QuadraticPotential.harmonic(1)
+    pot = harmonic(1)
     assert geometric_rate(FixedConnectionBand(0.2j), pot, state) == pytest.approx(0.1j)
     with pytest.raises(EnvelopeError):
         geometric_rate(FixedConnectionBand(0.1 + 0.2j), pot, state)
+
+
+def test_geometric_rate_checks_every_element():
+    class RowConnectionBand:
+        def __init__(self, rows):
+            self.rows = np.asarray(rows)[:, None]
+
+        def berry(self, p):
+            return self.rows
+
+    states = TrajectoryState(t=np.zeros(3), q=np.full((3, 1), 0.5), p=np.zeros((3, 1)), S=np.zeros(3))
+    rates = geometric_rate(RowConnectionBand([0.2j, -0.4j, 0.0]), harmonic(1), states)
+    assert np.allclose(rates, [0.1j, -0.2j, 0.0], atol=1e-16)
+    with pytest.raises(EnvelopeError):
+        geometric_rate(RowConnectionBand([0.2j, 0.1 + 0.2j, 0.3j]), harmonic(1), states)
 
 
 def test_grid_propagator_mass_conservation():
@@ -253,17 +269,18 @@ def test_spectral_derivatives_match_analytic():
 
 
 def test_homogenized_coefficients_interpolate_trajectory(mathieu_band):
-    from blochpacket.flow import QuadraticPotential, integrate_flow
-
-    pot = QuadraticPotential.harmonic(1)
+    pot = harmonic(1)
     traj = integrate_flow([0.0], [0.3], 1.0, 1e-3, mathieu_band, pot)
     coeffs = HomogenizedCoefficients(traj, mathieu_band, pot)
-    t = 0.513
-    state = traj.state_at(t)
-    assert np.allclose(coeffs.dispersion(t), mathieu_band.hess_energy(state.p), atol=1e-9)
-    assert np.allclose(coeffs.vhess(t), pot.hess(state.q), atol=1e-12)
-    # the unit cosine's anchored connection is -i pi, so beta = -i pi q
-    assert coeffs.berry_rate(t) == pytest.approx(-1j * np.pi * state.q[0], abs=1e-12)
+    ts = np.array([0.0, 0.2, 0.513, 0.75, 1.0])
+    m, q, beta = coeffs.dispersion(ts), coeffs.vhess(ts), coeffs.berry_rate(ts)
+    assert m.shape == q.shape == (5, 1, 1) and beta.shape == (5,)
+    for i, t in enumerate(ts):
+        state = traj.state_at(t)
+        assert np.allclose(m[i], mathieu_band.hess_energy(state.p), rtol=0, atol=1e-15)
+        assert np.array_equal(q[i], pot.hess(state.q))
+        # the unit cosine's anchored connection is -i pi, so beta = -i pi q
+        assert beta[i] == pytest.approx(-1j * np.pi * state.q[0], abs=1e-12)
 
 
 def test_sigma_norm_rejects_negative_order():

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from blochpacket.experiments import (
     run_packet,
     run_reference,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def read_rows(path):
@@ -157,6 +161,23 @@ def test_flow_and_envelope_summaries_carry_the_band_table(tmp_path):
         output_dir=str(tmp_path / "env"),
     )
     assert set(run_envelope(short)["band_table"]) == keys
+
+
+def test_envelope_run_in_a_cosine_well(tmp_path):
+    # a non-quadratic external potential: Q(t) = a w^2 cos(w q(t)) moves
+    # along the flow and reaches both propagators through the batched
+    # Hessian; bounds as for the default envelope run
+    cfg = ExperimentConfig.from_file(CONFIGS / "envelope_cosine_well.json")
+    cfg = cfg.with_updates(output_dir=str(tmp_path))
+    summary = run_envelope(cfg)
+    assert summary["max_grid_vs_gaussian_l2"] <= 1e-6
+    assert summary["max_grid_mass_drift"] <= 1e-12
+    assert summary["max_gaussian_defect"] <= 1e-8
+    bundle = prepare_dynamics(cfg, [cfg.t_final])
+    ts = np.linspace(0.0, cfg.t_final, 5)
+    q = bundle.trajectory.state_at(ts).q[:, 0]
+    assert np.allclose(bundle.coefficients.vhess(ts)[:, 0, 0], np.cos(q), rtol=0, atol=1e-15)
+    assert np.ptp(q) > 1e-3
 
 
 def test_run_convergence_error_mode(tmp_path):
@@ -350,9 +371,9 @@ def test_geometric_factor_matches_discrete_transport(tmp_path, band_index, q0, p
     bundle = prepare_dynamics(cfg, [1.0])
     band, trajectory = bundle.band, bundle.trajectory
     lattice = band.lattice
-    carried = band.eigenpair(trajectory.node_state(0).p).coeffs
+    carried = band.eigenpair(trajectory.state_at(0.0).p).coeffs
     for i in range(1, len(trajectory.ts)):
-        nxt = band.eigenpair(trajectory.node_state(i).p).coeffs
+        nxt = band.eigenpair(trajectory.state_at(trajectory.ts[i]).p).coeffs
         link = cell_inner(lattice, carried, nxt)
         carried = nxt * np.conj(link) / abs(link)
     _, pair, gauss = bundle.at(1.0)

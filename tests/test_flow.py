@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochpacket.bloch import QuadraticBand
+from conftest import QuadraticBand, harmonic
+
 from blochpacket.errors import FlowError
 from blochpacket.flow import (
     CosineWellPotential,
@@ -15,7 +16,7 @@ from blochpacket.flow import (
 
 
 def test_quadratic_potential_values():
-    pot = QuadraticPotential.harmonic(1)
+    pot = harmonic(1)
     x = np.array([1.5])
     assert pot.value(x) == pytest.approx(1.125)
     assert pot.grad(x)[0] == pytest.approx(1.5)
@@ -49,7 +50,7 @@ def test_cosine_well_gradients_match_fd():
 def test_harmonic_oscillator_closed_form():
     # free dispersion + (omega^2/2) x^2: q(t) = q0 cos t + p0 sin t
     band = QuadraticBand(1)
-    pot = QuadraticPotential.harmonic(1)
+    pot = harmonic(1)
     q0, p0, t = 0.3, -0.2, 1.7
     traj = integrate_flow([q0], [p0], t, 1e-3, band, pot)
     st_ = traj.state_at(t)
@@ -64,29 +65,26 @@ def test_harmonic_oscillator_closed_form():
 
 def test_exact_landing():
     band = QuadraticBand(1)
-    pot = QuadraticPotential.harmonic(1)
+    pot = harmonic(1)
     # t_final not divisible by dt: the step shrinks, never overshoots
     traj = integrate_flow([0.1], [0.2], 0.7003, 1e-2, band, pot)
     assert traj.ts[-1] == pytest.approx(0.7003, abs=1e-15)
-    assert traj.t_final == pytest.approx(0.7003, abs=1e-15)
 
 
 def test_dense_output_matches_nodes():
     band = QuadraticBand(1)
-    pot = QuadraticPotential.harmonic(1)
+    pot = harmonic(1)
     traj = integrate_flow([0.3], [0.1], 1.0, 0.05, band, pot)
     for i in (0, 3, 11, len(traj.ts) - 1):
-        t = traj.ts[i]
-        node = traj.node_state(i)
-        interp = traj.state_at(t)
-        assert np.allclose(node.q, interp.q, atol=1e-14)
-        assert np.allclose(node.p, interp.p, atol=1e-14)
-        assert node.S == pytest.approx(interp.S, abs=1e-14)
+        interp = traj.state_at(traj.ts[i])
+        assert np.allclose(traj.states[i, :1], interp.q, atol=1e-14)
+        assert np.allclose(traj.states[i, 1:2], interp.p, atol=1e-14)
+        assert traj.states[i, 2] == pytest.approx(interp.S, abs=1e-14)
 
 
 def test_dense_output_between_nodes_is_accurate():
     band = QuadraticBand(1)
-    pot = QuadraticPotential.harmonic(1)
+    pot = harmonic(1)
     coarse = integrate_flow([0.3], [0.1], 1.0, 0.05, band, pot)
     t = 0.5123
     st_ = coarse.state_at(t)
@@ -96,7 +94,7 @@ def test_dense_output_between_nodes_is_accurate():
 def test_reverse_retraces():
     # E(p) = p^2 / 2 is even, so flipping the momentum runs the flow backwards
     band = QuadraticBand(1)
-    pot = QuadraticPotential.harmonic(1)
+    pot = harmonic(1)
     fwd = integrate_flow([0.25], [-0.4], 2.0, 1e-3, band, pot)
     end = fwd.state_at(2.0)
     back = integrate_flow(end.q, -end.p, 2.0, 1e-3, band, pot)
@@ -106,11 +104,11 @@ def test_reverse_retraces():
 
 
 def test_energy_conservation_mathieu(mathieu_band):
-    pot = QuadraticPotential.harmonic(1)
+    pot = harmonic(1)
     traj = integrate_flow([0.0], [0.3], 1.0, 1e-3, mathieu_band, pot)
     e0 = total_energy(traj.state_at(0.0), mathieu_band, pot)
     drift = max(
-        abs(total_energy(traj.node_state(i), mathieu_band, pot) - e0)
+        abs(total_energy(traj.state_at(traj.ts[i]), mathieu_band, pot) - e0)
         for i in range(0, len(traj.ts), 100)
     )
     assert drift < 1e-12
@@ -121,7 +119,7 @@ def test_energy_conservation_mathieu(mathieu_band):
 def test_rk4_order(dt):
     # halving dt shrinks the endpoint error by about 2^4
     band = QuadraticBand(1)
-    pot = QuadraticPotential.harmonic(1)
+    pot = harmonic(1)
     t = 1.0
 
     def endpoint_error(step):
@@ -134,11 +132,51 @@ def test_rk4_order(dt):
 
 def test_state_at_outside_window_raises():
     band = QuadraticBand(1)
-    traj = integrate_flow([0.0], [0.1], 0.5, 1e-2, band, QuadraticPotential.harmonic(1))
+    traj = integrate_flow([0.0], [0.1], 0.5, 1e-2, band, harmonic(1))
     with pytest.raises(FlowError):
         traj.state_at(0.6)
     with pytest.raises(FlowError):
         traj.state_at(-0.1)
+
+
+def test_state_at_array_matches_scalar_calls():
+    # one Hermite evaluation for many times gives the per-time states bit
+    # for bit: node times, the window ends, points between nodes and a
+    # time past the end within the window's 1e-12 slack
+    traj = integrate_flow([0.3], [0.1], 1.0, 0.05, QuadraticBand(1), harmonic(1))
+    rng = np.random.default_rng(4)
+    ts = np.concatenate([traj.ts[::3], [0.0, 1.0, 1.0 + 5e-13], rng.uniform(0.0, 1.0, 20)])
+    batch = traj.state_at(ts)
+    assert batch.q.shape == batch.p.shape == (ts.size, 1)
+    assert batch.dimension == 1
+    for i, t in enumerate(ts):
+        one = traj.state_at(float(t))
+        assert batch.t[i] == one.t
+        assert np.array_equal(batch.q[i], one.q)
+        assert np.array_equal(batch.p[i], one.p)
+        assert batch.S[i] == one.S
+    for i in range(0, len(traj.ts), 3):
+        assert np.array_equal(batch.q[i // 3], traj.states[i, :1])
+    with pytest.raises(FlowError):
+        traj.state_at(np.array([0.2, 1.1, 0.4]))
+    with pytest.raises(FlowError):
+        traj.state_at(np.array([-0.1, 0.5]))
+
+
+def test_external_hessians_take_batches_of_points():
+    pts = np.random.default_rng(2).normal(size=(6, 2))
+    quad = QuadraticPotential.create(2, hessian=[[2.0, 0.3], [0.3, 1.0]])
+    well = CosineWellPotential.create(0.7, [1.0, 2.5])
+    for pot in (quad, well):
+        batch = pot.hess(pts)
+        assert batch.shape == (6, 2, 2)
+        for x, h in zip(pts, batch):
+            assert np.array_equal(h, pot.hess(x))
+    # d = 1: N points arrive as (N, 1)
+    well1 = CosineWellPotential.create(0.7, [1.3])
+    x = np.linspace(-2.0, 2.0, 5)[:, None]
+    assert np.allclose(well1.hess(x)[:, 0, 0], 0.7 * 1.3**2 * np.cos(1.3 * x[:, 0]), atol=1e-15)
+    assert well1.hess(np.array([0.4])).shape == (1, 1)
 
 
 def test_q_bound_guard():
@@ -151,7 +189,7 @@ def test_q_bound_guard():
 
 def test_invalid_inputs():
     band = QuadraticBand(1)
-    pot = QuadraticPotential.harmonic(1)
+    pot = harmonic(1)
     with pytest.raises(FlowError):
         integrate_flow([0.0, 0.0], [0.1], 1.0, 1e-2, band, pot)
     with pytest.raises(FlowError):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import harmonic
+
 from blochpacket.assembly import GridWaveField, make_grid_for, synthesize_packet
 from blochpacket.envelope import gaussian_init
 from blochpacket.errors import GridError, SolverError
@@ -67,7 +69,7 @@ def test_unitarity(lattice1d, cosine1d, mathieu_band):
     g = gaussian_init(np.eye(1), np.eye(1))
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
     out = solve_schrodinger(
-        psi0, lattice1d, cosine1d, QuadraticPotential.harmonic(1), [1.0],
+        psi0, lattice1d, cosine1d, harmonic(1), [1.0],
         SolverParams(dt=eps / 100),
     )
     assert abs(out[0].mass() - psi0.mass()) < 1e-12
@@ -81,13 +83,13 @@ def test_snapshots_at_multiple_times(lattice1d, cosine1d, mathieu_band):
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
     times = [0.1, 0.25, 0.4]
     outs = solve_schrodinger(
-        psi0, lattice1d, cosine1d, QuadraticPotential.harmonic(1), times,
+        psi0, lattice1d, cosine1d, harmonic(1), times,
         SolverParams(dt=eps / 50),
     )
     assert [o.time for o in outs] == times
     # one-shot solve to the last time agrees with the chained segments
     direct = solve_schrodinger(
-        psi0, lattice1d, cosine1d, QuadraticPotential.harmonic(1), [0.4],
+        psi0, lattice1d, cosine1d, harmonic(1), [0.4],
         SolverParams(dt=eps / 50),
     )
     assert l2_error(outs[-1], direct[0]) < 1e-10
@@ -97,7 +99,7 @@ def test_times_must_be_nondecreasing(lattice1d, cosine1d):
     _, _, _, psi0 = plane_wave_field()
     with pytest.raises(SolverError):
         solve_schrodinger(
-            psi0, lattice1d, cosine1d, QuadraticPotential.harmonic(1), [0.4, 0.2],
+            psi0, lattice1d, cosine1d, harmonic(1), [0.4, 0.2],
             SolverParams(dt=1e-3),
         )
 
@@ -113,7 +115,7 @@ def test_self_convergence_second_order(lattice1d, cosine1d, mathieu_band):
     # |psi_dt - psi_dt/2| / |psi_dt/2 - psi_dt/4| -> 4 for a second-order step
     eps = 2**-3
     psi0 = mathieu_packet(mathieu_band, eps)
-    ext = QuadraticPotential.harmonic(1)
+    ext = harmonic(1)
     outs = [
         solve_schrodinger(psi0, lattice1d, cosine1d, ext, [0.25], SolverParams(dt=eps / 20 / 2**k))[0]
         for k in range(3)
@@ -160,7 +162,7 @@ def test_bloch_step_at_default_dt_beats_strang(lattice1d, cosine1d, mathieu_band
     # the default dt = eps/10 against a Fourier split step at dt = eps/800;
     # the block step leaves only the splitting error of the smooth V
     psi0 = mathieu_packet(mathieu_band, eps)
-    ext = QuadraticPotential.harmonic(1)
+    ext = harmonic(1)
     bloch = solve_schrodinger(psi0, lattice1d, cosine1d, ext, [1.0])[0]
     fine = strang_solve(psi0, lattice1d, cosine1d, ext, 1.0, eps / 800)
     coarse = strang_solve(psi0, lattice1d, cosine1d, ext, 1.0, eps / 100)
@@ -185,7 +187,7 @@ def test_pde_residual_small_for_solver_output(lattice1d, cosine1d, mathieu_band)
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
-    ext = QuadraticPotential.harmonic(1)
+    ext = harmonic(1)
     snaps = solve_schrodinger(
         psi0, lattice1d, cosine1d, ext, [0.5 - delta, 0.5, 0.5 + delta],
         SolverParams(dt=eps / 100),
@@ -201,7 +203,7 @@ def test_pde_residual_rejects_wide_stencil(lattice1d, cosine1d, mathieu_band):
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
-    ext = QuadraticPotential.harmonic(1)
+    ext = harmonic(1)
     big = eps / 2
     snaps = solve_schrodinger(
         psi0, lattice1d, cosine1d, ext, [0.5 - big, 0.5, 0.5 + big],
@@ -217,7 +219,7 @@ def test_pde_residual_rejects_asymmetric_stencil(lattice1d, cosine1d, mathieu_ba
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
-    ext = QuadraticPotential.harmonic(1)
+    ext = harmonic(1)
     d = 0.25 * eps * eps
     snaps = solve_schrodinger(
         psi0, lattice1d, cosine1d, ext, [0.5 - d, 0.5, 0.5 + 2 * d],
@@ -249,7 +251,7 @@ def test_reference_rejects_a_box_without_whole_cells(lattice1d, cosine1d):
     psi0 = GridWaveField(grid=grid, epsilon=eps, time=0.0, values=np.ones(grid.shape))
     with pytest.raises(GridError):
         solve_schrodinger(
-            psi0, lattice1d, cosine1d, QuadraticPotential.harmonic(1), [0.1], SolverParams()
+            psi0, lattice1d, cosine1d, harmonic(1), [0.1], SolverParams()
         )
 
 
@@ -271,7 +273,7 @@ def test_unitarity_2d():
         psi0,
         lattice,
         FourierPotential.cosine(2),
-        QuadraticPotential.harmonic(2),
+        harmonic(2),
         [0.25, 0.5],
         SolverParams(),
     )
