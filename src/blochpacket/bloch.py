@@ -389,7 +389,6 @@ class BlochBand:
         self._to_frac = np.linalg.inv(lattice.dual_basis)
         self.patches: dict[tuple, BandPatch] = {}
         self._direct = functools.lru_cache(maxsize=DIRECT_CACHE_SIZE)(self._solve)
-        self._last: tuple = (None, None)  # the latest query and its values
         self.node_solves = 0
         self.min_gap = math.inf
 
@@ -432,9 +431,6 @@ class BlochBand:
         p = np.atleast_1d(np.asarray(p, dtype=float))
         if p.ndim == 2:
             return self._table_rows(p)
-        key = p.tobytes()
-        if key == self._last[0]:
-            return self._last[1]
         d = self.dimension
         if p.shape != (d,) or not all(map(math.isfinite, p.tolist())):
             raise EigensolverError(f"quasimomentum {p} is not a finite {d}-vector")
@@ -448,7 +444,6 @@ class BlochBand:
         gap = min(values[1 + 2 * d + d * d : -1].tolist(), default=math.inf)
         _check_isolated(gap, values[-1], self.m)
         self.min_gap = min(self.min_gap, gap)
-        self._last = (key, values)
         return values
 
     def _table_rows(self, p: np.ndarray) -> np.ndarray:

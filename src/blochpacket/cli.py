@@ -12,12 +12,11 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 
-from .config import ExperimentConfig
+from .config import EXPERIMENT_KINDS, ExperimentConfig
 from .errors import BlochpacketError, ConfigError
 from .experiments import RUNNERS
-
-SUBCOMMANDS = ("bands", "flow", "envelope", "packet", "reference", "convergence", "ehrenfest")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Semiclassical wave-packet experiments on periodic potentials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in EXPERIMENT_KINDS:
         cmd = sub.add_parser(name, help=f"run the {name} pipeline")
         cmd.add_argument("--config", help="path to a JSON experiment config")
         cmd.add_argument("--out", help="output directory (overrides the config)")
@@ -45,7 +44,7 @@ def _load_config(args) -> ExperimentConfig:
         updates["output_dir"] = args.out
     if args.jobs is not None:
         updates["jobs"] = args.jobs
-    return config.with_updates(**updates).validate()
+    return replace(config, **updates).validate()
 
 
 def main(argv=None) -> int:

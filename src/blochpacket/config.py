@@ -5,13 +5,18 @@ theory admits: any trigonometric polynomial for the lattice potential, and
 a whitelist of external potentials whose growth is at most quadratic with
 bounded higher derivatives ("quadratic", "cosine-well").  Every derived
 output row carries sha256(canonical config)[:12] for provenance.
+
+Validating a config builds its model: `ExperimentConfig.validate` builds the
+lattice, both potentials and the Gaussian once each, and the model
+constructors make the shape, symmetry, sign and Hermitian checks.  Their
+rejections come back as a `ConfigError` naming the config key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +24,7 @@ import numpy as np
 from .assembly import BOX_HALF_WIDTH, POINTS_PER_OSCILLATION
 from .bloch import BlochBand, default_cutoff
 from .envelope import GaussianEnvelope, gaussian_init
-from .errors import ConfigError
+from .errors import ConfigError, EnvelopeError, LatticeError, PotentialError
 from .flow import CosineWellPotential, QuadraticPotential
 from .lattice import FourierPotential, LatticeSpec
 from .reference import DEFAULT_DT_FACTOR
@@ -110,23 +115,19 @@ class LatticePotentialSpec(_Serializable):
         rows = tuple((tuple(int(c) for c in n), float(re), float(im)) for n, re, im in self.coeffs)
         object.__setattr__(self, "coeffs", rows)
 
-    def validate(self, dimension: int):
+    def build(self, dimension: int) -> FourierPotential:
+        """The potential; `FourierPotential` checks Hermitian symmetry."""
         if self.type not in LATTICE_POTENTIAL_KINDS:
             raise ConfigError(f"unknown lattice potential type {self.type!r}")
-        if self.type == "fourier" and not self.coeffs:
-            raise ConfigError("fourier lattice potential needs coefficients")
-        for row in self.coeffs:
-            if len(row[0]) != dimension:
-                raise ConfigError("fourier coefficient rows are ((n,)*d, re, im)")
-
-    def build(self, dimension: int) -> FourierPotential:
-        self.validate(dimension)
         if self.type == "cosine":
             return FourierPotential.cosine(dimension, self.amplitude)
         if self.type == "zero":
             return FourierPotential.zero(dimension)
-        mapping = {n: complex(re, im) for n, re, im in self.coeffs}
-        return FourierPotential.from_coeffs(mapping)
+        if not self.coeffs:
+            raise ConfigError("fourier lattice potential needs coefficients")
+        if any(len(n) != dimension for n, _, _ in self.coeffs):
+            raise ConfigError("fourier coefficient rows are ((n,)*d, re, im)")
+        return FourierPotential.from_coeffs({n: complex(re, im) for n, re, im in self.coeffs})
 
 
 @dataclass(frozen=True)
@@ -152,37 +153,35 @@ class ExternalPotentialSpec(_Serializable):
         object.__setattr__(self, "hessian", tuple(_floats(r) for r in self.hessian))
         object.__setattr__(self, "frequencies", _floats(self.frequencies))
 
-    def validate(self, dimension: int):
+    def build(self, dimension: int):
+        """The potential; `QuadraticPotential.create` checks shapes and
+        symmetry, `CosineWellPotential.create` the signs."""
         if self.type not in EXTERNAL_KINDS:
             raise ConfigError(
                 f"external potential {self.type!r} is not in the admissible"
                 f" whitelist {EXTERNAL_KINDS}"
             )
         if self.type == "quadratic":
-            if self.linear and len(self.linear) != dimension:
-                raise ConfigError("linear term has the wrong dimension")
-            if self.hessian:
-                rows = self.hessian
-                if len(rows) != dimension or any(len(r) != dimension for r in rows):
-                    raise ConfigError("hessian must be d x d")
-        else:
-            if self.frequencies and len(self.frequencies) != dimension:
-                raise ConfigError("frequencies have the wrong dimension")
-
-    def build(self, dimension: int):
-        self.validate(dimension)
-        if self.type == "quadratic":
-            linear = np.asarray(self.linear or (0.0,) * dimension, dtype=float)
-            hessian = (
-                np.asarray(self.hessian, dtype=float)
-                if self.hessian
-                else np.eye(dimension)
-            )
+            if len({len(row) for row in self.hessian}) > 1:
+                raise ConfigError("hessian rows differ in length")
             return QuadraticPotential.create(
-                dimension, constant=self.constant, linear=linear, hessian=hessian
+                dimension,
+                constant=self.constant,
+                linear=self.linear or None,
+                hessian=self.hessian or np.eye(dimension),
             )
-        freqs = np.asarray(self.frequencies or (1.0,) * dimension, dtype=float)
-        return CosineWellPotential.create(self.amplitude, freqs)
+        if self.frequencies and len(self.frequencies) != dimension:
+            raise ConfigError("frequencies have the wrong dimension")
+        return CosineWellPotential.create(self.amplitude, self.frequencies or (1.0,) * dimension)
+
+
+def _built(key: str, make):
+    """make(), with its rejection, a model constructor's included,
+    re-raised as a ConfigError that names the config key."""
+    try:
+        return make()
+    except (ConfigError, LatticeError, PotentialError, EnvelopeError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _matrix_tuple(rows, dimension: int, name: str) -> tuple:
@@ -252,14 +251,18 @@ class ExperimentConfig(_Serializable):
         object.__setattr__(self, "c0_list", _floats(self.c0_list))
 
     def validate(self) -> "ExperimentConfig":
+        """Check every field and build each model object once; a model
+        constructor's rejection is re-raised as a ConfigError naming its key."""
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.dimension < 1:
             raise ConfigError("dimension must be >= 1")
         if self.lattice_period <= 0:
             raise ConfigError("lattice period must be positive")
-        self.lattice_potential.validate(self.dimension)
-        self.external.validate(self.dimension)
+        _built("lattice_period", self.make_lattice)
+        potential = _built("lattice_potential", self.make_lattice_potential)
+        _built("external", self.make_external)
+        _built("envelope_a/envelope_b", self.make_gaussian)
         if self.band_index < 1:
             raise ConfigError("band index is 1-based")
         if self.kind == "bands" and self.band_index > self.num_bands:
@@ -267,7 +270,7 @@ class ExperimentConfig(_Serializable):
                 f"band index {self.band_index} exceeds num_bands {self.num_bands}"
             )
         cutoff = self.cutoff if self.cutoff is not None else default_cutoff(self.dimension)
-        if cutoff < self.make_lattice_potential().cutoff:
+        if cutoff < potential.cutoff:
             raise ConfigError(f"cutoff {cutoff} below the lattice potential's support")
         # band scans read num_bands bands; every other pipeline reads one band
         name = "num_bands" if self.kind == "bands" else "band_index"
@@ -293,8 +296,8 @@ class ExperimentConfig(_Serializable):
             raise ConfigError("residual_time must lie in (0, t_final]")
         if any(t < 0 or t > self.t_final + 1e-12 for t in self.sample_times):
             raise ConfigError("sample times must lie in [0, t_final]")
-        if self.kind == "ehrenfest" and not self.c0_list:
-            raise ConfigError("ehrenfest runs need at least one C0 value")
+        if self.kind == "ehrenfest" and not (self.c0_list and min(self.c0_list) > 0):
+            raise ConfigError("ehrenfest runs need a non-empty c0_list of positive C0 values")
         if min(self.half_width, self.envelope_half_width) <= 0:
             raise ConfigError("box half-widths must be positive")
         if self.points_per_period < 4:
@@ -305,8 +308,6 @@ class ExperimentConfig(_Serializable):
             raise ConfigError("band scan needs k_samples >= 2, num_bands >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        # eager build checks matrix shapes and symmetry
-        self.make_gaussian()
         return self
 
     # ---- builders -------------------------------------------------------
@@ -332,17 +333,12 @@ class ExperimentConfig(_Serializable):
 
     # ---- serialization --------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
         return cls.from_dict(data)
 
     @classmethod
@@ -357,6 +353,3 @@ class ExperimentConfig(_Serializable):
         payload.pop("jobs", None)
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-    def with_updates(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)

@@ -88,13 +88,12 @@ def loglog_fit(epsilons, values) -> dict:
 
 @dataclass
 class DynamicsBundle:
-    """Trajectory, envelope, and band data shared by every epsilon cell."""
+    """Trajectory, envelope, and band data shared by every epsilon cell; the
+    lattice and its potential are the band's."""
 
     config: ExperimentConfig
     band: object
     external: object
-    lattice: object
-    lattice_potential: object
     trajectory: object
     coefficients: object
     entries: dict  # time -> (TrajectoryState, BlochEigenpair, GaussianEnvelope)
@@ -108,8 +107,6 @@ def prepare_dynamics(config: ExperimentConfig, times) -> DynamicsBundle:
     requested times, capturing the matching Bloch eigenpair at each stop."""
     band = config.make_band()
     external = config.make_external()
-    lattice = config.make_lattice()
-    lattice_potential = config.make_lattice_potential()
 
     wanted = sorted({_tkey(t) for t in times} | {0.0})
     horizon = max(max(wanted), config.flow_dt)
@@ -130,8 +127,6 @@ def prepare_dynamics(config: ExperimentConfig, times) -> DynamicsBundle:
         config=config,
         band=band,
         external=external,
-        lattice=lattice,
-        lattice_potential=lattice_potential,
         trajectory=trajectory,
         coefficients=coefficients,
         entries=entries,
@@ -190,9 +185,8 @@ def _reference_snapshots(bundle: DynamicsBundle, epsilon: float, grid, times) ->
     """Initial field on the grid and its reference solution at the times."""
     psi0 = _initial_field(bundle, epsilon, grid)
     params = SolverParams(dt=bundle.config.reference_dt_factor * epsilon)
-    snaps = solve_schrodinger(
-        psi0, bundle.lattice, bundle.lattice_potential, bundle.external, times, params
-    )
+    band = bundle.band
+    snaps = solve_schrodinger(psi0, band.lattice, band.potential, bundle.external, times, params)
     return psi0, snaps
 
 
@@ -476,7 +470,8 @@ def _residual_cell(bundle: DynamicsBundle, eps: float) -> list:
     grid = _make_grid(config, eps)
     t_star = _tkey(config.residual_time)
     delta = config.residual_delta_factor * eps**2
-    rows = []
+    band = bundle.band
+    row = {"epsilon": eps, "time": t_star, "delta": delta}
     for label, ablate in (("full", False), ("leading", True)):
         fields = [
             _corrected_packet(
@@ -484,20 +479,10 @@ def _residual_cell(bundle: DynamicsBundle, eps: float) -> list:
             )
             for off in (-delta, 0.0, delta)
         ]
-        value = pde_residual(
-            fields[0], fields[1], fields[2],
-            bundle.lattice, bundle.lattice_potential, bundle.external,
+        row[f"residual_{label}"] = pde_residual(
+            *fields, band.lattice, band.potential, bundle.external
         )
-        rows.append({"label": label, "residual": value})
-    return [
-        {
-            "epsilon": eps,
-            "time": t_star,
-            "delta": delta,
-            "residual_full": rows[0]["residual"],
-            "residual_leading": rows[1]["residual"],
-        }
-    ]
+    return [row]
 
 
 def _needed_times(config: ExperimentConfig, mode: str) -> list:

@@ -103,13 +103,17 @@ class TrajectoryState:
         return np.asarray(self.q).shape[-1]
 
 
-def flow_rhs(q, p, band, potential) -> tuple[np.ndarray, np.ndarray, float]:
-    """Time derivatives (dq, dp, dS) of the band-driven flow."""
+def flow_rhs(q, p, band, potential, h0: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Time derivatives (dq, dp, dS) of the band-driven flow.
+
+    E(p) + V(q) stays at its initial value h0 along the flow, so the action
+    rate p . grad E - E - V is taken as p . q' - h0. The two rates differ
+    only by the flow's energy drift, which acceptance criterion 6 bounds.
+    """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     grad_e = band.grad_energy(p)
-    ds = float(p @ grad_e - band.energy(p) - potential.value(q))
-    return grad_e, -potential.grad(q), ds
+    return grad_e, -potential.grad(q), float(p @ grad_e) - h0
 
 
 class Trajectory:
@@ -169,9 +173,10 @@ def integrate_flow(
         raise FlowError("time window and step must be positive")
     nsteps = step_count(t_final, dt)
     h = t_final / nsteps
+    h0 = float(band.energy(p0) + potential.value(q0))
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        dq, dp, ds = flow_rhs(y[:d], y[d : 2 * d], band, potential)
+        dq, dp, ds = flow_rhs(y[:d], y[d : 2 * d], band, potential, h0)
         return np.concatenate([dq, dp, [ds]])
 
     ts = np.linspace(0.0, t_final, nsteps + 1)

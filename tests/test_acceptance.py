@@ -82,8 +82,8 @@ def sweep(config, bundle):
         psi0 = _leading_packet(bundle, 0.0, eps, grid)
         snaps = solve_schrodinger(
             psi0,
-            bundle.lattice,
-            bundle.lattice_potential,
+            bundle.band.lattice,
+            bundle.band.potential,
             bundle.external,
             [t_e, T_FINAL],
             SolverParams(dt=config.reference_dt_factor * eps),
@@ -118,8 +118,8 @@ def residual_sweep(config, bundle):
                 fields[0],
                 fields[1],
                 fields[2],
-                bundle.lattice,
-                bundle.lattice_potential,
+                bundle.band.lattice,
+                bundle.band.potential,
                 bundle.external,
             )
         rows[eps] = vals

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from blochpacket.cli import SUBCOMMANDS, build_parser, main
-from blochpacket.config import ExperimentConfig
+from blochpacket.cli import build_parser, main
+from blochpacket.config import EXPERIMENT_KINDS, ExperimentConfig
+from blochpacket.experiments import RUNNERS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -14,7 +15,7 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for name in SUBCOMMANDS:
+    for name in EXPERIMENT_KINDS:
         assert name in out
 
 
@@ -48,6 +49,26 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
         ("bands", {"num_bands": 80, "cutoff": 2}, "num_bands"),
         ("convergence", {"convergence_mode": "residual", "t_final": 0.3}, "residual_time"),
         ("bands", {"band_index": 9, "num_bands": 8}, "num_bands"),
+        # the model constructors' own checks surface as config problems
+        (
+            "flow",
+            {"lattice_potential": {"type": "fourier", "coeffs": [[[1], 0.5, 0.0]]}},
+            "lattice_potential",
+        ),
+        ("flow", {"external": {"type": "cosine-well", "amplitude": -1.0}}, "external"),
+        ("flow", {"external": {"type": "cosine-well", "frequencies": [0.0]}}, "external"),
+        (
+            "flow",
+            {
+                "dimension": 2,
+                "q0": [0.0, 0.0],
+                "p0": [0.3, 0.0],
+                "external": {"hessian": [[1.0, 0.3], [0.0, 1.0]]},
+            },
+            "external",
+        ),
+        ("flow", {"envelope_a": [[1.0]], "envelope_b": [[-1.0]]}, "envelope_b"),
+        ("ehrenfest", {"c0_list": [-0.1]}, "c0_list"),
     ],
 )
 def test_config_problems_exit_two(tmp_path, capsys, command, data, named):
@@ -58,6 +79,10 @@ def test_config_problems_exit_two(tmp_path, capsys, command, data, named):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert named in err["message"]
+
+
+def test_every_experiment_kind_has_a_runner():
+    assert tuple(RUNNERS) == EXPERIMENT_KINDS
 
 
 def test_envelope_run_ignores_residual_time(tmp_path, capsys):
@@ -143,5 +168,5 @@ def test_shipped_configs_validate_and_name_a_subcommand():
     assert paths
     for path in paths:
         config = ExperimentConfig.from_file(path).validate()
-        assert config.kind in SUBCOMMANDS, path.name
+        assert config.kind in EXPERIMENT_KINDS, path.name
         assert build_parser().parse_args([config.kind, "--config", str(path)]).command == config.kind

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +92,7 @@ def test_run_bands_uniform_gap_positive_for_mathieu(tmp_path):
         kind="bands", k_samples=33, num_bands=4, cutoff=16, output_dir=str(tmp_path)
     )
     assert run_bands(cfg)["uniform_gap"] > 0.4  # first gap of the cos potential is order one
-    lone = cfg.with_updates(num_bands=1, output_dir=str(tmp_path / "lone"))
+    lone = replace(cfg, num_bands=1, output_dir=str(tmp_path / "lone"))
     assert np.isnan(run_bands(lone)["uniform_gap"])  # no other band to compare against
 
 
@@ -156,8 +157,8 @@ def test_flow_and_envelope_summaries_carry_the_band_table(tmp_path):
     assert band.table_summary() == table
     assert table["node_solves"] == sum(p.nodes**cfg.dimension for p in band.patches.values())
     assert table["max_tail"] <= 1e-12 and table["min_gap"] > 0.5
-    short = cfg.with_updates(
-        kind="envelope", t_final=0.2, residual_time=0.2, sample_times=(0.2,),
+    short = replace(
+        cfg, kind="envelope", t_final=0.2, residual_time=0.2, sample_times=(0.2,),
         output_dir=str(tmp_path / "env"),
     )
     assert set(run_envelope(short)["band_table"]) == keys
@@ -168,7 +169,7 @@ def test_envelope_run_in_a_cosine_well(tmp_path):
     # along the flow and reaches both propagators through the batched
     # Hessian; bounds as for the default envelope run
     cfg = ExperimentConfig.from_file(CONFIGS / "envelope_cosine_well.json")
-    cfg = cfg.with_updates(output_dir=str(tmp_path))
+    cfg = replace(cfg, output_dir=str(tmp_path))
     summary = run_envelope(cfg)
     assert summary["max_grid_vs_gaussian_l2"] <= 1e-6
     assert summary["max_grid_mass_drift"] <= 1e-12
@@ -214,7 +215,7 @@ def test_run_convergence_parallel_matches_inline(tmp_path):
         output_dir=str(tmp_path / "a"),
     )
     s1 = run_convergence(base)
-    s2 = run_convergence(base.with_updates(output_dir=str(tmp_path / "b"), jobs=3))
+    s2 = run_convergence(replace(base, output_dir=str(tmp_path / "b"), jobs=3))
     r1 = read_rows(tmp_path / "a" / "convergence.csv")
     r2 = read_rows(tmp_path / "b" / "convergence.csv")
     assert r1 == r2

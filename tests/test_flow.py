@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import QuadraticBand, harmonic
 
+from blochpacket.bloch import BlochBand
 from blochpacket.errors import FlowError
 from blochpacket.flow import (
     CosineWellPotential,
@@ -13,6 +14,7 @@ from blochpacket.flow import (
     integrate_flow,
     total_energy,
 )
+from blochpacket.lattice import FourierPotential, LatticeSpec
 
 
 def test_quadratic_potential_values():
@@ -112,6 +114,25 @@ def test_energy_conservation_mathieu(mathieu_band):
         for i in range(0, len(traj.ts), 100)
     )
     assert drift < 1e-12
+
+
+def test_action_on_a_dispersive_band():
+    # band 1 of the amplitude-0.3 cosine, swept across several zones by a
+    # cosine well: S(T) against Simpson's rule for p E'(p) - E(p) - V(q)
+    # over the trajectory's nodes, to 1e-9 (stated before measuring)
+    band = BlochBand(LatticeSpec.cubic(1), FourierPotential.cosine(1, 0.3), 1, 32)
+    well = CosineWellPotential.create(2.0, [1.0])
+    traj = integrate_flow([1.0], [0.3], 2.0, 1e-3, band, well)
+    nodes = traj.state_at(traj.ts)
+    assert np.ptp(nodes.p) > 1.0
+    rate = (
+        np.sum(nodes.p * band.grad_energy(nodes.p), axis=-1)
+        - band.energy(nodes.p)
+        - well.value(nodes.q)
+    )
+    h = traj.ts[1] - traj.ts[0]
+    simpson = h / 3 * (rate[0] + 4 * rate[1:-1:2].sum() + 2 * rate[2:-1:2].sum() + rate[-1])
+    assert nodes.S[-1] == pytest.approx(simpson, abs=1e-9)
 
 
 @given(dt=st.sampled_from([0.02, 0.01]))
