@@ -29,7 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"run the {name} pipeline")
         cmd.add_argument("--config", help="path to a JSON experiment config")
         cmd.add_argument("--out", help="output directory (overrides the config)")
-        cmd.add_argument("--jobs", type=int, help="parallel epsilon cells")
         cmd.add_argument("--verbose", action="store_true", help="log progress to stderr")
     return parser
 
@@ -42,8 +41,6 @@ def _load_config(args) -> ExperimentConfig:
     updates = {"kind": args.command}
     if args.out:
         updates["output_dir"] = args.out
-    if args.jobs is not None:
-        updates["jobs"] = args.jobs
     return replace(config, **updates).validate()
 
 

@@ -27,7 +27,7 @@ from .envelope import GaussianEnvelope, gaussian_init
 from .errors import ConfigError, EnvelopeError, LatticeError, PotentialError
 from .flow import CosineWellPotential, QuadraticPotential
 from .lattice import FourierPotential, LatticeSpec
-from .reference import DEFAULT_DT_FACTOR
+from .reference import DEFAULT_DT_FACTOR, RESIDUAL_DELTA_LIMIT
 
 EXPERIMENT_KINDS = (
     "bands",
@@ -231,7 +231,6 @@ class ExperimentConfig(_Serializable):
     k_samples: int = 65
     num_bands: int = 8
     output_dir: str = "out"
-    jobs: int = 1
 
     def __post_init__(self):
         # a JSON int in a float field must hash like its float spelling
@@ -291,9 +290,23 @@ class ExperimentConfig(_Serializable):
                 raise ConfigError(f"{name} must be positive")
         if self.convergence_mode not in CONVERGENCE_MODES:
             raise ConfigError(f"unknown convergence mode {self.convergence_mode!r}")
-        residual_run = self.kind == "convergence" and self.convergence_mode == "residual"
-        if residual_run and not 0.0 < self.residual_time <= self.t_final:
-            raise ConfigError("residual_time must lie in (0, t_final]")
+        if self.kind == "convergence" and self.convergence_mode == "residual":
+            # the residual's snapshots sit at residual_time +- factor eps^2;
+            # at the largest eps the offset is widest and must still resolve
+            # the 1/eps phase (pde_residual's delta <= eps / 10) and start
+            # at or after t = 0
+            widest = max(self.epsilons)
+            if not 0.0 < self.residual_time <= self.t_final:
+                raise ConfigError("residual_time must lie in (0, t_final]")
+            if not 0.0 < self.residual_delta_factor * widest <= RESIDUAL_DELTA_LIMIT:
+                raise ConfigError(
+                    "residual_delta_factor * max(epsilons) must lie in"
+                    f" (0, {RESIDUAL_DELTA_LIMIT}]"
+                )
+            if self.residual_time < self.residual_delta_factor * widest**2:
+                raise ConfigError(
+                    "residual_time must be >= residual_delta_factor * max(epsilons)^2"
+                )
         if any(t < 0 or t > self.t_final + 1e-12 for t in self.sample_times):
             raise ConfigError("sample times must lie in [0, t_final]")
         if self.kind == "ehrenfest" and not (self.c0_list and min(self.c0_list) > 0):
@@ -306,8 +319,6 @@ class ExperimentConfig(_Serializable):
             raise ConfigError("envelope grid is too coarse")
         if self.k_samples < 2 or self.num_bands < 1:
             raise ConfigError("band scan needs k_samples >= 2, num_bands >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         return self
 
     # ---- builders -------------------------------------------------------
@@ -346,10 +357,9 @@ class ExperimentConfig(_Serializable):
         return cls.from_json(Path(path).read_text())
 
     def config_hash(self) -> str:
-        # identifies the scientific configuration: output location and
-        # parallelism do not change any computed number
+        # identifies the scientific configuration: the output location
+        # does not change any computed number
         payload = self.to_dict()
         payload.pop("output_dir", None)
-        payload.pop("jobs", None)
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]

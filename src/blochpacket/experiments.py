@@ -8,8 +8,7 @@ output row carries the config hash.
 
 The expensive epsilon-independent work (trajectory, envelope evolution,
 band data at the sample times) is prepared once and shared by the per
-epsilon cells; with jobs > 1 the cells run in a process pool and each
-worker rebuilds that shared state from the config instead.
+epsilon cells, which run one after another in the calling process.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -152,16 +149,10 @@ def _corrected_packet(
     the residual's off-center snapshots stay consistent with the envelope
     dynamics instead of being re-integrated from zero."""
     config = bundle.config
-    if base_time is None:
-        state, pair, gauss = bundle.at(t)
-    else:
-        _, _, gauss = bundle.at(base_time)
-        if abs(t - gauss.t) > 0:
-            gauss = evolve_gaussian(
-                gauss, bundle.coefficients, t, max(abs(t - gauss.t), 1e-12)
-            )
-        state = bundle.trajectory.state_at(t)
-        pair = bundle.band.eigenpair(state.p)
+    _, _, gauss = bundle.at(t if base_time is None else base_time)
+    gauss = evolve_gaussian(gauss, bundle.coefficients, t, max(abs(t - gauss.t), 1e-12))
+    state = bundle.trajectory.state_at(t)
+    pair = bundle.band.eigenpair(state.p)
     u = grid_envelope_from_gaussian(
         gauss, config.envelope_half_width, config.envelope_points
     )
@@ -494,36 +485,20 @@ def _needed_times(config: ExperimentConfig, mode: str) -> list:
     return sorted({t for eps in config.epsilons for t in _cell_times(config, mode, eps)})
 
 
-def _run_cell(bundle: DynamicsBundle, mode: str, eps: float) -> tuple:
-    """(epsilon, rows, failure reason or None) of one sweep cell."""
-    try:
-        if mode == "residual":
-            return eps, _residual_cell(bundle, eps), None
-        return eps, _error_cell(bundle, eps, mode), None
-    except BlochpacketError as exc:
-        return eps, [], f"{type(exc).__name__}: {exc}"
-
-
-def _sweep_worker(config: ExperimentConfig, mode: str, eps: float) -> tuple:
-    bundle = prepare_dynamics(config, _needed_times(config, mode))
-    return _run_cell(bundle, mode, eps)
-
-
 def _run_sweep(config: ExperimentConfig, mode: str) -> tuple:
-    """Rows and failures for every epsilon, in config order."""
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(partial(_sweep_worker, config, mode), config.epsilons))
-    else:
-        bundle = prepare_dynamics(config, _needed_times(config, mode))
-        results = []
-        for eps in config.epsilons:
-            logger.info("%s sweep: epsilon = %g", mode, eps)
-            results.append(_run_cell(bundle, mode, eps))
-    rows = [row for _, cell_rows, _ in results for row in cell_rows]
-    failures = [
-        {"epsilon": eps, "reason": reason} for eps, _, reason in results if reason
-    ]
+    """Rows and failures for every epsilon, in config order; a cell that
+    raises a BlochpacketError is recorded as that cell's failure."""
+    bundle = prepare_dynamics(config, _needed_times(config, mode))
+    rows, failures = [], []
+    for eps in config.epsilons:
+        logger.info("%s sweep: epsilon = %g", mode, eps)
+        try:
+            if mode == "residual":
+                rows += _residual_cell(bundle, eps)
+            else:
+                rows += _error_cell(bundle, eps, mode)
+        except BlochpacketError as exc:
+            failures.append({"epsilon": eps, "reason": f"{type(exc).__name__}: {exc}"})
     return rows, failures
 
 

@@ -110,8 +110,6 @@ def flow_rhs(q, p, band, potential, h0: float) -> tuple[np.ndarray, np.ndarray, 
     rate p . grad E - E - V is taken as p . q' - h0. The two rates differ
     only by the flow's energy drift, which acceptance criterion 6 bounds.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
     grad_e = band.grad_energy(p)
     return grad_e, -potential.grad(q), float(p @ grad_e) - h0
 

@@ -69,6 +69,21 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
         ),
         ("flow", {"envelope_a": [[1.0]], "envelope_b": [[-1.0]]}, "envelope_b"),
         ("ehrenfest", {"c0_list": [-0.1]}, "c0_list"),
+        # residual cells that would each fail at run time
+        (
+            "convergence",
+            {"convergence_mode": "residual", "residual_delta_factor": 0.0},
+            "residual_delta_factor",
+        ),
+        (
+            "convergence",
+            {
+                "convergence_mode": "residual",
+                "residual_time": 0.01,
+                "epsilons": [0.25, 0.125, 0.0625],
+            },
+            "residual_time",
+        ),
     ],
 )
 def test_config_problems_exit_two(tmp_path, capsys, command, data, named):
@@ -114,15 +129,6 @@ def test_malformed_config_value_exits_two(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_nonpositive_jobs_exits_two(tmp_path, capsys, jobs):
-    code = main(["flow", "--out", str(tmp_path), "--jobs", jobs])
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
-    assert "jobs" in err["message"]
-
-
 def test_subcommand_overrides_config_kind(tmp_path, capsys):
     # config says convergence, but the subcommand wins
     path = tmp_path / "cfg.json"
@@ -146,7 +152,7 @@ def test_subcommand_overrides_config_kind(tmp_path, capsys):
 
 
 def test_envelope_run_without_config(tmp_path, capsys):
-    code = main(["envelope", "--out", str(tmp_path / "env"), "--jobs", "2"])
+    code = main(["envelope", "--out", str(tmp_path / "env")])
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["kind"] == "envelope"
@@ -159,7 +165,7 @@ def test_parser_lists_every_runner():
     parser = build_parser()
     ns = parser.parse_args(["bands"])
     assert ns.command == "bands"
-    assert ns.config is None and ns.out is None and ns.jobs is None
+    assert ns.config is None and ns.out is None
 
 
 def test_shipped_configs_validate_and_name_a_subcommand():

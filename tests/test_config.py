@@ -34,7 +34,6 @@ def test_round_trip_json():
         t_final=0.75,
         sample_times=(0.25, 0.75),
         c0_list=(0.1, 0.2),
-        jobs=2,
     )
     back = ExperimentConfig.from_json(json.dumps(cfg.to_dict()))
     assert back == cfg
@@ -110,8 +109,8 @@ def test_make_band_and_gaussian():
 
 
 def test_config_hash_ignores_operational_fields():
-    a = ExperimentConfig(kind="convergence", output_dir="x", jobs=1)
-    b = ExperimentConfig(kind="convergence", output_dir="y", jobs=8)
+    a = ExperimentConfig(kind="convergence", output_dir="x")
+    b = ExperimentConfig(kind="convergence", output_dir="y")
     c = ExperimentConfig(kind="convergence", t_final=2.0)
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
@@ -164,13 +163,14 @@ def test_round_trip_is_identity_on_valid_configs(eps, t_final, band):
     [
         {"epsilons": 0.1},
         {"lattice_potential": "cosine"},
-        {"jobs": "2"},
+        {"k_samples": "2"},
         {"q0": [0, "a"]},
         {"external": {"hessian": 3}},
         {"dimension": "1"},
         {"external": {"not_a_field": 1.0}},
         {"lattice_potential": {"coeffs": [[1, 0.5, 0.0]]}},
-        {"jobs": True},
+        {"k_samples": True},
+        {"jobs": 2},
     ],
 )
 def test_from_dict_malformed_values_raise_config_error(data):

@@ -205,23 +205,6 @@ def test_run_convergence_error_mode(tmp_path):
     assert disk["slopes"]["1"]["slope"] == pytest.approx(slope)
 
 
-def test_run_convergence_parallel_matches_inline(tmp_path):
-    base = ExperimentConfig(
-        kind="convergence",
-        epsilons=(2**-4, 2**-5, 2**-6),
-        t_final=0.25,
-        residual_time=0.25,
-        sample_times=(0.25,),
-        output_dir=str(tmp_path / "a"),
-    )
-    s1 = run_convergence(base)
-    s2 = run_convergence(replace(base, output_dir=str(tmp_path / "b"), jobs=3))
-    r1 = read_rows(tmp_path / "a" / "convergence.csv")
-    r2 = read_rows(tmp_path / "b" / "convergence.csv")
-    assert r1 == r2
-    assert s1["slopes"] == s2["slopes"]
-
-
 def test_residual_law_with_nonzero_geometric_phase(capsys, tmp_path):
     # cos y + 0.4 sin 2y launched from q0 = 1: the geometric rate at the
     # residual time is 0.0625i, where the unit cosine gives exactly 0
