@@ -19,7 +19,7 @@ lookup, grouped by table patch.
 
 The grid scheme takes the shared `grid.strang_step`, the Fourier split
 step the reference solver uses for the full oscillatory equation; the
-Gaussian flow takes the shared `grid.rk4_step`.
+Gaussian flow takes the shared `grid.rk4`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnvelopeError
-from .grid import THRESHOLD, SpatialGrid, as_points, rk4_step, step_count, strang_step
+from .grid import THRESHOLD, SpatialGrid, as_points, rk4, step_count, strang_step
 
 INVARIANT_TOL = 1e-6           # Gaussian structure drift that raises
 SPECTRAL_TAIL_FRACTION = 1 / 3  # top spectrum band used by the tail monitor
@@ -148,11 +148,12 @@ def evolve_gaussian(
     t_final: float,
     dt: float,
 ) -> GaussianEnvelope:
-    """RK4 on (A, B, log det A, integral of beta) from env.t to t_final.
+    """RK4 on the pair (A, B) from env.t to t_final.
 
-    The determinant logarithm is integrated as trace(A^-1 A') alongside the
-    parameters and then snapped onto the exact modulus with the continued
-    branch, so evaluation uses a smooth square root of det A.
+    log det A takes the modulus of det A at the end and its argument
+    continued from env.log_det's branch over the RK4 nodes, so evaluation
+    uses a smooth square root of det A. The integral of beta adds the RK4
+    increments of the prefetched rates, which is Simpson's rule.
     """
     t0, t1 = env.t, float(t_final)
     if t1 == t0:
@@ -161,34 +162,29 @@ def evolve_gaussian(
         raise EnvelopeError("dt must be positive")
     nsteps = step_count(abs(t1 - t0), dt)
     h = (t1 - t0) / nsteps
-    d = env.dimension
-    n = d * d
 
-    # every RK4 stage time t0 + k h / 2 fetched at once; rhs recovers k from t
+    # every RK4 stage time t0 + k h / 2 fetched at once
     stages = t0 + 0.5 * h * np.arange(2 * nsteps + 1)
     stages[-1] = t1
     ms, qs = coefficients.dispersion(stages), coefficients.vhess(stages)
     betas = coefficients.berry_rate(stages)
 
-    # state vector: A and B row-major, then log det A and the beta integral
-    def rhs(t, y):
-        k = round(2.0 * (t - t0) / h)
-        a, b = y[:n].reshape(d, d), y[n : 2 * n].reshape(d, d)
-        m = ms[k]
-        dld = 1j * np.trace(np.linalg.solve(a, m @ b))
-        return np.concatenate([(1j * m @ b).ravel(), (1j * qs[k] @ a).ravel(), [dld, betas[k]]])
+    def rhs(k, y):
+        return np.stack([1j * ms[k] @ y[1], 1j * qs[k] @ y[0]])
 
-    y = np.concatenate([env.A.ravel(), env.B.ravel(), [env.log_det, env.berry_integral]])
-    for i in range(nsteps):
-        y = rk4_step(rhs, t0 + i * h, y, h)
-    a, b = y[:n].reshape(d, d), y[n : 2 * n].reshape(d, d)
-    ld, br = complex(y[-2]), complex(y[-1])
+    nodes, _ = rk4(rhs, np.stack([env.A, env.B]), h, nsteps)
+    a, b = nodes[-1].copy()  # a view would keep every node alive
 
-    # Branch snap: exact modulus, tracked argument continued to the nearest
-    # 2 pi branch of the principal argument.
-    det = np.linalg.det(a)
-    turns = np.round((ld.imag - np.angle(det)) / (2 * np.pi))
+    # Branch snap: exact modulus, argument continued from env.log_det's branch
+    # to the nearest 2 pi branch of the principal argument.
+    dets = np.linalg.det(nodes[:, 0])
+    arg = np.unwrap(np.angle(dets))
+    det = dets[-1]
+    turns = np.round((env.log_det.imag + arg[-1] - arg[0] - np.angle(det)) / (2 * np.pi))
     ld = complex(np.log(abs(det)), np.angle(det) + 2 * np.pi * turns)
+
+    increments = (h / 6.0) * (betas[:-1:2] + 2 * betas[1::2] + 2 * betas[1::2] + betas[2::2])
+    br = np.cumsum(np.concatenate([[env.berry_integral], increments]))[-1]
     br = 1j * br.imag  # beta is purely imaginary; drop roundoff real part
 
     out = GaussianEnvelope(A=a, B=b, log_det=ld, berry_integral=br, t=t1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlowError, PotentialError
-from .grid import as_points, rk4_step, step_count
+from .grid import as_points, rk4, step_count
 
 DEFAULT_Q_BOUND = 1e6
 
@@ -103,15 +103,19 @@ class TrajectoryState:
         return np.asarray(self.q).shape[-1]
 
 
-def flow_rhs(q, p, band, potential, h0: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Time derivatives (dq, dp, dS) of the band-driven flow.
+def flow_rhs(y, band, potential, h0: float) -> np.ndarray:
+    """Time derivative (dq, dp, dS) of the flow state y = (q, p, S).
 
     E(p) + V(q) stays at its initial value h0 along the flow, so the action
     rate p . grad E - E - V is taken as p . q' - h0. The two rates differ
     only by the flow's energy drift, which acceptance criterion 6 bounds.
     """
-    grad_e = band.grad_energy(p)
-    return grad_e, -potential.grad(q), float(p @ grad_e) - h0
+    d = (y.shape[0] - 1) // 2
+    out = np.empty_like(y)
+    out[:d] = grad_e = band.grad_energy(y[d : 2 * d])
+    out[d : 2 * d] = -potential.grad(y[:d])
+    out[2 * d] = y[d : 2 * d] @ grad_e - h0
+    return out
 
 
 class Trajectory:
@@ -173,23 +177,14 @@ def integrate_flow(
     h = t_final / nsteps
     h0 = float(band.energy(p0) + potential.value(q0))
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        dq, dp, ds = flow_rhs(y[:d], y[d : 2 * d], band, potential, h0)
-        return np.concatenate([dq, dp, [ds]])
-
+    # flow_rhs is looked up at each call, so a wrapper installed on the module sees it
+    states, derivs = rk4(
+        lambda k, y: flow_rhs(y, band, potential, h0), np.concatenate([q0, p0, [0.0]]), h, nsteps
+    )
     ts = np.linspace(0.0, t_final, nsteps + 1)
-    states = np.empty((nsteps + 1, 2 * d + 1))
-    derivs = np.empty_like(states)
-    y = np.concatenate([q0, p0, [0.0]])
-    states[0] = y
-    derivs[0] = rhs(0.0, y)
-    for i in range(nsteps):
-        # the node derivative doubles as the first stage
-        y = rk4_step(rhs, ts[i], y, h, k1=derivs[i])
-        if not np.all(np.isfinite(y)) or np.linalg.norm(y[:d]) > q_bound:
-            raise FlowError(f"trajectory blow-up near t = {ts[i + 1]:.6g}")
-        states[i + 1] = y
-        derivs[i + 1] = rhs(ts[i + 1], y)
+    bad = ~np.all(np.isfinite(states), axis=1) | (np.linalg.norm(states[:, :d], axis=1) > q_bound)
+    if np.any(bad):
+        raise FlowError(f"trajectory blow-up near t = {ts[np.argmax(bad)]:.6g}")
     return Trajectory(ts=ts, states=states, derivs=derivs, dimension=d)
 
 

@@ -4,8 +4,8 @@
 x-grid of synthesized packets and the reference solver.  `strang_step` is
 the Fourier split step of the grid envelope and the d >= 2 reference: the
 time-splitting spectral scheme of Bao, Jin and Markowich (J. Comput. Phys. 175 (2002)).
-`rk4_step` is the classical Runge-Kutta step of the flow and the Gaussian
-parameter equations.
+`rk4` is the one classical Runge-Kutta integrator, shared by the flow and
+the Gaussian parameter equations.
 """
 
 from __future__ import annotations
@@ -36,17 +36,28 @@ def step_count(span: float, dt: float) -> int:
     return max(1, int(np.ceil(span / dt - 1e-12)))
 
 
-def rk4_step(f, t: float, y: np.ndarray, h: float, k1=None) -> np.ndarray:
-    """One classical Runge-Kutta step of y' = f(t, y).
+def rk4(f, y0, h: float, nsteps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classical Runge-Kutta on y' = f(k, y), where k counts half steps, so
+    step i takes its stages at k = 2i, 2i + 1, 2i + 1 and 2i + 2.
 
-    A caller that already holds f(t, y) passes it as k1.
+    Returns the node values and f at every node, each of shape
+    (nsteps + 1,) + y0.shape; each node derivative doubles as the next
+    step's first stage.
     """
-    if k1 is None:
-        k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    y = np.asarray(y0)
+    k1 = f(0, y)
+    ys = np.empty((nsteps + 1,) + y.shape, dtype=np.result_type(y, k1))
+    fs = np.empty_like(ys)
+    ys[0], fs[0] = y, k1
+    for i in range(nsteps):
+        k = 2 * i
+        k2 = f(k + 1, y + 0.5 * h * k1)
+        k3 = f(k + 1, y + 0.5 * h * k2)
+        k4 = f(k + 2, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = f(k + 2, y)
+        ys[i + 1], fs[i + 1] = y, k1
+    return ys, fs
 
 
 def strang_step(values: np.ndarray, half_phase: np.ndarray, kinetic: np.ndarray) -> np.ndarray:

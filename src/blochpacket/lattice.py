@@ -133,9 +133,6 @@ class FourierPotential:
             if abs(table[neg] - np.conj(v)) > 1e-12 * max(1.0, abs(v)):
                 raise PotentialError(f"Hermitian symmetry violated at index {n}")
 
-    def coefficient(self, n) -> complex:
-        return dict(self.coeffs).get(tuple(n), 0.0 + 0.0j)
-
     def evaluate(self, lattice: LatticeSpec, points) -> np.ndarray:
         """Real values V(y) at points of shape (..., d) (or (...,) when d=1)."""
         pts = as_points(points, lattice.dimension)

@@ -173,7 +173,7 @@ def pde_residual(
     if abs(delta_plus - delta_minus) > 1e-12 * max(delta_plus, delta_minus):
         raise SolverError("centered difference needs symmetric time offsets")
     delta = 0.5 * (delta_plus + delta_minus)
-    if delta > RESIDUAL_DELTA_LIMIT * eps:
+    if delta > RESIDUAL_DELTA_LIMIT * eps * (1.0 + 1e-12):
         raise SolverError(
             f"time offset {delta:.3e} does not resolve the 1/eps phase"
             f" oscillation; need delta <= {RESIDUAL_DELTA_LIMIT * eps:.3e}"

@@ -77,13 +77,13 @@ def test_validation_rejections():
 
 def test_lattice_potential_spec_builders():
     cos = LatticePotentialSpec(type="cosine", amplitude=2.0).build(1)
-    assert cos.coefficient((1,)) == pytest.approx(1.0)
+    assert dict(cos.coeffs)[(1,)] == pytest.approx(1.0)
     zero = LatticePotentialSpec(type="zero").build(1)
     assert zero.cutoff == 0
     general = LatticePotentialSpec(
         type="fourier", coeffs=(((1,), 0.5, 0.0), ((-1,), 0.5, 0.0))
     ).build(1)
-    assert general.coefficient((1,)) == pytest.approx(0.5)
+    assert dict(general.coeffs)[(1,)] == pytest.approx(0.5)
     with pytest.raises(ConfigError):
         LatticePotentialSpec(type="bogus").build(1)
 

@@ -93,11 +93,12 @@ def test_evolve_gaussian_free_particle_closed_form():
     assert out.log_det.imag == pytest.approx(np.arctan2(1.3, 1.0), abs=1e-9)
 
 
-def test_evolve_gaussian_harmonic_rotation():
-    # M = Q = 1: A(t) = cos t + i sin t, so |det A| = 1 throughout
+@pytest.mark.parametrize("t", [2.2, 7.0])
+def test_evolve_gaussian_harmonic_rotation(t):
+    # M = Q = 1: A(t) = cos t + i sin t, so |det A| = 1 throughout; arg det A
+    # stays short of the branch cut at t = 2.2 and passes a full turn at t = 7
     coeffs = ConstantCoefficients(dispersion=np.eye(1), vhess=np.eye(1))
     g = gaussian_init(np.eye(1), np.eye(1))
-    t = 2.2
     out = evolve_gaussian(g, coeffs, t, 1e-3)
     assert out.A[0, 0] == pytest.approx(np.cos(t) + 1j * np.sin(t), abs=1e-8)
     assert out.B[0, 0] == pytest.approx(np.cos(t) + 1j * np.sin(t), abs=1e-8)

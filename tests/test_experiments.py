@@ -242,6 +242,21 @@ def test_residual_law_with_nonzero_geometric_phase(capsys, tmp_path):
     assert below
 
 
+def test_residual_sweep_on_the_delta_bound_fails_no_cell(tmp_path):
+    # 0.4 * max(eps) is exactly RESIDUAL_DELTA_LIMIT, and delta rebuilt from
+    # the snapshot times (0.5 + 0.025) - 0.5 rounds to just above 0.025
+    cfg = ExperimentConfig(
+        kind="convergence",
+        convergence_mode="residual",
+        residual_delta_factor=0.4,
+        epsilons=(0.25, 0.125, 0.0625),
+        flow_dt=0.01,
+        envelope_dt=0.01,
+        output_dir=str(tmp_path),
+    )
+    assert run_convergence(cfg)["failures"] == []
+
+
 # recorded values of the pipelines that the acceptance gate does not run
 PIN_REL = 1e-9
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blochpacket.errors import GridError
-from blochpacket.grid import SpatialGrid, as_points, rk4_step, step_count, strang_step
+from blochpacket.grid import SpatialGrid, as_points, rk4, step_count, strang_step
 
 
 def test_shell_fraction_is_union_over_axes_2d():
@@ -54,10 +54,19 @@ def test_step_count_lands_on_the_span():
     assert step_count(1e-20, 1.0) == 1
 
 
-def test_rk4_step_exact_for_cubic_in_time():
-    # y' = 3 t^2 is integrated exactly by a fourth-order step
-    y = rk4_step(lambda t, y: np.array([3.0 * t * t]), 0.5, np.array([0.0]), 0.25)
-    assert y[0] == pytest.approx(0.75**3 - 0.5**3, abs=1e-15)
+def test_rk4_exact_for_cubic_in_time():
+    # y' = 3 t^2 is integrated exactly by a fourth-order method; the rate
+    # reads t = t0 + k h / 2 from the half-step index k
+    t0, h = 0.5, 0.25
+
+    def rate(k, y):
+        t = t0 + 0.5 * k * h
+        return np.array([3.0 * t * t])
+
+    ys, fs = rk4(rate, np.array([0.0]), h, 3)
+    ts = t0 + h * np.arange(4)
+    assert ys[:, 0] == pytest.approx(ts**3 - t0**3, abs=1e-15)
+    assert fs[:, 0] == pytest.approx(3.0 * ts**2, abs=0)
 
 
 def test_strang_step_is_unitary():
