@@ -62,9 +62,8 @@ def rk4(f, y0, h: float, nsteps: int) -> tuple[np.ndarray, np.ndarray]:
 
 def strang_step(values: np.ndarray, half_phase: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
     """Half pointwise phase, exact Fourier multiplier, second half phase."""
-    values = half_phase * values
-    values = np.fft.ifftn(kinetic * np.fft.fftn(values))
-    return half_phase * values
+    fft, ifft = (np.fft.fft, np.fft.ifft) if values.ndim == 1 else (np.fft.fftn, np.fft.ifftn)
+    return half_phase * ifft(kinetic * fft(half_phase * values))
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,16 @@ In d = 1 this is the Bloch-decomposition step of Huang, Jin, Markowich and
 Sparber (SIAM J. Sci. Comput. 29 (2007)): on K whole cells of P points, H_per
 is K Hermitian P x P blocks, one per residue r of the Fourier index mK + r,
 diagonalized once per solve and applied exactly, so only the splitting error
-of V limits the default dt = eps/10.  In d >= 2 the blocks do not fit in
+of V limits the default dt = eps/10.  A step takes P FFTs of length K across
+the cells to the cell-Bloch components X[r, a] = sum_b x[a + P b] e^{-2 pi i r b / K},
+applies the product propagator W diag(e^{-i h lam}) W^H that each snapshot
+segment stores, and transforms back.  In d >= 2 the blocks do not fit in
 memory, and each step takes STRANG_SUBSTEPS steps of `grid.strang_step`.
 Every factor is unitary, so the grid mass is conserved to rounding.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +70,23 @@ def _bloch_blocks(grid: SpatialGrid, lattice, lattice_potential, eps: float) -> 
     return blocks
 
 
-def _bloch_step(values: np.ndarray, half_phase: np.ndarray, phase: np.ndarray, vecs) -> np.ndarray:
-    """`grid.strang_step` with H_per's block propagator W diag(phase) W^H, W = vecs
-    of shape (K, P, P), as the kinetic factor; only W is held, not the product."""
-    coeffs = np.fft.fft(half_phase * values).reshape(-1, vecs.shape[0]).T
-    coeffs = phase * np.matmul(coeffs.conj()[:, None, :], vecs)[:, 0].conj()
-    coeffs = np.matmul(vecs, coeffs[..., None])[..., 0]
-    return half_phase * np.fft.ifft(coeffs.T.ravel())
+def _cell_vectors(vecs: np.ndarray) -> np.ndarray:
+    """The blocks' eigenvectors W (K, P, P) on the cell-Bloch components: coefficient
+    mK + r is sum_a e^{-2 pi i (mK + r) a / KP} X[r, a], so this unitary is
+    W_cell[r] = diag(e^{2 pi i r a / KP}) F_P^H W[r] / sqrt(P)."""
+    ncells, npts = vecs.shape[:2]
+    a = np.arange(npts)
+    cells = np.matmul(np.exp(2j * np.pi * (np.outer(a, a) % npts) / npts) / np.sqrt(npts), vecs)
+    cells *= np.exp(2j * np.pi * np.outer(np.arange(ncells), a) / (ncells * npts))[..., None]
+    return cells
+
+
+def _bloch_step(values: np.ndarray, half_phase: np.ndarray, propagator: np.ndarray) -> np.ndarray:
+    """`grid.strang_step` with H_per's propagator U of shape (K, P, P) as the
+    kinetic factor, applied to the cell-Bloch components by FFTs across cells."""
+    cells = np.fft.fft((half_phase * values).reshape(propagator.shape[0], -1), axis=0)
+    cells = np.matmul(propagator, cells[..., None])[..., 0]
+    return half_phase * np.fft.ifft(cells, axis=0).ravel()
 
 
 def solve_schrodinger(
@@ -102,10 +114,10 @@ def solve_schrodinger(
 
     eps, grid = psi0.epsilon, psi0.grid
     dt = params.resolve_dt(eps)
-    if grid.dimension == 1:  # H_per = W diag(lam) W^H on the FFT coefficients
+    if grid.dimension == 1:  # H_per = W diag(lam) W^H on the cell-Bloch components
         vgrid = external.value(grid.points())
         lam, vecs = np.linalg.eigh(_bloch_blocks(grid, lattice, lattice_potential, eps))
-        step_fn, substeps = functools.partial(_bloch_step, vecs=vecs), 1
+        vecs, step_fn, substeps = _cell_vectors(vecs), _bloch_step, 1
     else:  # only the kinetic part, diagonal on the FFT coefficients
         vgrid = _total_potential_grid(psi0, lattice, lattice_potential, external)
         lam, step_fn, substeps = eps * _kinetic_symbol(grid), strang_step, STRANG_SUBSTEPS
@@ -120,6 +132,9 @@ def solve_schrodinger(
             h = span / nsteps
             half_potential = np.exp(-0.5j * h * vgrid / eps)
             kinetic = np.exp(-1j * h * lam)
+            if grid.dimension == 1:  # U = W_cell diag(d) W_cell^H = conj(conj(W_cell d) W_cell^T),
+                scaled = np.conjugate(vecs * kinetic[:, None, :])  # then U overwrites conj(W_cell d)
+                kinetic = np.conjugate(np.matmul(scaled, vecs.swapaxes(1, 2)), out=scaled)
             for step in range(nsteps):
                 vals = step_fn(vals, half_potential, kinetic)
                 if (step + 1) % (BOUNDARY_CHECK_EVERY * substeps) == 0:

@@ -13,6 +13,7 @@ from blochpacket.reference import (
     SolverParams,
     _bloch_blocks,
     _bloch_step,
+    _cell_vectors,
     _kinetic_symbol,
     _total_potential_grid,
     l2_error,
@@ -127,16 +128,19 @@ def test_self_convergence_second_order(lattice1d, cosine1d, mathieu_band):
 @pytest.mark.parametrize("eps", [2**-4, 2**-5])
 def test_bloch_blocks_equal_the_periodic_operator(lattice1d, eps):
     # H_per v = (eps/2) |xi|^2 v^ + V_cell(x/eps) v / eps, with coefficient
-    # j = mK + r in block r: this pins the residue mapping of the blocks and
-    # of the step that applies them; cos y + 0.4 sin 2y is not even, so a
-    # transposed block shows too
+    # j = mK + r in block r: this pins the residue mapping of the blocks, of
+    # their rotation onto the cell-Bloch components and of the step that
+    # applies them; cos y + 0.4 sin 2y is not even, so a transposed block
+    # shows too
     tilted = FourierPotential.from_coeffs({1: 0.5, -1: 0.5, 2: -0.2j, -2: 0.2j})
     grid = make_grid_for(eps)
     blocks = _bloch_blocks(grid, lattice1d, tilted, eps)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     lam, vecs = np.linalg.eigh(blocks)
-    lhs = _bloch_step(v, np.ones(grid.shape), lam, vecs)  # W diag(lam) W^H v
+    cells = _cell_vectors(vecs)
+    product = np.matmul(cells * lam[:, None, :], cells.conj().swapaxes(1, 2))
+    lhs = _bloch_step(v, np.ones(grid.shape), product)  # W_cell diag(lam) W_cell^H v
     field = GridWaveField(grid=grid, epsilon=eps, time=0.0, values=v)
     vtile = _total_potential_grid(field, lattice1d, tilted, QuadraticPotential.create(1))
     rhs = np.fft.ifft(2 * _kinetic_symbol(grid) * np.fft.fft(v)) * eps / 2 + vtile * v / eps
@@ -157,13 +161,19 @@ def strang_solve(psi0, lattice, lattice_potential, external, t_final, dt):
     return GridWaveField(grid=psi0.grid, epsilon=eps, time=t_final, values=vals)
 
 
-@pytest.mark.parametrize("eps", [2**-4, 2**-5])
-def test_bloch_step_at_default_dt_beats_strang(lattice1d, cosine1d, mathieu_band, eps):
+@pytest.mark.parametrize(
+    "eps, times",
+    [(2**-4, [1.0]), (2**-5, [1.0]), (2**-4, [0.31, 1.0]), (2**-5, [0.31, 1.0])],
+    ids=["0.0625", "0.03125", "0.0625-two-segments", "0.03125-two-segments"],
+)
+def test_bloch_step_at_default_dt_beats_strang(lattice1d, cosine1d, mathieu_band, eps, times):
     # the default dt = eps/10 against a Fourier split step at dt = eps/800;
-    # the block step leaves only the splitting error of the smooth V
+    # the block step leaves only the splitting error of the smooth V; with
+    # two snapshots the segments step with different h, each with its own
+    # stored propagator
     psi0 = mathieu_packet(mathieu_band, eps)
     ext = harmonic(1)
-    bloch = solve_schrodinger(psi0, lattice1d, cosine1d, ext, [1.0])[0]
+    bloch = solve_schrodinger(psi0, lattice1d, cosine1d, ext, times)[-1]
     fine = strang_solve(psi0, lattice1d, cosine1d, ext, 1.0, eps / 800)
     coarse = strang_solve(psi0, lattice1d, cosine1d, ext, 1.0, eps / 100)
     deviation = l2_error(bloch, fine) / fine.grid.norm(fine.values)
