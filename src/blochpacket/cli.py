@@ -41,7 +41,7 @@ def _load_config(args) -> ExperimentConfig:
     updates = {"kind": args.command}
     if args.out:
         updates["output_dir"] = args.out
-    return replace(config, **updates).validate()
+    return replace(config, **updates)
 
 
 def main(argv=None) -> int:

@@ -35,7 +35,6 @@ from .grid import THRESHOLD, SpatialGrid, as_points, rk4, step_count, strang_ste
 INVARIANT_TOL = 1e-6           # Gaussian structure drift that raises
 SPECTRAL_TAIL_FRACTION = 1 / 3  # top spectrum band used by the tail monitor
 SPECTRAL_TAIL_TOL = 1e-6
-SIGMA_MAX_ORDER = 5
 
 
 def geometric_rate(band, potential, state):
@@ -310,41 +309,17 @@ def spectral_hessian(u: GridEnvelope) -> np.ndarray:
     return out
 
 
-def sigma_norm(u: GridEnvelope, order: int) -> float:
-    """Weighted Sobolev norm: sum of L2 norms of z^a d^b u, |a| + |b| <= order.
+def sigma_norm(u: GridEnvelope) -> float:
+    """Weighted Sobolev norm of order 1: ||u|| + sum_j (||z_j u|| + ||d_j u||).
 
     Derivatives are spectral; a spectral-tail monitor rejects grids too
-    coarse to differentiate reliably at the requested order.
+    coarse to differentiate reliably.
     """
-    if order < 0 or order > SIGMA_MAX_ORDER:
-        raise EnvelopeError(f"order must be in [0, {SIGMA_MAX_ORDER}]")
-    if order > 0 and u.spectral_tail_fraction() > SPECTRAL_TAIL_TOL:
-        raise EnvelopeError("spectral tail too large for the requested order")
-    d = u.dimension
+    if u.spectral_tail_fraction() > SPECTRAL_TAIL_TOL:
+        raise EnvelopeError("spectral tail too large to differentiate the envelope")
     grid = u.grid
-    pts = grid.points()
-    hat = np.fft.fftn(u.values)
-    freq = [grid.along(j, grid.freq_axis()) for j in range(d)]
-
-    total = 0.0
-    for a in _multi_indices(d, order):
-        rest = order - sum(a)
-        for b in _multi_indices(d, rest):
-            mult = np.ones(u.values.shape, dtype=complex)
-            for axi in range(d):
-                if b[axi]:
-                    mult = mult * (1j * freq[axi]) ** b[axi]
-            db = np.fft.ifftn(mult * hat)
-            weight = np.ones(pts.shape[0])
-            for axi in range(d):
-                if a[axi]:
-                    weight = weight * pts[:, axi] ** a[axi]
-            total += grid.norm(db.ravel() * weight)
+    z = grid.axis()
+    total = grid.norm(u.values)
+    for j, grad in enumerate(spectral_gradient(u)):
+        total += grid.norm(grid.along(j, z) * u.values) + grid.norm(grad)
     return total
-
-
-def _multi_indices(dimension: int, max_total: int):
-    """All multi-indices with |a| <= max_total."""
-    for combo in itertools.product(range(max_total + 1), repeat=dimension):
-        if sum(combo) <= max_total:
-            yield combo

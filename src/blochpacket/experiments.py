@@ -356,7 +356,7 @@ def run_envelope(config: ExperimentConfig) -> dict:
                 "grid_mass_drift": drift,
                 "grid_boundary_fraction": u_grid.boundary_mass_fraction(),
                 "grid_vs_gaussian_l2": diff,
-                "sigma1_norm": sigma_norm(u_grid, 1),
+                "sigma1_norm": sigma_norm(u_grid),
             }
         )
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FlowError, PotentialError
 from .grid import as_points, rk4, step_count
 
-DEFAULT_Q_BOUND = 1e6
+Q_BOUND = 1e6  # largest |q| the flow accepts before calling it a blow-up
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,11 @@ def integrate_flow(
     dt: float,
     band,
     potential,
-    *,
-    q_bound: float = DEFAULT_Q_BOUND,
 ) -> Trajectory:
     """Classical RK4 on (q, p, S) over a uniform grid.
 
-    The step is shrunk to divide t_final exactly.
+    The step is shrunk to divide t_final exactly. A state that is not
+    finite or leaves |q| <= Q_BOUND (read at call time) raises.
     """
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
@@ -182,7 +181,7 @@ def integrate_flow(
         lambda k, y: flow_rhs(y, band, potential, h0), np.concatenate([q0, p0, [0.0]]), h, nsteps
     )
     ts = np.linspace(0.0, t_final, nsteps + 1)
-    bad = ~np.all(np.isfinite(states), axis=1) | (np.linalg.norm(states[:, :d], axis=1) > q_bound)
+    bad = ~np.all(np.isfinite(states), axis=1) | (np.linalg.norm(states[:, :d], axis=1) > Q_BOUND)
     if np.any(bad):
         raise FlowError(f"trajectory blow-up near t = {ts[np.argmax(bad)]:.6g}")
     return Trajectory(ts=ts, states=states, derivs=derivs, dimension=d)

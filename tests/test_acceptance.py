@@ -7,7 +7,9 @@ error law (1), the reference-mass conservation check (6) and the
 Ehrenfest-horizon error trend (8).
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,8 @@ C0 = 0.1
 T_FINAL = 1.0
 T_STAR = 0.5
 LONG_T = 10.0
+GOLDEN = Path(__file__).resolve().parent / "acceptance_golden.json"
+EPS_NAMES = ("2^-4", "2^-5", "2^-6", "2^-7")
 
 
 def _ehrenfest_time(eps: float) -> float:
@@ -375,3 +379,33 @@ def test_free_lattice_closed_forms(capsys, lattice1d, free_band):
     assert parabola_dev <= 1e-12
     assert corr_norm <= 1e-12
     assert wave_err <= 1e-10
+
+
+def test_acceptance_numbers_match_golden(sweep, residual_sweep):
+    # the criteria above hold bounds; this holds the numbers themselves, so
+    # a change that moves the physics shows even inside every bound
+    series = {
+        "error_final": [sweep[e]["error_final"] for e in EPS_LIST],
+        "error_ehrenfest": [sweep[e]["error_ehrenfest"] for e in EPS_LIST],
+        "residual_full": [residual_sweep[e]["full"] for e in EPS_LIST],
+        "residual_leading": [residual_sweep[e]["leading"] for e in EPS_LIST],
+    }
+    measured = {
+        f"{key} eps={name}": value
+        for key, values in series.items()
+        for name, value in zip(EPS_NAMES, values)
+    }
+    for name, key in (
+        ("slope_final", "error_final"),
+        ("slope_full", "residual_full"),
+        ("slope_leading", "residual_leading"),
+    ):
+        measured[name] = loglog_fit(np.array(EPS_LIST), np.array(series[key]))["slope"]
+    golden = json.loads(GOLDEN.read_text())["numbers"]
+    assert sorted(measured) == sorted(golden)
+    moved = [
+        f"{name}: {measured[name]!r} vs golden {entry['value']!r}"
+        for name, entry in golden.items()
+        if abs(measured[name] - entry["value"]) > entry["rel_tol"] * abs(entry["value"])
+    ]
+    assert not moved, "acceptance numbers moved:\n" + "\n".join(moved)

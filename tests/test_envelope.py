@@ -22,12 +22,12 @@ from blochpacket.envelope import (
 from blochpacket.errors import EnvelopeError
 from blochpacket.flow import TrajectoryState, integrate_flow
 
-# Weighted-norm oracles for u(z) = exp(-z^2/2) (A = B = 1), by hand:
-# ||u|| = pi^(1/4), ||z u|| = ||u'|| = pi^(1/4)/sqrt(2),
-# ||z^2 u|| = ||z u'|| = ||u''|| = pi^(1/4) sqrt(3)/2.
+# Weighted-norm oracles for u(z) = exp(-|z|^2/2) (A = B = 1), by hand:
+# in d = 1, ||u|| = pi^(1/4) and ||z u|| = ||u'|| = pi^(1/4)/sqrt(2);
+# in d = 2, ||u|| = sqrt(pi) and ||z_j u|| = ||d_j u|| = sqrt(pi/2).
 SIGMA0 = np.pi**0.25
-SIGMA1 = np.pi**0.25 * (1.0 + np.sqrt(2.0))
-SIGMA2 = np.pi**0.25 * (1.0 + np.sqrt(2.0) + 1.5 * np.sqrt(3.0))
+SIGMA1 = SIGMA0 * (1.0 + np.sqrt(2.0))
+SIGMA1_2D = np.sqrt(np.pi) * (1.0 + 2.0 * np.sqrt(2.0))
 
 
 def sym(mat):
@@ -62,9 +62,10 @@ def test_gaussian_init_rejects_bad_data():
 def test_sigma_norm_oracles():
     g = gaussian_init(np.eye(1), np.eye(1))
     u = grid_envelope_from_gaussian(g, 16.0, 512)
-    assert sigma_norm(u, 0) == pytest.approx(SIGMA0, rel=1e-12)
-    assert sigma_norm(u, 1) == pytest.approx(SIGMA1, rel=1e-12)
-    assert sigma_norm(u, 2) == pytest.approx(SIGMA2, rel=1e-12)
+    assert sigma_norm(u) == pytest.approx(SIGMA1, rel=1e-12)
+    g2 = gaussian_init(np.eye(2), np.eye(2))
+    u2 = grid_envelope_from_gaussian(g2, 12.0, 96)
+    assert sigma_norm(u2) == pytest.approx(SIGMA1_2D, rel=1e-12)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -284,11 +285,14 @@ def test_homogenized_coefficients_interpolate_trajectory(mathieu_band):
         assert beta[i] == pytest.approx(-1j * np.pi * state.q[0], abs=1e-12)
 
 
-def test_sigma_norm_rejects_negative_order():
+def test_sigma_norm_rejects_an_unresolved_grid():
+    # dx = 1 leaves a visible part of the unit Gaussian's spectrum in the
+    # top third of the frequencies
     g = gaussian_init(np.eye(1), np.eye(1))
-    u = grid_envelope_from_gaussian(g, 8.0, 64)
-    with pytest.raises(EnvelopeError):
-        sigma_norm(u, -1)
+    u = grid_envelope_from_gaussian(g, 8.0, 16)
+    assert u.spectral_tail_fraction() > 1e-6
+    with pytest.raises(EnvelopeError, match="spectral tail"):
+        sigma_norm(u)
 
 
 def test_grid_propagator_matches_gaussian_2d():

@@ -379,3 +379,38 @@ def test_geometric_factor_matches_discrete_transport(tmp_path, band_index, q0, p
     overlap = cell_inner(lattice, carried, pair.coeffs * np.exp(gauss.berry_integral))
     assert abs(1.0 - abs(overlap)) <= 1e-9
     assert abs(np.angle(overlap)) <= 1e-9
+
+
+# cos y + 0.4 sin 2y: its lowest band has no reflection symmetry, so its
+# Zak phase, 2.8470635824 (Zak, Phys. Rev. Lett. 62, 2747 (1989)), is not a
+# multiple of pi and fixes the sign of the geometric factor
+TILTED = LatticePotentialSpec(
+    type="fourier",
+    coeffs=(((1,), 0.5, 0.0), ((-1,), 0.5, 0.0), ((2,), 0.0, -0.2), ((-2,), 0.0, 0.2)),
+)
+
+
+@pytest.mark.parametrize(
+    "lattice_potential, zak_phase, tol",
+    [
+        (LatticePotentialSpec(), np.pi, 1e-10),
+        (TILTED, 2.8470635824, 1e-9),
+    ],
+    ids=["cosine", "tilted"],
+)
+def test_bloch_oscillation_closes_the_flow_and_the_gaussian(lattice_potential, zak_phase, tol):
+    # V = F x with F = 1: over one period 1/F the momentum sweeps one zone,
+    # so q, A and B come back (Q = 0 and the band data are periodic) and the
+    # Gaussian picks up exactly -i times the Zak phase
+    cfg = replace(
+        ExperimentConfig.from_file(CONFIGS / "bloch_oscillation.json"),
+        lattice_potential=lattice_potential,
+    ).validate()
+    bundle = prepare_dynamics(cfg, [1.0])
+    state0, _, gauss0 = bundle.at(0.0)
+    state1, _, gauss1 = bundle.at(1.0)
+    assert abs(state1.q[0] - state0.q[0]) <= 1e-12
+    assert abs(state1.p[0] - (state0.p[0] - 1.0)) <= 1e-12
+    assert np.max(np.abs(gauss1.A - gauss0.A)) <= 1e-12
+    assert np.array_equal(gauss1.B, gauss0.B)
+    assert abs(gauss1.berry_integral - (-1j * zak_phase)) <= tol

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import QuadraticBand, harmonic
 
+from blochpacket import flow
 from blochpacket.bloch import BlochBand
 from blochpacket.errors import FlowError
 from blochpacket.flow import (
@@ -200,14 +201,15 @@ def test_external_hessians_take_batches_of_points():
     assert well1.hess(np.array([0.4])).shape == (1, 1)
 
 
-def test_q_bound_guard():
+def test_q_bound_guard(monkeypatch):
+    monkeypatch.setattr(flow, "Q_BOUND", 5.0)
     band = QuadraticBand(1)
     # runaway potential: V = -x^2 -> exponential escape
     pot = QuadraticPotential.create(1, hessian=[[-2.0]])
     # q = cosh(sqrt2 t) + sinh(sqrt2 t) / sqrt2 passes 5 near t = 1.25; the
     # message names that first node, not the end of the window
     with pytest.raises(FlowError, match=r"blow-up near t = 1\.2"):
-        integrate_flow([1.0], [1.0], 20.0, 1e-2, band, pot, q_bound=5.0)
+        integrate_flow([1.0], [1.0], 20.0, 1e-2, band, pot)
 
 
 def test_invalid_inputs():
