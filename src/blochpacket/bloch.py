@@ -12,6 +12,8 @@ Inner products over the cell in this scaling are |Y| * sum conj(a) b.
 `BlochBand` serves band energy, gradient, Hessian and connection from a band
 table: Chebyshev interpolants on patches of the Brillouin zone, each built
 from `band_derivatives` at its nodes the first time a query falls inside it.
+Cell functions are solved at the momentum asked for, and every reduced
+resolvent comes from the dense eigendecomposition (`reduced_resolvent_solve`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,10 +62,6 @@ class BlochEigenpair:
     @property
     def dimension(self) -> int:
         return self.lattice.dimension
-
-    def unit_coeffs(self) -> np.ndarray:
-        """Coefficients in the orthonormal-basis scaling (unit 2-norm)."""
-        return self.coeffs * np.sqrt(self.lattice.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -150,29 +148,26 @@ def _check_isolated(gap: float, width: float, m: int) -> None:
 
 
 def reduced_resolvent_solve(
-    h: np.ndarray, energy: float, chi_unit: np.ndarray, rhs: np.ndarray
+    h: np.ndarray, evals: np.ndarray, evecs: np.ndarray, m: int, rhs: np.ndarray
 ) -> np.ndarray:
-    """Solve (H - E) x = P_perp rhs subject to <chi, x> = 0.
+    """Solve (H - E_m) x = P_perp rhs subject to <w_m, x> = 0, given H's
+    eigendecomposition (evals ascending, orthonormal eigenvector columns w_n).
 
-    Uses the bordered system [[H - E, chi], [chi^*, 0]] which is nonsingular
-    exactly when the band is simple.
+    x = sum_{n != m} w_n <w_n, rhs> / (lam_n - E_m), for rhs of shape (M,) or
+    (M, R) with one right-hand side per column. It is finite exactly when
+    band m (1-based) is simple.
     """
-    dim = h.shape[0]
-    bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
-    bordered[:dim, :dim] = h - energy * np.eye(dim)
-    bordered[:dim, dim] = chi_unit
-    bordered[dim, :dim] = np.conj(chi_unit)
-    rhs_perp = rhs - chi_unit * np.vdot(chi_unit, rhs)
-    full = np.concatenate([rhs_perp, [0.0]])
-    try:
-        sol = np.linalg.solve(bordered, full)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"reduced-resolvent solve failed: {exc}") from exc
-    x = sol[:dim]
-    residual = np.linalg.norm((h - energy * np.eye(dim)) @ x - rhs_perp)
-    if residual > 1e-8 * max(1.0, np.linalg.norm(rhs_perp)):
-        raise EigensolverError(f"reduced-resolvent residual {residual:.3e}")
-    if abs(np.vdot(chi_unit, x)) > ORTHO_TOL:
+    energy = evals[m - 1]
+    shift = evals - energy
+    shift[m - 1] = np.inf
+    weights = (evecs.conj().T @ rhs) / shift.reshape((-1,) + (1,) * (rhs.ndim - 1))
+    x = evecs @ weights
+    chi = evecs[:, m - 1]
+    rhs_perp = rhs - np.multiply.outer(chi, chi.conj() @ rhs)
+    residual = np.linalg.norm(h @ x - energy * x - rhs_perp, axis=0)
+    if np.any(residual > 1e-8 * np.maximum(1.0, np.linalg.norm(rhs_perp, axis=0))):
+        raise EigensolverError(f"reduced-resolvent residual {np.max(residual):.3e}")
+    if np.any(np.abs(chi.conj() @ x) > ORTHO_TOL):
         raise EigensolverError("reduced-resolvent solution not orthogonal")
     return x
 
@@ -234,9 +229,7 @@ def band_derivatives(
     )
     grad = (np.abs(a) ** 2) @ g_plus_k
 
-    xs = np.array(
-        [reduced_resolvent_solve(h, pair.energy, a, -(g_plus_k[:, j] * a)) for j in range(d)]
-    )
+    xs = reduced_resolvent_solve(h, evals, evecs, m, -(g_plus_k * a[:, None])).T
     # Hess E_jl = delta_jl + <a, (G + k)_j x_l> + <a, (G + k)_l x_j>
     terms = (np.conj(a) * g_plus_k.T) @ xs.T
     terms = terms + terms.T
@@ -263,30 +256,6 @@ def evaluate_cell_coeffs(lattice, cutoff: int, coeffs: np.ndarray, points) -> np
     d = lattice.dimension
     g = lattice.dual_vectors(pw_indices(d, cutoff))
     return np.exp(1j * (as_points(points, d) @ g.T)) @ coeffs
-
-
-def _shift_coeffs(coeffs: np.ndarray, winding: np.ndarray, dimension: int, cutoff: int) -> np.ndarray:
-    """Coefficients of exp(-i <G_w, y>) * chi given those of chi, on the
-    last axis.
-
-    Re-indexes c'_n = c_{n + w}; entries pushed past the cutoff box are
-    dropped (they sit in the spectral tail for converged cutoffs).
-    """
-    w = np.asarray(winding, dtype=int)
-    if not np.any(w):
-        return coeffs
-    side = 2 * cutoff + 1
-    src = coeffs.reshape(coeffs.shape[:-1] + (side,) * dimension)
-    dst = np.zeros_like(src)
-    src_slices, dst_slices = [...], [...]
-    for ax in range(dimension):
-        shift = int(w[ax])
-        lo = max(0, shift)
-        hi = min(side, side + shift)
-        src_slices.append(slice(lo, hi))
-        dst_slices.append(slice(lo - shift, hi - shift))
-    dst[tuple(dst_slices)] = src[tuple(src_slices)]
-    return dst.reshape(coeffs.shape)
 
 
 @functools.lru_cache(maxsize=None)
@@ -366,9 +335,10 @@ class BlochBand:
     solver at that k would.
 
     The cell function and its k-derivative (`eigenpair`, `derivatives`) are
-    solved directly at the folded momentum, behind a bounded cache, and
-    unfolded by the exact re-indexing chi(k + G_w) = exp(-i <G_w, y>) chi(k).
-    A single trajectory integration should own its instance.
+    `band_derivatives` at the momentum asked for, unfolded or not, behind an
+    LRU cache of DIRECT_CACHE_SIZE momenta. The anchored gauge fixes the
+    Bloch wave itself, so a solve at k + G gives exp(-i <G, y>) chi(k) with
+    no re-indexing. A single trajectory integration should own its instance.
     """
 
     def __init__(
@@ -388,7 +358,9 @@ class BlochBand:
         self.cutoff = int(cutoff)
         self._to_frac = np.linalg.inv(lattice.dual_basis)
         self.patches: dict[tuple, BandPatch] = {}
-        self._direct = functools.lru_cache(maxsize=DIRECT_CACHE_SIZE)(self._solve)
+        self._direct = functools.lru_cache(maxsize=DIRECT_CACHE_SIZE)(
+            lambda p: band_derivatives(self.lattice, self.potential, np.array(p), self.m, self.cutoff)
+        )
         self.node_solves = 0
         self.min_gap = math.inf
 
@@ -462,8 +434,10 @@ class BlochBand:
             rows = group.ravel() == g
             values[rows] = self._patch(key).interpolate_rows(local[rows])
         gaps = values[:, 1 + 2 * d + d * d : -1].min(axis=1, initial=math.inf)
-        for gap, width in zip(gaps.tolist(), values[:, -1].tolist()):
-            _check_isolated(gap, width, self.m)
+        close = gaps < GAP_TOL_RELATIVE * np.maximum(values[:, -1], 1.0)
+        if close.any():
+            first = int(np.argmax(close))
+            _check_isolated(float(gaps[first]), float(values[first, -1]), self.m)
         self.min_gap = min(self.min_gap, float(gaps.min()))
         return values
 
@@ -492,25 +466,15 @@ class BlochBand:
             "min_gap": self.min_gap if math.isfinite(self.min_gap) else None,
         }
 
-    def _solve(self, folded: tuple) -> tuple[BlochEigenpair, BandDerivatives]:
-        return band_derivatives(self.lattice, self.potential, np.array(folded), self.m, self.cutoff)
-
-    def _direct_at(self, p) -> tuple[BlochEigenpair, BandDerivatives, np.ndarray]:
-        folded, winding = self.lattice.fold(np.atleast_1d(np.asarray(p, dtype=float)))
-        pair, derivs = self._direct(tuple(folded.tolist()))
-        return pair, derivs, winding
+    def _solved(self, p) -> tuple[BlochEigenpair, BandDerivatives]:
+        return self._direct(tuple(np.atleast_1d(np.asarray(p, dtype=float)).tolist()))
 
     def eigenpair(self, p) -> BlochEigenpair:
-        """Cell function at the unfolded momentum p (anchored gauge)."""
-        pair, _, winding = self._direct_at(p)
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        coeffs = _shift_coeffs(pair.coeffs, winding, self.dimension, self.cutoff)
-        return replace(pair, k=p, coeffs=coeffs)
+        """Cell function at the momentum p (anchored gauge)."""
+        return self._solved(p)[0]
 
     def derivatives(self, p) -> BandDerivatives:
-        _, derivs, winding = self._direct_at(p)
-        dk = _shift_coeffs(derivs.dk_coeffs, winding, self.dimension, self.cutoff)
-        return replace(derivs, dk_coeffs=dk)
+        return self._solved(p)[1]
 
 
 def default_cutoff(dimension: int) -> int:

@@ -162,19 +162,18 @@ def build_U1(
 def build_U2(u: GridEnvelope, state, band, external) -> CorrectorField:
     """Second corrector: reduced resolvent applied to -(L_1 U_1 + L_2 U_0).
 
-    Solves (H(p) - E) w = P_perp y for each separable term of the
-    right-hand side with <chi, w> = 0, so <chi, U_2> = 0; the chi-parallel
-    part is the envelope equation and drops out.
+    Solves (H(p) - E) w = P_perp y for every separable term of the
+    right-hand side at once, from one eigendecomposition of H(p), with
+    <chi, w> = 0, so <chi, U_2> = 0; the chi-parallel part is the envelope
+    equation and drops out.
     """
     pair = band.eigenpair(state.p)
     derivs = band.derivatives(state.p)
-    h = build_bloch_hamiltonian(pair.lattice, band.potential, pair.k, pair.cutoff).astype(complex)
-    chi_unit = pair.unit_coeffs()
-    scale = np.sqrt(pair.lattice.cell_volume)
-    terms = tuple(
-        (zprof, reduced_resolvent_solve(h, pair.energy, chi_unit, y * scale) / scale)
-        for zprof, y in _second_order_terms(u, spectral_hessian(u), state, pair, derivs, external)
-    )
+    h = build_bloch_hamiltonian(pair.lattice, band.potential, pair.k, pair.cutoff)
+    evals, evecs = np.linalg.eigh(h)
+    zprofs, ys = zip(*_second_order_terms(u, spectral_hessian(u), state, pair, derivs, external))
+    xs = reduced_resolvent_solve(h, evals, evecs, pair.m, np.stack(ys, axis=-1))
+    terms = tuple(zip(zprofs, xs.T))
     return CorrectorField(order=2, terms=terms, half_width=u.half_width, t=u.t, pair=pair)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -221,7 +222,7 @@ class GridEnvelope:
     def dimension(self) -> int:
         return self.values.ndim
 
-    @property
+    @cached_property
     def grid(self) -> SpatialGrid:
         return SpatialGrid(self.dimension, self.half_width, self.values.shape[0])
 

@@ -135,19 +135,11 @@ def _leading_packet(bundle: DynamicsBundle, t: float, epsilon: float, grid):
     return synthesize_packet(gauss, state, pair, epsilon, grid)
 
 
-def _corrected_packet(
-    bundle: DynamicsBundle,
-    t: float,
-    epsilon: float,
-    grid,
-    *,
-    ablate: bool = False,
-    base_time: float | None = None,
-):
-    """Three-term packet at t.  With base_time set, the envelope is carried
-    from the prepared entry at base_time by a short exact-landing hop, so
-    the residual's off-center snapshots stay consistent with the envelope
-    dynamics instead of being re-integrated from zero."""
+def _correctors(bundle: DynamicsBundle, t: float, base_time: float | None = None) -> tuple:
+    """Trajectory state and U_0, U_1, U_2 at t.  With base_time set, the
+    envelope is carried from the prepared entry at base_time by a short
+    exact-landing hop, so the residual's off-center snapshots stay consistent
+    with the envelope dynamics instead of being re-integrated from zero."""
     config = bundle.config
     _, _, gauss = bundle.at(t if base_time is None else base_time)
     gauss = evolve_gaussian(gauss, bundle.coefficients, t, max(abs(t - gauss.t), 1e-12))
@@ -156,19 +148,27 @@ def _corrected_packet(
     u = grid_envelope_from_gaussian(
         gauss, config.envelope_half_width, config.envelope_points
     )
-    u0 = build_U0(u, pair)
-    if ablate:
-        u1 = u2 = None
-    else:
-        derivs = bundle.band.derivatives(state.p)
-        u1 = build_U1(u, pair, derivs)
-        u2 = build_U2(u, state, bundle.band, bundle.external)
-    return synthesize_app(u0, u1, u2, state, epsilon, grid)
+    u1 = build_U1(u, pair, bundle.band.derivatives(state.p))
+    u2 = build_U2(u, state, bundle.band, bundle.external)
+    return state, build_U0(u, pair), u1, u2
+
+
+def _residual_packets(bundle: DynamicsBundle, epsilon: float, grid, t_star: float, delta: float):
+    """Three-term ("full") and leading-only ("leading") packets at
+    t_star - delta, t_star and t_star + delta; each snapshot's correctors
+    are built once and serve both."""
+    packets = {"full": [], "leading": []}
+    for off in (-delta, 0.0, delta):
+        state, u0, u1, u2 = _correctors(bundle, t_star + off, base_time=t_star)
+        packets["full"].append(synthesize_app(u0, u1, u2, state, epsilon, grid))
+        packets["leading"].append(synthesize_app(u0, None, None, state, epsilon, grid))
+    return packets
 
 
 def _initial_field(bundle: DynamicsBundle, epsilon: float, grid):
     if bundle.config.initial_data == "well_prepared":
-        return _corrected_packet(bundle, 0.0, epsilon, grid)
+        state, *fields = _correctors(bundle, 0.0)
+        return synthesize_app(*fields, state, epsilon, grid)
     return _leading_packet(bundle, 0.0, epsilon, grid)
 
 
@@ -463,13 +463,7 @@ def _residual_cell(bundle: DynamicsBundle, eps: float) -> list:
     delta = config.residual_delta_factor * eps**2
     band = bundle.band
     row = {"epsilon": eps, "time": t_star, "delta": delta}
-    for label, ablate in (("full", False), ("leading", True)):
-        fields = [
-            _corrected_packet(
-                bundle, t_star + off, eps, grid, ablate=ablate, base_time=t_star
-            )
-            for off in (-delta, 0.0, delta)
-        ]
+    for label, fields in _residual_packets(bundle, eps, grid, t_star, delta).items():
         row[f"residual_{label}"] = pde_residual(
             *fields, band.lattice, band.potential, bundle.external
         )

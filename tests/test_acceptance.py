@@ -29,9 +29,9 @@ from blochpacket.envelope import (
     grid_envelope_from_gaussian,
 )
 from blochpacket.experiments import (
-    _corrected_packet,
     _leading_packet,
     _make_grid,
+    _residual_packets,
     loglog_fit,
     prepare_dynamics,
 )
@@ -110,23 +110,12 @@ def residual_sweep(config, bundle):
     for eps in EPS_LIST:
         grid = _make_grid(config, eps)
         delta = config.residual_delta_factor * eps**2
-        vals = {}
-        for label, ablate in (("full", False), ("leading", True)):
-            fields = [
-                _corrected_packet(
-                    bundle, T_STAR + off, eps, grid, ablate=ablate, base_time=T_STAR
-                )
-                for off in (-delta, 0.0, delta)
-            ]
-            vals[label] = pde_residual(
-                fields[0],
-                fields[1],
-                fields[2],
-                bundle.band.lattice,
-                bundle.band.potential,
-                bundle.external,
+        rows[eps] = {
+            label: pde_residual(
+                *fields, bundle.band.lattice, bundle.band.potential, bundle.external
             )
-        rows[eps] = vals
+            for label, fields in _residual_packets(bundle, eps, grid, T_STAR, delta).items()
+        }
     return rows
 
 

@@ -225,7 +225,7 @@ def test_free_lattice_leading_packet_closed_form(free_band):
     eps = 2**-4
     state = make_state(q=0.1, p=0.3, S=0.25)
     pair = free_band.eigenpair(state.p)
-    chi_phase = pair.unit_coeffs()[pair.cutoff]
+    chi_phase = pair.coeffs[pair.cutoff] * np.sqrt(pair.lattice.cell_volume)
     assert abs(chi_phase) == pytest.approx(1.0, abs=1e-12)
     g = gaussian_init(np.eye(1), np.eye(1))
     grid = make_grid_for(eps)

@@ -139,8 +139,10 @@ def test_berry_matches_finite_difference_connection(lattice1d, cosine1d):
 
 def test_anchored_gauge_is_continuous_across_the_zone_edge(mathieu_band):
     # the unfolded cell function is continuous where the folding winds
-    below = mathieu_band.eigenpair(np.array([0.5 - 1e-6])).unit_coeffs()
-    above = mathieu_band.eigenpair(np.array([0.5 + 1e-6])).unit_coeffs()
+    # (unit 2-norm scaling)
+    scale = np.sqrt(mathieu_band.lattice.cell_volume)
+    below = mathieu_band.eigenpair(np.array([0.5 - 1e-6])).coeffs * scale
+    above = mathieu_band.eigenpair(np.array([0.5 + 1e-6])).coeffs * scale
     assert np.max(np.abs(below - above)) <= 1e-4
 
 
@@ -180,11 +182,15 @@ def test_reduced_resolvent_solve_properties(lattice1d, cosine1d):
     chi_unit = pair.coeffs / np.linalg.norm(pair.coeffs)
     rng = np.random.default_rng(7)
     rhs = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
-    x = reduced_resolvent_solve(h, pair.energy, chi_unit, rhs)
+    evals, evecs = np.linalg.eigh(h)
+    x = reduced_resolvent_solve(h, evals, evecs, 1, rhs)
     # solution is orthogonal to chi and solves the projected system
     assert abs(np.vdot(chi_unit, x)) < 1e-10
     proj_rhs = rhs - chi_unit * np.vdot(chi_unit, rhs)
     assert np.linalg.norm((h - pair.energy * np.eye(h.shape[0])) @ x - proj_rhs) < 1e-9
+    # right-hand sides in columns are solved column by column
+    batch = reduced_resolvent_solve(h, evals, evecs, 1, np.stack([rhs, 1j * rhs], axis=-1))
+    assert np.max(np.abs(batch - np.stack([x, 1j * x], axis=-1))) < 1e-12
 
 
 def test_free_lattice_parabolas(free_band):

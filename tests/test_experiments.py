@@ -6,12 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochpacket.assembly import read_field
-from blochpacket.bloch import cell_inner
+from blochpacket.assembly import read_field, synthesize_app
+from blochpacket.bloch import BlochBand, cell_inner
 from blochpacket.config import ExperimentConfig, LatticePotentialSpec
 from blochpacket.envelope import geometric_rate
 from blochpacket.experiments import (
     DynamicsBundle,
+    _correctors,
+    _initial_field,
+    _leading_packet,
+    _make_grid,
     _tkey,
     loglog_fit,
     prepare_dynamics,
@@ -414,3 +418,67 @@ def test_bloch_oscillation_closes_the_flow_and_the_gaussian(lattice_potential, z
     assert np.max(np.abs(gauss1.A - gauss0.A)) <= 1e-12
     assert np.array_equal(gauss1.B, gauss0.B)
     assert abs(gauss1.berry_integral - (-1j * zak_phase)) <= tol
+
+
+def _theta(k):
+    """Smooth, non-periodic re-gauging phase of the gauge covariance test."""
+    return 0.7 * np.sin(2 * np.pi * k) + 0.3 * k
+
+
+def _dtheta(k):
+    return 1.4 * np.pi * np.cos(2 * np.pi * k) + 0.3
+
+
+class RegaugedBand(BlochBand):
+    """A 1D band whose cell function is exp(i theta(k)) chi(k): coefficients,
+    their k-derivative and the connection (table and direct alike) follow."""
+
+    def eigenpair(self, p):
+        pair = super().eigenpair(p)
+        return replace(pair, coeffs=np.exp(1j * _theta(pair.k[0])) * pair.coeffs)
+
+    def derivatives(self, p):
+        k = float(np.atleast_1d(p)[0])
+        der = super().derivatives(p)
+        dk = der.dk_coeffs + 1j * _dtheta(k) * super().eigenpair(p).coeffs
+        return replace(der, dk_coeffs=np.exp(1j * _theta(k)) * dk, berry=der.berry + 1j * _dtheta(k))
+
+    def berry(self, p):
+        return super().berry(p) + 1j * _dtheta(np.asarray(p, dtype=float))
+
+
+def test_packets_are_gauge_covariant(monkeypatch):
+    # re-gauging chi multiplies every packet by the launch phase
+    # exp(i theta(p0)): the connection's extra i theta' cancels the cell
+    # function's phase along the path. From (0.5, 0.3) p sweeps about half the
+    # zone by T = 1. Bound, set before measuring: 1e-12 relative L2.
+    cfg = ExperimentConfig(q0=(0.5,), p0=(0.3,)).validate()
+    times = [0.0, 0.5, 1.0]
+    plain = prepare_dynamics(cfg, times)
+    monkeypatch.setattr(
+        ExperimentConfig, "make_band",
+        lambda self: RegaugedBand(
+            self.make_lattice(), self.make_lattice_potential(), self.band_index, self.cutoff
+        ),
+    )
+    regauged = prepare_dynamics(cfg, times)
+    assert abs(regauged.trajectory.state_at(1.0).p[0] - 0.3) >= 0.4
+
+    def packets(bundle, t, eps, grid):
+        if t == 0.0:  # the initial data of both kinds
+            return [
+                _initial_field(replace(bundle, config=replace(cfg, initial_data=kind)), eps, grid)
+                for kind in ("packet", "well_prepared")
+            ]
+        state, *fields = _correctors(bundle, t)
+        return [_leading_packet(bundle, t, eps, grid), synthesize_app(*fields, state, eps, grid)]
+
+    phase = np.exp(1j * _theta(0.3))
+    worst = 0.0
+    for eps in (2.0**-4, 2.0**-6):
+        grid = _make_grid(cfg, eps)
+        for t in times:
+            for want, got in zip(packets(plain, t, eps, grid), packets(regauged, t, eps, grid)):
+                dev = np.linalg.norm(got.values - phase * want.values) / np.linalg.norm(want.values)
+                worst = max(worst, dev)
+    assert worst <= 1e-12
