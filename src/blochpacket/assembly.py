@@ -16,11 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .bloch import BlochEigenpair, evaluate_cell_coeffs
-from .corrector import CorrectorField
 from .envelope import GaussianEnvelope, gaussian_eval
 from .errors import GridError
 from .flow import TrajectoryState
-from .grid import CELL_TOL, THRESHOLD, SpatialGrid
+from .grid import CELL_TOL, THRESHOLD, SpatialGrid, mesh
 
 POINTS_PER_OSCILLATION = 16
 MIN_POINTS = 64
@@ -97,23 +96,22 @@ class GridWaveField:
             )
 
 
-def fourier_interpolate(values, half_width: float, target_axes) -> np.ndarray:
+def fourier_interpolate(values, box: SpatialGrid, target_axes) -> np.ndarray:
     """Trigonometric interpolation of periodic z-samples on a tensor target grid.
 
-    The last d = len(target_axes) axes of values hold samples on the box
-    [-half_width, half_width)^d; leading axes are a batch.  Each target axis
-    must be uniform; its targets inside the box are evaluated by a chirp-z
-    transform (`_chirp_z`), and targets outside it evaluate to zero.  The
-    trig interpolant is periodic, and the stretched-frame targets sweep many
-    periods of the envelope box; without the mask every period would
-    receive a spurious copy of the packet.
+    The last d axes of values hold samples on the d-dimensional grid box;
+    leading axes are a batch.  There is one target axis per box axis, and
+    each must be uniform; its targets inside the box are evaluated by a
+    chirp-z transform (`_chirp_z`), and targets outside it evaluate to
+    zero.  The trig interpolant is periodic, and the stretched-frame targets
+    sweep many periods of the envelope box; without the mask every period
+    would receive a spurious copy of the packet.
     """
     axes = [np.atleast_1d(np.asarray(t, dtype=float)) for t in target_axes]
     values = np.asarray(values)
-    d = len(axes)
-    box = SpatialGrid(d, half_width, values.shape[-1])
-    if values.shape[values.ndim - d :] != box.shape:
-        raise GridError("need one target axis per axis of a square sample box")
+    d, half_width = box.dimension, box.half_width
+    if len(axes) != d or values.shape[values.ndim - d :] != box.shape:
+        raise GridError("need one target axis per axis of the sample box")
     lead = values.ndim - d
     out = np.fft.fftn(values, axes=tuple(range(lead, values.ndim))) / float(box.size)
     for j in reversed(range(d)):
@@ -207,44 +205,34 @@ def synthesize_packet(
     with the Gaussian u evaluated in closed form."""
 
     def gaussian(z_axes):
-        mesh = np.stack(np.meshgrid(*z_axes, indexing="ij"), axis=-1)
-        return gaussian_eval(envelope, mesh)[None]
+        return gaussian_eval(envelope, mesh(z_axes))[None]
 
     return _synthesize(state, pair, epsilon, grid, gaussian, pair.coeffs[:, None])
 
 
 def synthesize_app(
-    u0: CorrectorField,
-    u1,
-    u2,
-    state: TrajectoryState,
-    epsilon: float,
-    grid: SpatialGrid,
+    fields, state: TrajectoryState, epsilon: float, grid: SpatialGrid
 ) -> GridWaveField:
-    """Corrected packet  eps^(-d/4) (U0 + sqrt(eps) U1 + eps U2) e^(i phase/eps).
+    """Corrected packet  eps^(-d/4) sum_n eps^(n/2) U_n e^(i phase/eps) over
+    the corrector fields given, each weighted by its own order n.
 
-    u1 and u2 may be None to ablate the expansion.  The weighted z-profiles
-    of every separable term are interpolated as one batch, so all
-    correctors must share the leading term's z-box.
+    Passing [U0] alone ablates the expansion.  The weighted z-profiles of
+    every separable term are interpolated as one batch, so all fields must
+    share one z-grid.
     """
-    if u0 is None:
-        raise GridError("the leading corrector term is required")
-    shape = u0.terms[0][0].shape
+    box = fields[0].grid
     profiles, cells = [], []
-    for order, weight, field in ((0, 1.0, u0), (1, np.sqrt(epsilon), u1), (2, epsilon, u2)):
-        if field is None:
-            continue
-        if field.order != order:
-            raise GridError("corrector passed in the wrong expansion slot")
-        if field.half_width != u0.half_width or any(f.shape != shape for f, _ in field.terms):
-            raise GridError("correctors must share the leading term's z-box")
+    for field in fields:
+        if field.grid != box:
+            raise GridError("corrector fields must share one z-grid")
+        weight = (1.0, np.sqrt(epsilon), epsilon)[field.order]
         profiles += [weight * f for f, _ in field.terms]
         cells += [g for _, g in field.terms]
 
     def interpolated(z_axes):
-        return fourier_interpolate(np.stack(profiles), u0.half_width, z_axes)
+        return fourier_interpolate(np.stack(profiles), box, z_axes)
 
-    return _synthesize(state, u0.pair, epsilon, grid, interpolated, np.stack(cells, axis=-1))
+    return _synthesize(state, fields[0].pair, epsilon, grid, interpolated, np.stack(cells, axis=-1))
 
 
 def write_field(field: GridWaveField, stem) -> tuple:

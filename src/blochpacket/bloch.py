@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBandError, EigensolverError, GaugeError
-from .grid import as_points
+from .grid import as_points, mesh
 from .lattice import FourierPotential, LatticeSpec
 
 EIG_RESIDUAL_TOL = 1e-9
@@ -43,14 +43,13 @@ DIRECT_CACHE_SIZE = 64  # direct solves kept for the synthesis and corrector mom
 @functools.lru_cache(maxsize=None)
 def pw_indices(dimension: int, cutoff: int) -> np.ndarray:
     """Integer multi-indices |n|_inf <= cutoff in lexicographic order, (M, d)."""
-    axes = [np.arange(-cutoff, cutoff + 1)] * dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return mesh([np.arange(-cutoff, cutoff + 1)] * dimension).reshape(-1, dimension)
 
 
 @dataclass(frozen=True)
 class BlochEigenpair:
-    """One Bloch band value and anchored cell function at one k."""
+    """One simple band at one k: energy, anchored cell function, their first
+    and second k-derivatives, and the band's isolation."""
 
     k: np.ndarray            # quasimomentum, possibly outside the first zone
     m: int                   # band index, 1-based, bands sorted ascending
@@ -58,22 +57,16 @@ class BlochEigenpair:
     coeffs: np.ndarray       # cell-scaled plane-wave coefficients, lex order
     cutoff: int
     lattice: LatticeSpec
+    grad: np.ndarray         # (d,) gradient of the band energy
+    hess: np.ndarray         # (d, d) symmetric Hessian of the band energy
+    dk_coeffs: np.ndarray    # (d, M) cell-scaled coefficients of d_k(cell function)
+    berry: np.ndarray        # (d,) purely imaginary <chi, d_k chi> in the anchored gauge
+    gaps: np.ndarray         # distances to the bands just below and above, where they exist
+    width: float             # spectrum width E_M - E_1, the scale of the isolation test
 
     @property
     def dimension(self) -> int:
         return self.lattice.dimension
-
-
-@dataclass(frozen=True)
-class BandDerivatives:
-    """First and second k-derivatives of one band at one k, and its isolation."""
-
-    grad: np.ndarray       # (d,) gradient of the band energy
-    hess: np.ndarray       # (d, d) symmetric Hessian of the band energy
-    dk_coeffs: np.ndarray  # (d, M) cell-scaled coefficients of d_k(cell function)
-    berry: np.ndarray      # (d,) purely imaginary <chi, d_k chi> in the anchored gauge
-    gaps: np.ndarray       # distances to the bands just below and above, where they exist
-    width: float           # spectrum width E_M - E_1, the scale of the isolation test
 
 
 def cell_inner(lattice: LatticeSpec, a: np.ndarray, b: np.ndarray) -> complex:
@@ -126,7 +119,7 @@ def _anchor_point(basis: tuple, potential: FourierPotential, m: int, cutoff: int
     lattice = LatticeSpec.from_basis(basis)
     d = lattice.dimension
     fracs = np.arange(ANCHOR_SAMPLES) / ANCHOR_SAMPLES
-    points = np.array(list(itertools.product(fracs, repeat=d))) @ lattice.basis
+    points = mesh([fracs] * d).reshape(-1, d) @ lattice.basis
     worst = np.full(points.shape[0], np.inf)
     for corner in itertools.product((0.0, 0.5), repeat=d):
         k = np.asarray(corner) @ lattice.dual_basis
@@ -178,8 +171,8 @@ def band_derivatives(
     k,
     m: int,
     cutoff: int,
-) -> tuple[BlochEigenpair, BandDerivatives]:
-    """Eigenpair plus grad/Hessian/k-derivative data for one simple band.
+) -> BlochEigenpair:
+    """Energy, cell function and their k-derivatives for one simple band.
 
     The cell function is in the anchored gauge: its phase makes the Bloch
     wave psi_k(y0) = sum_n c_n exp(i <G_n + k, y0>) real and positive at the
@@ -219,14 +212,6 @@ def band_derivatives(
             f" below {ANCHOR_FLOOR:.0e} at k = {k}"
         )
     a = vec * (np.conj(anchor) / abs(anchor))
-    pair = BlochEigenpair(
-        k=k,
-        m=m,
-        energy=float(evals[m - 1]),
-        coeffs=a / np.sqrt(lattice.cell_volume),
-        cutoff=cutoff,
-        lattice=lattice,
-    )
     grad = (np.abs(a) ** 2) @ g_plus_k
 
     xs = reduced_resolvent_solve(h, evals, evecs, m, -(g_plus_k * a[:, None])).T
@@ -241,9 +226,11 @@ def band_derivatives(
     # d_k row = i y0 row and psi_k(y0) = |anchor| gives
     # alpha_j = -y0_j - Im(row @ x_j) / |anchor|.
     alphas = -y0 - (xs @ row).imag / abs(anchor)
-    dk = (xs + 1j * alphas[:, None] * a) / np.sqrt(lattice.cell_volume)
-    return pair, BandDerivatives(
-        grad=grad, hess=hess, dk_coeffs=dk, berry=1j * alphas, gaps=gaps, width=width
+    return BlochEigenpair(
+        k=k, m=m, energy=float(evals[m - 1]), coeffs=a / np.sqrt(lattice.cell_volume),
+        cutoff=cutoff, lattice=lattice, grad=grad, hess=hess,
+        dk_coeffs=(xs + 1j * alphas[:, None] * a) / np.sqrt(lattice.cell_volume),
+        berry=1j * alphas, gaps=gaps, width=width,
     )
 
 
@@ -334,11 +321,11 @@ class BlochBand:
     are interpolated too, and a query raises `DegenerateBandError` where the
     solver at that k would.
 
-    The cell function and its k-derivative (`eigenpair`, `derivatives`) are
-    `band_derivatives` at the momentum asked for, unfolded or not, behind an
-    LRU cache of DIRECT_CACHE_SIZE momenta. The anchored gauge fixes the
-    Bloch wave itself, so a solve at k + G gives exp(-i <G, y>) chi(k) with
-    no re-indexing. A single trajectory integration should own its instance.
+    The cell function and its k-derivative come with the whole
+    `band_derivatives` record (`eigenpair`), solved at the momentum asked
+    for, unfolded or not, behind an LRU cache of DIRECT_CACHE_SIZE momenta.
+    The anchored gauge fixes the Bloch wave itself, so a solve at k + G
+    gives exp(-i <G, y>) chi(k) with no re-indexing. A single trajectory integration should own its instance.
     """
 
     def __init__(
@@ -380,13 +367,14 @@ class BlochBand:
             rows = []
             for frac in itertools.product(*axes):
                 self.node_solves += 1
-                pair, der = band_derivatives(
+                pair = band_derivatives(
                     self.lattice, self.potential, np.asarray(frac) @ self.lattice.dual_basis,
                     self.m, self.cutoff,
                 )
-                rows.append(np.concatenate(
-                    [[pair.energy], der.grad, der.hess.ravel(), der.berry.imag, der.gaps, [der.width]]
-                ))
+                rows.append(np.concatenate([
+                    [pair.energy], pair.grad, pair.hess.ravel(), pair.berry.imag, pair.gaps,
+                    [pair.width],
+                ]))
             values = np.array(rows).reshape((n,) * d + (-1,))
             tail = _chebyshev_tail(values[..., :smooth], d)
             if tail <= TAIL_TOL:
@@ -466,15 +454,14 @@ class BlochBand:
             "min_gap": self.min_gap if math.isfinite(self.min_gap) else None,
         }
 
-    def _solved(self, p) -> tuple[BlochEigenpair, BandDerivatives]:
+    def eigenpair(self, p) -> BlochEigenpair:
+        """`band_derivatives` at the momentum p (anchored gauge), cached."""
         return self._direct(tuple(np.atleast_1d(np.asarray(p, dtype=float)).tolist()))
 
-    def eigenpair(self, p) -> BlochEigenpair:
-        """Cell function at the momentum p (anchored gauge)."""
-        return self._solved(p)[0]
-
-    def derivatives(self, p) -> BandDerivatives:
-        return self._solved(p)[1]
+    def derivatives(self, p) -> BlochEigenpair:
+        """The `eigenpair` record, kept as a separate entry point for callers
+        that patch or override it."""
+        return self.eigenpair(p)
 
 
 def default_cutoff(dimension: int) -> int:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import (
-    BandDerivatives,
     BlochEigenpair,
     reduced_resolvent_solve,
     build_bloch_hamiltonian,
@@ -28,35 +27,28 @@ from .bloch import (
     pw_indices,
 )
 from .envelope import GridEnvelope, geometric_rate, spectral_gradient, spectral_hessian
+from .grid import SpatialGrid
 
 
 @dataclass(frozen=True)
 class CorrectorField:
-    """Sum of separable two-scale terms at one time."""
+    """Sum of separable two-scale terms of one expansion order at one time."""
 
-    order: int
+    order: int              # power of sqrt(eps) that weights the field
     terms: tuple            # tuple of (z_profile array, y_coeffs array)
-    half_width: float       # envelope box of the z-profiles
+    grid: SpatialGrid       # envelope z-grid of the profiles
     t: float
     pair: BlochEigenpair    # carries lattice and cutoff
 
-    @property
-    def dimension(self) -> int:
-        return self.pair.dimension
-
-    def norm(self, dz_volume: float) -> float:
-        """L2(dz x dy) norm of the sum of terms."""
-        return _terms_norm(self.terms, self.pair.lattice, dz_volume)
-
-
-def _terms_norm(terms, lattice, dz_volume: float) -> float:
-    """|| sum_r f_r g_r ||_L2(dz x dy) as || R G^T || sqrt(dz |Y|), with
-    F = QR the stacked z-profiles, so cancellations between terms happen
-    in the small product R G^T rather than in a Gram sum."""
-    zmat = np.stack([np.ravel(f) for f, _ in terms], axis=-1)
-    ymat = np.stack([g for _, g in terms])
-    rmat = np.linalg.qr(zmat, mode="r")
-    return float(np.linalg.norm(rmat @ ymat) * np.sqrt(dz_volume * lattice.cell_volume))
+    def norm(self) -> float:
+        """|| sum_r f_r g_r ||_L2(dz x dy) as || R G^T || sqrt(dv |Y|), with
+        F = QR the stacked z-profiles, so cancellations between terms happen
+        in the small product R G^T rather than in a Gram sum."""
+        zmat = np.stack([np.ravel(f) for f, _ in self.terms], axis=-1)
+        ymat = np.stack([g for _, g in self.terms])
+        rmat = np.linalg.qr(zmat, mode="r")
+        volume = self.grid.dv * self.pair.lattice.cell_volume
+        return float(np.linalg.norm(rmat @ ymat) * np.sqrt(volume))
 
 
 def _perp(pair: BlochEigenpair, vec: np.ndarray) -> np.ndarray:
@@ -75,9 +67,9 @@ def _dy(pair: BlochEigenpair, vec: np.ndarray, axis: int) -> np.ndarray:
 # The hierarchy, written once
 
 
-def _first_order_terms(u: GridEnvelope, state, pair: BlochEigenpair, derivs) -> list:
+def _first_order_terms(u: GridEnvelope, state, pair: BlochEigenpair) -> list:
     """Separable terms of L_1 U_0 = sum_j (d_j u) [i (p - grad E)_j chi + d_y_j chi]."""
-    drift = np.atleast_1d(state.p) - derivs.grad
+    drift = np.atleast_1d(state.p) - pair.grad
     chi = pair.coeffs
     return [
         (grad, 1j * drift[j] * chi + _dy(pair, chi, j))
@@ -85,9 +77,7 @@ def _first_order_terms(u: GridEnvelope, state, pair: BlochEigenpair, derivs) -> 
     ]
 
 
-def _second_order_terms(
-    u: GridEnvelope, hess_u, state, pair: BlochEigenpair, derivs, external
-) -> list:
+def _second_order_terms(u: GridEnvelope, hess_u, state, pair: BlochEigenpair, external) -> list:
     """Separable terms of L_1 U_1 + L_2 U_0 whose cell factor is not chi.
 
     With x_l the orthogonal k-derivative and p' = -grad V(q) these are
@@ -95,8 +85,8 @@ def _second_order_terms(
     the rest of the right-hand side is `_parallel_profile` times chi.
     """
     d = u.dimension
-    xs = [_perp(pair, derivs.dk_coeffs[j]) for j in range(d)]
-    drift = np.atleast_1d(state.p) - derivs.grad
+    xs = [_perp(pair, pair.dk_coeffs[j]) for j in range(d)]
+    drift = np.atleast_1d(state.p) - pair.grad
     pdot = -external.grad(state.q)
     terms = [
         (hess_u[j, l], drift[j] * xs[l] - 1j * _dy(pair, xs[l], j))
@@ -140,12 +130,10 @@ def _chi_profile(pair: BlochEigenpair, terms) -> np.ndarray:
 def build_U0(u: GridEnvelope, pair: BlochEigenpair) -> CorrectorField:
     """Leading term: envelope times cell function."""
     terms = ((u.values.copy(), pair.coeffs.copy()),)
-    return CorrectorField(order=0, terms=terms, half_width=u.half_width, t=u.t, pair=pair)
+    return CorrectorField(order=0, terms=terms, grid=u.grid, t=u.t, pair=pair)
 
 
-def build_U1(
-    u: GridEnvelope, pair: BlochEigenpair, derivs: BandDerivatives
-) -> CorrectorField:
+def build_U1(u: GridEnvelope, pair: BlochEigenpair) -> CorrectorField:
     """First corrector -i sum_j (d_j u) P_perp d_k_j chi.
 
     d_k chi carries the anchored gauge's phase rate (berry times chi); the
@@ -153,10 +141,10 @@ def build_U1(
     cell function in every direction.
     """
     terms = tuple(
-        (grad, -1j * _perp(pair, derivs.dk_coeffs[j]))
+        (grad, -1j * _perp(pair, pair.dk_coeffs[j]))
         for j, grad in enumerate(spectral_gradient(u))
     )
-    return CorrectorField(order=1, terms=terms, half_width=u.half_width, t=u.t, pair=pair)
+    return CorrectorField(order=1, terms=terms, grid=u.grid, t=u.t, pair=pair)
 
 
 def build_U2(u: GridEnvelope, state, band, external) -> CorrectorField:
@@ -168,13 +156,12 @@ def build_U2(u: GridEnvelope, state, band, external) -> CorrectorField:
     equation and drops out.
     """
     pair = band.eigenpair(state.p)
-    derivs = band.derivatives(state.p)
     h = build_bloch_hamiltonian(pair.lattice, band.potential, pair.k, pair.cutoff)
     evals, evecs = np.linalg.eigh(h)
-    zprofs, ys = zip(*_second_order_terms(u, spectral_hessian(u), state, pair, derivs, external))
+    zprofs, ys = zip(*_second_order_terms(u, spectral_hessian(u), state, pair, external))
     xs = reduced_resolvent_solve(h, evals, evecs, pair.m, np.stack(ys, axis=-1))
     terms = tuple(zip(zprofs, xs.T))
-    return CorrectorField(order=2, terms=terms, half_width=u.half_width, t=u.t, pair=pair)
+    return CorrectorField(order=2, terms=terms, grid=u.grid, t=u.t, pair=pair)
 
 
 def solvability_defect(
@@ -193,7 +180,6 @@ def solvability_defect(
     rate against the cell data to rounding.
     """
     pair = band.eigenpair(state.p)
-    derivs = band.derivatives(state.p)
     qmat = external.hess(state.q)
     beta = geometric_rate(band, external, state)
     hess_u = spectral_hessian(u)
@@ -202,8 +188,8 @@ def solvability_defect(
     else:
         idtu = 1j * du_dt
 
-    defect1 = u.grid.norm(_chi_profile(pair, _first_order_terms(u, state, pair, derivs)))
-    second = _second_order_terms(u, hess_u, state, pair, derivs, external)
+    defect1 = u.grid.norm(_chi_profile(pair, _first_order_terms(u, state, pair)))
+    second = _second_order_terms(u, hess_u, state, pair, external)
     parallel = _parallel_profile(u, hess_u, idtu, qmat, beta)
     defect2 = u.grid.norm(parallel + _chi_profile(pair, second))
     return defect1, defect2

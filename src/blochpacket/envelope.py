@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -212,19 +211,15 @@ def gaussian_eval(env: GaussianEnvelope, points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridEnvelope:
-    """Envelope samples on a periodic z-box [-half_width, half_width)^d."""
+    """Envelope samples on a periodic z-grid."""
 
     values: np.ndarray
-    half_width: float
+    grid: SpatialGrid
     t: float
 
     @property
     def dimension(self) -> int:
-        return self.values.ndim
-
-    @cached_property
-    def grid(self) -> SpatialGrid:
-        return SpatialGrid(self.dimension, self.half_width, self.values.shape[0])
+        return self.grid.dimension
 
     def mass(self) -> float:
         return self.grid.norm(self.values)
@@ -245,7 +240,7 @@ def grid_envelope_from_gaussian(
     """Sample a Gaussian state onto a periodic z-grid."""
     grid = SpatialGrid(env.dimension, half_width, npoints)
     vals = gaussian_eval(env, grid.points()).reshape(grid.shape)
-    return GridEnvelope(values=vals, half_width=half_width, t=env.t)
+    return GridEnvelope(values=vals, grid=grid, t=env.t)
 
 
 def evolve_grid_envelope(
@@ -288,7 +283,7 @@ def evolve_grid_envelope(
                 f"envelope mass reached the box boundary near t = {t0 + (k + 1) * h:.6g};"
                 " enlarge the z-box"
             )
-    return GridEnvelope(values=vals, half_width=u.half_width, t=t1)
+    return GridEnvelope(values=vals, grid=grid, t=t1)
 
 
 def spectral_gradient(u: GridEnvelope) -> list[np.ndarray]:

@@ -6,8 +6,8 @@ returns the summary dict.  All integrators are fixed step and all grids are
 derived from the config, so identical configs produce identical bytes; each
 output row carries the config hash.
 
-The expensive epsilon-independent work (trajectory, envelope evolution,
-band data at the sample times) is prepared once and shared by the per
+The expensive epsilon-independent work (trajectory and envelope evolution
+to the sample times) is prepared once and shared by the per
 epsilon cells, which run one after another in the calling process.
 """
 
@@ -85,7 +85,7 @@ def loglog_fit(epsilons, values) -> dict:
 
 @dataclass
 class DynamicsBundle:
-    """Trajectory, envelope, and band data shared by every epsilon cell; the
+    """Trajectory, envelope and band shared by every epsilon cell; the
     lattice and its potential are the band's."""
 
     config: ExperimentConfig
@@ -93,7 +93,7 @@ class DynamicsBundle:
     external: object
     trajectory: object
     coefficients: object
-    entries: dict  # time -> (TrajectoryState, BlochEigenpair, GaussianEnvelope)
+    entries: dict  # time -> (TrajectoryState, GaussianEnvelope)
 
     def at(self, t: float):
         return self.entries[_tkey(t)]
@@ -101,7 +101,7 @@ class DynamicsBundle:
 
 def prepare_dynamics(config: ExperimentConfig, times) -> DynamicsBundle:
     """Integrate the flow once and chain the Gaussian envelope through the
-    requested times, capturing the matching Bloch eigenpair at each stop."""
+    requested times, keeping the trajectory state at each stop."""
     band = config.make_band()
     external = config.make_external()
 
@@ -117,9 +117,7 @@ def prepare_dynamics(config: ExperimentConfig, times) -> DynamicsBundle:
     for t in wanted:
         if t > gauss.t:
             gauss = evolve_gaussian(gauss, coefficients, t, config.envelope_dt)
-        state = trajectory.state_at(t)
-        pair = band.eigenpair(state.p)
-        entries[t] = (state, pair, gauss)
+        entries[t] = (trajectory.state_at(t), gauss)
     return DynamicsBundle(
         config=config,
         band=band,
@@ -131,26 +129,26 @@ def prepare_dynamics(config: ExperimentConfig, times) -> DynamicsBundle:
 
 
 def _leading_packet(bundle: DynamicsBundle, t: float, epsilon: float, grid):
-    state, pair, gauss = bundle.at(t)
-    return synthesize_packet(gauss, state, pair, epsilon, grid)
+    state, gauss = bundle.at(t)
+    return synthesize_packet(gauss, state, bundle.band.eigenpair(state.p), epsilon, grid)
 
 
 def _correctors(bundle: DynamicsBundle, t: float, base_time: float | None = None) -> tuple:
-    """Trajectory state and U_0, U_1, U_2 at t.  With base_time set, the
-    envelope is carried from the prepared entry at base_time by a short
-    exact-landing hop, so the residual's off-center snapshots stay consistent
-    with the envelope dynamics instead of being re-integrated from zero."""
+    """Trajectory state and the fields [U_0, U_1, U_2] at t.  With base_time
+    set, the envelope is carried from the prepared entry at base_time by a
+    short exact-landing hop, so the residual's off-center snapshots stay
+    consistent with the envelope dynamics instead of being re-integrated
+    from zero."""
     config = bundle.config
-    _, _, gauss = bundle.at(t if base_time is None else base_time)
+    _, gauss = bundle.at(t if base_time is None else base_time)
     gauss = evolve_gaussian(gauss, bundle.coefficients, t, max(abs(t - gauss.t), 1e-12))
     state = bundle.trajectory.state_at(t)
     pair = bundle.band.eigenpair(state.p)
     u = grid_envelope_from_gaussian(
         gauss, config.envelope_half_width, config.envelope_points
     )
-    u1 = build_U1(u, pair, bundle.band.derivatives(state.p))
     u2 = build_U2(u, state, bundle.band, bundle.external)
-    return state, build_U0(u, pair), u1, u2
+    return state, [build_U0(u, pair), build_U1(u, pair), u2]
 
 
 def _residual_packets(bundle: DynamicsBundle, epsilon: float, grid, t_star: float, delta: float):
@@ -159,16 +157,16 @@ def _residual_packets(bundle: DynamicsBundle, epsilon: float, grid, t_star: floa
     are built once and serve both."""
     packets = {"full": [], "leading": []}
     for off in (-delta, 0.0, delta):
-        state, u0, u1, u2 = _correctors(bundle, t_star + off, base_time=t_star)
-        packets["full"].append(synthesize_app(u0, u1, u2, state, epsilon, grid))
-        packets["leading"].append(synthesize_app(u0, None, None, state, epsilon, grid))
+        state, fields = _correctors(bundle, t_star + off, base_time=t_star)
+        packets["full"].append(synthesize_app(fields, state, epsilon, grid))
+        packets["leading"].append(synthesize_app(fields[:1], state, epsilon, grid))
     return packets
 
 
 def _initial_field(bundle: DynamicsBundle, epsilon: float, grid):
     if bundle.config.initial_data == "well_prepared":
-        state, *fields = _correctors(bundle, 0.0)
-        return synthesize_app(*fields, state, epsilon, grid)
+        state, fields = _correctors(bundle, 0.0)
+        return synthesize_app(fields, state, epsilon, grid)
     return _leading_packet(bundle, 0.0, epsilon, grid)
 
 
@@ -232,24 +230,24 @@ def run_bands(config: ExperimentConfig) -> dict:
         rows.append(row)
 
         try:
-            pair, derivs = direct(k)
+            pair = direct(k)
             d = lattice.dimension
             fd_grad = np.zeros(d)
             fd_hess = np.zeros((d, d))
             for j in range(d):
                 step = fd_step * np.eye(d)[j]
                 ahead, behind = direct(k + step), direct(k - step)
-                fd_grad[j] = (ahead[0].energy - behind[0].energy) / (2 * fd_step)
-                fd_hess[:, j] = (ahead[1].grad - behind[1].grad) / (2 * fd_step)
-            max_grad_dev = max(max_grad_dev, float(np.max(np.abs(derivs.grad - fd_grad))))
+                fd_grad[j] = (ahead.energy - behind.energy) / (2 * fd_step)
+                fd_hess[:, j] = (ahead.grad - behind.grad) / (2 * fd_step)
+            max_grad_dev = max(max_grad_dev, float(np.max(np.abs(pair.grad - fd_grad))))
             max_hess_dev = max(
                 max_hess_dev,
-                float(np.max(np.abs(derivs.hess - 0.5 * (fd_hess + fd_hess.T)))),
+                float(np.max(np.abs(pair.hess - 0.5 * (fd_hess + fd_hess.T)))),
             )
             for table, solved in (
                 (band.energy(k), pair.energy),
-                (band.grad_energy(k), derivs.grad),
-                (band.hess_energy(k), derivs.hess),
+                (band.grad_energy(k), pair.grad),
+                (band.hess_energy(k), pair.hess),
             ):
                 dev = np.abs(table - solved) / np.maximum(1.0, np.abs(solved))
                 max_table_dev = max(max_table_dev, float(np.max(dev)))
@@ -330,7 +328,7 @@ def run_envelope(config: ExperimentConfig) -> dict:
     max_mass_drift = 0.0
     max_diff = 0.0
     for t in times:
-        _, _, gauss = bundle.at(t)
+        _, gauss = bundle.at(t)
         defects = gaussian_invariant_defects(gauss)
         worst = max(defects["symmetry"], defects["inverse_width"], defects["det_branch"])
         max_defect = max(max_defect, worst)

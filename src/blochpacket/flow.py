@@ -4,8 +4,8 @@ The trajectory solves q' = grad E(p), p' = -grad V(q) with the band energy
 playing the role of the kinetic Hamiltonian. Alongside it we accumulate the
 action integral of p . grad E(p) - E(p) - V(q). The geometric phase is not
 integrated here: the envelope carries it (`envelope.geometric_rate`). Momenta
-are never folded here; spectral lookups fold internally, phases always see
-the unfolded p.
+are never folded here: the band table folds its own lookups, and phases
+always see the unfolded p.
 """
 
 from __future__ import annotations

@@ -31,6 +31,11 @@ def as_points(x, dimension: int) -> np.ndarray:
     return x
 
 
+def mesh(axes) -> np.ndarray:
+    """Points of the tensor grid of the given axes, shape (*shape, d), C order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 def step_count(span: float, dt: float) -> int:
     """Number of equal steps, none longer than dt, that cover span."""
     return max(1, int(np.ceil(span / dt - 1e-12)))
@@ -112,8 +117,7 @@ class SpatialGrid:
         return np.reshape(vec, shape)
 
     def _mesh(self, axis: np.ndarray) -> np.ndarray:
-        mesh = np.meshgrid(*([axis] * self.dimension), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return mesh([axis] * self.dimension).reshape(-1, self.dimension)
 
     def points(self) -> np.ndarray:
         """All grid points, shape (npoints**dimension, dimension)."""
@@ -142,8 +146,7 @@ class SpatialGrid:
                 f"box [-{self.half_width:.6g}, {self.half_width:.6g})^{self.dimension} of"
                 f" {self.npoints} points does not hold whole cells of {scale:.6g} * {basis.tolist()}"
             )
-        axis = self.axis()[: self.npoints // cells] / scale
-        return np.stack(np.meshgrid(*([axis] * self.dimension), indexing="ij"), axis=-1)
+        return mesh([self.axis()[: self.npoints // cells] / scale] * self.dimension)
 
     def tile(self, cell_values: np.ndarray) -> np.ndarray:
         """Samples at the `cell_mesh` points, (P,)*d + trailing axes, repeated

@@ -36,7 +36,6 @@ class SolverParams:
     """Step control for the split-step reference propagation."""
 
     dt: float | None = None  # None -> DEFAULT_DT_FACTOR * epsilon
-    boundary_threshold: float = THRESHOLD
 
     def resolve_dt(self, epsilon: float) -> float:
         dt = DEFAULT_DT_FACTOR * epsilon if self.dt is None else float(self.dt)
@@ -138,17 +137,18 @@ def solve_schrodinger(
             for step in range(nsteps):
                 vals = step_fn(vals, half_potential, kinetic)
                 if (step + 1) % (BOUNDARY_CHECK_EVERY * substeps) == 0:
-                    _boundary_guard(vals, grid, t + (step + 1) * h, params)
+                    _boundary_guard(vals, grid, t + (step + 1) * h)
         t = target
         snap = GridWaveField(grid=grid, epsilon=eps, time=t, values=vals.copy())
-        _boundary_guard(vals, grid, t, params)
+        _boundary_guard(vals, grid, t)
         snapshots.append(snap)
     return snapshots
 
 
-def _boundary_guard(vals: np.ndarray, grid: SpatialGrid, t: float, params: SolverParams):
+def _boundary_guard(vals: np.ndarray, grid: SpatialGrid, t: float):
+    """Raise once the shell mass fraction passes THRESHOLD, read at call time."""
     frac = grid.shell_fraction(vals)
-    if frac > params.boundary_threshold:
+    if frac > THRESHOLD:
         raise SolverError(
             f"packet mass fraction {frac:.3e} reached the box boundary"
             f" near t = {t:.6g}; enlarge the box"

@@ -130,8 +130,8 @@ def test_fourier_interpolate_reproduces_samples():
     spec = np.fft.fft(vals)
     spec[n // 4 : 3 * n // 4] = 0.0
     vals = np.fft.ifft(spec)
-    u = GridEnvelope(values=vals, half_width=hw, t=0.0)
-    got = fourier_interpolate(u.values, u.half_width, [ax])
+    u = GridEnvelope(values=vals, grid=SpatialGrid(1, hw, n), t=0.0)
+    got = fourier_interpolate(u.values, u.grid, [ax])
     assert np.max(np.abs(got - vals)) < 1e-12
 
 
@@ -151,9 +151,9 @@ def test_fourier_interpolate_band_limited_exactness(shift):
             + 0.3j * np.exp(3j * freq * x)
         )
 
-    u = GridEnvelope(values=f(ax).astype(complex), half_width=hw, t=0.0)
+    u = GridEnvelope(values=f(ax).astype(complex), grid=SpatialGrid(1, hw, n), t=0.0)
     target = np.linspace(-3.9, 3.9, 17) + shift * 0.1
-    got = fourier_interpolate(u.values, u.half_width, [target])
+    got = fourier_interpolate(u.values, u.grid, [target])
     assert np.max(np.abs(got - f(target))) < 1e-11
 
 
@@ -161,7 +161,7 @@ def test_fourier_interpolate_masks_outside_box():
     g = gaussian_init(np.eye(1), np.eye(1))
     u = grid_envelope_from_gaussian(g, 8.0, 128)
     target = np.array([-12.0, -8.5, 8.0, 9.3, 40.0])
-    got = fourier_interpolate(u.values, u.half_width, [target])
+    got = fourier_interpolate(u.values, u.grid, [target])
     assert np.max(np.abs(got)) < 1e-14
 
 
@@ -171,10 +171,11 @@ def test_fourier_interpolate_batch_matches_single_calls():
     n, hw = 16, 3.0
     batch = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
     axes = [np.linspace(-4.0, 4.0, 9), np.linspace(-2.5, 2.9, 7)]
-    got = fourier_interpolate(batch, hw, axes)
+    box = SpatialGrid(2, hw, n)
+    got = fourier_interpolate(batch, box, axes)
     assert got.shape == (3, 9, 7)
     for r in range(3):
-        assert np.allclose(got[r], fourier_interpolate(batch[r], hw, axes), atol=1e-13)
+        assert np.allclose(got[r], fourier_interpolate(batch[r], box, axes), atol=1e-13)
 
 
 def dense_interpolate(values, half_width, target_axes):
@@ -202,21 +203,21 @@ def test_chirp_z_matches_the_dense_interpolant():
         x = -2 * np.pi + (4 * np.pi / npoints) * np.arange(npoints)
         target = (x - 0.123) / np.sqrt(eps)
         want = dense_interpolate(profiles, hw, [target])
-        got = fourier_interpolate(profiles, hw, [target])
+        got = fourier_interpolate(profiles, SpatialGrid(1, hw, n), [target])
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
         assert np.all(got[:, np.abs(target) > hw + 1e-9] == 0.0)
     # 2D with an odd side and targets outside the box on both axes
     batch = rng.normal(size=(3, 15, 15)) + 1j * rng.normal(size=(3, 15, 15))
     axes = [np.linspace(-6.0, 5.0, 41), np.linspace(-2.5, 4.9, 37)]
     want = dense_interpolate(batch, 4.0, axes)
-    got = fourier_interpolate(batch, 4.0, axes)
+    got = fourier_interpolate(batch, SpatialGrid(2, 4.0, 15), axes)
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_fourier_interpolate_rejects_nonuniform_targets():
     u = grid_envelope_from_gaussian(gaussian_init(np.eye(1), np.eye(1)), 8.0, 64)
     with pytest.raises(GridError):
-        fourier_interpolate(u.values, u.half_width, [np.array([-1.0, 0.0, 0.5, 2.0])])
+        fourier_interpolate(u.values, u.grid, [np.array([-1.0, 0.0, 0.5, 2.0])])
 
 
 def test_free_lattice_leading_packet_closed_form(free_band):
@@ -282,49 +283,40 @@ def test_synthesize_app_matches_packet_at_leading_order(mathieu_band):
     u = grid_envelope_from_gaussian(g, 16.0, 512)
     grid = make_grid_for(eps)
     direct = synthesize_packet(g, state, pair, eps, grid)
-    via_u0 = synthesize_app(build_U0(u, pair), None, None, state, eps, grid)
+    via_u0 = synthesize_app([build_U0(u, pair)], state, eps, grid)
     # closed-form Gaussian vs its trig interpolation from the z-grid
     diff = np.sqrt(np.sum(np.abs(direct.values - via_u0.values) ** 2) * grid.dx)
     assert diff < 1e-10
 
 
 def test_synthesize_app_corrector_scaling(mathieu_band):
-    # the U1 contribution enters with weight sqrt(eps)
+    # U1 enters with weight sqrt(eps) and U2 with weight eps: each
+    # contribution is its weight times that of the same terms at order 0
     eps = 2**-4
     state = make_state()
     pair = mathieu_band.eigenpair(state.p)
-    der = mathieu_band.derivatives(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     u = grid_envelope_from_gaussian(g, 16.0, 512)
     grid = make_grid_for(eps)
     u0 = build_U0(u, pair)
-    u1 = build_U1(u, pair, der)
-    lead = synthesize_app(u0, None, None, state, eps, grid)
-    with_u1 = synthesize_app(u0, u1, None, state, eps, grid)
-    both = with_u1.values - lead.values
-    u1_doubled = replace(u1, terms=tuple((2.0 * f, g) for f, g in u1.terms))
-    doubled = synthesize_app(u0, u1_doubled, None, state, eps, grid)
-    assert np.allclose(doubled.values - lead.values, 2.0 * both, atol=1e-12)
-
-
-def test_synthesize_app_rejects_wrong_slot(mathieu_band):
-    eps = 2**-4
-    state = make_state()
-    pair = mathieu_band.eigenpair(state.p)
-    der = mathieu_band.derivatives(state.p)
-    g = gaussian_init(np.eye(1), np.eye(1))
-    u = grid_envelope_from_gaussian(g, 16.0, 256)
-    u1 = build_U1(u, pair, der)
-    with pytest.raises(GridError):
-        synthesize_app(u1, None, None, state, eps, make_grid_for(eps))
+    lead = synthesize_app([u0], state, eps, grid).values
+    u1 = build_U1(u, pair)
+    u2 = build_U2(u, state, mathieu_band, harmonic(1))
+    for field, weight in ((u1, np.sqrt(eps)), (u2, eps)):
+        added = synthesize_app([u0, field], state, eps, grid).values - lead
+        unit = synthesize_app([u0, replace(field, order=0)], state, eps, grid).values - lead
+        assert np.max(np.abs(unit)) > 1e-3
+        assert np.allclose(added, weight * unit, rtol=0, atol=1e-12)
+        doubled = replace(field, terms=tuple((2.0 * f, g) for f, g in field.terms))
+        twice = synthesize_app([u0, doubled], state, eps, grid).values - lead
+        assert np.allclose(twice, 2.0 * added, rtol=0, atol=1e-12)
 
 
 def test_synthesize_app_rejects_correctors_on_another_box(mathieu_band):
-    # the terms of U0, U1 and U2 are interpolated as one batch on U0's z-box
+    # the terms of U0, U1 and U2 are interpolated as one batch on one z-grid
     eps = 2**-4
     state = make_state()
     pair = mathieu_band.eigenpair(state.p)
-    der = mathieu_band.derivatives(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     u = grid_envelope_from_gaussian(g, 16.0, 256)
     u0 = build_U0(u, pair)
@@ -334,10 +326,10 @@ def test_synthesize_app_rejects_correctors_on_another_box(mathieu_band):
         grid_envelope_from_gaussian(g, 16.0, 512),
     ):
         with pytest.raises(GridError):
-            synthesize_app(u0, build_U1(other, pair, der), None, state, eps, grid)
+            synthesize_app([u0, build_U1(other, pair)], state, eps, grid)
         u2 = build_U2(other, state, mathieu_band, harmonic(1))
         with pytest.raises(GridError):
-            synthesize_app(u0, None, u2, state, eps, grid)
+            synthesize_app([u0, u2], state, eps, grid)
 
 
 def test_momentum_mismatch_rejected(mathieu_band):

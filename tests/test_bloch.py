@@ -16,7 +16,7 @@ from blochpacket.bloch import (
     pw_indices,
     reduced_resolvent_solve,
 )
-from blochpacket.errors import DegenerateBandError, EigensolverError
+from blochpacket.errors import DegenerateBandError, EigensolverError, GaugeError
 from blochpacket.lattice import FourierPotential, LatticeSpec
 
 # Flat-band reference values for -1/2 d^2/dy^2 + cos(y), ground band.
@@ -63,14 +63,14 @@ def test_energies_real_sorted_periodic(k, amp):
 
 
 def test_cell_normalization(lattice1d, cosine1d):
-    pair, _ = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 16)
+    pair = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 16)
     # |Y| sum |c_n|^2 = 1 so |chi| has unit cell average
     assert cell_inner(lattice1d, pair.coeffs, pair.coeffs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigen_residual(lattice1d, cosine1d):
     h = build_bloch_hamiltonian(lattice1d, cosine1d, np.array([0.3]), 32)
-    pair, _ = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 32)
+    pair = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 32)
     res = h @ pair.coeffs - pair.energy * pair.coeffs
     assert np.linalg.norm(res) < 1e-12
 
@@ -112,16 +112,16 @@ def test_band_symmetry_under_k_reflection(mathieu_band):
 def test_hellmann_feynman_vs_finite_differences(lattice1d, cosine1d):
     h = 1e-4
     for k in (0.05, 0.3, -0.41):
-        _, der = band_derivatives(lattice1d, cosine1d, np.array([k]), 1, 32)
+        pair = band_derivatives(lattice1d, cosine1d, np.array([k]), 1, 32)
 
         def e(kk):
-            p, _ = band_derivatives(lattice1d, cosine1d, np.array([kk]), 1, 32)
+            p = band_derivatives(lattice1d, cosine1d, np.array([kk]), 1, 32)
             return p.energy
 
         fd_grad = (e(k + h) - e(k - h)) / (2 * h)
         fd_hess = (e(k + h) - 2 * e(k) + e(k - h)) / h**2
-        assert der.grad[0] == pytest.approx(fd_grad, abs=1e-8)
-        assert der.hess[0, 0] == pytest.approx(fd_hess, abs=1e-6)
+        assert pair.grad[0] == pytest.approx(fd_grad, abs=1e-8)
+        assert pair.hess[0, 0] == pytest.approx(fd_hess, abs=1e-6)
 
 
 def test_berry_matches_finite_difference_connection(lattice1d, cosine1d):
@@ -129,12 +129,12 @@ def test_berry_matches_finite_difference_connection(lattice1d, cosine1d):
     # with D the centred difference of the anchored cell functions
     h = 1e-5
     for k in (0.0, 0.17, 0.3, 0.49, -0.49):
-        pair, der = band_derivatives(lattice1d, cosine1d, np.array([k]), 1, 32)
-        pp, _ = band_derivatives(lattice1d, cosine1d, np.array([k + h]), 1, 32)
-        pm, _ = band_derivatives(lattice1d, cosine1d, np.array([k - h]), 1, 32)
+        pair = band_derivatives(lattice1d, cosine1d, np.array([k]), 1, 32)
+        pp = band_derivatives(lattice1d, cosine1d, np.array([k + h]), 1, 32)
+        pm = band_derivatives(lattice1d, cosine1d, np.array([k - h]), 1, 32)
         fd = cell_inner(lattice1d, pair.coeffs, (pp.coeffs - pm.coeffs) / (2 * h))
-        assert abs(der.berry[0].real) < 1e-12
-        assert der.berry[0] == pytest.approx(1j * fd.imag, abs=1e-6)
+        assert abs(pair.berry[0].real) < 1e-12
+        assert pair.berry[0] == pytest.approx(1j * fd.imag, abs=1e-6)
 
 
 def test_anchored_gauge_is_continuous_across_the_zone_edge(mathieu_band):
@@ -153,10 +153,17 @@ def test_anchored_connection_of_the_unit_cosine_is_constant(mathieu_band):
         assert mathieu_band.berry(np.array([k]))[0] == pytest.approx(-1j * np.pi, abs=1e-9)
 
 
+def test_anchor_below_the_floor_raises_gauge_error(lattice1d, cosine1d, monkeypatch):
+    # no unit-norm Bloch wave reaches modulus 10 at the anchor point
+    monkeypatch.setattr(bloch, "ANCHOR_FLOOR", 10.0)
+    with pytest.raises(GaugeError, match=r"modulus \S+ below 1e\+01 at k = \[0\.3\]"):
+        band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 16)
+
+
 def test_dk_coeffs_orthogonality_real_part(lattice1d, cosine1d):
     # Re<chi, d_k chi> = 0 under the normalization constraint
-    pair, der = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 32)
-    val = cell_inner(pair.lattice, pair.coeffs, der.dk_coeffs[0])
+    pair = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 32)
+    val = cell_inner(pair.lattice, pair.coeffs, pair.dk_coeffs[0])
     assert abs(val.real) < 1e-12
 
 
@@ -164,21 +171,21 @@ def test_dk_coeffs_match_finite_difference_cell_functions(lattice1d, cosine1d):
     # compare d_k chi, phase rate included, against a centered difference of
     # the anchored eigenvectors evaluated at sample points in the cell
     k, h = 0.3, 1e-5
-    pair, der = band_derivatives(lattice1d, cosine1d, np.array([k]), 1, 32)
-    pp, _ = band_derivatives(lattice1d, cosine1d, np.array([k + h]), 1, 32)
-    pm, _ = band_derivatives(lattice1d, cosine1d, np.array([k - h]), 1, 32)
+    pair = band_derivatives(lattice1d, cosine1d, np.array([k]), 1, 32)
+    pp = band_derivatives(lattice1d, cosine1d, np.array([k + h]), 1, 32)
+    pm = band_derivatives(lattice1d, cosine1d, np.array([k - h]), 1, 32)
     y = np.linspace(0.0, 2.0 * np.pi, 13)
     fd = (
         evaluate_cell_coeffs(lattice1d, pp.cutoff, pp.coeffs, y)
         - evaluate_cell_coeffs(lattice1d, pm.cutoff, pm.coeffs, y)
     ) / (2 * h)
-    direct = evaluate_cell_coeffs(lattice1d, pair.cutoff, der.dk_coeffs[0], y)
+    direct = evaluate_cell_coeffs(lattice1d, pair.cutoff, pair.dk_coeffs[0], y)
     assert np.max(np.abs(fd - direct)) < 1e-5
 
 
 def test_reduced_resolvent_solve_properties(lattice1d, cosine1d):
     h = build_bloch_hamiltonian(lattice1d, cosine1d, np.array([0.3]), 16)
-    pair, _ = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 16)
+    pair = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 16)
     chi_unit = pair.coeffs / np.linalg.norm(pair.coeffs)
     rng = np.random.default_rng(7)
     rhs = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
@@ -269,15 +276,15 @@ def test_band_derivatives_2d_gradient():
         {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.25, (0, -1): 0.25}
     )
     k = np.array([0.13, -0.21])
-    pair, der = band_derivatives(lat, pot, k, 1, 8)
+    pair = band_derivatives(lat, pot, k, 1, 8)
     h = 1e-4
     for j in range(2):
         step = np.zeros(2)
         step[j] = h
-        ep, _ = band_derivatives(lat, pot, k + step, 1, 8)
-        em, _ = band_derivatives(lat, pot, k - step, 1, 8)
-        assert der.grad[j] == pytest.approx((ep.energy - em.energy) / (2 * h), abs=1e-7)
-    assert np.allclose(der.hess, der.hess.T, atol=1e-10)
+        ep = band_derivatives(lat, pot, k + step, 1, 8)
+        em = band_derivatives(lat, pot, k - step, 1, 8)
+        assert pair.grad[j] == pytest.approx((ep.energy - em.energy) / (2 * h), abs=1e-7)
+    assert np.allclose(pair.hess, pair.hess.T, atol=1e-10)
 
 
 def test_default_cutoff():
@@ -314,11 +321,11 @@ def test_band_table_matches_direct_solves_off_node(lattice1d, potential, m):
     band = BlochBand(lattice1d, potential, m, 32)
     for k in probes:
         p = np.array([k])
-        pair, der = band_derivatives(lattice1d, potential, p, m, 32)
+        pair = band_derivatives(lattice1d, potential, p, m, 32)
         assert _relative_dev(band.energy(p), pair.energy) <= 1e-11
-        assert _relative_dev(band.grad_energy(p), der.grad) <= 1e-11
-        assert _relative_dev(band.hess_energy(p), der.hess) <= 1e-11
-        assert _relative_dev(band.berry(p), der.berry) <= 1e-11
+        assert _relative_dev(band.grad_energy(p), pair.grad) <= 1e-11
+        assert _relative_dev(band.hess_energy(p), pair.hess) <= 1e-11
+        assert _relative_dev(band.berry(p), pair.berry) <= 1e-11
 
 
 def test_free_lattice_parabola_is_exact_on_the_zone_edge_patch(free_band):
@@ -371,8 +378,8 @@ def test_band_table_2d_matches_direct_solve():
     )
     band = BlochBand(lat, pot, 1, 4)
     k = np.array([0.13, -0.21])
-    pair, der = band_derivatives(lat, pot, k, 1, 4)
+    pair = band_derivatives(lat, pot, k, 1, 4)
     assert _relative_dev(band.energy(k), pair.energy) <= 1e-11
-    assert _relative_dev(band.grad_energy(k), der.grad) <= 1e-11
-    assert _relative_dev(band.hess_energy(k), der.hess) <= 1e-11
-    assert _relative_dev(band.berry(k), der.berry) <= 1e-11
+    assert _relative_dev(band.grad_energy(k), pair.grad) <= 1e-11
+    assert _relative_dev(band.hess_energy(k), pair.hess) <= 1e-11
+    assert _relative_dev(band.berry(k), pair.berry) <= 1e-11

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from blochpacket import bloch
 from blochpacket.cli import build_parser, main
 from blochpacket.config import EXPERIMENT_KINDS, ExperimentConfig
 from blochpacket.experiments import RUNNERS
@@ -40,6 +41,16 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert "t_final" in err["message"]
+
+
+def test_gauge_failure_exits_one(tmp_path, capsys, monkeypatch):
+    # an anchor floor no Bloch wave reaches fails the first band-table node
+    monkeypatch.setattr(bloch, "ANCHOR_FLOOR", 10.0)
+    code = main(["flow", "--out", str(tmp_path / "flow")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GaugeError"
+    assert "below 1e+01 at k = " in err["message"]
 
 
 @pytest.mark.parametrize(

@@ -53,12 +53,12 @@ def test_u0_is_product_state(nodes):
         assert np.allclose(zprof, u.values)
         assert np.allclose(ycoef, pair.coeffs)
         # norm separates: ||u|| * ||chi||_L2(Y) with unit cell normalization
-        assert u0.norm(u.grid.dx) == pytest.approx(u.mass(), rel=1e-12)
+        assert u0.norm() == pytest.approx(u.mass(), rel=1e-12)
 
 
 def test_u1_orthogonal_to_cell_function(nodes):
     for band, state, u in nodes:
-        u1 = build_U1(u, band.eigenpair(state.p), band.derivatives(state.p))
+        u1 = build_U1(u, band.eigenpair(state.p))
         assert u1.order == 1
         assert np.max(np.abs(chi_projection(u1))) < 1e-12
 
@@ -73,10 +73,8 @@ def test_u2_orthogonal_to_cell_function(nodes):
 def test_u1_linear_in_envelope(nodes):
     for band, state, u in nodes:
         pair = band.eigenpair(state.p)
-        der = band.derivatives(state.p)
-        u1 = build_U1(u, pair, der)
-        scaled_env = u.__class__(values=2.5 * u.values, half_width=u.half_width, t=u.t)
-        u1b = build_U1(scaled_env, pair, der)
+        u1 = build_U1(u, pair)
+        u1b = build_U1(replace(u, values=2.5 * u.values), pair)
         for (f, g), (fb, gb) in zip(u1.terms, u1b.terms):
             assert np.allclose(2.5 * f, fb, atol=1e-12)
             assert np.allclose(g, gb, atol=1e-14)
@@ -84,9 +82,9 @@ def test_u1_linear_in_envelope(nodes):
 
 def test_scaled_corrector_norm(nodes):
     for band, state, u in nodes:
-        u1 = build_U1(u, band.eigenpair(state.p), band.derivatives(state.p))
+        u1 = build_U1(u, band.eigenpair(state.p))
         tripled = replace(u1, terms=tuple((3.0 * f, g) for f, g in u1.terms))
-        assert tripled.norm(u.grid.dx) == pytest.approx(3.0 * u1.norm(u.grid.dx), rel=1e-12)
+        assert tripled.norm() == pytest.approx(3.0 * u1.norm(), rel=1e-12)
 
 
 def test_corrector_norm_resolves_cancelling_terms(nodes):
@@ -94,14 +92,14 @@ def test_corrector_norm_resolves_cancelling_terms(nodes):
     # cancels only to rounding: the square root of a Gram sum reads ~1e-8
     # (or 0.0) on these, depending on the sign of the rounding
     for band, state, u in nodes:
-        u1 = build_U1(u, band.eigenpair(state.p), band.derivatives(state.p))
+        u1 = build_U1(u, band.eigenpair(state.p))
         split = tuple((-f, 0.3 * g) for f, g in u1.terms) + tuple(
             (-f, 0.7 * g) for f, g in u1.terms
         )
         rescaled = tuple((-3.0 * f, g / 3.0) for f, g in u1.terms)
         for negatives in (split, rescaled):
             cancelled = replace(u1, terms=u1.terms + negatives)
-            assert cancelled.norm(u.grid.dx) <= 1e-15
+            assert cancelled.norm() <= 1e-15
 
 
 def test_correctors_vanish_on_free_lattice(free_band):
@@ -109,10 +107,9 @@ def test_correctors_vanish_on_free_lattice(free_band):
     g = gaussian_init(np.eye(1), np.eye(1))
     u = grid_envelope_from_gaussian(g, 16.0, 256)
     pair = free_band.eigenpair(state.p)
-    der = free_band.derivatives(state.p)
     ext = harmonic(1)
-    assert build_U1(u, pair, der).norm(u.grid.dx) < 1e-14
-    assert build_U2(u, state, free_band, ext).norm(u.grid.dx) < 1e-14
+    assert build_U1(u, pair).norm() < 1e-14
+    assert build_U2(u, state, free_band, ext).norm() < 1e-14
 
 
 def test_solvability_defect1_vanishes(nodes):
@@ -159,7 +156,6 @@ def test_effective_mass_identity(nodes):
 
     for band, state, _ in nodes:
         pair = band.eigenpair(state.p)
-        der = band.derivatives(state.p)
-        x0 = _perp(pair, der.dk_coeffs[0])
+        x0 = _perp(pair, pair.dk_coeffs[0])
         t00 = -1j * cell_inner(pair.lattice, pair.coeffs, _dy(pair, x0, 0))
-        assert 1.0 + 2.0 * t00.real == pytest.approx(der.hess[0, 0], abs=1e-9)
+        assert 1.0 + 2.0 * t00.real == pytest.approx(pair.hess[0, 0], abs=1e-9)

@@ -21,6 +21,7 @@ from blochpacket.envelope import (
 )
 from blochpacket.errors import EnvelopeError
 from blochpacket.flow import TrajectoryState, integrate_flow
+from blochpacket.grid import SpatialGrid
 
 # Weighted-norm oracles for u(z) = exp(-|z|^2/2) (A = B = 1), by hand:
 # in d = 1, ||u|| = pi^(1/4) and ||z u|| = ||u'|| = pi^(1/4)/sqrt(2);
@@ -254,7 +255,7 @@ def test_evolve_grid_envelope_boundary_guard():
     # wide low-frequency state on a tiny box trips the shell monitor
     ax = np.linspace(-2.0, 2.0, 64, endpoint=False)
     vals = np.exp(-0.1 * ax**2).astype(complex)
-    u = GridEnvelope(values=vals, half_width=2.0, t=0.0)
+    u = GridEnvelope(values=vals, grid=SpatialGrid(1, 2.0, 64), t=0.0)
     coeffs = ConstantCoefficients(dispersion=np.eye(1), vhess=np.zeros((1, 1)))
     with pytest.raises(EnvelopeError):
         evolve_grid_envelope(u, coeffs, 4.0, 1e-2)

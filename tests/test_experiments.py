@@ -62,13 +62,13 @@ def test_prepare_dynamics_shares_trajectory():
     cfg = ExperimentConfig(kind="convergence", output_dir="/tmp/unused")
     bundle = prepare_dynamics(cfg, [0.25, 0.5])
     assert isinstance(bundle, DynamicsBundle)
-    state, pair, gauss = bundle.at(0.5)
+    state, gauss = bundle.at(0.5)
     assert state.t == pytest.approx(0.5)
     assert gauss.t == pytest.approx(0.5)
-    # eigenpair quasimomentum matches the flow (both unfolded here)
-    assert np.allclose(pair.k, state.p, atol=1e-12)
+    # the stored state is the shared trajectory's
+    assert np.array_equal(state.p, bundle.trajectory.state_at(0.5).p)
     # times are incremental evolutions of one gaussian, not restarts
-    s1, _, g1 = bundle.at(0.25)
+    s1, g1 = bundle.at(0.25)
     assert g1.t == pytest.approx(0.25)
 
 
@@ -225,7 +225,7 @@ def test_residual_law_with_nonzero_geometric_phase(capsys, tmp_path):
         output_dir=str(tmp_path),
     ).validate()
     bundle = prepare_dynamics(cfg, [cfg.residual_time])
-    state, _, _ = bundle.at(cfg.residual_time)
+    state, _ = bundle.at(cfg.residual_time)
     beta = abs(geometric_rate(bundle.band, bundle.external, state))
 
     summary = run_convergence(cfg)
@@ -379,8 +379,9 @@ def test_geometric_factor_matches_discrete_transport(tmp_path, band_index, q0, p
         nxt = band.eigenpair(trajectory.state_at(trajectory.ts[i]).p).coeffs
         link = cell_inner(lattice, carried, nxt)
         carried = nxt * np.conj(link) / abs(link)
-    _, pair, gauss = bundle.at(1.0)
-    overlap = cell_inner(lattice, carried, pair.coeffs * np.exp(gauss.berry_integral))
+    state, gauss = bundle.at(1.0)
+    chi = band.eigenpair(state.p).coeffs
+    overlap = cell_inner(lattice, carried, chi * np.exp(gauss.berry_integral))
     assert abs(1.0 - abs(overlap)) <= 1e-9
     assert abs(np.angle(overlap)) <= 1e-9
 
@@ -411,8 +412,8 @@ def test_bloch_oscillation_closes_the_flow_and_the_gaussian(lattice_potential, z
         lattice_potential=lattice_potential,
     ).validate()
     bundle = prepare_dynamics(cfg, [1.0])
-    state0, _, gauss0 = bundle.at(0.0)
-    state1, _, gauss1 = bundle.at(1.0)
+    state0, gauss0 = bundle.at(0.0)
+    state1, gauss1 = bundle.at(1.0)
     assert abs(state1.q[0] - state0.q[0]) <= 1e-12
     assert abs(state1.p[0] - (state0.p[0] - 1.0)) <= 1e-12
     assert np.max(np.abs(gauss1.A - gauss0.A)) <= 1e-12
@@ -435,13 +436,12 @@ class RegaugedBand(BlochBand):
 
     def eigenpair(self, p):
         pair = super().eigenpair(p)
-        return replace(pair, coeffs=np.exp(1j * _theta(pair.k[0])) * pair.coeffs)
-
-    def derivatives(self, p):
-        k = float(np.atleast_1d(p)[0])
-        der = super().derivatives(p)
-        dk = der.dk_coeffs + 1j * _dtheta(k) * super().eigenpair(p).coeffs
-        return replace(der, dk_coeffs=np.exp(1j * _theta(k)) * dk, berry=der.berry + 1j * _dtheta(k))
+        k = pair.k[0]
+        phase = np.exp(1j * _theta(k))
+        dk = pair.dk_coeffs + 1j * _dtheta(k) * pair.coeffs
+        return replace(
+            pair, coeffs=phase * pair.coeffs, dk_coeffs=phase * dk, berry=pair.berry + 1j * _dtheta(k)
+        )
 
     def berry(self, p):
         return super().berry(p) + 1j * _dtheta(np.asarray(p, dtype=float))
@@ -470,8 +470,8 @@ def test_packets_are_gauge_covariant(monkeypatch):
                 _initial_field(replace(bundle, config=replace(cfg, initial_data=kind)), eps, grid)
                 for kind in ("packet", "well_prepared")
             ]
-        state, *fields = _correctors(bundle, t)
-        return [_leading_packet(bundle, t, eps, grid), synthesize_app(*fields, state, eps, grid)]
+        state, fields = _correctors(bundle, t)
+        return [_leading_packet(bundle, t, eps, grid), synthesize_app(fields, state, eps, grid)]
 
     phase = np.exp(1j * _theta(0.3))
     worst = 0.0

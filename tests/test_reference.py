@@ -3,6 +3,7 @@ import pytest
 
 from conftest import harmonic
 
+from blochpacket import reference
 from blochpacket.assembly import GridWaveField, make_grid_for, synthesize_packet
 from blochpacket.envelope import gaussian_init
 from blochpacket.errors import GridError, SolverError
@@ -31,7 +32,9 @@ def plane_wave_field(eps=0.125, n=256, mode=8):
     return grid, x, k, GridWaveField(grid=grid, epsilon=eps, time=0.0, values=vals)
 
 
-def test_plane_wave_free_evolution_exact(lattice1d):
+def test_plane_wave_free_evolution_exact(lattice1d, monkeypatch):
+    # the plane wave fills the whole box: no boundary guard
+    monkeypatch.setattr(reference, "THRESHOLD", np.inf)
     grid, x, k, psi0 = plane_wave_field()
     T = 0.37
     out = solve_schrodinger(
@@ -40,13 +43,14 @@ def test_plane_wave_free_evolution_exact(lattice1d):
         FourierPotential.zero(1),
         QuadraticPotential.create(1),
         [T],
-        SolverParams(dt=1e-3, boundary_threshold=np.inf),
+        SolverParams(dt=1e-3),
     )
     exact = np.exp(1j * (k * x - 0.5 * k * k * T) / psi0.epsilon)
     assert l2_error(out[0], GridWaveField(grid=grid, epsilon=psi0.epsilon, time=T, values=exact)) < 1e-12
 
 
-def test_constant_potential_pure_phase(lattice1d):
+def test_constant_potential_pure_phase(lattice1d, monkeypatch):
+    monkeypatch.setattr(reference, "THRESHOLD", np.inf)
     grid, x, k, psi0 = plane_wave_field()
     T = 0.2
     c = 0.7
@@ -56,7 +60,7 @@ def test_constant_potential_pure_phase(lattice1d):
         FourierPotential.zero(1),
         QuadraticPotential.create(1, constant=c),
         [T],
-        SolverParams(dt=1e-3, boundary_threshold=np.inf),
+        SolverParams(dt=1e-3),
     )
     exact = np.exp(1j * (k * x - (0.5 * k * k + c) * T) / psi0.epsilon)
     err = np.sqrt(np.sum(np.abs(out[0].values - exact) ** 2) * grid.dx)
