@@ -19,7 +19,7 @@ from .bloch import BlochEigenpair, evaluate_cell_coeffs
 from .envelope import GaussianEnvelope, gaussian_eval
 from .errors import GridError
 from .flow import TrajectoryState
-from .grid import CELL_TOL, THRESHOLD, SpatialGrid, mesh
+from .grid import CELL_TOL, SpatialGrid, mesh
 
 POINTS_PER_OSCILLATION = 16
 MIN_POINTS = 64
@@ -184,14 +184,8 @@ def _synthesize(
         phase = phase + grid.along(j, state.p[j] * (axis - state.q[j]))
     vals = np.einsum("r...,...r->...", fvals, chivals)
     vals = epsilon ** (-grid.dimension / 4.0) * vals * np.exp(1j * phase / epsilon)
-    field = GridWaveField(grid=grid, epsilon=epsilon, time=state.t, values=vals)
-    frac = field.boundary_mass_fraction()
-    if frac > THRESHOLD:
-        raise GridError(
-            f"packet mass fraction {frac:.3e} reached the box boundary;"
-            " enlarge the box"
-        )
-    return field
+    grid.guard(vals, GridError)
+    return GridWaveField(grid=grid, epsilon=epsilon, time=state.t, values=vals)
 
 
 def synthesize_packet(

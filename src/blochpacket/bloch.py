@@ -10,7 +10,7 @@ that |Y| * sum |c_n|^2 = 1, i.e. the cell function has unit L^2(Y) norm.
 Inner products over the cell in this scaling are |Y| * sum conj(a) b.
 
 `BlochBand` serves band energy, gradient, Hessian and connection from a band
-table: Chebyshev interpolants on patches of the Brillouin zone, each built
+table: Chebyshev series on patches of the Brillouin zone, each built
 from `band_derivatives` at its nodes the first time a query falls inside it.
 Cell functions are solved at the momentum asked for, and every reduced
 resolvent comes from the dense eigendecomposition (`reduced_resolvent_solve`).
@@ -246,63 +246,50 @@ def evaluate_cell_coeffs(lattice, cutoff: int, coeffs: np.ndarray, points) -> np
 
 
 @functools.lru_cache(maxsize=None)
-def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First-kind Chebyshev points on [-1, 1], their barycentric weights and
-    the matrix taking values at the points to Chebyshev coefficients."""
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev points on [-1, 1] and the matrix taking values
+    at the points to the coefficients of their interpolating series."""
     theta = (2 * np.arange(n) + 1) * np.pi / (2 * n)
     to_coeffs = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
     to_coeffs[0] /= 2
-    return np.cos(theta), (-1.0) ** np.arange(n) * np.sin(theta), to_coeffs
-
-
-def _chebyshev_tail(values: np.ndarray, dimension: int) -> float:
-    """Largest Chebyshev coefficient of degree >= 3n/4 along some axis, per
-    column relative to max(1, max |node value|), over all columns."""
-    n = values.shape[0]
-    coeffs = values
-    for axis in range(dimension):
-        coeffs = np.moveaxis(np.tensordot(_chebyshev(n)[2], coeffs, axes=(1, axis)), 0, axis)
-    trailing = np.indices((n,) * dimension).max(axis=0) >= n - n // 4
-    scale = np.maximum(1.0, np.abs(values.reshape(-1, values.shape[-1])).max(axis=0))
-    return float(np.max(np.abs(coeffs[trailing]).max(axis=0) / scale))
+    return np.cos(theta), to_coeffs
 
 
 class BandPatch:
-    """Band data at the n^d Chebyshev points of one zone patch.
+    """Band data on one zone patch as a truncated Chebyshev series.
 
-    values is (n,) * d + (columns,): E, grad E, Hess E (row-major), Im berry,
-    the gaps to the neighboring bands and the spectrum width. tail is the
-    `_chebyshev_tail` of the E, grad E, Hess E and berry columns.
+    values at the n^d Chebyshev points are (n,) * d + (columns,): E, grad E,
+    Hess E (row-major), Im berry, the gaps to the neighboring bands and the
+    spectrum width. coeffs holds their series sum_k c_k T_k(x) per axis,
+    which takes the node values at the nodes. tail is the largest
+    coefficient of degree >= 3n/4 along some axis over the first `smooth`
+    columns, each relative to max(1, max |node value|).
     """
 
-    def __init__(self, values: np.ndarray, tail: float):
-        self.nodes = values.shape[0]
-        self.values = values
-        self.tail = tail
-        self._points, self._weights, _ = _chebyshev(self.nodes)
-        self._point_set = frozenset(self._points.tolist())
+    def __init__(self, values: np.ndarray, smooth: int):
+        self.nodes = n = values.shape[0]
+        coeffs = values
+        for axis in range(values.ndim - 1):
+            coeffs = np.moveaxis(np.tensordot(_chebyshev(n)[1], coeffs, axes=(1, axis)), 0, axis)
+        self.coeffs = coeffs
+        self._degrees = np.arange(n, dtype=float)
+        trailing = np.indices(values.shape[:-1]).max(axis=0) >= n - n // 4
+        scale = np.maximum(1.0, np.abs(values[..., :smooth].reshape(-1, smooth)).max(axis=0))
+        self.tail = float(np.max(np.abs(coeffs[trailing][:, :smooth]).max(axis=0) / scale))
 
     def interpolate(self, x) -> np.ndarray:
-        """Barycentric interpolant of every column at local coordinates x in [-1, 1]^d."""
-        out = self.values
+        """Every column's series at local coordinates x in [-1, 1]^d."""
+        out = self.coeffs
         for xj in x:
-            if xj in self._point_set:
-                row = (self._points == xj).astype(float)
-            else:
-                row = self._weights / (xj - self._points)
-                row /= row.sum()
-            out = row @ out.reshape(self.nodes, -1)
+            out = np.cos(self._degrees * math.acos(xj)) @ out.reshape(self.nodes, -1)
         return out
 
     def interpolate_rows(self, x: np.ndarray) -> np.ndarray:
         """`interpolate` at N local points x, (N, d), one product per axis."""
-        out = self.values.reshape(1, self.nodes, -1)
+        out = self.coeffs.reshape(1, self.nodes, -1)
         for xj in x.T:
-            diff = xj[:, None] - self._points
-            hit = diff == 0.0
-            rows = np.divide(self._weights, diff, out=diff, where=~hit)  # in place: N may be large
-            np.copyto(rows, hit, where=hit.any(axis=1, keepdims=True))
-            rows /= rows.sum(axis=1, keepdims=True)
+            rows = np.multiply.outer(np.arccos(xj), self._degrees)
+            np.cos(rows, out=rows)  # in place: N may be large
             out = rows[:, None, :] @ out.reshape(len(out), self.nodes, -1)
         return out.reshape(len(x), -1)
 
@@ -314,12 +301,12 @@ class BlochBand:
     first zone, [-1/2, 1/2)^d in fractional coordinates, is split into
     PATCHES_PER_AXIS^d equal patches. The first query inside a patch calls
     `band_derivatives` at its PATCH_NODES[0]^d Chebyshev points (none on a
-    patch boundary); queries interpolate the node values. The accessors take
-    one momentum (d,) or a batch (N, d), served patch by patch. A patch whose
-    Chebyshev tail exceeds TAIL_TOL is rebuilt with twice the points, and
-    past PATCH_NODES[-1] the build raises. The band's gaps to its neighbors
-    are interpolated too, and a query raises `DegenerateBandError` where the
-    solver at that k would.
+    patch boundary); queries sum the Chebyshev series of the node values
+    (`BandPatch`). The accessors take one momentum (d,) or a batch (N, d),
+    served patch by patch. A patch whose Chebyshev tail exceeds TAIL_TOL is
+    rebuilt with twice the points, and past PATCH_NODES[-1] the build raises.
+    The band's gaps to its neighbors are interpolated too, and a query raises
+    `DegenerateBandError` where the solver at that k would.
 
     The cell function and its k-derivative come with the whole
     `band_derivatives` record (`eigenpair`), solved at the momentum asked
@@ -375,14 +362,13 @@ class BlochBand:
                     [pair.energy], pair.grad, pair.hess.ravel(), pair.berry.imag, pair.gaps,
                     [pair.width],
                 ]))
-            values = np.array(rows).reshape((n,) * d + (-1,))
-            tail = _chebyshev_tail(values[..., :smooth], d)
-            if tail <= TAIL_TOL:
-                self.patches[index] = BandPatch(values, tail)
-                return self.patches[index]
+            patch = BandPatch(np.array(rows).reshape((n,) * d + (-1,)), smooth)
+            if patch.tail <= TAIL_TOL:
+                self.patches[index] = patch
+                return patch
         raise EigensolverError(
             f"band {self.m} table patch {index} unresolved by {n} Chebyshev points"
-            f" per axis: tail {tail:.3e} above {TAIL_TOL:.0e}"
+            f" per axis: tail {patch.tail:.3e} above {TAIL_TOL:.0e}"
         )
 
     def _table(self, p) -> np.ndarray:
@@ -407,8 +393,8 @@ class BlochBand:
         return values
 
     def _table_rows(self, p: np.ndarray) -> np.ndarray:
-        """`_table` at momenta (N, d): grouped by patch, one barycentric
-        product per patch met, every row checked for isolation."""
+        """`_table` at momenta (N, d): grouped by patch, one series
+        evaluation per patch met, every row checked for isolation."""
         d = self.dimension
         if p.shape[1] != d or not np.all(np.isfinite(p)):
             raise EigensolverError(f"quasimomenta of shape {p.shape} are not finite {d}-vectors")
@@ -417,7 +403,7 @@ class BlochBand:
         index = np.clip(np.floor(scaled), 0, PATCHES_PER_AXIS - 1)
         local = 2.0 * (scaled - index) - 1.0
         keys, group = np.unique(index.astype(int), axis=0, return_inverse=True)
-        values = np.empty((len(p), self._patch(tuple(keys[0].tolist())).values.shape[-1]))
+        values = np.empty((len(p), self._patch(tuple(keys[0].tolist())).coeffs.shape[-1]))
         for g, key in enumerate(map(tuple, keys.tolist())):
             rows = group.ravel() == g
             values[rows] = self._patch(key).interpolate_rows(local[rows])

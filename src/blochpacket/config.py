@@ -40,8 +40,11 @@ EXPERIMENT_KINDS = (
 )
 INITIAL_DATA_KINDS = ("packet", "well_prepared")
 CONVERGENCE_MODES = ("error", "residual")
-EXTERNAL_KINDS = ("quadratic", "cosine-well")
-LATTICE_POTENTIAL_KINDS = ("cosine", "fourier", "zero")
+# each potential type with the spec fields it reads
+EXTERNAL_KINDS = {
+    "quadratic": ("constant", "linear", "hessian"), "cosine-well": ("amplitude", "frequencies"),
+}
+LATTICE_POTENTIAL_KINDS = {"cosine": ("amplitude",), "fourier": ("coeffs",), "zero": ()}
 # JSON value types each field annotation accepts; bool never counts as a number
 _JSON_TYPES = {
     "str": str,
@@ -101,6 +104,13 @@ def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
+def _check_read(spec, kinds: dict) -> None:
+    """Raise ConfigError for a field off its default that spec.type does not read."""
+    for f in fields(spec):
+        if f.name not in kinds[spec.type] + ("type",) and getattr(spec, f.name) != f.default:
+            raise ConfigError(f"type {spec.type!r} does not read {f.name!r}")
+
+
 @dataclass(frozen=True)
 class LatticePotentialSpec(_Serializable):
     """Periodic potential as a named form or explicit Fourier data."""
@@ -119,6 +129,7 @@ class LatticePotentialSpec(_Serializable):
         """The potential; `FourierPotential` checks Hermitian symmetry."""
         if self.type not in LATTICE_POTENTIAL_KINDS:
             raise ConfigError(f"unknown lattice potential type {self.type!r}")
+        _check_read(self, LATTICE_POTENTIAL_KINDS)
         if self.type == "cosine":
             return FourierPotential.cosine(dimension, self.amplitude)
         if self.type == "zero":
@@ -159,8 +170,9 @@ class ExternalPotentialSpec(_Serializable):
         if self.type not in EXTERNAL_KINDS:
             raise ConfigError(
                 f"external potential {self.type!r} is not in the admissible"
-                f" whitelist {EXTERNAL_KINDS}"
+                f" whitelist {tuple(EXTERNAL_KINDS)}"
             )
+        _check_read(self, EXTERNAL_KINDS)
         if self.type == "quadratic":
             if len({len(row) for row in self.hessian}) > 1:
                 raise ConfigError("hessian rows differ in length")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnvelopeError
-from .grid import THRESHOLD, SpatialGrid, as_points, rk4, step_count, strang_step
+from .grid import SpatialGrid, as_points, rk4, step_count, strang_step
 
 INVARIANT_TOL = 1e-6           # Gaussian structure drift that raises
 SPECTRAL_TAIL_FRACTION = 1 / 3  # top spectrum band used by the tail monitor
@@ -264,8 +264,7 @@ def evolve_grid_envelope(
     if dt <= 0:
         raise EnvelopeError("dt must be positive")
     grid = u.grid
-    if grid.shell_fraction(u.values) > THRESHOLD:
-        raise EnvelopeError("initial envelope already touches the box boundary")
+    grid.guard(u.values, EnvelopeError, t0)
     nsteps = step_count(abs(t1 - t0), dt)
     h = (t1 - t0) / nsteps
 
@@ -278,11 +277,7 @@ def evolve_grid_envelope(
         half_phase = np.exp(-0.25j * h * grid.quadratic_form(qs[k]))
         kinetic = np.exp(-0.5j * h * grid.quadratic_form(ms[k], fourier=True))
         vals = factors[k] * strang_step(vals, half_phase, kinetic)
-        if grid.shell_fraction(vals) > THRESHOLD:
-            raise EnvelopeError(
-                f"envelope mass reached the box boundary near t = {t0 + (k + 1) * h:.6g};"
-                " enlarge the z-box"
-            )
+        grid.guard(vals, EnvelopeError, t0 + (k + 1) * h)
     return GridEnvelope(values=vals, grid=grid, t=t1)
 
 

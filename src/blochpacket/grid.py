@@ -191,3 +191,11 @@ class SpatialGrid:
     def shell_fraction(self, values: np.ndarray) -> float:
         """Mass fraction in the outer SHELL of the box (union over axes)."""
         return self.edge_fraction(np.abs(values) ** 2, self._shell)
+
+    def guard(self, values: np.ndarray, error: type, t: float | None = None) -> None:
+        """Raise error, naming the fraction and t if given, once the
+        `shell_fraction` of values passes THRESHOLD, read at call time."""
+        frac = self.shell_fraction(values)
+        if frac > THRESHOLD:
+            near = "" if t is None else f" near t = {t:.6g}"
+            raise error(f"mass fraction {frac:.3e} reached the box boundary{near}; enlarge the box")

@@ -6,13 +6,13 @@ by Strang splitting of the external V from H_per = -(eps/2) Lap + V_lat(x/eps)/e
 In d = 1 this is the Bloch-decomposition step of Huang, Jin, Markowich and
 Sparber (SIAM J. Sci. Comput. 29 (2007)): on K whole cells of P points, H_per
 is K Hermitian P x P blocks, one per residue r of the Fourier index mK + r,
+built on the cell-Bloch components X[r, a] = sum_b x[a + P b] e^{-2 pi i r b / K},
 diagonalized once per solve and applied exactly, so only the splitting error
 of V limits the default dt = eps/10.  A step takes P FFTs of length K across
-the cells to the cell-Bloch components X[r, a] = sum_b x[a + P b] e^{-2 pi i r b / K},
-applies the product propagator W diag(e^{-i h lam}) W^H that each snapshot
-segment stores, and transforms back.  In d >= 2 the blocks do not fit in
-memory, and each step takes STRANG_SUBSTEPS steps of `grid.strang_step`.
-Every factor is unitary, so the grid mass is conserved to rounding.
+the cells to the X[r, a], applies the product propagator W diag(e^{-i h lam}) W^H
+that each snapshot segment stores, and transforms back.  In d >= 2 the blocks
+do not fit in memory, and each step takes STRANG_SUBSTEPS steps of
+`grid.strang_step`.  Every factor is unitary, so the grid mass is conserved to rounding.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .assembly import GridWaveField
 from .errors import SolverError
-from .grid import THRESHOLD, SpatialGrid, step_count, strang_step
+from .grid import SpatialGrid, step_count, strang_step
 
 DEFAULT_DT_FACTOR = 0.1  # dt = factor * eps
 STRANG_SUBSTEPS = 10  # Fourier split steps per step in d >= 2
@@ -57,27 +57,20 @@ def _kinetic_symbol(grid: SpatialGrid) -> np.ndarray:
 
 
 def _bloch_blocks(grid: SpatialGrid, lattice, lattice_potential, eps: float) -> np.ndarray:
-    """H_per on the FFT coefficients of a 1D grid of K whole cells of P points:
-    blocks[r, m, n] = (eps/2) xi_{mK+r}^2 delta_mn + Vhat_{(m-n) mod P} / eps,
-    where Vhat is the DFT of V_cell on one cell over P; shape (K, P, P)."""
+    """H_per on the cell-Bloch components X[r, a] of a 1D grid of K whole cells
+    of P points, shape (K, P, P).  Coefficient mK + r is
+    sum_a e^{-2 pi i (mK + r) a / KP} X[r, a], so V_cell(x/eps)/eps is diagonal
+    and the kinetic part of block r is e^{2 pi i r (a - b) / KP} c_r[(a - b) mod P],
+    with c_r the inverse DFT over m of (eps/2) xi_{mK+r}^2."""
     vcell = lattice_potential.evaluate(lattice, grid.cell_mesh(lattice.basis, eps))
-    m = np.arange(vcell.shape[0])
-    vhat = np.fft.fft(vcell) / (m.size * eps)
-    xi = grid.freq_axis().reshape(m.size, -1).T
-    blocks = np.tile(vhat[(m[:, None] - m) % m.size], (xi.shape[0], 1, 1))
-    blocks[:, m, m] += 0.5 * eps * xi**2
+    a = np.arange(vcell.shape[0])
+    xi = grid.freq_axis().reshape(a.size, -1).T
+    twist = np.exp(2j * np.pi * np.outer(np.arange(xi.shape[0]), a) / grid.size)
+    blocks = np.fft.ifft(0.5 * eps * xi**2, axis=1)[:, (a[:, None] - a) % a.size]
+    blocks *= twist[:, :, None]  # in place: no (K, P, P) temporaries beyond the blocks
+    blocks *= twist.conj()[:, None, :]
+    blocks[:, a, a] += vcell / eps
     return blocks
-
-
-def _cell_vectors(vecs: np.ndarray) -> np.ndarray:
-    """The blocks' eigenvectors W (K, P, P) on the cell-Bloch components: coefficient
-    mK + r is sum_a e^{-2 pi i (mK + r) a / KP} X[r, a], so this unitary is
-    W_cell[r] = diag(e^{2 pi i r a / KP}) F_P^H W[r] / sqrt(P)."""
-    ncells, npts = vecs.shape[:2]
-    a = np.arange(npts)
-    cells = np.matmul(np.exp(2j * np.pi * (np.outer(a, a) % npts) / npts) / np.sqrt(npts), vecs)
-    cells *= np.exp(2j * np.pi * np.outer(np.arange(ncells), a) / (ncells * npts))[..., None]
-    return cells
 
 
 def _bloch_step(values: np.ndarray, half_phase: np.ndarray, propagator: np.ndarray) -> np.ndarray:
@@ -116,7 +109,7 @@ def solve_schrodinger(
     if grid.dimension == 1:  # H_per = W diag(lam) W^H on the cell-Bloch components
         vgrid = external.value(grid.points())
         lam, vecs = np.linalg.eigh(_bloch_blocks(grid, lattice, lattice_potential, eps))
-        vecs, step_fn, substeps = _cell_vectors(vecs), _bloch_step, 1
+        step_fn, substeps = _bloch_step, 1
     else:  # only the kinetic part, diagonal on the FFT coefficients
         vgrid = _total_potential_grid(psi0, lattice, lattice_potential, external)
         lam, step_fn, substeps = eps * _kinetic_symbol(grid), strang_step, STRANG_SUBSTEPS
@@ -131,28 +124,18 @@ def solve_schrodinger(
             h = span / nsteps
             half_potential = np.exp(-0.5j * h * vgrid / eps)
             kinetic = np.exp(-1j * h * lam)
-            if grid.dimension == 1:  # U = W_cell diag(d) W_cell^H = conj(conj(W_cell d) W_cell^T),
-                scaled = np.conjugate(vecs * kinetic[:, None, :])  # then U overwrites conj(W_cell d)
+            if grid.dimension == 1:  # U = W diag(d) W^H = conj(conj(W d) W^T),
+                scaled = np.conjugate(vecs * kinetic[:, None, :])  # then U overwrites conj(W d)
                 kinetic = np.conjugate(np.matmul(scaled, vecs.swapaxes(1, 2)), out=scaled)
             for step in range(nsteps):
                 vals = step_fn(vals, half_potential, kinetic)
                 if (step + 1) % (BOUNDARY_CHECK_EVERY * substeps) == 0:
-                    _boundary_guard(vals, grid, t + (step + 1) * h)
+                    grid.guard(vals, SolverError, t + (step + 1) * h)
         t = target
         snap = GridWaveField(grid=grid, epsilon=eps, time=t, values=vals.copy())
-        _boundary_guard(vals, grid, t)
+        grid.guard(vals, SolverError, t)
         snapshots.append(snap)
     return snapshots
-
-
-def _boundary_guard(vals: np.ndarray, grid: SpatialGrid, t: float):
-    """Raise once the shell mass fraction passes THRESHOLD, read at call time."""
-    frac = grid.shell_fraction(vals)
-    if frac > THRESHOLD:
-        raise SolverError(
-            f"packet mass fraction {frac:.3e} reached the box boundary"
-            f" near t = {t:.6g}; enlarge the box"
-        )
 
 
 def l2_error(a: GridWaveField, b: GridWaveField) -> float:

@@ -16,7 +16,6 @@ import pytest
 
 from conftest import harmonic
 
-from blochpacket import reference
 from blochpacket.assembly import GridWaveField
 from blochpacket.bloch import BlochBand
 from blochpacket.config import ExperimentConfig
@@ -333,7 +332,7 @@ def test_free_lattice_closed_forms(capsys, monkeypatch, lattice1d, free_band):
 
     # plane wave under the reference solver picks up the exact phase; it
     # fills the whole box, so the boundary guard is switched off
-    monkeypatch.setattr(reference, "THRESHOLD", np.inf)
+    monkeypatch.setattr("blochpacket.grid.THRESHOLD", np.inf)
     eps, n, mode = 0.125, 256, 8
     grid = SpatialGrid(dimension=1, half_width=np.pi, npoints=n)
     x = grid.axis()

@@ -239,6 +239,37 @@ def test_batched_table_matches_single_lookups(mathieu_band):
     assert np.allclose(berry[3], mathieu_band.berry(ps[3]), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "potential, m",
+    [
+        (FourierPotential.cosine(1), 1),
+        (FourierPotential.cosine(1), 2),
+        (FourierPotential.from_coeffs({1: 0.5, -1: 0.5, 2: -0.2j, -2: 0.2j}), 1),
+        (FourierPotential.cosine(1, 0.3), 1),
+    ],
+    ids=["cosine-1", "cosine-2", "tilted", "cosine-0.3"],
+)
+def test_table_reproduces_its_node_solves(lattice1d, potential, m):
+    # the series takes the node values at the nodes: both lookups against
+    # the solver at the Chebyshev nodes of the first, an inner and the last
+    # patch, to rounding
+    band = BlochBand(lattice1d, potential, m)
+    for index in (0, 3, PATCHES_PER_AXIS - 1):
+        nodes = bloch._chebyshev(band._patch((index,)).nodes)[0]
+        fracs = -0.5 + (index + 0.5 * (nodes + 1.0)) / PATCHES_PER_AXIS
+        ps = fracs[:, None] @ lattice1d.dual_basis
+        solved = []
+        for p in ps:
+            pair = band_derivatives(lattice1d, potential, p, m, band.cutoff)
+            solved.append(np.concatenate([
+                [pair.energy], pair.grad, pair.hess.ravel(), pair.berry.imag, pair.gaps,
+                [pair.width],
+            ]))
+        solved = np.array(solved)
+        for table in (band._table_rows(ps), np.array([band._table(p) for p in ps])):
+            assert np.all(np.abs(table - solved) <= 1e-13 * np.maximum(1.0, np.abs(solved)))
+
+
 def test_batched_table_matches_single_lookups_2d():
     # cutoff 4 keeps the 2D patches cheap; the batch spans four patches
     band = BlochBand(LatticeSpec.cubic(2), FourierPotential.cosine(2), 1, 4)

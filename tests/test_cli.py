@@ -95,6 +95,8 @@ def test_gauge_failure_exits_one(tmp_path, capsys, monkeypatch):
             },
             "residual_time",
         ),
+        # a field the chosen type does not read would change the hash, not the model
+        ("flow", {"external": {"type": "quadratic", "frequencies": [3.0]}}, "does not read"),
     ],
 )
 def test_config_problems_exit_two(tmp_path, capsys, command, data, named):

@@ -99,6 +99,34 @@ def test_external_potential_spec_builders():
         ExternalPotentialSpec(type="bogus").build(1)
 
 
+@pytest.mark.parametrize(
+    "spec, unread",
+    [
+        (ExternalPotentialSpec(type="quadratic", frequencies=(3.0,)), "frequencies"),
+        (ExternalPotentialSpec(type="quadratic", amplitude=2.0), "amplitude"),
+        (ExternalPotentialSpec(type="cosine-well", hessian=((1.0,),)), "hessian"),
+        (ExternalPotentialSpec(type="cosine-well", linear=(0.5,)), "linear"),
+        (LatticePotentialSpec(type="cosine", coeffs=(((1,), 0.5, 0.0),)), "coeffs"),
+        (LatticePotentialSpec(type="zero", amplitude=0.3), "amplitude"),
+        (
+            LatticePotentialSpec(type="fourier", amplitude=0.3, coeffs=(((0,), 1.0, 0.0),)),
+            "amplitude",
+        ),
+    ],
+)
+def test_spec_rejects_a_field_its_type_does_not_read(spec, unread):
+    # such a field would change the config hash but not the model
+    with pytest.raises(ConfigError, match=f"type '{spec.type}' does not read '{unread}'"):
+        spec.build(1)
+
+
+def test_spec_accepts_unread_fields_at_their_defaults():
+    # an int or list spelling of a default is the default
+    ExternalPotentialSpec(type="quadratic", amplitude=1, frequencies=[]).build(1)
+    ExternalPotentialSpec(type="cosine-well", constant=0, linear=[], hessian=[]).build(1)
+    LatticePotentialSpec(type="zero", amplitude=1, coeffs=[]).build(1)
+
+
 def test_make_band_and_gaussian():
     cfg = ExperimentConfig(kind="convergence")
     band = cfg.make_band()

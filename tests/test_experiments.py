@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blochpacket import experiments
 from blochpacket.assembly import read_field, synthesize_app
 from blochpacket.bloch import BlochBand, cell_inner
-from blochpacket.config import ExperimentConfig, LatticePotentialSpec
+from blochpacket.config import ExperimentConfig, ExternalPotentialSpec, LatticePotentialSpec
 from blochpacket.envelope import geometric_rate
 from blochpacket.experiments import (
     DynamicsBundle,
@@ -207,6 +208,32 @@ def test_run_convergence_error_mode(tmp_path):
     with open(tmp_path / "convergence_summary.json") as fh:
         disk = json.load(fh)
     assert disk["slopes"]["1"]["slope"] == pytest.approx(slope)
+
+
+def test_error_law_on_a_dispersive_band(tmp_path, monkeypatch):
+    # band 1 of the amplitude-0.3 cosine in a cosine well from (1, 0.3): the
+    # flow crosses the zone edge and the band table builds all of its
+    # patches; the theorem's O(sqrt eps) fixed the bounds before measuring
+    bundles = []
+
+    def recorded(*args):
+        bundles.append(prepare_dynamics(*args))
+        return bundles[-1]
+
+    monkeypatch.setattr(experiments, "prepare_dynamics", recorded)
+    summary = run_convergence(ExperimentConfig(
+        lattice_potential=LatticePotentialSpec(amplitude=0.3),
+        external=ExternalPotentialSpec(type="cosine-well", amplitude=2.0, frequencies=(1.0,)),
+        q0=(1.0,), p0=(0.3,), t_final=2.0, sample_times=(1.0, 2.0), output_dir=str(tmp_path),
+    ))
+    assert summary["failures"] == []
+    assert bundles[0].band.table_summary()["patches"] == 8
+    rows = read_rows(summary["csv"])
+    for t, bound in (("1", 2.0), ("2", 3.0)):
+        assert summary["slopes"][t]["slope"] >= 0.35
+        cells = [r for r in rows if float(r["time"]) == float(t)]
+        assert len(cells) == 4
+        assert all(float(r["error"]) <= bound * np.sqrt(float(r["epsilon"])) for r in cells)
 
 
 def test_residual_law_with_nonzero_geometric_phase(capsys, tmp_path):

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from blochpacket.errors import GridError
+from conftest import ConstantCoefficients
+
+from blochpacket.assembly import GridWaveField, make_grid_for, synthesize_packet
+from blochpacket.envelope import GridEnvelope, evolve_grid_envelope, gaussian_init
+from blochpacket.errors import EnvelopeError, GridError, SolverError
+from blochpacket.flow import QuadraticPotential, TrajectoryState
 from blochpacket.grid import SpatialGrid, as_points, rk4, step_count, strang_step
+from blochpacket.lattice import FourierPotential
+from blochpacket.reference import solve_schrodinger
 
 
 def test_shell_fraction_is_union_over_axes_2d():
@@ -30,6 +37,28 @@ def test_norm_and_quadratic_forms_2d():
     xi, eta = np.meshgrid(grid.freq_axis(), grid.freq_axis(), indexing="ij")
     assert np.allclose(grid.quadratic_form(np.eye(2), fourier=True), xi**2 + eta**2)
     assert grid.along(1, grid.axis()).shape == (1, 16)
+
+
+def test_every_boundary_guard_reports_the_mass_fraction(lattice1d, mathieu_band):
+    # the envelope, the reference and the synthesis each name the fraction
+    # that tripped (7 of 64 points of a constant lie in the shell), the two
+    # propagators the time as well
+    grid = SpatialGrid(1, np.pi, 64)
+    u = GridEnvelope(values=np.ones(grid.shape, dtype=complex), grid=grid, t=0.0)
+    coeffs = ConstantCoefficients(dispersion=np.eye(1), vhess=np.zeros((1, 1)))
+    with pytest.raises(EnvelopeError, match=r"mass fraction 1\.094e-01 reached .* near t = 0;"):
+        evolve_grid_envelope(u, coeffs, 1.0, 1e-2)
+    psi0 = GridWaveField(grid=grid, epsilon=0.125, time=0.0, values=u.values)
+    with pytest.raises(SolverError, match=r"mass fraction 1\.094e-01 reached .* near t = 0\.01;"):
+        solve_schrodinger(
+            psi0, lattice1d, FourierPotential.zero(1), QuadraticPotential.create(1), [0.01]
+        )
+    state = TrajectoryState(t=0.0, q=np.array([2.0 * np.pi - 0.5]), p=np.array([0.3]), S=0.0)
+    with pytest.raises(GridError, match="mass fraction .* reached the box boundary; enlarge"):
+        synthesize_packet(
+            gaussian_init(np.eye(1), np.eye(1)), state, mathieu_band.eigenpair(state.p),
+            2**-4, make_grid_for(2**-4),
+        )
 
 
 def test_grid_rejects_bad_geometry():

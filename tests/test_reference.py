@@ -3,7 +3,6 @@ import pytest
 
 from conftest import harmonic
 
-from blochpacket import reference
 from blochpacket.assembly import GridWaveField, make_grid_for, synthesize_packet
 from blochpacket.envelope import gaussian_init
 from blochpacket.errors import GridError, SolverError
@@ -14,7 +13,6 @@ from blochpacket.reference import (
     SolverParams,
     _bloch_blocks,
     _bloch_step,
-    _cell_vectors,
     _kinetic_symbol,
     _total_potential_grid,
     l2_error,
@@ -34,7 +32,7 @@ def plane_wave_field(eps=0.125, n=256, mode=8):
 
 def test_plane_wave_free_evolution_exact(lattice1d, monkeypatch):
     # the plane wave fills the whole box: no boundary guard
-    monkeypatch.setattr(reference, "THRESHOLD", np.inf)
+    monkeypatch.setattr("blochpacket.grid.THRESHOLD", np.inf)
     grid, x, k, psi0 = plane_wave_field()
     T = 0.37
     out = solve_schrodinger(
@@ -50,7 +48,7 @@ def test_plane_wave_free_evolution_exact(lattice1d, monkeypatch):
 
 
 def test_constant_potential_pure_phase(lattice1d, monkeypatch):
-    monkeypatch.setattr(reference, "THRESHOLD", np.inf)
+    monkeypatch.setattr("blochpacket.grid.THRESHOLD", np.inf)
     grid, x, k, psi0 = plane_wave_field()
     T = 0.2
     c = 0.7
@@ -132,19 +130,17 @@ def test_self_convergence_second_order(lattice1d, cosine1d, mathieu_band):
 @pytest.mark.parametrize("eps", [2**-4, 2**-5])
 def test_bloch_blocks_equal_the_periodic_operator(lattice1d, eps):
     # H_per v = (eps/2) |xi|^2 v^ + V_cell(x/eps) v / eps, with coefficient
-    # j = mK + r in block r: this pins the residue mapping of the blocks, of
-    # their rotation onto the cell-Bloch components and of the step that
-    # applies them; cos y + 0.4 sin 2y is not even, so a transposed block
-    # shows too
+    # j = mK + r in block r: this pins the blocks as built on the cell-Bloch
+    # components, their residue mapping and the step that applies them;
+    # cos y + 0.4 sin 2y is not even, so a transposed block shows too
     tilted = FourierPotential.from_coeffs({1: 0.5, -1: 0.5, 2: -0.2j, -2: 0.2j})
     grid = make_grid_for(eps)
     blocks = _bloch_blocks(grid, lattice1d, tilted, eps)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     lam, vecs = np.linalg.eigh(blocks)
-    cells = _cell_vectors(vecs)
-    product = np.matmul(cells * lam[:, None, :], cells.conj().swapaxes(1, 2))
-    lhs = _bloch_step(v, np.ones(grid.shape), product)  # W_cell diag(lam) W_cell^H v
+    product = np.matmul(vecs * lam[:, None, :], vecs.conj().swapaxes(1, 2))
+    lhs = _bloch_step(v, np.ones(grid.shape), product)  # W diag(lam) W^H v
     field = GridWaveField(grid=grid, epsilon=eps, time=0.0, values=v)
     vtile = _total_potential_grid(field, lattice1d, tilted, QuadraticPotential.create(1))
     rhs = np.fft.ifft(2 * _kinetic_symbol(grid) * np.fft.fft(v)) * eps / 2 + vtile * v / eps
