@@ -136,8 +136,11 @@ class Trajectory:
         """State at time t, or the states at an array of times in one
         Hermite evaluation; node times give the stored states exactly."""
         ts = np.asarray(t, dtype=float)
-        if np.any((ts < self.ts[0] - 1e-12) | (ts > self.ts[-1] + 1e-12)):
-            raise FlowError(f"time {t} outside trajectory window [{self.ts[0]}, {self.ts[-1]}]")
+        outside = (ts < self.ts[0] - 1e-12) | (ts > self.ts[-1] + 1e-12)
+        if np.any(outside):
+            raise FlowError(
+                f"time {float(ts[outside].flat[0])!r} ({np.count_nonzero(outside)} of {ts.size}"
+                f" times) outside trajectory window [{self.ts[0]}, {self.ts[-1]}]")
         ts = np.clip(ts, self.ts[0], self.ts[-1])
         i = np.clip(np.searchsorted(self.ts, ts, side="right") - 1, 0, len(self.ts) - 2)
         h = (self.ts[i + 1] - self.ts[i])[..., None]

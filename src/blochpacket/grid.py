@@ -4,8 +4,8 @@
 x-grid of synthesized packets and the reference solver.  `strang_step` is
 the Fourier split step of the grid envelope and the d >= 2 reference: the
 time-splitting spectral scheme of Bao, Jin and Markowich (J. Comput. Phys. 175 (2002)).
-`rk4` is the one classical Runge-Kutta integrator, shared by the flow and
-the Gaussian parameter equations.
+`rk4` is the classical Runge-Kutta integrator of the flow; the linear Gaussian
+equations take its step as one transfer matrix (`envelope.evolve_gaussian`).
 """
 
 from __future__ import annotations
@@ -185,12 +185,14 @@ class SpatialGrid:
         return float(np.sum(weights[mask])) / total
 
     @cached_property
-    def _shell(self) -> np.ndarray:
-        return self.edge_mask(np.abs(self.axis()) > (1.0 - SHELL) * self.half_width)
+    def _shell_index(self) -> np.ndarray:
+        return np.flatnonzero(self.edge_mask(np.abs(self.axis()) > (1 - SHELL) * self.half_width))
 
     def shell_fraction(self, values: np.ndarray) -> float:
         """Mass fraction in the outer SHELL of the box (union over axes)."""
-        return self.edge_fraction(np.abs(values) ** 2, self._shell)
+        flat = np.ravel(values)
+        shell, total = flat[self._shell_index], np.vdot(flat, flat).real
+        return float(np.vdot(shell, shell).real / total) if total else 0.0
 
     def guard(self, values: np.ndarray, error: type, t: float | None = None) -> None:
         """Raise error, naming the fraction and t if given, once the

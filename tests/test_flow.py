@@ -161,6 +161,17 @@ def test_state_at_outside_window_raises():
         traj.state_at(-0.1)
 
 
+def test_state_at_names_the_first_time_outside_the_window():
+    traj = integrate_flow([0.0], [0.1], 0.5, 1e-2, QuadraticBand(1), harmonic(1))
+    ts = np.linspace(0.0, 0.6, 2001)
+    outside = ts > 0.5 + 1e-12
+    with pytest.raises(FlowError) as info:
+        traj.state_at(ts)
+    message = str(info.value)
+    assert f"time {float(ts[outside][0])!r} " in message
+    assert f"({np.count_nonzero(outside)} of 2001 times)" in message
+
+
 def test_state_at_array_matches_scalar_calls():
     # one Hermite evaluation for many times gives the per-time states bit
     # for bit: node times, the window ends, points between nodes and a

@@ -7,7 +7,7 @@ from blochpacket.assembly import GridWaveField, make_grid_for, synthesize_packet
 from blochpacket.envelope import GridEnvelope, evolve_grid_envelope, gaussian_init
 from blochpacket.errors import EnvelopeError, GridError, SolverError
 from blochpacket.flow import QuadraticPotential, TrajectoryState
-from blochpacket.grid import SpatialGrid, as_points, rk4, step_count, strang_step
+from blochpacket.grid import SHELL, THRESHOLD, SpatialGrid, as_points, rk4, step_count, strang_step
 from blochpacket.lattice import FourierPotential
 from blochpacket.reference import solve_schrodinger
 
@@ -24,6 +24,34 @@ def test_shell_fraction_is_union_over_axes_2d():
     centred = np.exp(-(x**2 + y**2) / 0.1)
     assert grid.shell_fraction(centred) < 1e-50
     assert grid.shell_fraction(np.zeros(grid.shape)) == 0.0
+
+
+@pytest.mark.parametrize("dimension, npoints", [(1, 64), (2, 32)])
+def test_shell_fraction_matches_the_mask_formula(dimension, npoints):
+    grid = SpatialGrid(dimension, 3.0, npoints)
+    shell = grid.edge_mask(np.abs(grid.axis()) > (1.0 - SHELL) * grid.half_width)
+    rng = np.random.default_rng(dimension)
+    for _ in range(5):
+        v = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        want = grid.edge_fraction(np.abs(v) ** 2, shell)
+        assert grid.shell_fraction(v) == pytest.approx(want, rel=1e-14, abs=0)
+    assert grid.shell_fraction(np.zeros(grid.shape, dtype=complex)) == 0.0
+
+
+def test_guard_trips_just_above_the_threshold():
+    # a unit spike in the middle and a shell spike carrying the fraction f
+    grid = SpatialGrid(1, 3.0, 64)
+
+    def field(frac):
+        v = np.zeros(grid.shape, dtype=complex)
+        v[32], v[0] = 1.0, np.sqrt(frac / (1.0 - frac))
+        return v
+
+    grid.guard(field(0.99 * THRESHOLD), GridError, 0.25)
+    with pytest.raises(
+        GridError, match=r"mass fraction 1\.010e-08 reached the box boundary near t = 0\.25;"
+    ):
+        grid.guard(field(1.01 * THRESHOLD), GridError, 0.25)
 
 
 def test_norm_and_quadratic_forms_2d():
