@@ -24,6 +24,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("error-sweep", "residual-sweep", "envelope-run")
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
@@ -73,8 +75,6 @@ def _spread(samples: list) -> dict:
 
 
 def _host() -> dict:
-    import numpy
-
     info = Path("/proc/cpuinfo")
     lines = info.read_text().splitlines() if info.exists() else []
     models = [ln.split(":", 1)[1].strip() for ln in lines if ln.startswith("model name")]
