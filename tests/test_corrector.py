@@ -13,7 +13,7 @@ from blochpacket.corrector import (
     solvability_defect,
 )
 from blochpacket.envelope import gaussian_init, geometric_rate, grid_envelope_from_gaussian
-from blochpacket.flow import TrajectoryState
+from blochpacket.flow import QuadraticPotential, TrajectoryState
 from blochpacket.lattice import FourierPotential, LatticeSpec
 
 
@@ -159,3 +159,32 @@ def test_effective_mass_identity(nodes):
         x0 = _perp(pair, pair.dk_coeffs[0])
         t00 = -1j * cell_inner(pair.lattice, pair.coeffs, _dy(pair, x0, 0))
         assert 1.0 + 2.0 * t00.real == pytest.approx(pair.hess[0, 0], abs=1e-9)
+
+
+def test_correctors_in_two_dimensions():
+    # band 1 of cos y1 + cos y2 at cutoff 4, a chirped Gaussian whose A is
+    # not diagonal and a coupled external well: every off-diagonal term of
+    # the second-order hierarchy is nonzero here. Bounds, stated before
+    # measuring: U1 and U2 at least 1e-3 in norm and orthogonal to chi to
+    # 1e-12, defect1 below 1e-10, defect2 at most 1e-12, and the stale
+    # du_dt control above 1e-2.
+    lattice = LatticeSpec.cubic(2)
+    band = BlochBand(lattice, FourierPotential.cosine(2), 1, 4)
+    ext = QuadraticPotential.create(2, hessian=[[1.0, 0.3], [0.3, 1.0]])
+    state = TrajectoryState(t=0.0, q=np.array([0.4, -0.2]), p=np.array([0.17, -0.31]), S=0.0)
+    a = np.array([[1.0, 0.3], [0.3, 0.8]])
+    chirp = np.array([[0.2, -0.1], [-0.1, 0.3]])
+    g = gaussian_init(a, np.linalg.inv(a) + 1j * chirp @ a)
+    u = grid_envelope_from_gaussian(g, 8.0, 64)
+    pair = band.eigenpair(state.p)
+
+    u1 = build_U1(u, pair)
+    u2 = build_U2(u, state, band, ext)
+    for field in (u1, u2):
+        assert field.norm() > 1e-3
+        assert np.max(np.abs(chi_projection(field))) < 1e-12
+    d1, d2 = solvability_defect(u, state, band, ext)
+    assert d1 < 1e-10
+    assert d2 <= 1e-12
+    _, d2_stale = solvability_defect(u, state, band, ext, du_dt=np.zeros_like(u.values))
+    assert d2_stale > 1e-2
