@@ -24,7 +24,6 @@ linear Gaussian flow takes each RK4 step as one batched transfer matrix.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,18 +296,6 @@ def spectral_gradient(u: GridEnvelope) -> list[np.ndarray]:
     grid = u.grid
     hat = np.fft.fftn(u.values)
     return [np.fft.ifftn(1j * grid.along(j, grid.freq_axis()) * hat) for j in range(u.dimension)]
-
-
-def spectral_hessian(u: GridEnvelope) -> np.ndarray:
-    """Second z-derivatives, shape (d, d) of grid arrays."""
-    grid = u.grid
-    hat = np.fft.fftn(u.values)
-    d = u.dimension
-    out = np.empty((d, d), dtype=object)
-    xi = [grid.along(j, grid.freq_axis()) for j in range(d)]
-    for i, j in itertools.combinations_with_replacement(range(d), 2):
-        out[i, j] = out[j, i] = np.fft.ifftn(-(xi[i] * xi[j]) * hat)
-    return out
 
 
 def sigma_norm(u: GridEnvelope) -> float:

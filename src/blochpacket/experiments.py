@@ -35,6 +35,7 @@ from .envelope import (
 )
 from .errors import BlochpacketError, EigensolverError
 from .flow import integrate_flow, total_energy
+from .grid import SpatialGrid
 from .reference import SolverParams, l2_error, pde_residual, solve_schrodinger
 
 logger = logging.getLogger("blochpacket")
@@ -144,11 +145,9 @@ def _correctors(bundle: DynamicsBundle, t: float, base_time: float | None = None
     gauss = evolve_gaussian(gauss, bundle.coefficients, t, max(abs(t - gauss.t), 1e-12))
     state = bundle.trajectory.state_at(t)
     pair = bundle.band.eigenpair(state.p)
-    u = grid_envelope_from_gaussian(
-        gauss, config.envelope_half_width, config.envelope_points
-    )
-    u2 = build_U2(u, state, bundle.band, bundle.external)
-    return state, [build_U0(u, pair), build_U1(u, pair), u2]
+    grid = SpatialGrid(config.dimension, config.envelope_half_width, config.envelope_points)
+    u2 = build_U2(gauss, grid, state, bundle.band, bundle.external)
+    return state, [build_U0(gauss, grid, pair), build_U1(gauss, grid, pair), u2]
 
 
 def _residual_packets(bundle: DynamicsBundle, epsilon: float, grid, t_star: float, delta: float):

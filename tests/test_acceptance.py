@@ -273,9 +273,9 @@ def test_geometric_and_solvability_identities(capsys, config, bundle):
     u = grid_envelope_from_gaussian(
         gauss, config.envelope_half_width, config.envelope_points
     )
-    defect1, defect2 = solvability_defect(u, state, band, bundle.external)
+    defect1, defect2 = solvability_defect(gauss, u.grid, state, band, bundle.external)
     _, stale2 = solvability_defect(
-        u, state, band, bundle.external, du_dt=np.zeros_like(u.values)
+        gauss, u.grid, state, band, bundle.external, du_dt=np.zeros_like(u.values)
     )
     ok = (
         berry_real <= 1e-10
@@ -323,11 +323,12 @@ def test_free_lattice_closed_forms(capsys, monkeypatch, lattice1d, free_band):
 
     # both corrector fields vanish when the cell potential is zero
     state = TrajectoryState(t=0.0, q=np.array([0.1]), p=np.array([0.3]), S=0.0)
-    u = grid_envelope_from_gaussian(gaussian_init(np.eye(1), np.eye(1)), 16.0, 256)
+    g = gaussian_init(np.eye(1), np.eye(1))
+    u = grid_envelope_from_gaussian(g, 16.0, 256)
     pair = free_band.eigenpair(state.p)
     corr_norm = max(
-        build_U1(u, pair).norm(),
-        build_U2(u, state, free_band, harmonic(1)).norm(),
+        build_U1(g, u.grid, pair).norm(),
+        build_U2(g, u.grid, state, free_band, harmonic(1)).norm(),
     )
 
     # plane wave under the reference solver picks up the exact phase; it

@@ -283,7 +283,7 @@ def test_synthesize_app_matches_packet_at_leading_order(mathieu_band):
     u = grid_envelope_from_gaussian(g, 16.0, 512)
     grid = make_grid_for(eps)
     direct = synthesize_packet(g, state, pair, eps, grid)
-    via_u0 = synthesize_app([build_U0(u, pair)], state, eps, grid)
+    via_u0 = synthesize_app([build_U0(g, u.grid, pair)], state, eps, grid)
     # closed-form Gaussian vs its trig interpolation from the z-grid
     diff = np.sqrt(np.sum(np.abs(direct.values - via_u0.values) ** 2) * grid.dx)
     assert diff < 1e-10
@@ -298,10 +298,10 @@ def test_synthesize_app_corrector_scaling(mathieu_band):
     g = gaussian_init(np.eye(1), np.eye(1))
     u = grid_envelope_from_gaussian(g, 16.0, 512)
     grid = make_grid_for(eps)
-    u0 = build_U0(u, pair)
+    u0 = build_U0(g, u.grid, pair)
     lead = synthesize_app([u0], state, eps, grid).values
-    u1 = build_U1(u, pair)
-    u2 = build_U2(u, state, mathieu_band, harmonic(1))
+    u1 = build_U1(g, u.grid, pair)
+    u2 = build_U2(g, u.grid, state, mathieu_band, harmonic(1))
     for field, weight in ((u1, np.sqrt(eps)), (u2, eps)):
         added = synthesize_app([u0, field], state, eps, grid).values - lead
         unit = synthesize_app([u0, replace(field, order=0)], state, eps, grid).values - lead
@@ -319,15 +319,15 @@ def test_synthesize_app_rejects_correctors_on_another_box(mathieu_band):
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     u = grid_envelope_from_gaussian(g, 16.0, 256)
-    u0 = build_U0(u, pair)
+    u0 = build_U0(g, u.grid, pair)
     grid = make_grid_for(eps)
     for other in (
         grid_envelope_from_gaussian(g, 12.0, 256),
         grid_envelope_from_gaussian(g, 16.0, 512),
     ):
         with pytest.raises(GridError):
-            synthesize_app([u0, build_U1(other, pair)], state, eps, grid)
-        u2 = build_U2(other, state, mathieu_band, harmonic(1))
+            synthesize_app([u0, build_U1(g, other.grid, pair)], state, eps, grid)
+        u2 = build_U2(g, other.grid, state, mathieu_band, harmonic(1))
         with pytest.raises(GridError):
             synthesize_app([u0, u2], state, eps, grid)
 

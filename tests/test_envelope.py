@@ -17,7 +17,6 @@ from blochpacket.envelope import (
     grid_envelope_from_gaussian,
     sigma_norm,
     spectral_gradient,
-    spectral_hessian,
 )
 from blochpacket.errors import EnvelopeError
 from blochpacket.flow import TrajectoryState, integrate_flow
@@ -301,9 +300,7 @@ def test_spectral_derivatives_match_analytic():
     u = grid_envelope_from_gaussian(g, 16.0, 512)
     z = u.grid.axis()
     du = spectral_gradient(u)[0]
-    d2u = spectral_hessian(u)[0, 0]
     assert np.max(np.abs(du - (-z) * u.values)) < 1e-11
-    assert np.max(np.abs(d2u - (z * z - 1.0) * u.values)) < 1e-10
 
 
 def test_homogenized_coefficients_interpolate_trajectory(mathieu_band):
