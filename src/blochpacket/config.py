@@ -50,6 +50,7 @@ _JSON_TYPES = {
     "str": str,
     "int": int,
     "float": (int, float),
+    "float | None": (int, float, type(None)),
     "int | None": (int, type(None)),
     "tuple": (list, tuple),
 }
@@ -225,9 +226,9 @@ class ExperimentConfig(_Serializable):
 
     epsilons: tuple = (0.0625, 0.03125, 0.015625, 0.0078125)
     t_final: float = 1.0
-    flow_dt: float = 1e-3
+    flow_dt: float | None = None  # None: sized by step doubling (experiments.refine)
     envelope_dt: float = 1e-3
-    grid_envelope_dt: float = 2.5e-4
+    grid_envelope_dt: float | None = None  # None: sized likewise
     reference_dt_factor: float = DEFAULT_DT_FACTOR
     sample_times: tuple = ()
     residual_time: float = 0.5
@@ -247,7 +248,7 @@ class ExperimentConfig(_Serializable):
     def __post_init__(self):
         # a JSON int in a float field must hash like its float spelling
         for f in fields(self):
-            if f.type == "float":
+            if f.type.startswith("float") and getattr(self, f.name) is not None:
                 object.__setattr__(self, f.name, float(getattr(self, f.name)))
         object.__setattr__(self, "q0", _floats(self.q0))
         object.__setattr__(self, "p0", _floats(self.p0))
@@ -298,7 +299,7 @@ class ExperimentConfig(_Serializable):
         if self.t_final <= 0:
             raise ConfigError("t_final must be positive")
         for name in ("flow_dt", "envelope_dt", "grid_envelope_dt", "reference_dt_factor"):
-            if getattr(self, name) <= 0:
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.convergence_mode not in CONVERGENCE_MODES:
             raise ConfigError(f"unknown convergence mode {self.convergence_mode!r}")

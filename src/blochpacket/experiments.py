@@ -2,9 +2,9 @@
 
 Every pipeline takes an ExperimentConfig, writes CSV tables (plus JSON
 summaries and raw field exports) under the config's output directory, and
-returns the summary dict.  All integrators are fixed step and all grids are
-derived from the config, so identical configs produce identical bytes; each
-output row carries the config hash.
+returns the summary dict.  Unset flow and grid-envelope steps are sized by a
+deterministic step doubling (`refine`) and all grids are derived from the config,
+so identical configs produce identical bytes; each output row carries the config hash.
 
 The expensive epsilon-independent work (trajectory and envelope evolution
 to the sample times) is prepared once and shared by the per
@@ -33,15 +33,19 @@ from .envelope import (
     grid_envelope_from_gaussian,
     sigma_norm,
 )
-from .errors import BlochpacketError, EigensolverError
+from .errors import BlochpacketError, EigensolverError, EnvelopeError, FlowError
 from .flow import integrate_flow, total_energy
-from .grid import SpatialGrid
+from .grid import SpatialGrid, step_count
 from .reference import SolverParams, l2_error, pde_residual, solve_schrodinger
 
 logger = logging.getLogger("blochpacket")
 
 TIME_KEY_DIGITS = 12
 TABLE_DEVIATION_TOL = 1e-10  # largest |table - direct| / max(1, |direct|) a band scan accepts
+FIRST_DT = 1e-2  # first trial step of a sized layer
+MAX_DOUBLINGS = 10  # a sized step never falls below FIRST_DT / 2^10
+FLOW_TOL = 1e-12  # flow estimate, max over q, p and S
+GRID_ENVELOPE_TOL = 1e-7  # grid-envelope estimate in L2: 10 % of criterion 5's 1e-6
 
 
 def _tkey(t: float) -> float:
@@ -80,6 +84,53 @@ def loglog_fit(epsilons, values) -> dict:
     return {"slope": float(slope), "intercept": float(intercept), "points": int(np.sum(keep))}
 
 
+def refine(run, span: float, dt, layer: str, order: int, deviation, tol: float, error):
+    """run(dt) and its resolution; with dt None, run(span / n) for n = step_count(span, FIRST_DT),
+    2n, ... until the finer run's Richardson estimate deviation(coarse, fine) / (2^order - 1)
+    is within tol (Hairer, Norsett & Wanner, ch. II.4); past MAX_DOUBLINGS raise error."""
+    if dt is not None:
+        logger.info("%s: fixed step %g", layer, dt)
+        return run(dt), {"fixed": True, "dt": dt}
+    n = step_count(span, FIRST_DT)
+    fine = run(span / n)
+    for _ in range(MAX_DOUBLINGS):
+        coarse, fine, n = fine, run(span / (2 * n)), 2 * n
+        estimate = deviation(coarse, fine) / (2**order - 1)
+        if estimate <= tol:
+            logger.info("%s: %d steps, estimate %.1e <= %.0e", layer, n, estimate, tol)
+            return fine, {"steps": n, "dt": span / n, "error_estimate": estimate, "tol": tol}
+    raise error(f"{layer}: estimate {estimate:.1e} > tol {tol:.0e} at {n} steps; set {layer}_dt")
+
+
+def _flow(config: ExperimentConfig, horizon: float, band, external) -> tuple:
+    """Trajectory to horizon and its resolution, sized on |coarse dense output - fine node|."""
+
+    def deviation(coarse, fine):
+        at = coarse.state_at(fine.ts)
+        return float(np.max(np.abs(np.column_stack([at.q, at.p, at.S]) - fine.states)))
+
+    return refine(
+        lambda dt: integrate_flow(config.q0, config.p0, horizon, dt, band, external),
+        horizon, config.flow_dt, "flow", 4, deviation, FLOW_TOL, FlowError,
+    )
+
+
+def _grid_envelopes(config: ExperimentConfig, coefficients, u0, times) -> tuple:
+    """u0 carried to each of the times and its resolution, sized on the L2 deviation."""
+
+    def run(dt):
+        out = [u0]
+        for t in times:
+            out.append(evolve_grid_envelope(out[-1], coefficients, t, dt))
+        return out[1:]
+
+    return refine(
+        run, times[-1] - u0.t, config.grid_envelope_dt, "grid_envelope", 2,
+        lambda coarse, fine: max(f.grid.norm(f.values - c.values) for c, f in zip(coarse, fine)),
+        GRID_ENVELOPE_TOL, EnvelopeError,
+    )
+
+
 # ---------------------------------------------------------------------------
 # shared epsilon-independent dynamics
 
@@ -95,6 +146,7 @@ class DynamicsBundle:
     trajectory: object
     coefficients: object
     entries: dict  # time -> (TrajectoryState, GaussianEnvelope)
+    resolution: dict  # layer -> resolution record of `refine`
 
     def at(self, t: float):
         return self.entries[_tkey(t)]
@@ -107,10 +159,8 @@ def prepare_dynamics(config: ExperimentConfig, times) -> DynamicsBundle:
     external = config.make_external()
 
     wanted = sorted({_tkey(t) for t in times} | {0.0})
-    horizon = max(max(wanted), config.flow_dt)
-    trajectory = integrate_flow(
-        config.q0, config.p0, horizon, config.flow_dt, band, external
-    )
+    horizon = max(max(wanted), config.flow_dt or FIRST_DT)
+    trajectory, resolution = _flow(config, horizon, band, external)
     coefficients = HomogenizedCoefficients(trajectory, band, external)
 
     entries = {}
@@ -126,6 +176,7 @@ def prepare_dynamics(config: ExperimentConfig, times) -> DynamicsBundle:
         trajectory=trajectory,
         coefficients=coefficients,
         entries=entries,
+        resolution={"flow": resolution},
     )
 
 
@@ -288,9 +339,7 @@ def run_flow(config: ExperimentConfig) -> dict:
     config.validate()
     band = config.make_band()
     external = config.make_external()
-    trajectory = integrate_flow(
-        config.q0, config.p0, config.t_final, config.flow_dt, band, external
-    )
+    trajectory, resolution = _flow(config, config.t_final, band, external)
     states = trajectory.state_at(trajectory.ts)
     energy = total_energy(states, band, external)
     drift = np.abs(energy - energy[0])
@@ -306,7 +355,8 @@ def run_flow(config: ExperimentConfig) -> dict:
         columns,
         rows,
         t_final=config.t_final,
-        dt=config.flow_dt,
+        dt=resolution["dt"],
+        resolution={"flow": resolution},
         max_energy_drift=float(drift.max()),
         band_table=band.table_summary(),
     )
@@ -317,24 +367,21 @@ def run_envelope(config: ExperimentConfig) -> dict:
     times = sorted({_tkey(t) for t in config.sample_times} | {_tkey(config.t_final)})
     bundle = prepare_dynamics(config, times)
 
-    u_grid = grid_envelope_from_gaussian(
+    u0 = grid_envelope_from_gaussian(
         config.make_gaussian(), config.envelope_half_width, config.envelope_points
     )
-    mass0 = u_grid.mass()
+    mass0 = u0.mass()
+    grids, grid_resolution = _grid_envelopes(config, bundle.coefficients, u0, times)
 
     rows = []
     max_defect = 0.0
     max_mass_drift = 0.0
     max_diff = 0.0
-    for t in times:
+    for t, u_grid in zip(times, grids):
         _, gauss = bundle.at(t)
         defects = gaussian_invariant_defects(gauss)
         worst = max(defects["symmetry"], defects["inverse_width"], defects["det_branch"])
         max_defect = max(max_defect, worst)
-        if t > u_grid.t:
-            u_grid = evolve_grid_envelope(
-                u_grid, bundle.coefficients, t, config.grid_envelope_dt
-            )
         sampled = grid_envelope_from_gaussian(
             gauss, config.envelope_half_width, config.envelope_points
         )
@@ -366,6 +413,7 @@ def run_envelope(config: ExperimentConfig) -> dict:
         max_grid_mass_drift=max_mass_drift,
         max_grid_vs_gaussian_l2=max_diff,
         band_table=bundle.band.table_summary(),
+        resolution={**bundle.resolution, "grid_envelope": grid_resolution},
     )
 
 
@@ -477,8 +525,8 @@ def _needed_times(config: ExperimentConfig, mode: str) -> list:
 
 
 def _run_sweep(config: ExperimentConfig, mode: str) -> tuple:
-    """Rows and failures for every epsilon, in config order; a cell that
-    raises a BlochpacketError is recorded as that cell's failure."""
+    """Rows and failures for every epsilon, in config order, and the flow's
+    resolution; a cell that raises a BlochpacketError is recorded as that cell's failure."""
     bundle = prepare_dynamics(config, _needed_times(config, mode))
     rows, failures = [], []
     for eps in config.epsilons:
@@ -490,13 +538,13 @@ def _run_sweep(config: ExperimentConfig, mode: str) -> tuple:
                 rows += _error_cell(bundle, eps, mode)
         except BlochpacketError as exc:
             failures.append({"epsilon": eps, "reason": f"{type(exc).__name__}: {exc}"})
-    return rows, failures
+    return rows, failures, bundle.resolution
 
 
 def run_convergence(config: ExperimentConfig) -> dict:
     config.validate()
     mode = config.convergence_mode
-    rows, failures = _run_sweep(config, mode)
+    rows, failures, resolution = _run_sweep(config, mode)
 
     if mode == "error":
         fieldnames = ["epsilon", "time", "error", "reference_mass", "packet_mass"]
@@ -525,13 +573,14 @@ def run_convergence(config: ExperimentConfig) -> dict:
         mode=mode,
         initial_data=config.initial_data,
         failures=failures,
+        resolution=resolution,
         **extra,
     )
 
 
 def run_ehrenfest(config: ExperimentConfig) -> dict:
     config.validate()
-    rows, failures = _run_sweep(config, "ehrenfest")
+    rows, failures, resolution = _run_sweep(config, "ehrenfest")
 
     monotone = {}
     for c0 in config.c0_list:
@@ -554,6 +603,7 @@ def run_ehrenfest(config: ExperimentConfig) -> dict:
         rows,
         failures=failures,
         horizons=monotone,
+        resolution=resolution,
     )
 
 

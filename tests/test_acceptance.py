@@ -23,19 +23,20 @@ from blochpacket.corrector import build_U1, build_U2, solvability_defect
 from blochpacket.envelope import (
     HomogenizedCoefficients,
     evolve_gaussian,
-    evolve_grid_envelope,
     gaussian_init,
     gaussian_invariant_defects,
     grid_envelope_from_gaussian,
 )
 from blochpacket.experiments import (
+    _flow,
+    _grid_envelopes,
     _leading_packet,
     _make_grid,
     _residual_packets,
     loglog_fit,
     prepare_dynamics,
 )
-from blochpacket.flow import QuadraticPotential, TrajectoryState, integrate_flow, total_energy
+from blochpacket.flow import QuadraticPotential, TrajectoryState, total_energy
 from blochpacket.grid import SpatialGrid
 from blochpacket.lattice import FourierPotential, LatticeSpec
 from blochpacket.reference import SolverParams, l2_error, solve_schrodinger
@@ -123,7 +124,7 @@ def residual_sweep(config, bundle):
 def long_flow(config):
     band = config.make_band()
     external = config.make_external()
-    trajectory = integrate_flow(config.q0, config.p0, LONG_T, config.flow_dt, band, external)
+    trajectory, _ = _flow(config, LONG_T, band, external)
     return {"band": band, "external": external, "trajectory": trajectory}
 
 
@@ -134,7 +135,7 @@ def grid_run(config, bundle):
     u0 = grid_envelope_from_gaussian(
         gauss0, config.envelope_half_width, config.envelope_points
     )
-    u1 = evolve_grid_envelope(u0, bundle.coefficients, T_FINAL, config.grid_envelope_dt)
+    (u1,), _ = _grid_envelopes(config, bundle.coefficients, u0, [T_FINAL])
     return u0, u1
 
 

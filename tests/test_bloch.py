@@ -378,7 +378,7 @@ def test_unresolvable_band_raises_after_node_doubling(lattice1d):
 
 def test_default_flow_makes_at_most_32_node_solves(monkeypatch):
     from blochpacket.config import ExperimentConfig
-    from blochpacket.flow import integrate_flow
+    from blochpacket.experiments import _flow
 
     calls = []
     solve = bloch.band_derivatives
@@ -390,7 +390,7 @@ def test_default_flow_makes_at_most_32_node_solves(monkeypatch):
     monkeypatch.setattr(bloch, "band_derivatives", counted)
     cfg = ExperimentConfig()
     band = cfg.make_band()
-    integrate_flow(cfg.q0, cfg.p0, cfg.t_final, cfg.flow_dt, band, cfg.make_external())
+    _flow(cfg, cfg.t_final, band, cfg.make_external())
     assert len(calls) <= 32
     assert band.node_solves == len(calls)
 

@@ -1,9 +1,10 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
 
-from blochpacket import bloch
+from blochpacket import bloch, experiments
 from blochpacket.cli import build_parser, main
 from blochpacket.config import EXPERIMENT_KINDS, ExperimentConfig
 from blochpacket.experiments import RUNNERS
@@ -51,6 +52,18 @@ def test_gauge_failure_exits_one(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "GaugeError"
     assert "below 1e+01 at k = " in err["message"]
+
+
+def test_unmet_step_tolerance_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "FLOW_TOL", 0.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"t_final": 0.02}))
+    code = main(["flow", "--config", str(path), "--out", str(tmp_path / "flow")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FlowError"
+    assert err["message"].startswith("flow: estimate ")
+    assert err["message"].endswith("steps; set flow_dt")
 
 
 @pytest.mark.parametrize(
@@ -164,11 +177,18 @@ def test_subcommand_overrides_config_kind(tmp_path, capsys):
     assert (out_dir / "flow_summary.json").exists()
 
 
-def test_envelope_run_without_config(tmp_path, capsys):
-    code = main(["envelope", "--out", str(tmp_path / "env")])
+def test_envelope_run_without_config(tmp_path, capsys, caplog):
+    with caplog.at_level(logging.INFO, logger="blochpacket"):
+        code = main(["envelope", "--verbose", "--out", str(tmp_path / "env")])
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["kind"] == "envelope"
+    # both sized layers say what they chose, in the summary and in the log
+    for layer, tol in (("flow", "1e-12"), ("grid_envelope", "1e-07")):
+        chosen = summary["resolution"][layer]
+        assert chosen["error_estimate"] <= chosen["tol"] == float(tol)
+        line = f"{layer}: {chosen['steps']} steps, estimate {chosen['error_estimate']:.1e} <= {tol}"
+        assert line in caplog.messages
     with open(tmp_path / "env" / "envelope_summary.json") as fh:
         disk = json.load(fh)
     assert disk["config"] == summary["config"]

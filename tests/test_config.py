@@ -69,6 +69,7 @@ def test_validation_rejections():
         dict(kind="ehrenfest", c0_list=()),
         dict(kind="ehrenfest", c0_list=(0.1, 0.0)),  # a zero-length horizon
         dict(kind="convergence", flow_dt=0.0),
+        dict(kind="envelope", grid_envelope_dt=-1e-3),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
@@ -136,6 +137,17 @@ def test_make_band_and_gaussian():
     assert np.allclose(g.A, np.eye(1))
 
 
+def test_unset_steps_are_sized_and_set_steps_are_floats():
+    # null leaves flow_dt and grid_envelope_dt to the pipelines' step
+    # doubling; a set step is a float whatever its JSON spelling
+    cfg = ExperimentConfig.from_json('{"flow_dt": null, "grid_envelope_dt": 1}').validate()
+    assert cfg.flow_dt is None and ExperimentConfig().grid_envelope_dt is None
+    assert type(cfg.grid_envelope_dt) is float and cfg.grid_envelope_dt == 1.0
+    assert cfg.to_dict()["flow_dt"] is None
+    with pytest.raises(ConfigError, match="grid_envelope_dt must be of type float | None"):
+        ExperimentConfig.from_dict({"grid_envelope_dt": "fine"})
+
+
 def test_config_hash_ignores_operational_fields():
     a = ExperimentConfig(kind="convergence", output_dir="x")
     b = ExperimentConfig(kind="convergence", output_dir="y")
@@ -148,7 +160,7 @@ def test_config_hash_ignores_operational_fields():
 def test_config_hash_ignores_int_spelling_of_floats():
     assert ExperimentConfig(t_final=1) == ExperimentConfig(t_final=1.0)
     assert ExperimentConfig(t_final=1).config_hash() == ExperimentConfig(t_final=1.0).config_hash()
-    assert ExperimentConfig().config_hash() == "45bd46c4cdd2"
+    assert ExperimentConfig().config_hash() == "07c3dd94741c"
 
 
 def test_residual_time_bound_applies_to_residual_runs_only():
@@ -207,18 +219,18 @@ def test_from_dict_malformed_values_raise_config_error(data):
 
 
 CONFIG_HASHES = {
-    "bands.json": "6cf04735dc74",
-    "convergence_error.json": "45bd46c4cdd2",
-    "ehrenfest.json": "51f4c527d5a7",
-    "free_lattice_packet.json": "45e4a10a8558",
-    "residual.json": "b45e8a87e078",
+    "bands.json": "22b94bb5cf7f",
+    "convergence_error.json": "07c3dd94741c",
+    "ehrenfest.json": "473226eda6a7",
+    "free_lattice_packet.json": "32b23acd7dd5",
+    "residual.json": "32a86c227e1e",
 }
 
 
 def test_config_hash_values_are_stable():
     # provenance hashes are pinned, so a changed default shows here;
     # int-valued floats become floats at the top level and in the specs alike
-    assert ExperimentConfig().config_hash() == "45bd46c4cdd2"
+    assert ExperimentConfig().config_hash() == "07c3dd94741c"
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name, want in CONFIG_HASHES.items():
         assert ExperimentConfig.from_file(configs / name).config_hash() == want
@@ -228,5 +240,5 @@ def test_config_hash_values_are_stable():
         "external": {"hessian": [[1]], "linear": [0]},
     }
     float_spelling = dict(nested_ints, t_final=1.0)
-    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "e66e39234f9c"
-    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "e66e39234f9c"
+    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "f7c5d9f8467d"
+    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "f7c5d9f8467d"

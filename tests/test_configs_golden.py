@@ -3,7 +3,8 @@
 Every number in the CSVs and `*_summary.json` of each `configs/*.json` run is
 held against `configs_golden.json` to one relative tolerance. Rounding-level
 monitors (drifts, defects, deviations, grid-vs-Gaussian differences, spectral
-tails, boundary fractions) are left out: their own bounds hold them.
+tails, boundary fractions, step-doubling error estimates) are left out: their
+own bounds hold them.
 
 A change that means to move these numbers re-captures them with
     PYTHONPATH=src python tests/test_configs_golden.py
@@ -24,7 +25,7 @@ from blochpacket.experiments import RUNNERS
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "configs_golden.json"
 REL_TOL = 1e-9
-MONITOR = re.compile(r"drift|defect|deviation|_vs_|tail|boundary_fraction")
+MONITOR = re.compile(r"drift|defect|deviation|_vs_|tail|boundary_fraction|estimate")
 TEXT_COLUMNS = {"config", "stem"}  # the config hash and the field-file stem
 
 

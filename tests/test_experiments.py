@@ -10,10 +10,16 @@ from blochpacket import experiments
 from blochpacket.assembly import read_field, synthesize_app
 from blochpacket.bloch import BlochBand, cell_inner
 from blochpacket.config import ExperimentConfig, ExternalPotentialSpec, LatticePotentialSpec
-from blochpacket.envelope import geometric_rate
+from blochpacket.envelope import (
+    evolve_grid_envelope,
+    geometric_rate,
+    grid_envelope_from_gaussian,
+)
+from blochpacket.errors import EnvelopeError, FlowError
 from blochpacket.experiments import (
     DynamicsBundle,
     _correctors,
+    _grid_envelopes,
     _initial_field,
     _leading_packet,
     _make_grid,
@@ -28,6 +34,7 @@ from blochpacket.experiments import (
     run_packet,
     run_reference,
 )
+from blochpacket.flow import integrate_flow
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -149,16 +156,100 @@ def test_run_flow_writes_nodes(tmp_path):
     assert float(rows[-1]["t"]) == pytest.approx(0.2)
 
 
-def test_flow_and_envelope_summaries_carry_the_band_table(tmp_path):
-    from blochpacket.flow import integrate_flow
+# band 1 of the amplitude-0.3 cosine in a cosine well from (1, 0.3)
+DISPERSIVE = {
+    "lattice_potential": LatticePotentialSpec(amplitude=0.3),
+    "external": ExternalPotentialSpec(type="cosine-well", amplitude=2.0, frequencies=(1.0,)),
+    "q0": (1.0,),
+    "p0": (0.3,),
+}
 
+
+def test_default_flow_is_sized_by_step_doubling(tmp_path):
+    summary = run_flow(ExperimentConfig(kind="flow", output_dir=str(tmp_path)))
+    resolution = summary["resolution"]["flow"]
+    assert (resolution["steps"], resolution["dt"], summary["dt"]) == (200, 0.005, 0.005)
+    assert resolution["error_estimate"] <= resolution["tol"] == experiments.FLOW_TOL
+    assert len(read_rows(summary["csv"])) == 201
+
+
+@pytest.mark.parametrize("model", [{}, DISPERSIVE], ids=["defaults", "dispersive"])
+def test_step_doubling_estimates_hold_against_a_run_ten_times_finer(model):
+    # each sized layer against its own integrator at a tenth of the chosen
+    # step, at T = 1: the flow read at 777 off-node times through both dense
+    # outputs, over q, p and S; the grid envelope in L2. Bounds set before
+    # measuring: each error is within its layer's tolerance; the flow error is
+    # within 10x its estimate plus a 1e-13 rounding floor (a few thousand RK4
+    # steps on O(1) values); the order-2 grid estimate is within 2x its error
+    cfg = ExperimentConfig(kind="envelope", **model).validate()
+    bundle = prepare_dynamics(cfg, [cfg.t_final])
+    flow = bundle.resolution["flow"]
+    finer = integrate_flow(
+        cfg.q0, cfg.p0, cfg.t_final, flow["dt"] / 10, bundle.band, bundle.external
+    )
+    ts = (np.arange(777) + 0.5) * cfg.t_final / 777
+    got, want = bundle.trajectory.state_at(ts), finer.state_at(ts)
+    flow_error = max(np.max(np.abs(got.q - want.q)), np.max(np.abs(got.p - want.p)),
+                     np.max(np.abs(got.S - want.S)))
+    assert flow_error <= experiments.FLOW_TOL
+    assert flow_error <= 10 * flow["error_estimate"] + 1e-13
+
+    u0 = grid_envelope_from_gaussian(
+        cfg.make_gaussian(), cfg.envelope_half_width, cfg.envelope_points
+    )
+    (u1,), grid = _grid_envelopes(cfg, bundle.coefficients, u0, [cfg.t_final])
+    finer = evolve_grid_envelope(u0, bundle.coefficients, cfg.t_final, grid["dt"] / 10)
+    grid_error = u1.grid.norm(u1.values - finer.values)
+    assert grid_error <= experiments.GRID_ENVELOPE_TOL
+    assert 0.5 * grid["error_estimate"] <= grid_error <= 2.0 * grid["error_estimate"]
+
+
+@pytest.mark.parametrize(
+    "tol, layer, error",
+    [("FLOW_TOL", "flow", FlowError), ("GRID_ENVELOPE_TOL", "grid_envelope", EnvelopeError)],
+)
+def test_step_doubling_stops_loudly_at_its_cap(tmp_path, monkeypatch, tol, layer, error):
+    # a tolerance no run meets: MAX_DOUBLINGS doublings from 2 steps on
+    # T = 0.02, then the typed error names the layer, tolerance and field
+    monkeypatch.setattr(experiments, tol, 0.0)
+    cfg = ExperimentConfig(kind="envelope", t_final=0.02, output_dir=str(tmp_path))
+    steps = 2 * 2**experiments.MAX_DOUBLINGS
+    with pytest.raises(error, match=rf"^{layer}: estimate \S+ > tol 0e\+00 at {steps} steps; "
+                                    rf"set {layer}_dt$"):
+        run_envelope(cfg)
+
+
+def test_explicit_steps_run_the_integrators_unchanged():
+    cfg = ExperimentConfig(
+        kind="envelope", t_final=0.5, sample_times=(0.2, 0.5), flow_dt=0.01, grid_envelope_dt=0.005
+    ).validate()
+    bundle = prepare_dynamics(cfg, [0.2, 0.5])
+    band = cfg.make_band()
+    direct = integrate_flow(cfg.q0, cfg.p0, 0.5, 0.01, band, cfg.make_external())
+    assert np.array_equal(bundle.trajectory.states, direct.states)
+    assert np.array_equal(bundle.trajectory.derivs, direct.derivs)
+    assert bundle.resolution == {"flow": {"fixed": True, "dt": 0.01}}
+
+    u0 = grid_envelope_from_gaussian(
+        cfg.make_gaussian(), cfg.envelope_half_width, cfg.envelope_points
+    )
+    grids, resolution = _grid_envelopes(cfg, bundle.coefficients, u0, [0.2, 0.5])
+    u = evolve_grid_envelope(u0, bundle.coefficients, 0.2, 0.005)
+    assert np.array_equal(grids[0].values, u.values)
+    u = evolve_grid_envelope(u, bundle.coefficients, 0.5, 0.005)
+    assert np.array_equal(grids[1].values, u.values)
+    assert resolution == {"fixed": True, "dt": 0.005}
+
+
+def test_flow_and_envelope_summaries_carry_the_band_table(tmp_path):
     keys = {"patches", "node_solves", "max_tail", "min_gap"}
     cfg = ExperimentConfig(kind="flow", output_dir=str(tmp_path / "flow"))
-    table = run_flow(cfg)["band_table"]
+    summary = run_flow(cfg)
+    table = summary["band_table"]
     assert set(table) == keys
-    # the same flow again, to read the patches the summary counted
+    # the same flow again at the step the run chose, to read the patches the summary counted
     band = cfg.make_band()
-    integrate_flow(cfg.q0, cfg.p0, cfg.t_final, cfg.flow_dt, band, cfg.make_external())
+    integrate_flow(cfg.q0, cfg.p0, cfg.t_final, summary["dt"], band, cfg.make_external())
     assert band.table_summary() == table
     assert table["node_solves"] == sum(p.nodes**cfg.dimension for p in band.patches.values())
     assert table["max_tail"] <= 1e-12 and table["min_gap"] > 0.5
@@ -194,6 +285,7 @@ def test_run_convergence_error_mode(tmp_path):
     )
     summary = run_convergence(cfg)
     assert summary["failures"] == []
+    assert summary["resolution"]["flow"]["error_estimate"] <= experiments.FLOW_TOL
     slope = summary["slopes"]["1"]["slope"]
     assert 0.35 < slope < 0.7
     rows = read_rows(tmp_path / "convergence.csv")
@@ -326,6 +418,7 @@ def test_run_convergence_well_prepared(tmp_path):
     ).validate()
     summary = run_convergence(cfg)
     assert summary["failures"] == []
+    assert summary["resolution"] == {"flow": {"fixed": True, "dt": 1e-2}}
     errors = [float(r["error"]) for r in read_rows(summary["csv"])]
     want = (0.10561463287253947, 0.07057374560279908, 0.05125875149103167)
     assert errors == pytest.approx(want, rel=PIN_REL)
@@ -340,6 +433,7 @@ def test_run_ehrenfest_labels_rows_by_c0(tmp_path):
     ).validate()
     summary = run_ehrenfest(cfg)
     assert summary["failures"] == []
+    assert summary["resolution"]["flow"]["error_estimate"] <= experiments.FLOW_TOL
     rows = read_rows(summary["csv"])
     assert list(rows[0]) == ["epsilon", "c0", "time", "error", "config"]
     assert [(float(r["epsilon"]), float(r["c0"])) for r in rows] == [
