@@ -314,9 +314,7 @@ def test_error_law_on_a_dispersive_band(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "prepare_dynamics", recorded)
     summary = run_convergence(ExperimentConfig(
-        lattice_potential=LatticePotentialSpec(amplitude=0.3),
-        external=ExternalPotentialSpec(type="cosine-well", amplitude=2.0, frequencies=(1.0,)),
-        q0=(1.0,), p0=(0.3,), t_final=2.0, sample_times=(1.0, 2.0), output_dir=str(tmp_path),
+        **DISPERSIVE, t_final=2.0, sample_times=(1.0, 2.0), output_dir=str(tmp_path)
     ))
     assert summary["failures"] == []
     assert bundles[0].band.table_summary()["patches"] == 8
