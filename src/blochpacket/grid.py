@@ -2,8 +2,8 @@
 
 `SpatialGrid` is the one geometry behind the envelope z-box, the fine
 x-grid of synthesized packets and the reference solver.  `strang_step` is
-the Fourier split step of the grid envelope and the d >= 2 reference: the
-time-splitting spectral scheme of Bao, Jin and Markowich (J. Comput. Phys. 175 (2002)).
+the Fourier split step of the grid envelope: the time-splitting spectral
+scheme of Bao, Jin and Markowich (J. Comput. Phys. 175 (2002)).
 `rk4` is the classical Runge-Kutta integrator of the flow; the linear Gaussian
 equations take its step as one transfer matrix (`envelope.evolve_gaussian`).
 """

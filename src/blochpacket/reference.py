@@ -2,17 +2,20 @@
 
 The equation  i eps d_t psi = -(eps^2/2) Lap psi + (V_lat(x/eps) + V(x)) psi
 is advanced in the rescaled form  i d_t psi = -(eps/2) Lap psi + (1/eps) V_tot psi
-by Strang splitting of the external V from H_per = -(eps/2) Lap + V_lat(x/eps)/eps.
-In d = 1 this is the Bloch-decomposition step of Huang, Jin, Markowich and
-Sparber (SIAM J. Sci. Comput. 29 (2007)): on K whole cells of P points, H_per
-is K Hermitian P x P blocks, one per residue r of the Fourier index mK + r,
-built on the cell-Bloch components X[r, a] = sum_b x[a + P b] e^{-2 pi i r b / K},
-diagonalized once per solve and applied exactly, so only the splitting error
-of V limits the default dt = eps/10.  A step takes P FFTs of length K across
-the cells to the X[r, a], applies the product propagator W diag(e^{-i h lam}) W^H
-that each snapshot segment stores, and transforms back.  In d >= 2 the blocks
-do not fit in memory, and each step takes STRANG_SUBSTEPS steps of
-`grid.strang_step`.  Every factor is unitary, so the grid mass is conserved to rounding.
+by the composition SRKN_6^b of Blanes and Moan (J. Comput. Appl. Math. 142 (2002)):
+a step of h runs pointwise phases exp(-i b h V / eps) and exact kernel steps
+exp(-i a h H) in the order b1 a1 b2 a2 b3 a3 b4 a3 b3 a2 b2 a1 b1, of order four
+because [V, [V, [V, H]]] = 0 for a pointwise V (the Runge-Kutta-Nystrom condition).
+In d = 1, V is the external potential and H = -(eps/2) Lap + V_lat(x/eps)/eps is exact
+by the Bloch decomposition of Huang, Jin, Markowich and Sparber (SIAM J. Sci. Comput.
+29 (2007)): on K whole cells of P points it is K Hermitian P x P blocks, one per
+residue r of the Fourier index mK + r, built on the cell-Bloch components
+X[r, a] = sum_b x[a + P b] e^{-2 pi i r b / K} and diagonalized once per solve, so only
+the splitting error of V limits the default dt = eps.  A kernel step takes P FFTs of
+length K across the cells, applies one of the three propagators W diag(e^{-i a h lam}) W^H
+each snapshot segment stores, and transforms back.  In d >= 2 the blocks do not fit in
+memory: V is the total potential, H the kinetic part, and each step of dt takes
+FOURIER_SUBSTEPS composite steps.  Every factor is unitary, so the mass is conserved to rounding.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ import numpy as np
 
 from .assembly import GridWaveField
 from .errors import SolverError
-from .grid import SpatialGrid, step_count, strang_step
+from .grid import SpatialGrid, step_count
 
-DEFAULT_DT_FACTOR = 0.1  # dt = factor * eps
-STRANG_SUBSTEPS = 10  # Fourier split steps per step in d >= 2
-BOUNDARY_CHECK_EVERY = 16  # steps between boundary-shell checks
+DEFAULT_DT_FACTOR = 1.0  # dt = factor * eps
+FOURIER_SUBSTEPS = 10  # composite steps per step of dt in d >= 2
 RESIDUAL_DELTA_LIMIT = 0.1  # require delta <= eps / 10
+_B = (0.0829844064174052, 0.396309801498368, -0.0390563049223486)  # b1 b2 b3; b4 = 1 - 2 (b1 + b2 + b3)
+PHASE_WEIGHTS = (_B[0], 2 * _B[0], _B[1], _B[2], 1 - 2 * sum(_B), _B[2], _B[1])  # first, fused, b2 .. b2
+KERNEL_WEIGHTS = (0.245298957184271, 0.604872665711080, 0.5 - 0.245298957184271 - 0.604872665711080)
 
 
 @dataclass(frozen=True)
@@ -73,12 +78,12 @@ def _bloch_blocks(grid: SpatialGrid, lattice, lattice_potential, eps: float) -> 
     return blocks
 
 
-def _bloch_step(values: np.ndarray, half_phase: np.ndarray, propagator: np.ndarray) -> np.ndarray:
-    """`grid.strang_step` with H_per's propagator U of shape (K, P, P) as the
-    kinetic factor, applied to the cell-Bloch components by FFTs across cells."""
-    cells = np.fft.fft((half_phase * values).reshape(propagator.shape[0], -1), axis=0)
+def _bloch_step(values: np.ndarray, propagator: np.ndarray) -> np.ndarray:
+    """H_per's propagator U of shape (K, P, P) applied to the cell-Bloch
+    components by FFTs across cells."""
+    cells = np.fft.fft(values.reshape(propagator.shape[0], -1), axis=0)
     cells = np.matmul(propagator, cells[..., None])[..., 0]
-    return half_phase * np.fft.ifft(cells, axis=0).ravel()
+    return np.fft.ifft(cells, axis=0).ravel()
 
 
 def solve_schrodinger(
@@ -109,10 +114,13 @@ def solve_schrodinger(
     if grid.dimension == 1:  # H_per = W diag(lam) W^H on the cell-Bloch components
         vgrid = external.value(grid.points())
         lam, vecs = np.linalg.eigh(_bloch_blocks(grid, lattice, lattice_potential, eps))
+        # one Newton step to W^H W = I, or eigh's 1e-15 adds up over six kernel steps per step
+        vecs -= 0.5 * vecs @ (vecs.conj().swapaxes(1, 2) @ vecs - np.eye(vecs.shape[1]))
         step_fn, substeps = _bloch_step, 1
     else:  # only the kinetic part, diagonal on the FFT coefficients
         vgrid = _total_potential_grid(psi0, lattice, lattice_potential, external)
-        lam, step_fn, substeps = eps * _kinetic_symbol(grid), strang_step, STRANG_SUBSTEPS
+        lam, substeps = eps * _kinetic_symbol(grid), FOURIER_SUBSTEPS
+        step_fn = lambda values, multiplier: np.fft.ifftn(multiplier * np.fft.fftn(values))  # noqa: E731
 
     vals = psi0.values.astype(complex, copy=True)
     t = psi0.time
@@ -122,15 +130,17 @@ def solve_schrodinger(
         if span > 1e-14:
             nsteps = step_count(span, dt) * substeps
             h = span / nsteps
-            half_potential = np.exp(-0.5j * h * vgrid / eps)
-            kinetic = np.exp(-1j * h * lam)
-            if grid.dimension == 1:  # U = W diag(d) W^H = conj(conj(W d) W^T),
-                scaled = np.conjugate(vecs * kinetic[:, None, :])  # then U overwrites conj(W d)
-                kinetic = np.conjugate(np.matmul(scaled, vecs.swapaxes(1, 2)), out=scaled)
-            for step in range(nsteps):
-                vals = step_fn(vals, half_potential, kinetic)
-                if (step + 1) % (BOUNDARY_CHECK_EVERY * substeps) == 0:
+            edge, fused, *inner = (np.exp(-1j * b * h / eps * vgrid) for b in PHASE_WEIGHTS)
+            kernels = [np.exp(-1j * a * h * lam) for a in KERNEL_WEIGHTS]
+            if grid.dimension == 1:  # U = W d W^H = conj(conj(W d) W^T), each over its conj(W d)
+                scaled = (np.conjugate(vecs * d[:, None, :]) for d in kernels)
+                kernels = [np.conjugate(np.matmul(s, vecs.swapaxes(1, 2)), out=s) for s in scaled]
+            for step in range(nsteps):  # the trailing phase waits to be fused into the next step's
+                for phase, propagator in zip((fused if step else edge, *inner), kernels + kernels[::-1]):
+                    vals = step_fn(phase * vals, propagator)
+                if (step + 1) % substeps == 0:  # once per dt; |phase| = 1 leaves the shell mass exact
                     grid.guard(vals, SolverError, t + (step + 1) * h)
+            vals = edge * vals
         t = target
         snap = GridWaveField(grid=grid, epsilon=eps, time=t, values=vals.copy())
         grid.guard(vals, SolverError, t)

@@ -160,7 +160,7 @@ def test_config_hash_ignores_operational_fields():
 def test_config_hash_ignores_int_spelling_of_floats():
     assert ExperimentConfig(t_final=1) == ExperimentConfig(t_final=1.0)
     assert ExperimentConfig(t_final=1).config_hash() == ExperimentConfig(t_final=1.0).config_hash()
-    assert ExperimentConfig().config_hash() == "07c3dd94741c"
+    assert ExperimentConfig().config_hash() == "f3b32d91c755"
 
 
 def test_residual_time_bound_applies_to_residual_runs_only():
@@ -219,18 +219,18 @@ def test_from_dict_malformed_values_raise_config_error(data):
 
 
 CONFIG_HASHES = {
-    "bands.json": "22b94bb5cf7f",
-    "convergence_error.json": "07c3dd94741c",
-    "ehrenfest.json": "473226eda6a7",
-    "free_lattice_packet.json": "32b23acd7dd5",
-    "residual.json": "32a86c227e1e",
+    "bands.json": "44085ce0975c",
+    "convergence_error.json": "f3b32d91c755",
+    "ehrenfest.json": "26f2d6923572",
+    "free_lattice_packet.json": "57e080480534",
+    "residual.json": "d2f3821c7848",
 }
 
 
 def test_config_hash_values_are_stable():
     # provenance hashes are pinned, so a changed default shows here;
     # int-valued floats become floats at the top level and in the specs alike
-    assert ExperimentConfig().config_hash() == "07c3dd94741c"
+    assert ExperimentConfig().config_hash() == "f3b32d91c755"
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name, want in CONFIG_HASHES.items():
         assert ExperimentConfig.from_file(configs / name).config_hash() == want
@@ -240,5 +240,5 @@ def test_config_hash_values_are_stable():
         "external": {"hessian": [[1]], "linear": [0]},
     }
     float_spelling = dict(nested_ints, t_final=1.0)
-    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "f7c5d9f8467d"
-    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "f7c5d9f8467d"
+    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "229f62a136cb"
+    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "229f62a136cb"

@@ -293,9 +293,9 @@ def test_run_convergence_error_mode(tmp_path):
     errs = [float(r["error"]) for r in rows]
     assert errs == sorted(errs, reverse=True)
     # the default error sweep's first two errors; benchmark/expected.json
-    # stores those of the older dt = eps/100 Fourier split step, 2.6e-6 and
-    # 3.8e-6 relative away
-    assert errs[:2] == pytest.approx([0.14737493101368238, 0.11157966723702455], rel=1e-9)
+    # stores those of the older dt = eps/100 Fourier split step, 2.4e-5 and
+    # 1.9e-5 relative away
+    assert errs[:2] == pytest.approx([0.14737107658055268, 0.11157796308041386], rel=1e-9)
     # summary JSON is also on disk
     with open(tmp_path / "convergence_summary.json") as fh:
         disk = json.load(fh)
@@ -418,7 +418,7 @@ def test_run_convergence_well_prepared(tmp_path):
     assert summary["failures"] == []
     assert summary["resolution"] == {"flow": {"fixed": True, "dt": 1e-2}}
     errors = [float(r["error"]) for r in read_rows(summary["csv"])]
-    want = (0.10561463287253947, 0.07057374560279908, 0.05125875149103167)
+    want = (0.10561087187891074, 0.07057215794748392, 0.051258429214448516)
     assert errors == pytest.approx(want, rel=PIN_REL)
 
 
@@ -440,7 +440,7 @@ def test_run_ehrenfest_labels_rows_by_c0(tmp_path):
     for r in rows:
         horizon = float(r["c0"]) * np.log(1.0 / float(r["epsilon"]))
         assert float(r["time"]) == pytest.approx(horizon)
-    want = (0.13132578904413736, 0.12384118458458221, 0.09925922854089597, 0.042160457242442426)
+    want = (0.131319256314022, 0.12383698189220885, 0.09925699410835395, 0.04216012709460421)
     assert [float(r["error"]) for r in rows] == pytest.approx(want, rel=PIN_REL)
     assert summary["horizons"]["0.1"]["errors"] == pytest.approx(want[0::2], rel=PIN_REL)
 
