@@ -125,7 +125,7 @@ def packet_2d(eps):
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
-def test_self_convergence_fourth_order(lattice1d, cosine1d, mathieu_band, dimension):
+def test_self_convergence_fourth_order(mathieu_band, dimension):
     # |psi_dt - psi_dt/2| / |psi_dt/2 - psi_dt/4| -> 16 for a fourth-order
     # step, at dt = eps/2, eps/4, eps/8: in 1D the block kernel with the
     # external phases, in 2D the Fourier kernel with the total potential at
