@@ -5,8 +5,8 @@ the periodic operator (`bloch`), the band-driven classical flow (`flow`),
 the homogenized envelope equation (`envelope`), corrector fields restoring
 the expansion order (`corrector`), fine-grid synthesis (`assembly`), a
 direct oscillatory solver for validation (`reference`), and experiment
-pipelines plus a CLI (`config`, `experiments`, `cli`). The periodic grid
-and the split-step and Runge-Kutta kernels they share live in `grid`.
+pipelines plus a CLI (`config`, `experiments`, `cli`). The periodic grid,
+the grid envelope's split step and the flow's Runge-Kutta loop live in `grid`.
 """
 
 from .assembly import read_field

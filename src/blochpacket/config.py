@@ -45,14 +45,24 @@ EXTERNAL_KINDS = {
     "quadratic": ("constant", "linear", "hessian"), "cosine-well": ("amplitude", "frequencies"),
 }
 LATTICE_POTENTIAL_KINDS = {"cosine": ("amplitude",), "fourier": ("coeffs",), "zero": ()}
-# JSON value types each field annotation accepts; bool never counts as a number
-_JSON_TYPES = {
-    "str": str,
-    "int": int,
-    "float": (int, float),
-    "float | None": (int, float, type(None)),
-    "int | None": (int, type(None)),
-    "tuple": (list, tuple),
+# the stored forms of the tuple fields
+floats = tuple[float, ...]
+matrix = tuple[floats, ...]
+fourier_rows = tuple[tuple[tuple[int, ...], float, float], ...]  # ((index...), re, im)
+# each field annotation with the JSON types it accepts (bool is never a
+# number) and its stored form; int and str values stay as given (None)
+_KINDS = {
+    "str": (str, None),
+    "int": (int, None),
+    "int | None": ((int, type(None)), None),
+    "float": ((int, float), float),
+    "float | None": ((int, float, type(None)), lambda v: v if v is None else float(v)),
+    "floats": ((list, tuple), lambda v: tuple(map(float, v))),
+    "matrix": ((list, tuple), lambda rows: tuple(tuple(map(float, r)) for r in rows)),
+    "fourier_rows": (
+        (list, tuple),
+        lambda rows: tuple((tuple(map(int, n)), float(re), float(im)) for n, re, im in rows),
+    ),
 }
 
 
@@ -61,10 +71,6 @@ def _plain(value):
     if is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     return [_plain(v) for v in value] if isinstance(value, tuple) else value
-
-
-def _tuples(value):
-    return tuple(map(_tuples, value)) if isinstance(value, (list, tuple)) else value
 
 
 def _from_plain(cls, data, where: str = "config"):
@@ -80,10 +86,10 @@ def _from_plain(cls, data, where: str = "config"):
         kind, nested = known[key].type, known[key].default_factory
         if is_dataclass(nested):
             kwargs[key] = _from_plain(nested, value, f"{where}.{key}")
-        elif isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        elif isinstance(value, bool) or not isinstance(value, _KINDS[kind][0]):
             raise ConfigError(f"{where}.{key} must be of type {kind}, got {value!r}")
         else:
-            kwargs[key] = _tuples(value)
+            kwargs[key] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -91,7 +97,15 @@ def _from_plain(cls, data, where: str = "config"):
 
 
 class _Serializable:
-    """to_dict / from_dict derived from the dataclass fields."""
+    """Stored forms, to_dict and from_dict derived from the dataclass fields;
+    a JSON int in a float field, a list and a numpy scalar store and hash
+    as their float and tuple spellings."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            store = _KINDS.get(f.type, (None, None))[1]  # nested specs store themselves
+            if store:
+                object.__setattr__(self, f.name, store(getattr(self, f.name)))
 
     def to_dict(self) -> dict:
         return _plain(self)
@@ -99,10 +113,6 @@ class _Serializable:
     @classmethod
     def from_dict(cls, data):
         return _from_plain(cls, data)
-
-
-def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
 
 
 def _check_read(spec, kinds: dict) -> None:
@@ -118,13 +128,7 @@ class LatticePotentialSpec(_Serializable):
 
     type: str = "cosine"
     amplitude: float = 1.0
-    # explicit coefficients for type="fourier": ((index...), re, im) rows
-    coeffs: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-        rows = tuple((tuple(int(c) for c in n), float(re), float(im)) for n, re, im in self.coeffs)
-        object.__setattr__(self, "coeffs", rows)
+    coeffs: fourier_rows = ()  # explicit coefficients for type="fourier"
 
     def build(self, dimension: int) -> FourierPotential:
         """The potential; `FourierPotential` checks Hermitian symmetry."""
@@ -153,17 +157,10 @@ class ExternalPotentialSpec(_Serializable):
 
     type: str = "quadratic"
     constant: float = 0.0
-    linear: tuple = ()
-    hessian: tuple = ()
+    linear: floats = ()
+    hessian: matrix = ()
     amplitude: float = 1.0
-    frequencies: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "constant", float(self.constant))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-        object.__setattr__(self, "linear", _floats(self.linear))
-        object.__setattr__(self, "hessian", tuple(_floats(r) for r in self.hessian))
-        object.__setattr__(self, "frequencies", _floats(self.frequencies))
+    frequencies: floats = ()
 
     def build(self, dimension: int):
         """The potential; `QuadraticPotential.create` checks shapes and
@@ -197,15 +194,6 @@ def _built(key: str, make):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _matrix_tuple(rows, dimension: int, name: str) -> tuple:
-    if not rows:
-        return tuple(_floats(r) for r in np.eye(dimension))
-    out = tuple(_floats(r) for r in rows)
-    if len(out) != dimension or any(len(r) != dimension for r in out):
-        raise ConfigError(f"{name} must be a {dimension} x {dimension} matrix")
-    return out
-
-
 @dataclass(frozen=True)
 class ExperimentConfig(_Serializable):
     """One experiment: model, initial data, sweep values, and step sizes."""
@@ -218,23 +206,23 @@ class ExperimentConfig(_Serializable):
     band_index: int = 1
     cutoff: int | None = None
 
-    q0: tuple = (0.0,)
-    p0: tuple = (0.3,)
-    envelope_a: tuple = ()
-    envelope_b: tuple = ()
+    q0: floats = (0.0,)
+    p0: floats = (0.3,)
+    envelope_a: matrix = ()  # () is the identity
+    envelope_b: matrix = ()
     initial_data: str = "packet"
 
-    epsilons: tuple = (0.0625, 0.03125, 0.015625, 0.0078125)
+    epsilons: floats = (0.0625, 0.03125, 0.015625, 0.0078125)
     t_final: float = 1.0
     flow_dt: float | None = None  # None: sized by step doubling (experiments.refine)
     envelope_dt: float = 1e-3
     grid_envelope_dt: float | None = None  # None: sized likewise
     reference_dt_factor: float = DEFAULT_DT_FACTOR
-    sample_times: tuple = ()
+    sample_times: floats = ()  # () is (t_final,)
     residual_time: float = 0.5
     residual_delta_factor: float = 0.25  # delta = factor * eps^2
     convergence_mode: str = "error"
-    c0_list: tuple = (0.1,)
+    c0_list: floats = (0.1,)
 
     half_width: float = BOX_HALF_WIDTH
     points_per_period: int = POINTS_PER_OSCILLATION
@@ -246,21 +234,14 @@ class ExperimentConfig(_Serializable):
     output_dir: str = "out"
 
     def __post_init__(self):
-        # a JSON int in a float field must hash like its float spelling
-        for f in fields(self):
-            if f.type.startswith("float") and getattr(self, f.name) is not None:
-                object.__setattr__(self, f.name, float(getattr(self, f.name)))
-        object.__setattr__(self, "q0", _floats(self.q0))
-        object.__setattr__(self, "p0", _floats(self.p0))
-        object.__setattr__(
-            self, "envelope_a", _matrix_tuple(self.envelope_a, self.dimension, "envelope_a")
-        )
-        object.__setattr__(
-            self, "envelope_b", _matrix_tuple(self.envelope_b, self.dimension, "envelope_b")
-        )
-        object.__setattr__(self, "epsilons", _floats(self.epsilons))
-        object.__setattr__(self, "sample_times", _floats(self.sample_times) or (self.t_final,))
-        object.__setattr__(self, "c0_list", _floats(self.c0_list))
+        super().__post_init__()
+        d = self.dimension
+        for name in ("envelope_a", "envelope_b"):
+            rows = getattr(self, name) or tuple(map(tuple, np.eye(d).tolist()))
+            if len(rows) != d or any(len(r) != d for r in rows):
+                raise ConfigError(f"{name} must be a {d} x {d} matrix")
+            object.__setattr__(self, name, rows)
+        object.__setattr__(self, "sample_times", self.sample_times or (self.t_final,))
 
     def validate(self) -> "ExperimentConfig":
         """Check every field and build each model object once; a model

@@ -17,9 +17,8 @@ Strang midpoints), so it fetches them in one call per coefficient: one
 dense-output evaluation of the trajectory and one batched band-table
 lookup, grouped by table patch.
 
-The grid scheme takes the shared `grid.strang_step`, the Fourier split
-step the reference solver uses for the full oscillatory equation; the
-linear Gaussian flow takes each RK4 step as one batched transfer matrix.
+The grid scheme takes its Fourier split steps from `grid.strang_step`;
+the linear Gaussian flow takes each RK4 step as one batched transfer matrix.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Periodic tensor grids and the fixed-step kernels shared by the propagators.
+"""Periodic tensor grids and the fixed-step kernels of the flow and grid envelope.
 
 `SpatialGrid` is the one geometry behind the envelope z-box, the fine
 x-grid of synthesized packets and the reference solver.  `strang_step` is

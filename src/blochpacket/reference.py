@@ -38,7 +38,7 @@ KERNEL_WEIGHTS = (0.245298957184271, 0.604872665711080, 0.5 - 0.245298957184271 
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Step control for the split-step reference propagation."""
+    """Step control for the reference's SRKN_6^b composite steps."""
 
     dt: float | None = None  # None -> DEFAULT_DT_FACTOR * epsilon
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochpacket.config import (
+    _KINDS,
     ExperimentConfig,
     ExternalPotentialSpec,
     LatticePotentialSpec,
@@ -161,6 +163,32 @@ def test_config_hash_ignores_int_spelling_of_floats():
     assert ExperimentConfig(t_final=1) == ExperimentConfig(t_final=1.0)
     assert ExperimentConfig(t_final=1).config_hash() == ExperimentConfig(t_final=1.0).config_hash()
     assert ExperimentConfig().config_hash() == "f3b32d91c755"
+    # numpy scalars, lists and ints, as the benchmark passes them, store as
+    # plain floats and ints in tuples and hash like the JSON spelling
+    spelled = ExperimentConfig(
+        q0=[np.float64(0.5)],
+        epsilons=[np.float32(0.125), 0.0625],
+        external=ExternalPotentialSpec(hessian=[[np.int64(2)]]),
+        lattice_potential=LatticePotentialSpec(
+            type="fourier", coeffs=[[[np.int64(1)], np.float64(0.5), 0], [(-1,), 0.5, 0]]
+        ),
+    )
+    json_spelling = ExperimentConfig.from_json(
+        '{"q0": [0.5], "epsilons": [0.125, 0.0625], "external": {"hessian": [[2.0]]},'
+        ' "lattice_potential": {"type": "fourier",'
+        ' "coeffs": [[[1], 0.5, 0.0], [[-1], 0.5, 0.0]]}}'
+    )
+    for row in (spelled.q0, spelled.epsilons, *spelled.external.hessian):
+        assert type(row) is tuple and all(type(v) is float for v in row)
+    assert type(spelled.external.hessian) is type(spelled.lattice_potential.coeffs) is tuple
+    for n, re, im in spelled.lattice_potential.coeffs:
+        assert type(n) is tuple and all(type(c) is int for c in n)
+        assert type(re) is type(im) is float
+    assert spelled.config_hash() == json_spelling.config_hash()
+    # every field is normalized by its annotation or is a nested spec
+    for cls in (ExperimentConfig, ExternalPotentialSpec, LatticePotentialSpec):
+        for f in fields(cls):
+            assert f.type in _KINDS or is_dataclass(f.default_factory), (cls, f.name)
 
 
 def test_residual_time_bound_applies_to_residual_runs_only():
@@ -220,10 +248,13 @@ def test_from_dict_malformed_values_raise_config_error(data):
 
 CONFIG_HASHES = {
     "bands.json": "44085ce0975c",
+    "bloch_oscillation.json": "9a778a3ad35c",
     "convergence_error.json": "f3b32d91c755",
     "ehrenfest.json": "26f2d6923572",
+    "envelope_cosine_well.json": "f12b8f5d33ce",
     "free_lattice_packet.json": "57e080480534",
     "residual.json": "d2f3821c7848",
+    "zone_edge.json": "c8480efbb5df",
 }
 
 
