@@ -234,6 +234,14 @@ def band_derivatives(
     )
 
 
+def band_velocities(lattice: LatticeSpec, potential: FourierPotential, k, cutoff: int) -> np.ndarray:
+    """Group velocities grad E_n(k) of every band n, shape (M, d), from one eigensolve:
+    the velocity expectations <chi_n, (-i grad_y + k) chi_n> (Hellmann-Feynman)."""
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    vecs = np.linalg.eigh(build_bloch_hamiltonian(lattice, potential, k, cutoff))[1]
+    return (np.abs(vecs) ** 2).T @ (lattice.dual_vectors(pw_indices(lattice.dimension, cutoff)) + k)
+
+
 def evaluate_cell_coeffs(lattice, cutoff: int, coeffs: np.ndarray, points) -> np.ndarray:
     """Values of sum_n c_n exp(i <G_n, y>) at points (..., d) for any c.
 

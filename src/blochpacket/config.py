@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .assembly import BOX_HALF_WIDTH, POINTS_PER_OSCILLATION
+from .assembly import POINTS_PER_OSCILLATION
 from .bloch import BlochBand, default_cutoff
 from .envelope import GaussianEnvelope, gaussian_init
 from .errors import ConfigError, EnvelopeError, LatticeError, PotentialError
@@ -49,12 +50,12 @@ LATTICE_POTENTIAL_KINDS = {"cosine": ("amplitude",), "fourier": ("coeffs",), "ze
 floats = tuple[float, ...]
 matrix = tuple[floats, ...]
 fourier_rows = tuple[tuple[tuple[int, ...], float, float], ...]  # ((index...), re, im)
-# each field annotation with the JSON types it accepts (bool is never a
-# number) and its stored form; int and str values stay as given (None)
+# each field annotation with the JSON types it accepts (bool is never a number)
+# and its stored form; str stays as given (None), an integer (numpy's too) as int
 _KINDS = {
     "str": (str, None),
-    "int": (int, None),
-    "int | None": ((int, type(None)), None),
+    "int": (int, operator.index),
+    "int | None": ((int, type(None)), lambda v: v if v is None else operator.index(v)),
     "float": ((int, float), float),
     "float | None": ((int, float, type(None)), lambda v: v if v is None else float(v)),
     "floats": ((list, tuple), lambda v: tuple(map(float, v))),
@@ -224,7 +225,7 @@ class ExperimentConfig(_Serializable):
     convergence_mode: str = "error"
     c0_list: floats = (0.1,)
 
-    half_width: float = BOX_HALF_WIDTH
+    half_width: float | None = None  # None: 2 pi, sized for reference solves (experiments._box_terms)
     points_per_period: int = POINTS_PER_OSCILLATION
     envelope_half_width: float = 16.0
     envelope_points: int = 512
@@ -279,7 +280,8 @@ class ExperimentConfig(_Serializable):
             raise ConfigError("every epsilon must lie in (0, 1)")
         if self.t_final <= 0:
             raise ConfigError("t_final must be positive")
-        for name in ("flow_dt", "envelope_dt", "grid_envelope_dt", "reference_dt_factor"):
+        for name in ("flow_dt", "envelope_dt", "grid_envelope_dt", "reference_dt_factor",
+                     "half_width", "envelope_half_width"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.convergence_mode not in CONVERGENCE_MODES:
@@ -305,8 +307,6 @@ class ExperimentConfig(_Serializable):
             raise ConfigError("sample times must lie in [0, t_final]")
         if self.kind == "ehrenfest" and not (self.c0_list and min(self.c0_list) > 0):
             raise ConfigError("ehrenfest runs need a non-empty c0_list of positive C0 values")
-        if min(self.half_width, self.envelope_half_width) <= 0:
-            raise ConfigError("box half-widths must be positive")
         if self.points_per_period < 4:
             raise ConfigError("need at least 4 points per lattice oscillation")
         if self.envelope_points < 16:

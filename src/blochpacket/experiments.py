@@ -3,7 +3,8 @@
 Every pipeline takes an ExperimentConfig, writes CSV tables (plus JSON
 summaries and raw field exports) under the config's output directory, and
 returns the summary dict.  Unset flow and grid-envelope steps are sized by a
-deterministic step doubling (`refine`) and all grids are derived from the config,
+deterministic step doubling (`refine`), an unset reference box from the
+prepared dynamics (`_box_terms`), and all grids are derived from the config,
 so identical configs produce identical bytes; each output row carries the config hash.
 
 The expensive epsilon-independent work (trajectory and envelope evolution
@@ -17,12 +18,13 @@ import csv
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .assembly import make_grid_for, synthesize_app, synthesize_packet, write_field
-from .bloch import band_derivatives, build_bloch_hamiltonian
+from .assembly import BOX_HALF_WIDTH, make_grid_for, synthesize_app, synthesize_packet, write_field
+from .bloch import band_derivatives, band_velocities, build_bloch_hamiltonian
 from .config import ExperimentConfig
 from .corrector import build_U0, build_U1, build_U2
 from .envelope import (
@@ -33,9 +35,9 @@ from .envelope import (
     grid_envelope_from_gaussian,
     sigma_norm,
 )
-from .errors import BlochpacketError, EigensolverError, EnvelopeError, FlowError
+from .errors import BlochpacketError, EigensolverError, EnvelopeError, FlowError, SolverError
 from .flow import integrate_flow, total_energy
-from .grid import SpatialGrid, step_count
+from .grid import THRESHOLD, SpatialGrid, step_count
 from .reference import SolverParams, l2_error, pde_residual, solve_schrodinger
 
 logger = logging.getLogger("blochpacket")
@@ -46,6 +48,8 @@ FIRST_DT = 1e-2  # first trial step of a sized layer
 MAX_DOUBLINGS = 10  # a sized step never falls below FIRST_DT / 2^10
 FLOW_TOL = 1e-12  # flow estimate, max over q, p and S
 GRID_ENVELOPE_TOL = 1e-7  # grid-envelope estimate in L2: 10 % of criterion 5's 1e-6
+BOX_NEIGHBOURS = (-2, -1, 1, 2)  # bands m + j whose speeds at p0 set a sized box's cone
+BOX_WIDTHS = 8.0  # a sized box's envelope floor in Gaussian widths; |u| = e^-32 = 1.3e-14 there
 
 
 def _tkey(t: float) -> float:
@@ -151,6 +155,14 @@ class DynamicsBundle:
     def at(self, t: float):
         return self.entries[_tkey(t)]
 
+    @cached_property
+    def neighbour_speed(self) -> float:
+        """Largest axis speed |d_j E_n(p0)| of the bands n = m + BOX_NEIGHBOURS that exist."""
+        band = self.band
+        speeds = np.abs(band_velocities(band.lattice, band.potential, self.config.p0, band.cutoff))
+        rows = [band.m - 1 + j for j in BOX_NEIGHBOURS if 0 <= band.m - 1 + j < len(speeds)]
+        return float(speeds[rows].max())
+
 
 def prepare_dynamics(config: ExperimentConfig, times) -> DynamicsBundle:
     """Integrate the flow once and chain the Gaussian envelope through the
@@ -220,20 +232,64 @@ def _initial_field(bundle: DynamicsBundle, epsilon: float, grid):
     return _leading_packet(bundle, 0.0, epsilon, grid)
 
 
-def _reference_snapshots(bundle: DynamicsBundle, epsilon: float, grid, times) -> tuple:
-    """Initial field on the grid and its reference solution at the times."""
-    psi0 = _initial_field(bundle, epsilon, grid)
-    params = SolverParams(dt=bundle.config.reference_dt_factor * epsilon)
-    band = bundle.band
-    snaps = solve_schrodinger(psi0, band.lattice, band.potential, bundle.external, times, params)
-    return psi0, snaps
+def _box_terms(bundle: DynamicsBundle, epsilon: float, horizon: float) -> dict:
+    """The three terms whose sum sizes a reference box to horizon: the flow's largest
+    |q_j(t)| (the box is centred at 0), the cone horizon * `neighbour_speed` that the
+    out-of-band mass of the packet travels, and BOX_WIDTHS sqrt(eps) times the largest
+    Gaussian width sqrt(max eig A A^*) of the prepared stops up to horizon."""
+    trajectory = bundle.trajectory
+    nodes = trajectory.ts[trajectory.ts < horizon]
+    widths = [
+        np.linalg.eigvalsh(gauss.A @ gauss.A.conj().T).max()
+        for t, (_, gauss) in bundle.entries.items() if t <= horizon
+    ]
+    return {
+        "flow": float(np.abs(trajectory.state_at(np.append(nodes, horizon)).q).max()),
+        "cone": horizon * bundle.neighbour_speed,
+        "envelope": BOX_WIDTHS * float(np.sqrt(epsilon * max(widths))),
+    }
 
 
-def _make_grid(config: ExperimentConfig, epsilon: float):
+def _reference_snapshots(bundle: DynamicsBundle, epsilon: float, times) -> tuple:
+    """Initial field, its reference solution at the times, and the box record.
+
+    A config's half_width fixes the box. Unset, the box is sized by `_box_terms` to the
+    last time; if the guard trips on a sized box smaller than BOX_HALF_WIDTH, the box
+    doubles and the solve starts over. The record gives the half-width, the cell count,
+    the terms (or "fixed"), the doublings and the largest shell fraction a guard read.
+    """
+    config, band = bundle.config, bundle.band
+    terms = {"fixed": True} if config.half_width else _box_terms(bundle, epsilon, times[-1])
+    half_width, doublings = config.half_width or sum(terms.values()), 0
+    params = SolverParams(dt=config.reference_dt_factor * epsilon)
+    while True:
+        grid = _make_grid(config, epsilon, half_width)
+        psi0 = _initial_field(bundle, epsilon, grid)
+        try:
+            snaps = solve_schrodinger(
+                psi0, band.lattice, band.potential, bundle.external, times, params
+            )
+            break
+        except SolverError:  # a fixed box is its own default, so it never doubles
+            widest = _make_grid(config, epsilon).half_width
+            if grid.half_width >= widest or grid.peak_shell_fraction <= THRESHOLD:
+                raise
+            logger.info("box %.6g tripped the guard at eps = %g; doubling", grid.half_width, epsilon)
+            half_width, doublings = 2 * grid.half_width, doublings + 1
+    box = {
+        "epsilon": epsilon, **terms, "half_width": grid.half_width, "doublings": doublings,
+        "cells": round(2 * grid.half_width / (config.lattice_period * epsilon)),
+        "boundary_fraction": grid.peak_shell_fraction,
+    }
+    return psi0, snaps, box
+
+
+def _make_grid(config: ExperimentConfig, epsilon: float, half_width: float = BOX_HALF_WIDTH):
+    """Fine grid at epsilon on the config's box, or on half_width when the config leaves it unset."""
     return make_grid_for(
         epsilon,
         config.dimension,
-        half_width=config.half_width,
+        half_width=config.half_width or half_width,
         lattice_period=config.lattice_period,
         points_per_period=config.points_per_period,
     )
@@ -449,18 +505,21 @@ def run_reference(config: ExperimentConfig) -> dict:
     config.validate()
     out = Path(config.output_dir)
     times = sorted({_tkey(t) for t in config.sample_times})
-    bundle = prepare_dynamics(config, [0.0])
-    rows = []
+    bundle = prepare_dynamics(config, times)
+    rows, boxes = [], []
     max_drift = 0.0
     for i, eps in enumerate(config.epsilons):
-        psi0, snaps = _reference_snapshots(bundle, eps, _make_grid(config, eps), times)
+        psi0, snaps, box = _reference_snapshots(bundle, eps, times)
+        boxes.append(box)
         mass0 = psi0.mass()
         for t, snap in zip(times, snaps):
             drift = abs(snap.mass() - mass0)
             max_drift = max(max_drift, drift)
             rows.append({"epsilon": eps, "t": t, "mass": snap.mass(), "mass_drift": drift})
         write_field(snaps[-1], out / f"reference_eps{i}")
-    return _write_outputs(config, "reference", rows[0].keys(), rows, max_mass_drift=max_drift)
+    return _write_outputs(
+        config, "reference", rows[0].keys(), rows, max_mass_drift=max_drift, box=boxes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +534,18 @@ def _cell_times(config: ExperimentConfig, mode: str, eps: float) -> list:
     return sorted({_tkey(t) for t in config.sample_times})
 
 
-def _error_cell(bundle: DynamicsBundle, eps: float, mode: str) -> list:
-    """Leading-packet error against the reference at the cell's times; an
-    Ehrenfest cell labels its rows by c0."""
+def _error_cell(bundle: DynamicsBundle, eps: float, mode: str) -> tuple:
+    """Leading-packet error against the reference at the cell's times, and the
+    reference's box record; an Ehrenfest cell labels its rows by c0."""
     config = bundle.config
-    grid = _make_grid(config, eps)
     times = _cell_times(config, mode, eps)
     solve_times = sorted(set(times))
-    _, snaps = _reference_snapshots(bundle, eps, grid, solve_times)
+    psi0, snaps, box = _reference_snapshots(bundle, eps, solve_times)
     by_time = dict(zip(solve_times, snaps))
     labels = config.c0_list if mode == "ehrenfest" else [None] * len(times)
     rows = []
     for c0, t in zip(labels, times):
-        packet = _leading_packet(bundle, t, eps, grid)
+        packet = _leading_packet(bundle, t, eps, psi0.grid)
         rows.append(
             {
                 "epsilon": eps,
@@ -498,7 +556,7 @@ def _error_cell(bundle: DynamicsBundle, eps: float, mode: str) -> list:
                 "packet_mass": packet.mass(),
             }
         )
-    return rows
+    return rows, box
 
 
 def _residual_cell(bundle: DynamicsBundle, eps: float) -> list:
@@ -525,26 +583,30 @@ def _needed_times(config: ExperimentConfig, mode: str) -> list:
 
 
 def _run_sweep(config: ExperimentConfig, mode: str) -> tuple:
-    """Rows and failures for every epsilon, in config order, and the flow's
-    resolution; a cell that raises a BlochpacketError is recorded as that cell's failure."""
+    """Rows and failures for every epsilon, in config order, and the summary's records:
+    the flow's resolution and, but for residual sweeps, the reference boxes; a cell
+    that raises a BlochpacketError is recorded as that cell's failure."""
     bundle = prepare_dynamics(config, _needed_times(config, mode))
-    rows, failures = [], []
+    rows, failures, boxes = [], [], []
     for eps in config.epsilons:
         logger.info("%s sweep: epsilon = %g", mode, eps)
         try:
             if mode == "residual":
                 rows += _residual_cell(bundle, eps)
             else:
-                rows += _error_cell(bundle, eps, mode)
+                cell_rows, box = _error_cell(bundle, eps, mode)
+                rows += cell_rows
+                boxes.append(box)
         except BlochpacketError as exc:
             failures.append({"epsilon": eps, "reason": f"{type(exc).__name__}: {exc}"})
-    return rows, failures, bundle.resolution
+    records = {"resolution": bundle.resolution}
+    return rows, failures, records if mode == "residual" else {**records, "box": boxes}
 
 
 def run_convergence(config: ExperimentConfig) -> dict:
     config.validate()
     mode = config.convergence_mode
-    rows, failures, resolution = _run_sweep(config, mode)
+    rows, failures, records = _run_sweep(config, mode)
 
     if mode == "error":
         fieldnames = ["epsilon", "time", "error", "reference_mass", "packet_mass"]
@@ -573,14 +635,14 @@ def run_convergence(config: ExperimentConfig) -> dict:
         mode=mode,
         initial_data=config.initial_data,
         failures=failures,
-        resolution=resolution,
+        **records,
         **extra,
     )
 
 
 def run_ehrenfest(config: ExperimentConfig) -> dict:
     config.validate()
-    rows, failures, resolution = _run_sweep(config, "ehrenfest")
+    rows, failures, records = _run_sweep(config, "ehrenfest")
 
     monotone = {}
     for c0 in config.c0_list:
@@ -603,7 +665,7 @@ def run_ehrenfest(config: ExperimentConfig) -> dict:
         rows,
         failures=failures,
         horizons=monotone,
-        resolution=resolution,
+        **records,
     )
 
 

@@ -194,10 +194,15 @@ class SpatialGrid:
         shell, total = flat[self._shell_index], np.vdot(flat, flat).real
         return float(np.vdot(shell, shell).real / total) if total else 0.0
 
+    peak_shell_fraction = 0.0  # the largest fraction `guard` has read on this grid
+
     def guard(self, values: np.ndarray, error: type, t: float | None = None) -> None:
         """Raise error, naming the fraction and t if given, once the
-        `shell_fraction` of values passes THRESHOLD, read at call time."""
+        `shell_fraction` of values passes THRESHOLD, read at call time;
+        `peak_shell_fraction` keeps the largest it has read."""
         frac = self.shell_fraction(values)
+        # the grid is frozen; like a cached_property, the record goes to the instance dict
+        self.__dict__["peak_shell_fraction"] = max(self.peak_shell_fraction, frac)
         if frac > THRESHOLD:
             near = "" if t is None else f" near t = {t:.6g}"
             raise error(f"mass fraction {frac:.3e} reached the box boundary{near}; enlarge the box")

@@ -162,7 +162,7 @@ def test_config_hash_ignores_operational_fields():
 def test_config_hash_ignores_int_spelling_of_floats():
     assert ExperimentConfig(t_final=1) == ExperimentConfig(t_final=1.0)
     assert ExperimentConfig(t_final=1).config_hash() == ExperimentConfig(t_final=1.0).config_hash()
-    assert ExperimentConfig().config_hash() == "f3b32d91c755"
+    assert ExperimentConfig().config_hash() == "53bcda22970e"
     # numpy scalars, lists and ints, as the benchmark passes them, store as
     # plain floats and ints in tuples and hash like the JSON spelling
     spelled = ExperimentConfig(
@@ -247,21 +247,23 @@ def test_from_dict_malformed_values_raise_config_error(data):
 
 
 CONFIG_HASHES = {
-    "bands.json": "44085ce0975c",
-    "bloch_oscillation.json": "9a778a3ad35c",
-    "convergence_error.json": "f3b32d91c755",
-    "ehrenfest.json": "26f2d6923572",
-    "envelope_cosine_well.json": "f12b8f5d33ce",
-    "free_lattice_packet.json": "57e080480534",
-    "residual.json": "d2f3821c7848",
-    "zone_edge.json": "c8480efbb5df",
+    "bands.json": "67fdba709d0b",
+    "bloch_oscillation.json": "0a7d7dc57e54",
+    "convergence_error.json": "53bcda22970e",
+    "ehrenfest.json": "7cfd244d746c",
+    "envelope_cosine_well.json": "a04f6f1fcc85",
+    "free_lattice_packet.json": "54c3c9540846",
+    "residual.json": "011c4c937d9e",
+    "zone_edge.json": "04cdd4266730",
 }
 
 
 def test_config_hash_values_are_stable():
     # provenance hashes are pinned, so a changed default shows here;
     # int-valued floats become floats at the top level and in the specs alike
-    assert ExperimentConfig().config_hash() == "f3b32d91c755"
+    assert ExperimentConfig().config_hash() == "53bcda22970e"
+    # the fixed 2 pi box, the default before boxes were sized, keeps that default's hash
+    assert ExperimentConfig(half_width=2 * np.pi).config_hash() == "f3b32d91c755"
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name, want in CONFIG_HASHES.items():
         assert ExperimentConfig.from_file(configs / name).config_hash() == want
@@ -271,5 +273,15 @@ def test_config_hash_values_are_stable():
         "external": {"hessian": [[1]], "linear": [0]},
     }
     float_spelling = dict(nested_ints, t_final=1.0)
-    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "229f62a136cb"
-    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "229f62a136cb"
+    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "6b2763ce141f"
+    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "6b2763ce141f"
+
+
+def test_numpy_integers_store_as_int_and_a_fraction_is_rejected():
+    spelled = ExperimentConfig(band_index=np.int64(1), cutoff=np.int32(32))
+    assert type(spelled.band_index) is type(spelled.cutoff) is int
+    assert spelled.config_hash() == ExperimentConfig(band_index=1, cutoff=32).config_hash()
+    with pytest.raises(TypeError):
+        ExperimentConfig(band_index=1.5)
+    with pytest.raises(ConfigError, match="band_index must be of type int"):
+        ExperimentConfig.from_json('{"band_index": 1.5}')

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blochpacket import experiments
-from blochpacket.assembly import read_field, synthesize_app
+from blochpacket.assembly import make_grid_for, read_field, synthesize_app
 from blochpacket.bloch import BlochBand, cell_inner
 from blochpacket.config import ExperimentConfig, ExternalPotentialSpec, LatticePotentialSpec
 from blochpacket.envelope import (
@@ -35,6 +35,8 @@ from blochpacket.experiments import (
     run_reference,
 )
 from blochpacket.flow import integrate_flow
+from blochpacket.grid import SpatialGrid
+from blochpacket.reference import SolverParams, l2_error, solve_schrodinger
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -475,6 +477,97 @@ def test_zone_edge_launch_keeps_the_error_law(tmp_path):
     errors = [float(r["error"]) for r in read_rows(summary["csv"])]
     assert len(errors) == 2
     assert max(errors) <= 0.3
+
+
+# Sized reference boxes against the fixed [-2 pi, 2 pi) box, the default
+# before boxes were sized. The bound was set before measuring; the largest
+# change measured on these runs is 2e-13.
+BOX_REL = 1e-9
+BOX_RUNS = {
+    "convergence_error": ExperimentConfig.from_file(CONFIGS / "convergence_error.json"),
+    "ehrenfest": ExperimentConfig.from_file(CONFIGS / "ehrenfest.json"),
+    "zone_edge": ExperimentConfig.from_file(CONFIGS / "zone_edge.json"),
+    "dispersive": ExperimentConfig(**DISPERSIVE, epsilons=(2**-4, 2**-5, 2**-6, 2**-7)),
+}
+
+
+def _sweep(config, out, **changes):
+    summary = experiments.RUNNERS[config.kind](replace(config, output_dir=str(out), **changes))
+    assert summary.get("failures", []) == []
+    return summary, read_rows(summary["csv"])
+
+
+@pytest.mark.parametrize("name", BOX_RUNS)
+def test_sized_box_matches_the_fixed_two_pi_box(tmp_path, name):
+    config = BOX_RUNS[name]
+    sized, rows = _sweep(config, tmp_path / "sized")
+    fixed, fixed_rows = _sweep(config, tmp_path / "fixed", half_width=2 * np.pi)
+    assert len(rows) == len(fixed_rows) > 0
+    keys = ["error", "reference_mass"] if "reference_mass" in rows[0] else ["error"]
+    for row, want in zip(rows, fixed_rows):
+        for key in keys:
+            assert float(row[key]) == pytest.approx(float(want[key]), rel=BOX_REL, abs=0)
+    boxes = {box["epsilon"]: box for box in sized["box"]}
+    assert list(boxes) == list(config.epsilons)
+    for eps, box in boxes.items():
+        assert "fixed" not in box and box["doublings"] == 0
+        assert box["boundary_fraction"] <= 1e-8
+        assert box["cells"] * np.pi * eps == pytest.approx(box["half_width"], rel=1e-12)
+        # a power-of-two cell count covering the three terms, and no more than twice it
+        assert box["flow"] + box["cone"] + box["envelope"] <= box["half_width"]
+        assert box["half_width"] < 2 * (box["flow"] + box["cone"] + box["envelope"])
+    assert all(box == {**box, "fixed": True, "half_width": 2 * np.pi} for box in fixed["box"])
+    if name == "convergence_error":
+        assert [boxes[eps]["half_width"] for eps in (2**-6, 2**-7)] == [np.pi, np.pi]
+    if name == "dispersive":
+        # the guard trips at half-width pi at 2^-4 (shell fraction 1.0e-8),
+        # so the rule must choose 2 pi there
+        assert boxes[2**-4]["half_width"] == 2 * np.pi
+        tripped = run_convergence(replace(
+            config, epsilons=(2**-4,), half_width=np.pi, output_dir=str(tmp_path / "pi")
+        ))
+        assert "reached the box boundary" in tripped["failures"][0]["reason"]
+
+
+def test_a_sized_box_that_trips_the_guard_doubles(tmp_path):
+    # at 2^-8 the defaults size to pi / 2, where the mass of band 5, at speed
+    # 2.25, reaches the shell near t = 0.63; the box doubles to pi
+    config = ExperimentConfig(epsilons=(2**-8,))
+    summary, rows = _sweep(config, tmp_path / "sized")
+    (box,) = summary["box"]
+    assert box["flow"] + box["cone"] + box["envelope"] <= np.pi / 2
+    assert (box["half_width"], box["doublings"]) == (np.pi, 1)
+    assert box["boundary_fraction"] <= 1e-8
+    _, fixed_rows = _sweep(config, tmp_path / "fixed", half_width=np.pi)
+    assert rows[0]["error"] == fixed_rows[0]["error"]
+
+
+def test_an_explicit_half_width_keeps_the_fixed_box_bit_for_bit(tmp_path):
+    # half_width = 2 pi is the default before boxes were sized: the same grid
+    # and the same numbers as the reference solve built on make_grid_for's
+    # default box, as every error cell was before
+    config = ExperimentConfig(epsilons=(2**-4, 2**-5), half_width=2 * np.pi)
+    summary, rows = _sweep(config, tmp_path / "error")
+    bundle = prepare_dynamics(config, [0.0, 1.0])
+    band = bundle.band
+    for row, box, eps in zip(rows, summary["box"], config.epsilons):
+        grid = make_grid_for(eps)
+        assert grid == SpatialGrid(1, 2 * np.pi, int(32 / eps)) == _make_grid(config, eps)
+        assert box == {"epsilon": eps, "fixed": True, "half_width": 2 * np.pi, "doublings": 0,
+                       "cells": int(2 / eps), "boundary_fraction": box["boundary_fraction"]}
+        psi0 = _leading_packet(bundle, 0.0, eps, grid)
+        (snap,) = solve_schrodinger(psi0, band.lattice, band.potential, bundle.external, [1.0],
+                                    SolverParams(dt=eps))
+        assert float(row["error"]) == l2_error(snap, _leading_packet(bundle, 1.0, eps, grid))
+        assert float(row["reference_mass"]) == snap.mass()
+    # residual and packet runs keep the 2 pi box with half_width unset
+    for kind, mode in (("convergence", "residual"), ("packet", "error")):
+        unset = ExperimentConfig(kind=kind, convergence_mode=mode, epsilons=(2**-4, 2**-5))
+        _, got = _sweep(unset, tmp_path / f"{kind}_unset")
+        _, want = _sweep(unset, tmp_path / f"{kind}_fixed", half_width=2 * np.pi)
+        drop = {"config", "stem"}
+        assert [{k: v for k, v in r.items() if k not in drop} for r in got] == [
+            {k: v for k, v in r.items() if k not in drop} for r in want]
 
 
 @pytest.mark.parametrize(
