@@ -166,6 +166,8 @@ def test_config_hash_ignores_int_spelling_of_floats():
     # numpy scalars, lists and ints, as the benchmark passes them, store as
     # plain floats and ints in tuples and hash like the JSON spelling
     spelled = ExperimentConfig(
+        band_index=np.int64(1),
+        cutoff=np.int32(32),
         q0=[np.float64(0.5)],
         epsilons=[np.float32(0.125), 0.0625],
         external=ExternalPotentialSpec(hessian=[[np.int64(2)]]),
@@ -174,7 +176,8 @@ def test_config_hash_ignores_int_spelling_of_floats():
         ),
     )
     json_spelling = ExperimentConfig.from_json(
-        '{"q0": [0.5], "epsilons": [0.125, 0.0625], "external": {"hessian": [[2.0]]},'
+        '{"band_index": 1, "cutoff": 32,'
+        ' "q0": [0.5], "epsilons": [0.125, 0.0625], "external": {"hessian": [[2.0]]},'
         ' "lattice_potential": {"type": "fourier",'
         ' "coeffs": [[[1], 0.5, 0.0], [[-1], 0.5, 0.0]]}}'
     )
@@ -184,7 +187,13 @@ def test_config_hash_ignores_int_spelling_of_floats():
     for n, re, im in spelled.lattice_potential.coeffs:
         assert type(n) is tuple and all(type(c) is int for c in n)
         assert type(re) is type(im) is float
+    assert type(spelled.band_index) is type(spelled.cutoff) is int
     assert spelled.config_hash() == json_spelling.config_hash()
+    # an int field takes any integer but never truncates a fraction
+    with pytest.raises(TypeError):
+        ExperimentConfig(band_index=1.5)
+    with pytest.raises(ConfigError, match="band_index must be of type int"):
+        ExperimentConfig.from_json('{"band_index": 1.5}')
     # every field is normalized by its annotation or is a nested spec
     for cls in (ExperimentConfig, ExternalPotentialSpec, LatticePotentialSpec):
         for f in fields(cls):
@@ -275,13 +284,3 @@ def test_config_hash_values_are_stable():
     float_spelling = dict(nested_ints, t_final=1.0)
     assert ExperimentConfig.from_dict(nested_ints).config_hash() == "6b2763ce141f"
     assert ExperimentConfig.from_dict(float_spelling).config_hash() == "6b2763ce141f"
-
-
-def test_numpy_integers_store_as_int_and_a_fraction_is_rejected():
-    spelled = ExperimentConfig(band_index=np.int64(1), cutoff=np.int32(32))
-    assert type(spelled.band_index) is type(spelled.cutoff) is int
-    assert spelled.config_hash() == ExperimentConfig(band_index=1, cutoff=32).config_hash()
-    with pytest.raises(TypeError):
-        ExperimentConfig(band_index=1.5)
-    with pytest.raises(ConfigError, match="band_index must be of type int"):
-        ExperimentConfig.from_json('{"band_index": 1.5}')
