@@ -36,27 +36,22 @@ def next_pow2(n: int) -> int:
 
 
 def make_grid_for(
-    epsilon: float,
-    dimension: int = 1,
-    *,
-    half_width: float = BOX_HALF_WIDTH,
-    lattice_period: float = 2.0 * np.pi,
-    points_per_period: int = POINTS_PER_OSCILLATION,
+    epsilon: float, dimension: int = 1, *, half_width: float = BOX_HALF_WIDTH
 ) -> SpatialGrid:
     """Grid of whole lattice cells resolving the eps-scale oscillations.
 
-    The box holds K cells of side lattice_period * eps, the smallest power
-    of two K that covers [-half_width, half_width), with points_per_period
-    points in each (more, to reach MIN_POINTS), so every eps-periodic
-    factor can be sampled on one cell and tiled; the sqrt(eps) envelope
-    scale is automatically far coarser.
+    The box holds K cells of side 2 pi eps, the smallest power of two K that
+    covers [-half_width, half_width), with POINTS_PER_OSCILLATION points in
+    each (more, to reach MIN_POINTS), so every eps-periodic factor can be
+    sampled on one cell and tiled; the sqrt(eps) envelope scale is
+    automatically far coarser.
     """
     if not 0.0 < epsilon < 1.0:
         raise GridError("epsilon must lie in (0, 1)")
-    cell = lattice_period * epsilon
+    cell = 2.0 * np.pi * epsilon
     ratio = 2.0 * half_width / cell
     cells = next_pow2(int(np.ceil(ratio * (1.0 - CELL_TOL))))
-    per_cell = max(points_per_period, -(-MIN_POINTS // cells))
+    per_cell = max(POINTS_PER_OSCILLATION, -(-MIN_POINTS // cells))
     return SpatialGrid(
         dimension=dimension, half_width=0.5 * cells * cell, npoints=cells * per_cell
     )

@@ -22,13 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import POINTS_PER_OSCILLATION
 from .bloch import BlochBand, default_cutoff
 from .envelope import GaussianEnvelope, gaussian_init
 from .errors import ConfigError, EnvelopeError, LatticeError, PotentialError
 from .flow import CosineWellPotential, QuadraticPotential
 from .lattice import FourierPotential, LatticeSpec
-from .reference import DEFAULT_DT_FACTOR, RESIDUAL_DELTA_LIMIT
+from .reference import RESIDUAL_DELTA_FACTOR, RESIDUAL_DELTA_LIMIT
 
 EXPERIMENT_KINDS = (
     "bands",
@@ -43,7 +42,7 @@ INITIAL_DATA_KINDS = ("packet", "well_prepared")
 CONVERGENCE_MODES = ("error", "residual")
 # each potential type with the spec fields it reads
 EXTERNAL_KINDS = {
-    "quadratic": ("constant", "linear", "hessian"), "cosine-well": ("amplitude", "frequencies"),
+    "quadratic": ("linear", "hessian"), "cosine-well": ("amplitude", "frequencies"),
 }
 LATTICE_POTENTIAL_KINDS = {"cosine": ("amplitude",), "fourier": ("coeffs",), "zero": ()}
 # the stored forms of the tuple fields
@@ -151,13 +150,13 @@ class LatticePotentialSpec(_Serializable):
 class ExternalPotentialSpec(_Serializable):
     """Slow external potential from the admissible whitelist.
 
-    The quadratic form is given by (constant, linear, hessian), which makes
-    the growth condition checkable syntactically; cosine wells have bounded
-    derivatives of every order.
+    The quadratic form is given by (linear, hessian), which makes the growth
+    condition checkable syntactically; cosine wells have bounded derivatives
+    of every order.  A constant in V would only multiply psi by the global
+    phase e^{-i c t / eps}, so the form has none.
     """
 
     type: str = "quadratic"
-    constant: float = 0.0
     linear: floats = ()
     hessian: matrix = ()
     amplitude: float = 1.0
@@ -177,7 +176,6 @@ class ExternalPotentialSpec(_Serializable):
                 raise ConfigError("hessian rows differ in length")
             return QuadraticPotential.create(
                 dimension,
-                constant=self.constant,
                 linear=self.linear or None,
                 hessian=self.hessian or np.eye(dimension),
             )
@@ -201,7 +199,6 @@ class ExperimentConfig(_Serializable):
 
     kind: str = "convergence"
     dimension: int = 1
-    lattice_period: float = 2.0 * np.pi
     lattice_potential: LatticePotentialSpec = field(default_factory=LatticePotentialSpec)
     external: ExternalPotentialSpec = field(default_factory=ExternalPotentialSpec)
     band_index: int = 1
@@ -218,15 +215,12 @@ class ExperimentConfig(_Serializable):
     flow_dt: float | None = None  # None: sized by step doubling (experiments.refine)
     envelope_dt: float = 1e-3
     grid_envelope_dt: float | None = None  # None: sized likewise
-    reference_dt_factor: float = DEFAULT_DT_FACTOR
     sample_times: floats = ()  # () is (t_final,)
     residual_time: float = 0.5
-    residual_delta_factor: float = 0.25  # delta = factor * eps^2
     convergence_mode: str = "error"
     c0_list: floats = (0.1,)
 
     half_width: float | None = None  # None: 2 pi, sized for reference solves (experiments._box_terms)
-    points_per_period: int = POINTS_PER_OSCILLATION
     envelope_half_width: float = 16.0
     envelope_points: int = 512
 
@@ -249,11 +243,7 @@ class ExperimentConfig(_Serializable):
         constructor's rejection is re-raised as a ConfigError naming its key."""
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.dimension < 1:
-            raise ConfigError("dimension must be >= 1")
-        if self.lattice_period <= 0:
-            raise ConfigError("lattice period must be positive")
-        _built("lattice_period", self.make_lattice)
+        _built("dimension", self.make_lattice)
         potential = _built("lattice_potential", self.make_lattice_potential)
         _built("external", self.make_external)
         _built("envelope_a/envelope_b", self.make_gaussian)
@@ -280,35 +270,34 @@ class ExperimentConfig(_Serializable):
             raise ConfigError("every epsilon must lie in (0, 1)")
         if self.t_final <= 0:
             raise ConfigError("t_final must be positive")
-        for name in ("flow_dt", "envelope_dt", "grid_envelope_dt", "reference_dt_factor",
-                     "half_width", "envelope_half_width"):
+        for name in ("flow_dt", "envelope_dt", "grid_envelope_dt", "half_width",
+                     "envelope_half_width"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.convergence_mode not in CONVERGENCE_MODES:
             raise ConfigError(f"unknown convergence mode {self.convergence_mode!r}")
         if self.kind == "convergence" and self.convergence_mode == "residual":
-            # the residual's snapshots sit at residual_time +- factor eps^2;
-            # at the largest eps the offset is widest and must still resolve
-            # the 1/eps phase (pde_residual's delta <= eps / 10) and start
-            # at or after t = 0
+            # the residual's snapshots sit at residual_time +- delta, delta =
+            # RESIDUAL_DELTA_FACTOR eps^2; at the largest eps the offset is
+            # widest and must still resolve the 1/eps phase (pde_residual's
+            # delta <= eps / 10) and start at or after t = 0
             widest = max(self.epsilons)
             if not 0.0 < self.residual_time <= self.t_final:
                 raise ConfigError("residual_time must lie in (0, t_final]")
-            if not 0.0 < self.residual_delta_factor * widest <= RESIDUAL_DELTA_LIMIT:
+            if RESIDUAL_DELTA_FACTOR * widest > RESIDUAL_DELTA_LIMIT:
                 raise ConfigError(
-                    "residual_delta_factor * max(epsilons) must lie in"
-                    f" (0, {RESIDUAL_DELTA_LIMIT}]"
+                    f"max(epsilons) must be <= {RESIDUAL_DELTA_LIMIT / RESIDUAL_DELTA_FACTOR:g}"
+                    f" in residual mode, so that delta = {RESIDUAL_DELTA_FACTOR:g} eps^2"
+                    f" stays <= {RESIDUAL_DELTA_LIMIT:g} eps"
                 )
-            if self.residual_time < self.residual_delta_factor * widest**2:
+            if self.residual_time < RESIDUAL_DELTA_FACTOR * widest**2:
                 raise ConfigError(
-                    "residual_time must be >= residual_delta_factor * max(epsilons)^2"
+                    f"residual_time must be >= {RESIDUAL_DELTA_FACTOR:g} * max(epsilons)^2"
                 )
         if any(t < 0 or t > self.t_final + 1e-12 for t in self.sample_times):
             raise ConfigError("sample times must lie in [0, t_final]")
         if self.kind == "ehrenfest" and not (self.c0_list and min(self.c0_list) > 0):
             raise ConfigError("ehrenfest runs need a non-empty c0_list of positive C0 values")
-        if self.points_per_period < 4:
-            raise ConfigError("need at least 4 points per lattice oscillation")
         if self.envelope_points < 16:
             raise ConfigError("envelope grid is too coarse")
         if self.k_samples < 2 or self.num_bands < 1:
@@ -318,7 +307,7 @@ class ExperimentConfig(_Serializable):
     # ---- builders -------------------------------------------------------
 
     def make_lattice(self) -> LatticeSpec:
-        return LatticeSpec.cubic(self.dimension, self.lattice_period)
+        return LatticeSpec.cubic(self.dimension)
 
     def make_lattice_potential(self) -> FourierPotential:
         return self.lattice_potential.build(self.dimension)

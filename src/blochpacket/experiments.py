@@ -38,7 +38,7 @@ from .envelope import (
 from .errors import BlochpacketError, EigensolverError, EnvelopeError, FlowError, SolverError
 from .flow import integrate_flow, total_energy
 from .grid import THRESHOLD, SpatialGrid, step_count
-from .reference import SolverParams, l2_error, pde_residual, solve_schrodinger
+from .reference import RESIDUAL_DELTA_FACTOR, l2_error, pde_residual, solve_schrodinger
 
 logger = logging.getLogger("blochpacket")
 
@@ -261,14 +261,11 @@ def _reference_snapshots(bundle: DynamicsBundle, epsilon: float, times) -> tuple
     config, band = bundle.config, bundle.band
     terms = {"fixed": True} if config.half_width else _box_terms(bundle, epsilon, times[-1])
     half_width, doublings = config.half_width or sum(terms.values()), 0
-    params = SolverParams(dt=config.reference_dt_factor * epsilon)
     while True:
         grid = _make_grid(config, epsilon, half_width)
         psi0 = _initial_field(bundle, epsilon, grid)
         try:
-            snaps = solve_schrodinger(
-                psi0, band.lattice, band.potential, bundle.external, times, params
-            )
+            snaps = solve_schrodinger(psi0, band.lattice, band.potential, bundle.external, times)
             break
         except SolverError:  # a fixed box is its own default, so it never doubles
             widest = _make_grid(config, epsilon).half_width
@@ -278,7 +275,7 @@ def _reference_snapshots(bundle: DynamicsBundle, epsilon: float, times) -> tuple
             half_width, doublings = 2 * grid.half_width, doublings + 1
     box = {
         "epsilon": epsilon, **terms, "half_width": grid.half_width, "doublings": doublings,
-        "cells": round(2 * grid.half_width / (config.lattice_period * epsilon)),
+        "cells": round(grid.half_width / (np.pi * epsilon)),
         "boundary_fraction": grid.peak_shell_fraction,
     }
     return psi0, snaps, box
@@ -286,13 +283,7 @@ def _reference_snapshots(bundle: DynamicsBundle, epsilon: float, times) -> tuple
 
 def _make_grid(config: ExperimentConfig, epsilon: float, half_width: float = BOX_HALF_WIDTH):
     """Fine grid at epsilon on the config's box, or on half_width when the config leaves it unset."""
-    return make_grid_for(
-        epsilon,
-        config.dimension,
-        half_width=config.half_width or half_width,
-        lattice_period=config.lattice_period,
-        points_per_period=config.points_per_period,
-    )
+    return make_grid_for(epsilon, config.dimension, half_width=config.half_width or half_width)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +554,7 @@ def _residual_cell(bundle: DynamicsBundle, eps: float) -> list:
     config = bundle.config
     grid = _make_grid(config, eps)
     t_star = _tkey(config.residual_time)
-    delta = config.residual_delta_factor * eps**2
+    delta = RESIDUAL_DELTA_FACTOR * eps**2
     band = bundle.band
     row = {"epsilon": eps, "time": t_star, "delta": delta}
     for label, fields in _residual_packets(bundle, eps, grid, t_star, delta).items():
@@ -577,7 +568,7 @@ def _needed_times(config: ExperimentConfig, mode: str) -> list:
     if mode == "residual":
         # pad the horizon so the +delta residual snapshot stays inside the
         # trajectory's dense-output range for every epsilon
-        pad = config.residual_delta_factor * max(config.epsilons) ** 2
+        pad = RESIDUAL_DELTA_FACTOR * max(config.epsilons) ** 2
         return [_tkey(config.residual_time), _tkey(config.residual_time + 2 * pad)]
     return sorted({t for eps in config.epsilons for t in _cell_times(config, mode, eps)})
 

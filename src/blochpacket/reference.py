@@ -31,6 +31,7 @@ from .grid import SpatialGrid, step_count
 DEFAULT_DT_FACTOR = 1.0  # dt = factor * eps
 FOURIER_SUBSTEPS = 10  # composite steps per step of dt in d >= 2
 RESIDUAL_DELTA_LIMIT = 0.1  # require delta <= eps / 10
+RESIDUAL_DELTA_FACTOR = 0.25  # residual sweeps take delta = factor * eps^2
 _B = (0.0829844064174052, 0.396309801498368, -0.0390563049223486)  # b1 b2 b3; b4 = 1 - 2 (b1 + b2 + b3)
 PHASE_WEIGHTS = (_B[0], 2 * _B[0], _B[1], _B[2], 1 - 2 * sum(_B), _B[2], _B[1])  # first, fused, b2 .. b2
 KERNEL_WEIGHTS = (0.245298957184271, 0.604872665711080, 0.5 - 0.245298957184271 - 0.604872665711080)

@@ -31,15 +31,15 @@ from blochpacket.experiments import (
     _flow,
     _grid_envelopes,
     _leading_packet,
-    _make_grid,
-    _residual_packets,
+    _reference_snapshots,
+    _residual_cell,
     loglog_fit,
     prepare_dynamics,
 )
 from blochpacket.flow import QuadraticPotential, TrajectoryState, total_energy
 from blochpacket.grid import SpatialGrid
 from blochpacket.lattice import FourierPotential, LatticeSpec
-from blochpacket.reference import SolverParams, l2_error, solve_schrodinger
+from blochpacket.reference import RESIDUAL_DELTA_FACTOR, SolverParams, l2_error, solve_schrodinger
 
 EPS_LIST = (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
 C0 = 0.1
@@ -69,7 +69,7 @@ def config():
 
 @pytest.fixture(scope="module")
 def bundle(config):
-    pad = config.residual_delta_factor * max(EPS_LIST) ** 2
+    pad = RESIDUAL_DELTA_FACTOR * max(EPS_LIST) ** 2
     times = sorted(
         {_ehrenfest_time(e) for e in EPS_LIST} | {T_STAR, T_STAR + 2 * pad, T_FINAL}
     )
@@ -77,22 +77,15 @@ def bundle(config):
 
 
 @pytest.fixture(scope="module")
-def sweep(config, bundle):
-    """One reference solve per epsilon, sampled at the Ehrenfest horizon
-    and at T=1; shared by criteria 1, 6 and 8."""
+def sweep(bundle):
+    """One reference solve per epsilon on the box the error sweep sizes,
+    sampled at the Ehrenfest horizon and at T=1; shared by criteria 1, 6
+    and 8."""
     out = {}
     for eps in EPS_LIST:
-        grid = _make_grid(config, eps)
         t_e = _ehrenfest_time(eps)
-        psi0 = _leading_packet(bundle, 0.0, eps, grid)
-        snaps = solve_schrodinger(
-            psi0,
-            bundle.band.lattice,
-            bundle.band.potential,
-            bundle.external,
-            [t_e, T_FINAL],
-            SolverParams(dt=config.reference_dt_factor * eps),
-        )
+        psi0, snaps, _ = _reference_snapshots(bundle, eps, [t_e, T_FINAL])
+        grid = psi0.grid
         out[eps] = {
             "error_ehrenfest": l2_error(snaps[0], _leading_packet(bundle, t_e, eps, grid)),
             "error_final": l2_error(snaps[1], _leading_packet(bundle, T_FINAL, eps, grid)),
@@ -102,21 +95,14 @@ def sweep(config, bundle):
 
 
 @pytest.fixture(scope="module")
-def residual_sweep(config, bundle):
+def residual_sweep(bundle):
     """Symmetric-difference residual of the three-term packet at t=0.5,
-    with and without the corrector terms."""
-    from blochpacket.reference import pde_residual
-
+    with and without the corrector terms, as the residual sweep's cells
+    compute it."""
     rows = {}
     for eps in EPS_LIST:
-        grid = _make_grid(config, eps)
-        delta = config.residual_delta_factor * eps**2
-        rows[eps] = {
-            label: pde_residual(
-                *fields, bundle.band.lattice, bundle.band.potential, bundle.external
-            )
-            for label, fields in _residual_packets(bundle, eps, grid, T_STAR, delta).items()
-        }
+        (row,) = _residual_cell(bundle, eps)
+        rows[eps] = {label: row[f"residual_{label}"] for label in ("full", "leading")}
     return rows
 
 

@@ -257,9 +257,10 @@ def test_packet_mass_grid_refinement_invariance(mathieu_band):
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     coarse = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
-    fine = synthesize_packet(
-        g, state, pair, eps, make_grid_for(eps, points_per_period=32)
-    )
+    # the same 32 cells of 2 pi eps, at 32 points per cell instead of 16
+    fine_grid = SpatialGrid(1, coarse.grid.half_width, 32 * 32)
+    assert fine_grid.npoints == 2 * coarse.grid.npoints
+    fine = synthesize_packet(g, state, pair, eps, fine_grid)
     assert coarse.mass() == pytest.approx(fine.mass(), abs=1e-10)
 
 

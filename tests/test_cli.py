@@ -96,8 +96,8 @@ def test_unmet_step_tolerance_exits_one(tmp_path, capsys, monkeypatch):
         # residual cells that would each fail at run time
         (
             "convergence",
-            {"convergence_mode": "residual", "residual_delta_factor": 0.0},
-            "residual_delta_factor",
+            {"convergence_mode": "residual", "epsilons": [0.5, 0.25]},
+            "epsilons",
         ),
         (
             "convergence",
@@ -110,6 +110,14 @@ def test_unmet_step_tolerance_exits_one(tmp_path, capsys, monkeypatch):
         ),
         # a field the chosen type does not read would change the hash, not the model
         ("flow", {"external": {"type": "quadratic", "frequencies": [3.0]}}, "does not read"),
+        # retired keys: a period-L lattice is the 2 pi lattice at a rescaled eps, and a
+        # constant in V is a global phase; the grid density and the two step factors
+        # are the package constants
+        ("flow", {"lattice_period": 3.0}, "lattice_period"),
+        ("flow", {"points_per_period": 32}, "points_per_period"),
+        ("convergence", {"reference_dt_factor": 0.5}, "reference_dt_factor"),
+        ("convergence", {"residual_delta_factor": 0.1}, "residual_delta_factor"),
+        ("flow", {"external": {"constant": 1.0}}, "constant"),
     ],
 )
 def test_config_problems_exit_two(tmp_path, capsys, command, data, named):

@@ -126,7 +126,7 @@ def test_spec_rejects_a_field_its_type_does_not_read(spec, unread):
 def test_spec_accepts_unread_fields_at_their_defaults():
     # an int or list spelling of a default is the default
     ExternalPotentialSpec(type="quadratic", amplitude=1, frequencies=[]).build(1)
-    ExternalPotentialSpec(type="cosine-well", constant=0, linear=[], hessian=[]).build(1)
+    ExternalPotentialSpec(type="cosine-well", linear=[], hessian=[]).build(1)
     LatticePotentialSpec(type="zero", amplitude=1, coeffs=[]).build(1)
 
 
@@ -162,7 +162,7 @@ def test_config_hash_ignores_operational_fields():
 def test_config_hash_ignores_int_spelling_of_floats():
     assert ExperimentConfig(t_final=1) == ExperimentConfig(t_final=1.0)
     assert ExperimentConfig(t_final=1).config_hash() == ExperimentConfig(t_final=1.0).config_hash()
-    assert ExperimentConfig().config_hash() == "53bcda22970e"
+    assert ExperimentConfig().config_hash() == "2da61e6a92c5"
     # numpy scalars, lists and ints, as the benchmark passes them, store as
     # plain floats and ints in tuples and hash like the JSON spelling
     spelled = ExperimentConfig(
@@ -256,23 +256,23 @@ def test_from_dict_malformed_values_raise_config_error(data):
 
 
 CONFIG_HASHES = {
-    "bands.json": "67fdba709d0b",
-    "bloch_oscillation.json": "0a7d7dc57e54",
-    "convergence_error.json": "53bcda22970e",
-    "ehrenfest.json": "7cfd244d746c",
-    "envelope_cosine_well.json": "a04f6f1fcc85",
-    "free_lattice_packet.json": "54c3c9540846",
-    "residual.json": "011c4c937d9e",
-    "zone_edge.json": "04cdd4266730",
+    "bands.json": "17602ee37726",
+    "bloch_oscillation.json": "ee7a954a9b5b",
+    "convergence_error.json": "2da61e6a92c5",
+    "ehrenfest.json": "0e68a86705ac",
+    "envelope_cosine_well.json": "42c4dfe4dbc3",
+    "free_lattice_packet.json": "21448bfa0bdd",
+    "residual.json": "b7c551ea52f4",
+    "zone_edge.json": "7563a6d448eb",
 }
 
 
 def test_config_hash_values_are_stable():
     # provenance hashes are pinned, so a changed default shows here;
     # int-valued floats become floats at the top level and in the specs alike
-    assert ExperimentConfig().config_hash() == "53bcda22970e"
-    # the fixed 2 pi box, the default before boxes were sized, keeps that default's hash
-    assert ExperimentConfig(half_width=2 * np.pi).config_hash() == "f3b32d91c755"
+    assert ExperimentConfig().config_hash() == "2da61e6a92c5"
+    # a fixed 2 pi box is a set field, so it hashes apart from the sized default
+    assert ExperimentConfig(half_width=2 * np.pi).config_hash() == "10adbc7caae9"
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name, want in CONFIG_HASHES.items():
         assert ExperimentConfig.from_file(configs / name).config_hash() == want
@@ -282,5 +282,5 @@ def test_config_hash_values_are_stable():
         "external": {"hessian": [[1]], "linear": [0]},
     }
     float_spelling = dict(nested_ints, t_final=1.0)
-    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "6b2763ce141f"
-    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "6b2763ce141f"
+    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "283ca44e9ded"
+    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "283ca44e9ded"

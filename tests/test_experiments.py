@@ -366,13 +366,13 @@ def test_residual_law_with_nonzero_geometric_phase(capsys, tmp_path):
 
 
 def test_residual_sweep_on_the_delta_bound_fails_no_cell(tmp_path):
-    # 0.4 * max(eps) is exactly RESIDUAL_DELTA_LIMIT, and delta rebuilt from
-    # the snapshot times (0.5 + 0.025) - 0.5 rounds to just above 0.025
+    # at eps = 0.4, delta = 0.25 eps^2 is exactly RESIDUAL_DELTA_LIMIT * eps,
+    # and delta rebuilt from the snapshot times rounds to just above it
+    assert (0.5 + 0.25 * 0.4**2) - 0.5 > 0.1 * 0.4
     cfg = ExperimentConfig(
         kind="convergence",
         convergence_mode="residual",
-        residual_delta_factor=0.4,
-        epsilons=(0.25, 0.125, 0.0625),
+        epsilons=(0.4, 0.2, 0.1),
         flow_dt=0.01,
         envelope_dt=0.01,
         output_dir=str(tmp_path),
