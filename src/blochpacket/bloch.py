@@ -12,8 +12,8 @@ Inner products over the cell in this scaling are |Y| * sum conj(a) b.
 `BlochBand` serves band energy, gradient, Hessian and connection from a band
 table: Chebyshev series on patches of the Brillouin zone, each built
 from `band_derivatives` at its nodes the first time a query falls inside it.
-Cell functions are solved at the momentum asked for, and every reduced
-resolvent comes from the dense eigendecomposition (`reduced_resolvent_solve`).
+Cell functions are solved at the momentum asked for, and every reduced resolvent
+comes from the dense eigendecomposition that the solve's record keeps.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ ANCHOR_SAMPLES = 16  # cell points per axis searched for the anchor point
 PATCHES_PER_AXIS = 8  # band-table patches per zone axis; k = 0 and the edge are patch boundaries
 PATCH_NODES = (16, 32, 64)  # Chebyshev points per patch axis, doubled while the tail is too large
 TAIL_TOL = 1e-12  # largest last-quarter Chebyshev coefficient, relative to max(1, |node values|)
-DIRECT_CACHE_SIZE = 64  # direct solves kept for the synthesis and corrector momenta
+DIRECT_CACHE_SIZE = 16  # direct solves kept; a residual sweep, the busiest run, asks for 9 momenta
 
 
 @functools.lru_cache(maxsize=None)
@@ -48,8 +48,8 @@ def pw_indices(dimension: int, cutoff: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlochEigenpair:
-    """One simple band at one k: energy, anchored cell function, their first
-    and second k-derivatives, and the band's isolation."""
+    """One simple band at one k: energy, anchored cell function, their first and second
+    k-derivatives, the band's isolation, and the eigendecomposition of H(k)."""
 
     k: np.ndarray            # quasimomentum, possibly outside the first zone
     m: int                   # band index, 1-based, bands sorted ascending
@@ -63,6 +63,9 @@ class BlochEigenpair:
     berry: np.ndarray        # (d,) purely imaginary <chi, d_k chi> in the anchored gauge
     gaps: np.ndarray         # distances to the bands just below and above, where they exist
     width: float             # spectrum width E_M - E_1, the scale of the isolation test
+    potential: FourierPotential  # the lattice potential of H(k)
+    evals: np.ndarray        # (M,) every band energy at k, ascending
+    evecs: np.ndarray        # (M, M) orthonormal eigenvector columns, unit-norm scaling
 
     @property
     def dimension(self) -> int:
@@ -230,16 +233,8 @@ def band_derivatives(
         k=k, m=m, energy=float(evals[m - 1]), coeffs=a / np.sqrt(lattice.cell_volume),
         cutoff=cutoff, lattice=lattice, grad=grad, hess=hess,
         dk_coeffs=(xs + 1j * alphas[:, None] * a) / np.sqrt(lattice.cell_volume),
-        berry=1j * alphas, gaps=gaps, width=width,
+        berry=1j * alphas, gaps=gaps, width=width, potential=potential, evals=evals, evecs=evecs,
     )
-
-
-def band_velocities(lattice: LatticeSpec, potential: FourierPotential, k, cutoff: int) -> np.ndarray:
-    """Group velocities grad E_n(k) of every band n, shape (M, d), from one eigensolve:
-    the velocity expectations <chi_n, (-i grad_y + k) chi_n> (Hellmann-Feynman)."""
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    vecs = np.linalg.eigh(build_bloch_hamiltonian(lattice, potential, k, cutoff))[1]
-    return (np.abs(vecs) ** 2).T @ (lattice.dual_vectors(pw_indices(lattice.dimension, cutoff)) + k)
 
 
 def evaluate_cell_coeffs(lattice, cutoff: int, coeffs: np.ndarray, points) -> np.ndarray:

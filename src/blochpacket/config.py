@@ -99,13 +99,18 @@ def _from_plain(cls, data, where: str = "config"):
 class _Serializable:
     """Stored forms, to_dict and from_dict derived from the dataclass fields;
     a JSON int in a float field, a list and a numpy scalar store and hash
-    as their float and tuple spellings."""
+    as their float and tuple spellings, and a non-finite number is rejected."""
 
     def __post_init__(self):
         for f in fields(self):
             store = _KINDS.get(f.type, (None, None))[1]  # nested specs store themselves
             if store:
-                object.__setattr__(self, f.name, store(getattr(self, f.name)))
+                value = store(getattr(self, f.name))
+                try:  # JSON admits NaN and Infinity; no field does
+                    json.dumps(value, allow_nan=False)
+                except ValueError:
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}") from None
+                object.__setattr__(self, f.name, value)
 
     def to_dict(self) -> dict:
         return _plain(self)

@@ -137,22 +137,20 @@ def build_U1(env: GaussianEnvelope, grid: SpatialGrid, pair: BlochEigenpair) -> 
     return CorrectorField(order=1, terms=terms, grid=grid, t=env.t, pair=pair)
 
 
-def build_U2(env: GaussianEnvelope, grid: SpatialGrid, state, band, external) -> CorrectorField:
+def build_U2(
+    env: GaussianEnvelope, grid: SpatialGrid, state, pair: BlochEigenpair, external
+) -> CorrectorField:
     """Second corrector: reduced resolvent applied to -(L_1 U_1 + L_2 U_0).
 
-    Solves (H(p) - E) w = P_perp y for every separable term of the
-    right-hand side at once, from one eigendecomposition of H(p), with
-    <chi, w> = 0, so <chi, U_2> = 0; the chi-parallel part is the envelope
-    equation and drops out.
+    Solves (H(p) - E) w = P_perp y for every separable term of the right-hand side at once,
+    from the record's eigendecomposition of H(p), with <chi, w> = 0, so <chi, U_2> = 0; the
+    chi-parallel part is the envelope equation and drops out.
     """
-    pair = band.eigenpair(state.p)
-    h = build_bloch_hamiltonian(pair.lattice, band.potential, pair.k, pair.cutoff)
-    evals, evecs = np.linalg.eigh(h)
+    h = build_bloch_hamiltonian(pair.lattice, pair.potential, pair.k, pair.cutoff)
     u, _, hess_u = _profiles(env, grid)
     zprofs, ys = zip(*_second_order_terms(u, hess_u, state, pair, external))
-    xs = reduced_resolvent_solve(h, evals, evecs, pair.m, np.stack(ys, axis=-1))
-    terms = tuple(zip(zprofs, xs.T))
-    return CorrectorField(order=2, terms=terms, grid=grid, t=env.t, pair=pair)
+    xs = reduced_resolvent_solve(h, pair.evals, pair.evecs, pair.m, np.stack(ys, axis=-1))
+    return CorrectorField(order=2, terms=tuple(zip(zprofs, xs.T)), grid=grid, t=env.t, pair=pair)
 
 
 def solvability_defect(

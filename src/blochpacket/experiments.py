@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import BOX_HALF_WIDTH, make_grid_for, synthesize_app, synthesize_packet, write_field
-from .bloch import band_derivatives, band_velocities, build_bloch_hamiltonian
+from .bloch import band_derivatives, build_bloch_hamiltonian, pw_indices
 from .config import ExperimentConfig
 from .corrector import build_U0, build_U1, build_U2
 from .envelope import (
@@ -157,10 +157,11 @@ class DynamicsBundle:
 
     @cached_property
     def neighbour_speed(self) -> float:
-        """Largest axis speed |d_j E_n(p0)| of the bands n = m + BOX_NEIGHBOURS that exist."""
-        band = self.band
-        speeds = np.abs(band_velocities(band.lattice, band.potential, self.config.p0, band.cutoff))
-        rows = [band.m - 1 + j for j in BOX_NEIGHBOURS if 0 <= band.m - 1 + j < len(speeds)]
+        """Largest |d_j E_n(p0)| of the bands m + BOX_NEIGHBOURS that exist, by Hellmann-Feynman."""
+        pair = self.band.eigenpair(self.config.p0)
+        g_plus_k = pair.lattice.dual_vectors(pw_indices(pair.dimension, pair.cutoff)) + pair.k
+        speeds = np.abs((np.abs(pair.evecs) ** 2).T @ g_plus_k)
+        rows = [pair.m - 1 + j for j in BOX_NEIGHBOURS if 0 <= pair.m - 1 + j < len(speeds)]
         return float(speeds[rows].max())
 
 
@@ -209,7 +210,7 @@ def _correctors(bundle: DynamicsBundle, t: float, base_time: float | None = None
     state = bundle.trajectory.state_at(t)
     pair = bundle.band.eigenpair(state.p)
     grid = SpatialGrid(config.dimension, config.envelope_half_width, config.envelope_points)
-    u2 = build_U2(gauss, grid, state, bundle.band, bundle.external)
+    u2 = build_U2(gauss, grid, state, pair, bundle.external)
     return state, [build_U0(gauss, grid, pair), build_U1(gauss, grid, pair), u2]
 
 

@@ -315,7 +315,7 @@ def test_free_lattice_closed_forms(capsys, monkeypatch, lattice1d, free_band):
     pair = free_band.eigenpair(state.p)
     corr_norm = max(
         build_U1(g, u.grid, pair).norm(),
-        build_U2(g, u.grid, state, free_band, harmonic(1)).norm(),
+        build_U2(g, u.grid, state, pair, harmonic(1)).norm(),
     )
 
     # plane wave under the reference solver picks up the exact phase; it

@@ -302,7 +302,7 @@ def test_synthesize_app_corrector_scaling(mathieu_band):
     u0 = build_U0(g, u.grid, pair)
     lead = synthesize_app([u0], state, eps, grid).values
     u1 = build_U1(g, u.grid, pair)
-    u2 = build_U2(g, u.grid, state, mathieu_band, harmonic(1))
+    u2 = build_U2(g, u.grid, state, pair, harmonic(1))
     for field, weight in ((u1, np.sqrt(eps)), (u2, eps)):
         added = synthesize_app([u0, field], state, eps, grid).values - lead
         unit = synthesize_app([u0, replace(field, order=0)], state, eps, grid).values - lead
@@ -328,7 +328,7 @@ def test_synthesize_app_rejects_correctors_on_another_box(mathieu_band):
     ):
         with pytest.raises(GridError):
             synthesize_app([u0, build_U1(g, other.grid, pair)], state, eps, grid)
-        u2 = build_U2(g, other.grid, state, mathieu_band, harmonic(1))
+        u2 = build_U2(g, other.grid, state, pair, harmonic(1))
         with pytest.raises(GridError):
             synthesize_app([u0, u2], state, eps, grid)
 

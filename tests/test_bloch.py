@@ -75,6 +75,21 @@ def test_eigen_residual(lattice1d, cosine1d):
     assert np.linalg.norm(res) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "dimension, potential, cutoff",
+    [(1, FourierPotential.cosine(1, 1.0), 32), (2, FourierPotential.cosine(2), 4)],
+)
+def test_record_keeps_the_eigendecomposition(dimension, potential, cutoff):
+    # the record's evals and evecs diagonalize the H(k) they were solved for
+    lattice = LatticeSpec.cubic(dimension)
+    k = np.full(dimension, 0.3)
+    pair = band_derivatives(lattice, potential, k, 1, cutoff)
+    h = build_bloch_hamiltonian(lattice, pair.potential, pair.k, pair.cutoff)
+    res = h @ pair.evecs - pair.evecs * pair.evals
+    assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(h)
+    assert pair.evals[0] == pair.energy
+
+
 @pytest.mark.parametrize("m", [0, -1, 18])
 def test_band_index_outside_range_rejected(lattice1d, cosine1d, m):
     # cutoff 8 keeps M = 17 plane waves, so bands 1..17 exist; 0 and -1

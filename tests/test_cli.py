@@ -118,6 +118,11 @@ def test_unmet_step_tolerance_exits_one(tmp_path, capsys, monkeypatch):
         ("convergence", {"reference_dt_factor": 0.5}, "reference_dt_factor"),
         ("convergence", {"residual_delta_factor": 0.1}, "residual_delta_factor"),
         ("flow", {"external": {"constant": 1.0}}, "constant"),
+        # JSON admits NaN and Infinity, and no model check is sure to see them
+        ("flow", {"t_final": float("inf")}, "t_final"),
+        ("flow", {"lattice_potential": {"amplitude": float("nan")}}, "amplitude"),
+        ("flow", {"q0": [float("nan")]}, "q0"),
+        ("flow", {"envelope_half_width": float("nan")}, "envelope_half_width"),
     ],
 )
 def test_config_problems_exit_two(tmp_path, capsys, command, data, named):

@@ -77,9 +77,23 @@ def test_u1_orthogonal_to_cell_function(nodes):
 
 def test_u2_orthogonal_to_cell_function(nodes):
     for band, state, g, u in nodes:
-        u2 = build_U2(g, u.grid, state, band, harmonic(1))
+        u2 = build_U2(g, u.grid, state, band.eigenpair(state.p), harmonic(1))
         assert u2.order == 2
         assert np.max(np.abs(chi_projection(u2))) < 1e-12
+
+
+def test_correctors_reuse_the_cached_eigendecomposition(nodes, monkeypatch):
+    # U0, U1 and U2 at a momentum the band has solved run no eigensolve of their own
+    band, state, g, u = nodes[0]
+    band.eigenpair(state.p)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
+    pair = band.eigenpair(state.p)
+    build_U0(g, u.grid, pair)
+    build_U1(g, u.grid, pair)
+    build_U2(g, u.grid, state, pair, harmonic(1))
+    assert len(calls) == 0
 
 
 def test_u1_linear_in_envelope(nodes):
@@ -121,7 +135,7 @@ def test_correctors_vanish_on_free_lattice(free_band):
     pair = free_band.eigenpair(state.p)
     ext = harmonic(1)
     assert build_U1(g, u.grid, pair).norm() < 1e-14
-    assert build_U2(g, u.grid, state, free_band, ext).norm() < 1e-14
+    assert build_U2(g, u.grid, state, pair, ext).norm() < 1e-14
 
 
 def test_solvability_defect1_vanishes(nodes):
@@ -193,7 +207,7 @@ def test_correctors_in_two_dimensions():
     pair = band.eigenpair(state.p)
 
     u1 = build_U1(g, u.grid, pair)
-    u2 = build_U2(g, u.grid, state, band, ext)
+    u2 = build_U2(g, u.grid, state, pair, ext)
     for field in (u1, u2):
         assert field.norm() > 1e-3
         assert np.max(np.abs(chi_projection(field))) < 1e-12

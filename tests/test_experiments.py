@@ -8,7 +8,7 @@ import pytest
 
 from blochpacket import experiments
 from blochpacket.assembly import make_grid_for, read_field, synthesize_app
-from blochpacket.bloch import BlochBand, cell_inner
+from blochpacket.bloch import DIRECT_CACHE_SIZE, BlochBand, cell_inner
 from blochpacket.config import ExperimentConfig, ExternalPotentialSpec, LatticePotentialSpec
 from blochpacket.envelope import (
     evolve_grid_envelope,
@@ -378,6 +378,25 @@ def test_residual_sweep_on_the_delta_bound_fails_no_cell(tmp_path):
         output_dir=str(tmp_path),
     )
     assert run_convergence(cfg)["failures"] == []
+
+
+def test_residual_sweep_solves_each_momentum_once(monkeypatch):
+    # t_star and t_star +- delta at the four default eps: 9 distinct momenta,
+    # each solved once and all kept by the band's direct cache; every
+    # eigensolve is a band-table node or one of those 9
+    config = ExperimentConfig(convergence_mode="residual").validate()
+    config.make_band().eigenpair(config.p0)  # the anchor point is found once per process
+    bundles, calls = [], []
+    prepare, eigh = experiments.prepare_dynamics, np.linalg.eigh
+    monkeypatch.setattr(
+        experiments, "prepare_dynamics", lambda *args: bundles.append(prepare(*args)) or bundles[0]
+    )
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
+    experiments._run_sweep(config, "residual")
+    band = bundles[0].band
+    info = band._direct.cache_info()
+    assert info.misses == info.currsize == 9 < DIRECT_CACHE_SIZE
+    assert len(calls) == band.node_solves + info.misses
 
 
 # recorded values of the pipelines that the acceptance gate does not run
