@@ -14,6 +14,11 @@ table: Chebyshev series on patches of the Brillouin zone, each built
 from `band_derivatives` at its nodes the first time a query falls inside it.
 Cell functions are solved at the momentum asked for, and every reduced resolvent
 comes from the dense eigendecomposition that the solve's record keeps.
+
+Unless a cutoff is given, `sized_cutoff` picks it per band: the smallest cutoff at
+which the band data at the zone corners move by at most CUTOFF_TOL from cutoff c
+to c + 2. The unit cosine's band 1 sizes to 7 in 1D (15 plane waves) and
+`FourierPotential.cosine(2)`'s to 7 in 2D (225).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBandError, EigensolverError, GaugeError
+from .errors import BlochpacketError, DegenerateBandError, EigensolverError, GaugeError
 from .grid import as_points, mesh
 from .lattice import FourierPotential, LatticeSpec
 
@@ -38,6 +43,8 @@ PATCHES_PER_AXIS = 8  # band-table patches per zone axis; k = 0 and the edge are
 PATCH_NODES = (16, 32, 64)  # Chebyshev points per patch axis, doubled while the tail is too large
 TAIL_TOL = 1e-12  # largest last-quarter Chebyshev coefficient, relative to max(1, |node values|)
 DIRECT_CACHE_SIZE = 16  # direct solves kept; a residual sweep, the busiest run, asks for 9 momenta
+CUTOFF_TOL = 1e-13  # largest c -> c + 2 change of a sized cutoff's band data, relative, floor 1
+MAX_PLANE_WAVES = 1089  # largest basis a sized cutoff compares against: cutoff 16 in 2D
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,7 +124,8 @@ def _anchor_point(basis: tuple, potential: FourierPotential, m: int, cutoff: int
 
     At the zone corners k in {0, b/2}^d the Bloch waves are real and vanish
     somewhere; y0 is the point of an ANCHOR_SAMPLES^d cell grid maximizing
-    the smallest |chi_k(y0)| / max |chi_k| over the corners.
+    the smallest |chi_k(y0)| / max |chi_k| over the corners, taken to 9 digits
+    so that mirror points tie and the first wins at every cutoff.
     """
     lattice = LatticeSpec.from_basis(basis)
     d = lattice.dimension
@@ -130,7 +138,44 @@ def _anchor_point(basis: tuple, potential: FourierPotential, m: int, cutoff: int
         vec = np.linalg.eigh(h)[1][:, m - 1]
         values = np.abs(evaluate_cell_coeffs(lattice, cutoff, vec, points))
         worst = np.minimum(worst, values / values.max())
-    return points[int(np.argmax(worst))]
+    return points[int(np.argmax(np.round(worst, 9)))]
+
+
+def _corner_data(lattice, potential, m: int, bands: range, cutoff: int) -> np.ndarray:
+    """The energies of bands and band m's E, grad E, Hess E and Im berry at each
+    zone corner k in {0, b/2}^d, one row per corner; NaN where band m is not simple."""
+    rows = []
+    for corner in itertools.product((0.0, 0.5), repeat=lattice.dimension):
+        k = np.asarray(corner) @ lattice.dual_basis
+        try:
+            pair = band_derivatives(lattice, potential, k, m, cutoff)
+            evals, data = pair.evals, [pair.energy, *pair.grad, *pair.hess.flat, *pair.berry.imag]
+        except BlochpacketError:  # band m is not simple at this corner
+            evals = np.linalg.eigh(build_bloch_hamiltonian(lattice, potential, k, cutoff))[0]
+            data = [np.nan] * (1 + 2 * lattice.dimension + lattice.dimension**2)
+        rows.append(np.concatenate([evals[bands.start - 1 : bands.stop - 1], data]))
+    return np.array(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def sized_cutoff(basis: tuple, potential: FourierPotential, m: int, bands: range) -> tuple:
+    """Cutoff for band m of a run that reads the energies of bands, and its largest change:
+    the smallest c at or above the potential's support, with every band in the basis, at
+    which `_corner_data` moves by at most CUTOFF_TOL from c to c + 2 (NaN at both skipped)."""
+    lattice = LatticeSpec.from_basis(basis)
+    d, cutoff = lattice.dimension, potential.cutoff
+    while (2 * cutoff + 1) ** d < bands.stop - 1:
+        cutoff += 1
+    data = functools.cache(lambda c: _corner_data(lattice, potential, m, bands, c))
+    while (2 * cutoff + 5) ** d <= MAX_PLANE_WAVES:
+        a, b = data(cutoff), data(cutoff + 2)
+        change = np.where(np.isnan(a) & np.isnan(b), 0.0, abs(b - a) / np.maximum(1.0, abs(b)))
+        if change.max() <= CUTOFF_TOL:
+            return cutoff, float(change.max())
+        cutoff += 1
+    raise EigensolverError(
+        f"band {m} data move by over {CUTOFF_TOL:.0e} up to {MAX_PLANE_WAVES} plane waves; set cutoff"
+    )
 
 
 def _check_isolated(gap: float, width: float, m: int) -> None:
@@ -314,8 +359,14 @@ class BlochBand:
     The cell function and its k-derivative come with the whole
     `band_derivatives` record (`eigenpair`), solved at the momentum asked
     for, unfolded or not, behind an LRU cache of DIRECT_CACHE_SIZE momenta.
-    The anchored gauge fixes the Bloch wave itself, so a solve at k + G
-    gives exp(-i <G, y>) chi(k) with no re-indexing. A single trajectory integration should own its instance.
+    A record keeps the (M, M) eigenvectors: 1.8 KB at the unit cosine's sized
+    cutoff 7 in 1D and 405 KB for cosine(2) in 2D, so a full cache holds at
+    most 6.5 MB there; a complex potential doubles both. The anchored gauge
+    fixes the Bloch wave itself, so a solve at k + G gives exp(-i <G, y>) chi(k)
+    with no re-indexing. A single trajectory integration should own its instance.
+
+    With no cutoff, `sized_cutoff` sizes it for the energies of bands (default
+    m - 2 .. m + 2, those that exist); `basis` records the choice.
     """
 
     def __init__(
@@ -324,14 +375,20 @@ class BlochBand:
         potential: FourierPotential,
         m: int,
         cutoff: int | None = None,
+        bands: range | None = None,
     ):
-        if cutoff is None:
-            cutoff = default_cutoff(lattice.dimension)
         if m < 1:
             raise EigensolverError(f"band index {m} must be at least 1")
         self.lattice = lattice
         self.potential = potential
         self.m = int(m)
+        if cutoff is None:
+            basis = tuple(map(tuple, lattice.basis.tolist()))
+            bands = bands or range(max(1, self.m - 2), self.m + 3)
+            cutoff, change = sized_cutoff(basis, potential, self.m, bands)
+            self.basis = {"cutoff": cutoff, "error_estimate": change, "tol": CUTOFF_TOL}
+        else:
+            self.basis = {"fixed": True, "cutoff": int(cutoff)}
         self.cutoff = int(cutoff)
         self._to_frac = np.linalg.inv(lattice.dual_basis)
         self.patches: dict[tuple, BandPatch] = {}
@@ -434,9 +491,10 @@ class BlochBand:
         return 1j * self._table(p)[..., 1 + d + d * d : 1 + 2 * d + d * d]
 
     def table_summary(self) -> dict:
-        """Band-table monitor: patches built, node solves, the worst
-        Chebyshev tail and the smallest interpolated gap met so far."""
+        """Band-table monitor: the basis record, patches built, node solves,
+        the worst Chebyshev tail and the smallest interpolated gap met so far."""
         return {
+            "basis": self.basis,
             "patches": len(self.patches),
             "node_solves": self.node_solves,
             "max_tail": max((patch.tail for patch in self.patches.values()), default=0.0),
@@ -452,7 +510,3 @@ class BlochBand:
         that patch or override it."""
         return self.eigenpair(p)
 
-
-def default_cutoff(dimension: int) -> int:
-    """Plane-wave cutoff defaults giving converged desk-scale spectra."""
-    return 32 if dimension == 1 else 12

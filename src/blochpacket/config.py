@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bloch import BlochBand, default_cutoff
+from .bloch import MAX_PLANE_WAVES, BlochBand
 from .envelope import GaussianEnvelope, gaussian_init
 from .errors import ConfigError, EnvelopeError, LatticeError, PotentialError
 from .flow import CosineWellPotential, QuadraticPotential
@@ -207,7 +207,7 @@ class ExperimentConfig(_Serializable):
     lattice_potential: LatticePotentialSpec = field(default_factory=LatticePotentialSpec)
     external: ExternalPotentialSpec = field(default_factory=ExternalPotentialSpec)
     band_index: int = 1
-    cutoff: int | None = None
+    cutoff: int | None = None  # None: sized per band (bloch.sized_cutoff)
 
     q0: floats = (0.0,)
     p0: floats = (0.3,)
@@ -218,7 +218,7 @@ class ExperimentConfig(_Serializable):
     epsilons: floats = (0.0625, 0.03125, 0.015625, 0.0078125)
     t_final: float = 1.0
     flow_dt: float | None = None  # None: sized by step doubling (experiments.refine)
-    envelope_dt: float = 1e-3
+    envelope_dt: float | None = None  # None: sized likewise
     grid_envelope_dt: float | None = None  # None: sized likewise
     sample_times: floats = ()  # () is (t_final,)
     residual_time: float = 0.5
@@ -258,13 +258,14 @@ class ExperimentConfig(_Serializable):
             raise ConfigError(
                 f"band index {self.band_index} exceeds num_bands {self.num_bands}"
             )
-        cutoff = self.cutoff if self.cutoff is not None else default_cutoff(self.dimension)
-        if cutoff < potential.cutoff:
-            raise ConfigError(f"cutoff {cutoff} below the lattice potential's support")
-        # band scans read num_bands bands; every other pipeline reads one band
+        if self.cutoff is not None and self.cutoff < potential.cutoff:
+            raise ConfigError(f"cutoff {self.cutoff} below the lattice potential's support")
+        # band scans read num_bands bands; every other pipeline reads one band; an unset
+        # cutoff is sized in the run (bloch.sized_cutoff), up to MAX_PLANE_WAVES plane waves
         name = "num_bands" if self.kind == "bands" else "band_index"
-        if getattr(self, name) > (2 * cutoff + 1) ** self.dimension:
-            raise ConfigError(f"{name} exceeds the (2 cutoff + 1)^d plane waves of cutoff {cutoff}")
+        waves = MAX_PLANE_WAVES if self.cutoff is None else (2 * self.cutoff + 1) ** self.dimension
+        if getattr(self, name) > waves:
+            raise ConfigError(f"{name} exceeds the {waves} plane waves of the largest basis")
         if len(self.q0) != self.dimension or len(self.p0) != self.dimension:
             raise ConfigError("q0 and p0 must have length = dimension")
         if self.initial_data not in INITIAL_DATA_KINDS:
@@ -321,8 +322,11 @@ class ExperimentConfig(_Serializable):
         return self.external.build(self.dimension)
 
     def make_band(self) -> BlochBand:
+        """The band; a scan's sized cutoff also resolves the energies of bands 1..num_bands."""
+        top = max(self.num_bands, self.band_index + 2)
+        scan = range(1, top + 1) if self.kind == "bands" else None
         return BlochBand(
-            self.make_lattice(), self.make_lattice_potential(), self.band_index, self.cutoff
+            self.make_lattice(), self.make_lattice_potential(), self.band_index, self.cutoff, scan
         )
 
     def make_gaussian(self) -> GaussianEnvelope:

@@ -2,7 +2,7 @@
 
 Every pipeline takes an ExperimentConfig, writes CSV tables (plus JSON
 summaries and raw field exports) under the config's output directory, and
-returns the summary dict.  Unset flow and grid-envelope steps are sized by a
+returns the summary dict.  Unset flow, Gaussian and grid-envelope steps are sized by a
 deterministic step doubling (`refine`), an unset reference box from the
 prepared dynamics (`_box_terms`), and all grids are derived from the config,
 so identical configs produce identical bytes; each output row carries the config hash.
@@ -47,6 +47,8 @@ TABLE_DEVIATION_TOL = 1e-10  # largest |table - direct| / max(1, |direct|) a ban
 FIRST_DT = 1e-2  # first trial step of a sized layer
 MAX_DOUBLINGS = 10  # a sized step never falls below FIRST_DT / 2^10
 FLOW_TOL = 1e-12  # flow estimate, max over q, p and S
+GAUSSIAN_TOL = 1e-12  # Gaussian estimate, max over A, B and the phase integral, as FLOW_TOL
+STEP_FIELDS = {"flow": "flow_dt", "gaussian": "envelope_dt", "grid_envelope": "grid_envelope_dt"}
 GRID_ENVELOPE_TOL = 1e-7  # grid-envelope estimate in L2: 10 % of criterion 5's 1e-6
 BOX_NEIGHBOURS = (-2, -1, 1, 2)  # bands m + j whose speeds at p0 set a sized box's cone
 BOX_WIDTHS = 8.0  # a sized box's envelope floor in Gaussian widths; |u| = e^-32 = 1.3e-14 there
@@ -103,7 +105,7 @@ def refine(run, span: float, dt, layer: str, order: int, deviation, tol: float, 
         if estimate <= tol:
             logger.info("%s: %d steps, estimate %.1e <= %.0e", layer, n, estimate, tol)
             return fine, {"steps": n, "dt": span / n, "error_estimate": estimate, "tol": tol}
-    raise error(f"{layer}: estimate {estimate:.1e} > tol {tol:.0e} at {n} steps; set {layer}_dt")
+    raise error(f"{layer}: estimate {estimate:.1e} > tol {tol:.0e} at {n} steps; set {STEP_FIELDS[layer]}")
 
 
 def _flow(config: ExperimentConfig, horizon: float, band, external) -> tuple:
@@ -117,6 +119,24 @@ def _flow(config: ExperimentConfig, horizon: float, band, external) -> tuple:
         lambda dt: integrate_flow(config.q0, config.p0, horizon, dt, band, external),
         horizon, config.flow_dt, "flow", 4, deviation, FLOW_TOL, FlowError,
     )
+
+
+def _gaussians(config: ExperimentConfig, coefficients, times, span: float) -> tuple:
+    """The Gaussian chained through the times, by time, and its resolution, sized on the
+    largest deviation of A, B or the geometric phase's integral at the times."""
+
+    def run(dt):
+        out = {0.0: config.make_gaussian()}
+        for t, last in zip(times[1:], times):
+            out[t] = evolve_gaussian(out[last], coefficients, t, dt)
+        return out
+
+    def deviation(coarse, fine):
+        return float(max(max(np.abs(f.A - c.A).max(), np.abs(f.B - c.B).max(),
+                             abs(f.berry_integral - c.berry_integral))
+                         for c, f in zip(coarse.values(), fine.values())))
+
+    return refine(run, span, config.envelope_dt, "gaussian", 4, deviation, GAUSSIAN_TOL, EnvelopeError)
 
 
 def _grid_envelopes(config: ExperimentConfig, coefficients, u0, times) -> tuple:
@@ -173,23 +193,18 @@ def prepare_dynamics(config: ExperimentConfig, times) -> DynamicsBundle:
 
     wanted = sorted({_tkey(t) for t in times} | {0.0})
     horizon = max(max(wanted), config.flow_dt or FIRST_DT)
-    trajectory, resolution = _flow(config, horizon, band, external)
+    resolution = {}
+    trajectory, resolution["flow"] = _flow(config, horizon, band, external)
     coefficients = HomogenizedCoefficients(trajectory, band, external)
-
-    entries = {}
-    gauss = config.make_gaussian()
-    for t in wanted:
-        if t > gauss.t:
-            gauss = evolve_gaussian(gauss, coefficients, t, config.envelope_dt)
-        entries[t] = (trajectory.state_at(t), gauss)
+    gaussians, resolution["gaussian"] = _gaussians(config, coefficients, wanted, horizon)
     return DynamicsBundle(
         config=config,
         band=band,
         external=external,
         trajectory=trajectory,
         coefficients=coefficients,
-        entries=entries,
-        resolution={"flow": resolution},
+        entries={t: (trajectory.state_at(t), gaussians[t]) for t in wanted},
+        resolution=resolution,
     )
 
 
@@ -376,6 +391,7 @@ def run_bands(config: ExperimentConfig) -> dict:
         max_hess_deviation=max_hess_dev,
         max_table_deviation=max_table_dev,
         derivative_failures=failures,
+        basis=band.basis,
     )
 
 
@@ -576,7 +592,7 @@ def _needed_times(config: ExperimentConfig, mode: str) -> list:
 
 def _run_sweep(config: ExperimentConfig, mode: str) -> tuple:
     """Rows and failures for every epsilon, in config order, and the summary's records:
-    the flow's resolution and, but for residual sweeps, the reference boxes; a cell
+    the step resolutions, the band's basis and, but for residual sweeps, the reference boxes; a cell
     that raises a BlochpacketError is recorded as that cell's failure."""
     bundle = prepare_dynamics(config, _needed_times(config, mode))
     rows, failures, boxes = [], [], []
@@ -591,7 +607,7 @@ def _run_sweep(config: ExperimentConfig, mode: str) -> tuple:
                 boxes.append(box)
         except BlochpacketError as exc:
             failures.append({"epsilon": eps, "reason": f"{type(exc).__name__}: {exc}"})
-    records = {"resolution": bundle.resolution}
+    records = {"resolution": bundle.resolution, "basis": bundle.band.basis}
     return rows, failures, records if mode == "residual" else {**records, "box": boxes}
 
 

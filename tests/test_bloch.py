@@ -5,16 +5,17 @@ from hypothesis import strategies as st
 
 from blochpacket import bloch
 from blochpacket.bloch import (
+    CUTOFF_TOL,
     DIRECT_CACHE_SIZE,
     PATCHES_PER_AXIS,
     BlochBand,
     band_derivatives,
     build_bloch_hamiltonian,
     cell_inner,
-    default_cutoff,
     evaluate_cell_coeffs,
     pw_indices,
     reduced_resolvent_solve,
+    sized_cutoff,
 )
 from blochpacket.errors import DegenerateBandError, EigensolverError, GaugeError
 from blochpacket.lattice import FourierPotential, LatticeSpec
@@ -333,9 +334,69 @@ def test_band_derivatives_2d_gradient():
     assert np.allclose(pair.hess, pair.hess.T, atol=1e-10)
 
 
-def test_default_cutoff():
-    assert default_cutoff(1) == 32
-    assert default_cutoff(2) == 12
+def _band_data(lattice, potential, k, cutoff) -> np.ndarray:
+    pair = band_derivatives(lattice, potential, np.asarray(k, dtype=float), 1, cutoff)
+    return np.concatenate([[pair.energy], pair.hess.ravel()])
+
+
+@pytest.mark.parametrize(
+    "dimension, largest, ks",
+    [(1, 10, [[0.0], [0.3], [0.5]]), (2, 8, [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])],
+)
+def test_sized_cutoff_resolves_the_band(dimension, largest, ks):
+    # band 1 of cos y1 + ... + cos yd sizes to at most `largest`, and its E and
+    # Hess E there sit within CUTOFF_TOL (relative, floor 1) of a wide basis,
+    # cutoff 32 in 1D and 12 in 2D; bounds set before measuring
+    lattice, potential = LatticeSpec.cubic(dimension), FourierPotential.cosine(dimension)
+    band = BlochBand(lattice, potential, 1)
+    assert band.cutoff <= largest
+    assert band.basis == {"cutoff": band.cutoff, "error_estimate": band.basis["error_estimate"],
+                          "tol": CUTOFF_TOL}
+    assert band.basis["error_estimate"] <= CUTOFF_TOL
+    assert band.table_summary()["basis"] == band.basis
+    wide = 32 if dimension == 1 else 12
+    for k in ks:
+        sized, want = (_band_data(lattice, potential, k, c) for c in (band.cutoff, wide))
+        assert np.all(np.abs(sized - want) <= CUTOFF_TOL * np.maximum(1.0, np.abs(want)))
+    # the unit cosine's anchor point stays y0 = pi at the sized cutoff
+    basis = tuple(map(tuple, lattice.basis.tolist()))
+    assert np.allclose(bloch._anchor_point(basis, potential, 1, band.cutoff), np.pi)
+
+
+def test_sized_cutoff_is_computed_once_per_band_set(lattice1d, cosine1d, monkeypatch):
+    # bands 1..3 of a run and 1..8 of a scan are sized apart, each once per process
+    basis = tuple(map(tuple, lattice1d.basis.tolist()))
+    dynamics, scan = sized_cutoff(basis, cosine1d, 1, range(1, 4)), sized_cutoff(basis, cosine1d, 1, range(1, 9))
+    assert dynamics[0] <= scan[0]
+    monkeypatch.setattr(bloch, "band_derivatives", None)  # any new solve would raise
+    assert BlochBand(lattice1d, cosine1d, 1).cutoff == dynamics[0]
+    assert BlochBand(lattice1d, cosine1d, 1, bands=range(1, 9)).cutoff == scan[0]
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_sized_cutoff_holds_higher_bands(lattice1d, cosine1d, m):
+    # the connection that a sized cutoff holds is anchored at the same point at
+    # every cutoff: mirror points of the anchor search tie, and the first wins
+    band = BlochBand(lattice1d, cosine1d, m)
+    assert band.cutoff <= 12 and band.basis["error_estimate"] <= CUTOFF_TOL
+    basis = tuple(map(tuple, lattice1d.basis.tolist()))
+    anchors = {float(bloch._anchor_point(basis, cosine1d, m, c)[0]) for c in range(band.cutoff, 33)}
+    assert len(anchors) == 1
+
+
+def test_explicit_cutoff_wins(lattice1d, cosine1d, monkeypatch):
+    monkeypatch.setattr(bloch, "sized_cutoff", None)  # sizing would raise
+    band = BlochBand(lattice1d, cosine1d, 1, np.int64(32))
+    assert band.cutoff == 32 and type(band.cutoff) is int
+    assert band.basis == {"fixed": True, "cutoff": 32}
+
+
+def test_unresolved_cutoff_raises(lattice1d, monkeypatch):
+    # a tolerance no basis meets stops at MAX_PLANE_WAVES with a typed error
+    monkeypatch.setattr(bloch, "CUTOFF_TOL", 0.0)
+    monkeypatch.setattr(bloch, "MAX_PLANE_WAVES", 21)
+    with pytest.raises(EigensolverError, match="up to 21 plane waves; set cutoff$"):
+        BlochBand(lattice1d, FourierPotential.cosine(1, 0.7), 1)
 
 
 def test_evaluate_cell_coeffs_single_mode(lattice1d):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from blochpacket import bloch, experiments
+from blochpacket.bloch import MAX_PLANE_WAVES
 from blochpacket.cli import build_parser, main
 from blochpacket.config import EXPERIMENT_KINDS, ExperimentConfig
 from blochpacket.experiments import RUNNERS
@@ -123,6 +124,9 @@ def test_unmet_step_tolerance_exits_one(tmp_path, capsys, monkeypatch):
         ("flow", {"lattice_potential": {"amplitude": float("nan")}}, "amplitude"),
         ("flow", {"q0": [float("nan")]}, "q0"),
         ("flow", {"envelope_half_width": float("nan")}, "envelope_half_width"),
+        # an unset cutoff is sized in the run, up to MAX_PLANE_WAVES plane waves
+        ("flow", {"band_index": MAX_PLANE_WAVES + 1}, "band_index"),
+        ("bands", {"num_bands": MAX_PLANE_WAVES + 1}, "num_bands"),
     ],
 )
 def test_config_problems_exit_two(tmp_path, capsys, command, data, named):
@@ -196,8 +200,8 @@ def test_envelope_run_without_config(tmp_path, capsys, caplog):
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["kind"] == "envelope"
-    # both sized layers say what they chose, in the summary and in the log
-    for layer, tol in (("flow", "1e-12"), ("grid_envelope", "1e-07")):
+    # every sized layer says what it chose, in the summary and in the log
+    for layer, tol in (("flow", "1e-12"), ("gaussian", "1e-12"), ("grid_envelope", "1e-07")):
         chosen = summary["resolution"][layer]
         assert chosen["error_estimate"] <= chosen["tol"] == float(tol)
         line = f"{layer}: {chosen['steps']} steps, estimate {chosen['error_estimate']:.1e} <= {tol}"

@@ -68,10 +68,12 @@ def test_validation_rejections():
         dict(kind="convergence", cutoff=0),  # below the cosine's support
         dict(kind="convergence", cutoff=1, band_index=4),  # 3 plane waves
         dict(kind="bands", cutoff=2, num_bands=80),  # 5 plane waves
+        dict(kind="convergence", band_index=1090),  # past a sized cutoff's 1089 plane waves
         dict(kind="ehrenfest", c0_list=()),
         dict(kind="ehrenfest", c0_list=(0.1, 0.0)),  # a zero-length horizon
         dict(kind="convergence", flow_dt=0.0),
         dict(kind="envelope", grid_envelope_dt=-1e-3),
+        dict(kind="envelope", envelope_dt=0.0),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
@@ -140,10 +142,11 @@ def test_make_band_and_gaussian():
 
 
 def test_unset_steps_are_sized_and_set_steps_are_floats():
-    # null leaves flow_dt and grid_envelope_dt to the pipelines' step
-    # doubling; a set step is a float whatever its JSON spelling
+    # null leaves flow_dt, envelope_dt and grid_envelope_dt to the pipelines'
+    # step doubling; a set step is a float whatever its JSON spelling
     cfg = ExperimentConfig.from_json('{"flow_dt": null, "grid_envelope_dt": 1}').validate()
-    assert cfg.flow_dt is None and ExperimentConfig().grid_envelope_dt is None
+    assert cfg.flow_dt is None and cfg.envelope_dt is None
+    assert ExperimentConfig().grid_envelope_dt is None
     assert type(cfg.grid_envelope_dt) is float and cfg.grid_envelope_dt == 1.0
     assert cfg.to_dict()["flow_dt"] is None
     with pytest.raises(ConfigError, match="grid_envelope_dt must be of type float | None"):
@@ -162,7 +165,7 @@ def test_config_hash_ignores_operational_fields():
 def test_config_hash_ignores_int_spelling_of_floats():
     assert ExperimentConfig(t_final=1) == ExperimentConfig(t_final=1.0)
     assert ExperimentConfig(t_final=1).config_hash() == ExperimentConfig(t_final=1.0).config_hash()
-    assert ExperimentConfig().config_hash() == "2da61e6a92c5"
+    assert ExperimentConfig().config_hash() == "7725ce583b41"
     # numpy scalars, lists and ints, as the benchmark passes them, store as
     # plain floats and ints in tuples and hash like the JSON spelling
     spelled = ExperimentConfig(
@@ -256,13 +259,13 @@ def test_from_dict_malformed_values_raise_config_error(data):
 
 
 CONFIG_HASHES = {
-    "bands.json": "17602ee37726",
-    "bloch_oscillation.json": "ee7a954a9b5b",
-    "convergence_error.json": "2da61e6a92c5",
-    "ehrenfest.json": "0e68a86705ac",
+    "bands.json": "a5920a7cbd03",
+    "bloch_oscillation.json": "c4bdf660ff22",
+    "convergence_error.json": "7725ce583b41",
+    "ehrenfest.json": "04787a7e001f",
     "envelope_cosine_well.json": "42c4dfe4dbc3",
-    "free_lattice_packet.json": "21448bfa0bdd",
-    "residual.json": "b7c551ea52f4",
+    "free_lattice_packet.json": "ed7816496dac",
+    "residual.json": "30b30b584559",
     "zone_edge.json": "7563a6d448eb",
 }
 
@@ -270,9 +273,9 @@ CONFIG_HASHES = {
 def test_config_hash_values_are_stable():
     # provenance hashes are pinned, so a changed default shows here;
     # int-valued floats become floats at the top level and in the specs alike
-    assert ExperimentConfig().config_hash() == "2da61e6a92c5"
+    assert ExperimentConfig().config_hash() == "7725ce583b41"
     # a fixed 2 pi box is a set field, so it hashes apart from the sized default
-    assert ExperimentConfig(half_width=2 * np.pi).config_hash() == "10adbc7caae9"
+    assert ExperimentConfig(half_width=2 * np.pi).config_hash() == "bff9211c668a"
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name, want in CONFIG_HASHES.items():
         assert ExperimentConfig.from_file(configs / name).config_hash() == want
@@ -282,5 +285,5 @@ def test_config_hash_values_are_stable():
         "external": {"hessian": [[1]], "linear": [0]},
     }
     float_spelling = dict(nested_ints, t_final=1.0)
-    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "283ca44e9ded"
-    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "283ca44e9ded"
+    assert ExperimentConfig.from_dict(nested_ints).config_hash() == "5f11886cbda9"
+    assert ExperimentConfig.from_dict(float_spelling).config_hash() == "5f11886cbda9"

@@ -11,6 +11,7 @@ from blochpacket.assembly import make_grid_for, read_field, synthesize_app
 from blochpacket.bloch import DIRECT_CACHE_SIZE, BlochBand, cell_inner
 from blochpacket.config import ExperimentConfig, ExternalPotentialSpec, LatticePotentialSpec
 from blochpacket.envelope import (
+    evolve_gaussian,
     evolve_grid_envelope,
     geometric_rate,
     grid_envelope_from_gaussian,
@@ -179,10 +180,12 @@ def test_default_flow_is_sized_by_step_doubling(tmp_path):
 def test_step_doubling_estimates_hold_against_a_run_ten_times_finer(model):
     # each sized layer against its own integrator at a tenth of the chosen
     # step, at T = 1: the flow read at 777 off-node times through both dense
-    # outputs, over q, p and S; the grid envelope in L2. Bounds set before
-    # measuring: each error is within its layer's tolerance; the flow error is
-    # within 10x its estimate plus a 1e-13 rounding floor (a few thousand RK4
-    # steps on O(1) values); the order-2 grid estimate is within 2x its error
+    # outputs, over q, p and S; the Gaussian over A, B and the geometric
+    # phase's integral; the grid envelope in L2. Bounds set before measuring:
+    # each error is within its layer's tolerance; the flow and Gaussian errors
+    # are within 10x their estimates plus a 1e-13 rounding floor (a few
+    # thousand RK4 steps on O(1) values); the order-2 grid estimate is within
+    # 2x its error
     cfg = ExperimentConfig(kind="envelope", **model).validate()
     bundle = prepare_dynamics(cfg, [cfg.t_final])
     flow = bundle.resolution["flow"]
@@ -196,6 +199,14 @@ def test_step_doubling_estimates_hold_against_a_run_ten_times_finer(model):
     assert flow_error <= experiments.FLOW_TOL
     assert flow_error <= 10 * flow["error_estimate"] + 1e-13
 
+    gaussian = bundle.resolution["gaussian"]
+    got = bundle.at(cfg.t_final)[1]
+    want = evolve_gaussian(cfg.make_gaussian(), bundle.coefficients, cfg.t_final, gaussian["dt"] / 10)
+    gaussian_error = max(np.max(np.abs(got.A - want.A)), np.max(np.abs(got.B - want.B)),
+                         abs(got.berry_integral - want.berry_integral))
+    assert gaussian_error <= experiments.GAUSSIAN_TOL
+    assert gaussian_error <= 10 * gaussian["error_estimate"] + 1e-13
+
     u0 = grid_envelope_from_gaussian(
         cfg.make_gaussian(), cfg.envelope_half_width, cfg.envelope_points
     )
@@ -208,7 +219,11 @@ def test_step_doubling_estimates_hold_against_a_run_ten_times_finer(model):
 
 @pytest.mark.parametrize(
     "tol, layer, error",
-    [("FLOW_TOL", "flow", FlowError), ("GRID_ENVELOPE_TOL", "grid_envelope", EnvelopeError)],
+    [
+        ("FLOW_TOL", "flow", FlowError),
+        ("GAUSSIAN_TOL", "gaussian", EnvelopeError),
+        ("GRID_ENVELOPE_TOL", "grid_envelope", EnvelopeError),
+    ],
 )
 def test_step_doubling_stops_loudly_at_its_cap(tmp_path, monkeypatch, tol, layer, error):
     # a tolerance no run meets: MAX_DOUBLINGS doublings from 2 steps on
@@ -216,21 +231,32 @@ def test_step_doubling_stops_loudly_at_its_cap(tmp_path, monkeypatch, tol, layer
     monkeypatch.setattr(experiments, tol, 0.0)
     cfg = ExperimentConfig(kind="envelope", t_final=0.02, output_dir=str(tmp_path))
     steps = 2 * 2**experiments.MAX_DOUBLINGS
+    field = {"gaussian": "envelope"}.get(layer, layer) + "_dt"
     with pytest.raises(error, match=rf"^{layer}: estimate \S+ > tol 0e\+00 at {steps} steps; "
-                                    rf"set {layer}_dt$"):
+                                    rf"set {field}$"):
         run_envelope(cfg)
 
 
 def test_explicit_steps_run_the_integrators_unchanged():
     cfg = ExperimentConfig(
-        kind="envelope", t_final=0.5, sample_times=(0.2, 0.5), flow_dt=0.01, grid_envelope_dt=0.005
+        kind="envelope", t_final=0.5, sample_times=(0.2, 0.5), flow_dt=0.01, envelope_dt=0.02,
+        grid_envelope_dt=0.005,
     ).validate()
     bundle = prepare_dynamics(cfg, [0.2, 0.5])
     band = cfg.make_band()
     direct = integrate_flow(cfg.q0, cfg.p0, 0.5, 0.01, band, cfg.make_external())
     assert np.array_equal(bundle.trajectory.states, direct.states)
     assert np.array_equal(bundle.trajectory.derivs, direct.derivs)
-    assert bundle.resolution == {"flow": {"fixed": True, "dt": 0.01}}
+    assert bundle.resolution == {
+        "flow": {"fixed": True, "dt": 0.01}, "gaussian": {"fixed": True, "dt": 0.02}
+    }
+    # a fixed envelope_dt chains the Gaussian from stop to stop at that step, bit for bit
+    gauss = cfg.make_gaussian()
+    for t in (0.2, 0.5):
+        gauss = evolve_gaussian(gauss, bundle.coefficients, t, 0.02)
+        got = bundle.at(t)[1]
+        assert np.array_equal(got.A, gauss.A) and np.array_equal(got.B, gauss.B)
+        assert (got.log_det, got.berry_integral, got.t) == (gauss.log_det, gauss.berry_integral, t)
 
     u0 = grid_envelope_from_gaussian(
         cfg.make_gaussian(), cfg.envelope_half_width, cfg.envelope_points
@@ -244,7 +270,7 @@ def test_explicit_steps_run_the_integrators_unchanged():
 
 
 def test_flow_and_envelope_summaries_carry_the_band_table(tmp_path):
-    keys = {"patches", "node_solves", "max_tail", "min_gap"}
+    keys = {"basis", "patches", "node_solves", "max_tail", "min_gap"}
     cfg = ExperimentConfig(kind="flow", output_dir=str(tmp_path / "flow"))
     summary = run_flow(cfg)
     table = summary["band_table"]
@@ -437,7 +463,9 @@ def test_run_convergence_well_prepared(tmp_path):
     ).validate()
     summary = run_convergence(cfg)
     assert summary["failures"] == []
-    assert summary["resolution"] == {"flow": {"fixed": True, "dt": 1e-2}}
+    assert summary["resolution"] == {
+        "flow": {"fixed": True, "dt": 1e-2}, "gaussian": {"fixed": True, "dt": 1e-2}
+    }
     errors = [float(r["error"]) for r in read_rows(summary["csv"])]
     want = (0.10561087187891074, 0.07057215794748392, 0.051258429214448516)
     assert errors == pytest.approx(want, rel=PIN_REL)
