@@ -15,10 +15,8 @@ from `band_derivatives` at its nodes the first time a query falls inside it.
 Cell functions are solved at the momentum asked for, and every reduced resolvent
 comes from the dense eigendecomposition that the solve's record keeps.
 
-Unless a cutoff is given, `sized_cutoff` picks it per band: the smallest cutoff at
-which the band data at the zone corners move by at most CUTOFF_TOL from cutoff c
-to c + 2. The unit cosine's band 1 sizes to 7 in 1D (15 plane waves) and
-`FourierPotential.cosine(2)`'s to 7 in 2D (225).
+Unless a cutoff is given, `sized_cutoff` picks it per band: the smallest at which
+the band data at the zone corners move by at most CUTOFF_TOL from c to c + 2.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlochpacketError, DegenerateBandError, EigensolverError, GaugeError
+from .errors import DegenerateBandError, EigensolverError, GaugeError
 from .grid import as_points, mesh
 from .lattice import FourierPotential, LatticeSpec
 
@@ -42,7 +40,7 @@ ANCHOR_SAMPLES = 16  # cell points per axis searched for the anchor point
 PATCHES_PER_AXIS = 8  # band-table patches per zone axis; k = 0 and the edge are patch boundaries
 PATCH_NODES = (16, 32, 64)  # Chebyshev points per patch axis, doubled while the tail is too large
 TAIL_TOL = 1e-12  # largest last-quarter Chebyshev coefficient, relative to max(1, |node values|)
-DIRECT_CACHE_SIZE = 16  # direct solves kept; a residual sweep, the busiest run, asks for 9 momenta
+DIRECT_CACHE_SIZE = 16  # records kept (1.8 KB each at cutoff 7 in 1D); a residual sweep asks for 9
 CUTOFF_TOL = 1e-13  # largest c -> c + 2 change of a sized cutoff's band data, relative, floor 1
 MAX_PLANE_WAVES = 1089  # largest basis a sized cutoff compares against: cutoff 16 in 2D
 
@@ -150,7 +148,7 @@ def _corner_data(lattice, potential, m: int, bands: range, cutoff: int) -> np.nd
         try:
             pair = band_derivatives(lattice, potential, k, m, cutoff)
             evals, data = pair.evals, [pair.energy, *pair.grad, *pair.hess.flat, *pair.berry.imag]
-        except BlochpacketError:  # band m is not simple at this corner
+        except (DegenerateBandError, EigensolverError, GaugeError):  # band m not simple here
             evals = np.linalg.eigh(build_bloch_hamiltonian(lattice, potential, k, cutoff))[0]
             data = [np.nan] * (1 + 2 * lattice.dimension + lattice.dimension**2)
         rows.append(np.concatenate([evals[bands.start - 1 : bands.stop - 1], data]))
@@ -360,10 +358,11 @@ class BlochBand:
     `band_derivatives` record (`eigenpair`), solved at the momentum asked
     for, unfolded or not, behind an LRU cache of DIRECT_CACHE_SIZE momenta.
     A record keeps the (M, M) eigenvectors: 1.8 KB at the unit cosine's sized
-    cutoff 7 in 1D and 405 KB for cosine(2) in 2D, so a full cache holds at
-    most 6.5 MB there; a complex potential doubles both. The anchored gauge
-    fixes the Bloch wave itself, so a solve at k + G gives exp(-i <G, y>) chi(k)
-    with no re-indexing. A single trajectory integration should own its instance.
+    cutoff 7 in 1D (M = 15) and 405 KB at cosine(2)'s 7 in 2D (M = 225), so a
+    full cache holds at most 6.5 MB there; a complex potential doubles both.
+    The anchored gauge fixes the Bloch wave itself, so a solve at k + G gives
+    exp(-i <G, y>) chi(k) with no re-indexing. A single trajectory integration
+    should own its instance.
 
     With no cutoff, `sized_cutoff` sizes it for the energies of bands (default
     m - 2 .. m + 2, those that exist); `basis` records the choice.

@@ -349,10 +349,8 @@ def test_sized_cutoff_resolves_the_band(dimension, largest, ks):
     # cutoff 32 in 1D and 12 in 2D; bounds set before measuring
     lattice, potential = LatticeSpec.cubic(dimension), FourierPotential.cosine(dimension)
     band = BlochBand(lattice, potential, 1)
-    assert band.cutoff <= largest
-    assert band.basis == {"cutoff": band.cutoff, "error_estimate": band.basis["error_estimate"],
-                          "tol": CUTOFF_TOL}
-    assert band.basis["error_estimate"] <= CUTOFF_TOL
+    assert band.basis["cutoff"] == band.cutoff <= largest
+    assert band.basis["error_estimate"] <= band.basis["tol"] == CUTOFF_TOL
     assert band.table_summary()["basis"] == band.basis
     wide = 32 if dimension == 1 else 12
     for k in ks:
