@@ -148,16 +148,18 @@ def _chirp_z(coeffs: np.ndarray, half_width: float, targets: np.ndarray) -> np.n
 
 def _synthesize(
     state: TrajectoryState, pair: BlochEigenpair, epsilon: float, grid: SpatialGrid,
-    zvals, cell_coeffs: np.ndarray,
-) -> GridWaveField:
-    """eps^(-d/4) sum_r f_r(z) chi_r(x/eps) exp(i (S + p.(x - q)) / eps).
+    zvals, cell_coeffs: np.ndarray, sums=(None,),
+) -> list:
+    """eps^(-d/4) sum_(r < n) f_r(z) chi_r(x/eps) exp(i (S + p.(x - q)) / eps),
+    one packet per n of sums (None sums every term).
 
     zvals maps the stretched axes z = (x - q) / sqrt(eps) to the R
     profiles f_r on the grid, shape (R, *grid.shape); the columns of
     cell_coeffs (M, R) are the plane-wave coefficients of the chi_r.  The
     node must match the grid and the cell momentum, its center must lie in
-    the box and its mass must stay off the box edge.  The chi_r are
-    evaluated on one lattice cell and tiled.
+    the box and each packet's mass must stay off the box edge.  The chi_r are
+    evaluated on one lattice cell and tiled; the profiles, the cell functions
+    and the phase carrier serve every packet returned.
     """
     if state.dimension != grid.dimension:
         raise GridError("trajectory node dimension does not match the grid")
@@ -177,10 +179,14 @@ def _synthesize(
     phase = np.full(grid.shape, float(state.S))
     for j in range(grid.dimension):
         phase = phase + grid.along(j, state.p[j] * (axis - state.q[j]))
-    vals = np.einsum("r...,...r->...", fvals, chivals)
-    vals = epsilon ** (-grid.dimension / 4.0) * vals * np.exp(1j * phase / epsilon)
-    grid.guard(vals, GridError)
-    return GridWaveField(grid=grid, epsilon=epsilon, time=state.t, values=vals)
+    carrier = np.exp(1j * phase / epsilon)
+    packets = []
+    for n in sums:
+        vals = np.einsum("r...,...r->...", fvals[:n], chivals[..., :n])
+        vals = epsilon ** (-grid.dimension / 4.0) * vals * carrier
+        grid.guard(vals, GridError)
+        packets.append(GridWaveField(grid=grid, epsilon=epsilon, time=state.t, values=vals))
+    return packets
 
 
 def synthesize_packet(
@@ -196,19 +202,12 @@ def synthesize_packet(
     def gaussian(z_axes):
         return gaussian_eval(envelope, mesh(z_axes))[None]
 
-    return _synthesize(state, pair, epsilon, grid, gaussian, pair.coeffs[:, None])
+    return _synthesize(state, pair, epsilon, grid, gaussian, pair.coeffs[:, None])[0]
 
 
-def synthesize_app(
-    fields, state: TrajectoryState, epsilon: float, grid: SpatialGrid
-) -> GridWaveField:
-    """Corrected packet  eps^(-d/4) sum_n eps^(n/2) U_n e^(i phase/eps) over
-    the corrector fields given, each weighted by its own order n.
-
-    Passing [U0] alone ablates the expansion.  The weighted z-profiles of
-    every separable term are interpolated as one batch, so all fields must
-    share one z-grid.
-    """
+def _synthesize_fields(fields, state, epsilon, grid, sums=(None,)) -> list:
+    """`_synthesize` over the separable terms of the corrector fields, each
+    weighted by its own order n by eps^(n/2)."""
     box = fields[0].grid
     profiles, cells = [], []
     for field in fields:
@@ -221,7 +220,28 @@ def synthesize_app(
     def interpolated(z_axes):
         return fourier_interpolate(np.stack(profiles), box, z_axes)
 
-    return _synthesize(state, fields[0].pair, epsilon, grid, interpolated, np.stack(cells, axis=-1))
+    return _synthesize(
+        state, fields[0].pair, epsilon, grid, interpolated, np.stack(cells, axis=-1), sums
+    )
+
+
+def synthesize_app(
+    fields, state: TrajectoryState, epsilon: float, grid: SpatialGrid
+) -> GridWaveField:
+    """Corrected packet  eps^(-d/4) sum_n eps^(n/2) U_n e^(i phase/eps) over
+    the corrector fields given, each weighted by its own order n.
+
+    Passing [U0] alone ablates the expansion.  The weighted z-profiles of
+    every separable term are interpolated as one batch, so all fields must
+    share one z-grid.
+    """
+    return _synthesize_fields(fields, state, epsilon, grid)[0]
+
+
+def synthesize_snapshot(fields, state: TrajectoryState, epsilon: float, grid: SpatialGrid) -> tuple:
+    """`synthesize_app` of the fields and of fields[:1] from one synthesis:
+    the leading packet sums the U_0 terms of the same interpolated batch."""
+    return tuple(_synthesize_fields(fields, state, epsilon, grid, (None, len(fields[0].terms))))
 
 
 def write_field(field: GridWaveField, stem) -> tuple:

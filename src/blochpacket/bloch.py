@@ -481,13 +481,17 @@ class BlochBand:
         return self._table(p)[..., 1 : 1 + self.dimension]
 
     def hess_energy(self, p) -> np.ndarray:
-        d = self.dimension
-        values = self._table(p)
-        return values[..., 1 + d : 1 + d + d * d].reshape(values.shape[:-1] + (d, d))
+        return self.hess_and_berry(p)[0]
 
     def berry(self, p) -> np.ndarray:
+        return self.hess_and_berry(p)[1]
+
+    def hess_and_berry(self, p) -> tuple:
+        """`hess_energy` and `berry` at p from one table read."""
         d = self.dimension
-        return 1j * self._table(p)[..., 1 + d + d * d : 1 + 2 * d + d * d]
+        values = self._table(p)
+        hess = values[..., 1 + d : 1 + d + d * d].reshape(values.shape[:-1] + (d, d))
+        return hess, 1j * values[..., 1 + d + d * d : 1 + 2 * d + d * d]
 
     def table_summary(self) -> dict:
         """Band-table monitor: the basis record, patches built, node solves,

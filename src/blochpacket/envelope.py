@@ -13,9 +13,9 @@ rate beta = <chi, grad_k chi> . grad V(q) is defined once, in
 
 The coefficient path is array-valued. A propagator knows every time at
 which it needs M, Q and beta before it starts (the RK4 stage times, the
-Strang midpoints), so it fetches them in one call per coefficient: one
-dense-output evaluation of the trajectory and one batched band-table
-lookup, grouped by table patch.
+Strang midpoints), so it fetches them in one call per coefficient, and the
+three calls share one read per propagation: one dense-output evaluation of
+the trajectory and one batched band-table lookup, grouped by table patch.
 
 The grid scheme takes its Fourier split steps from `grid.strang_step`;
 the linear Gaussian flow takes each RK4 step as one batched transfer matrix.
@@ -38,7 +38,11 @@ SPECTRAL_TAIL_TOL = 1e-6
 def geometric_rate(band, potential, state):
     """Purely imaginary geometric rate <chi, grad_k chi> . grad V at a flow state (per
     time of a batched state); a real part above rounding means a broken gauge and raises."""
-    rate = np.sum(band.berry(state.p) * potential.grad(state.q), axis=-1)
+    return _imaginary_rate(band.berry(state.p), potential.grad(state.q))
+
+
+def _imaginary_rate(berry, grad_v):
+    rate = np.sum(berry * grad_v, axis=-1)
     if np.any(np.abs(rate.real) > 1e-10 * np.maximum(1.0, np.abs(rate.imag))):
         raise EnvelopeError("geometric phase rate has a real part")
     return 1j * rate.imag
@@ -49,25 +53,40 @@ class HomogenizedCoefficients:
 
     Each accessor takes an array of N times and returns (N, d, d), (N, d, d)
     or (N,), from the trajectory's own dense-output interpolation, so the
-    coefficient smoothness matches the flow data.
+    coefficient smoothness matches the flow data. All three come from one
+    trajectory read and one band-table read, kept for the last times asked
+    for: a propagator asks all three at the same times.
     """
 
     def __init__(self, trajectory, band, potential):
         self.trajectory = trajectory
         self.band = band
         self.potential = potential
+        self._last = (None, None)  # the last times read, and M, Q, berry and grad V there
+
+    def _read(self, t) -> tuple:
+        """M, Q, the connection and grad V at the times t; times equal in value
+        to the last ones read are served from that read."""
+        t = np.asarray(t, dtype=float)
+        times, values = self._last
+        if times is None or not np.array_equal(times, t):
+            state = self.trajectory.state_at(t)
+            hess, berry = self.band.hess_and_berry(state.p)
+            values = (hess, self.potential.hess(state.q), berry, self.potential.grad(state.q))
+            self._last = (t.copy(), values)
+        return values
 
     def dispersion(self, t) -> np.ndarray:
         """Band Hessians M(t) at the trajectory momenta."""
-        return self.band.hess_energy(self.trajectory.state_at(t).p)
+        return self._read(t)[0]
 
     def vhess(self, t) -> np.ndarray:
         """External Hessians Q(t) at the trajectory positions."""
-        return self.potential.hess(self.trajectory.state_at(t).q)
+        return self._read(t)[1]
 
     def berry_rate(self, t) -> np.ndarray:
         """Geometric rates beta(t) at the trajectory states."""
-        return geometric_rate(self.band, self.potential, self.trajectory.state_at(t))
+        return _imaginary_rate(*self._read(t)[2:])
 
 
 # ---------------------------------------------------------------------------

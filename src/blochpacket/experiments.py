@@ -23,7 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import BOX_HALF_WIDTH, make_grid_for, synthesize_app, synthesize_packet, write_field
+from .assembly import (
+    BOX_HALF_WIDTH, make_grid_for, synthesize_app, synthesize_packet, synthesize_snapshot, write_field,
+)
 from .bloch import band_derivatives, build_bloch_hamiltonian, pw_indices
 from .config import ExperimentConfig
 from .corrector import build_U0, build_U1, build_U2
@@ -176,6 +178,11 @@ class DynamicsBundle:
         return self.entries[_tkey(t)]
 
     @cached_property
+    def snapshots(self) -> dict:
+        """Time -> what `_snapshot` built there: the correctors, or the error their build raised."""
+        return {}
+
+    @cached_property
     def neighbour_speed(self) -> float:
         """Largest |d_j E_n(p0)| of the bands m + BOX_NEIGHBOURS that exist, by Hellmann-Feynman."""
         pair = self.band.eigenpair(self.config.p0)
@@ -229,21 +236,40 @@ def _correctors(bundle: DynamicsBundle, t: float, base_time: float | None = None
     return state, [build_U0(gauss, grid, pair), build_U1(gauss, grid, pair), u2]
 
 
+def _snapshot(bundle: DynamicsBundle, t: float) -> tuple:
+    """`_correctors` at a prepared time, built once per bundle; every epsilon
+    cell shares it, and a build that failed raises its error again in each."""
+    t = _tkey(t)
+    if t not in bundle.snapshots:
+        try:
+            bundle.snapshots[t] = _correctors(bundle, t)
+        except BlochpacketError as exc:
+            bundle.snapshots[t] = exc
+    if isinstance(bundle.snapshots[t], BlochpacketError):
+        raise bundle.snapshots[t]
+    return bundle.snapshots[t]
+
+
 def _residual_packets(bundle: DynamicsBundle, epsilon: float, grid, t_star: float, delta: float):
     """Three-term ("full") and leading-only ("leading") packets at
-    t_star - delta, t_star and t_star + delta; each snapshot's correctors
-    are built once and serve both."""
+    t_star - delta, t_star and t_star + delta. The t_star correctors are the
+    bundle's `_snapshot`, the off-center ones are built per epsilon, and
+    each snapshot's one synthesis gives both packets."""
     packets = {"full": [], "leading": []}
     for off in (-delta, 0.0, delta):
-        state, fields = _correctors(bundle, t_star + off, base_time=t_star)
-        packets["full"].append(synthesize_app(fields, state, epsilon, grid))
-        packets["leading"].append(synthesize_app(fields[:1], state, epsilon, grid))
+        if off:
+            state, fields = _correctors(bundle, t_star + off, base_time=t_star)
+        else:
+            state, fields = _snapshot(bundle, t_star)
+        full, leading = synthesize_snapshot(fields, state, epsilon, grid)
+        packets["full"].append(full)
+        packets["leading"].append(leading)
     return packets
 
 
 def _initial_field(bundle: DynamicsBundle, epsilon: float, grid):
     if bundle.config.initial_data == "well_prepared":
-        state, fields = _correctors(bundle, 0.0)
+        state, fields = _snapshot(bundle, 0.0)
         return synthesize_app(fields, state, epsilon, grid)
     return _leading_packet(bundle, 0.0, epsilon, grid)
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import ConstantCoefficients, harmonic
 
+from blochpacket.bloch import BlochBand
 from blochpacket.envelope import (
     GridEnvelope,
     HomogenizedCoefficients,
@@ -19,7 +20,7 @@ from blochpacket.envelope import (
     spectral_gradient,
 )
 from blochpacket.errors import EnvelopeError
-from blochpacket.flow import TrajectoryState, integrate_flow
+from blochpacket.flow import Trajectory, TrajectoryState, integrate_flow
 from blochpacket.grid import SpatialGrid, rk4, step_count
 
 # Weighted-norm oracles for u(z) = exp(-|z|^2/2) (A = B = 1), by hand:
@@ -316,6 +317,36 @@ def test_homogenized_coefficients_interpolate_trajectory(mathieu_band):
         assert np.array_equal(q[i], pot.hess(state.q))
         # the unit cosine's anchored connection is -i pi, so beta = -i pi q
         assert beta[i] == pytest.approx(-1j * np.pi * state.q[0], abs=1e-12)
+
+
+def test_each_propagation_reads_the_trajectory_and_the_band_table_once(mathieu_band, monkeypatch):
+    # M, Q and beta come from one state_at and one band-table read per
+    # propagation, bit-identical to reading each on its own; times are
+    # compared by value, so a time array changed in place is read again
+    pot = harmonic(1)
+    traj = integrate_flow([0.0], [0.3], 1.0, 1e-2, mathieu_band, pot)
+    coeffs = HomogenizedCoefficients(traj, mathieu_band, pot)
+    reads = {"state_at": 0, "_table": 0}
+    for owner, name in ((Trajectory, "state_at"), (BlochBand, "_table")):
+        def counted(self, t, _fn=getattr(owner, name), _name=name):
+            reads[_name] += 1
+            return _fn(self, t)
+        monkeypatch.setattr(owner, name, counted)
+
+    g = gaussian_init(np.eye(1), np.eye(1))
+    evolve_gaussian(g, coeffs, 0.5, 1e-2)
+    assert reads == {"state_at": 1, "_table": 1}
+    u = grid_envelope_from_gaussian(g, 8.0, 64)
+    evolve_grid_envelope(u, coeffs, 0.5, 1e-2)
+    assert reads == {"state_at": 2, "_table": 2}
+
+    ts = np.linspace(0.0, 0.5, 7)
+    for shift in (0.0, 0.25):
+        ts += shift
+        state = traj.state_at(ts)
+        assert np.array_equal(coeffs.dispersion(ts), mathieu_band.hess_energy(state.p))
+        assert np.array_equal(coeffs.vhess(ts), pot.hess(state.q))
+        assert np.array_equal(coeffs.berry_rate(ts), geometric_rate(mathieu_band, pot, state))
 
 
 def test_sigma_norm_rejects_an_unresolved_grid():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochpacket import experiments
+from blochpacket import assembly, experiments
 from blochpacket.assembly import make_grid_for, read_field, synthesize_app
 from blochpacket.bloch import DIRECT_CACHE_SIZE, BlochBand, cell_inner
 from blochpacket.config import ExperimentConfig, ExternalPotentialSpec, LatticePotentialSpec
@@ -16,7 +16,7 @@ from blochpacket.envelope import (
     geometric_rate,
     grid_envelope_from_gaussian,
 )
-from blochpacket.errors import EnvelopeError, FlowError
+from blochpacket.errors import EigensolverError, EnvelopeError, FlowError
 from blochpacket.experiments import (
     DynamicsBundle,
     _correctors,
@@ -425,6 +425,57 @@ def test_residual_sweep_solves_each_momentum_once(monkeypatch):
     assert len(calls) == band.node_solves + info.misses
 
 
+def test_residual_sweep_does_each_piece_of_work_once(monkeypatch):
+    # two eps: U2 at t* once for the sweep and at t* +- delta once per eps,
+    # one interpolation per snapshot, and the leading packet of each
+    # snapshot's shared synthesis against a synthesis of [U0] alone. Bound,
+    # set before measuring: 1e-13 relative L2, the rounding of a batched
+    # interpolation; the full packet is synthesize_app's bit for bit.
+    config = ExperimentConfig(convergence_mode="residual", epsilons=(2**-4, 2**-5)).validate()
+    counts, snapshots = {"build_U2": 0, "fourier_interpolate": 0}, []
+    for module, name in ((experiments, "build_U2"), (assembly, "fourier_interpolate")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    shared = experiments.synthesize_snapshot
+    monkeypatch.setattr(
+        experiments, "synthesize_snapshot",
+        lambda *args: snapshots.append((args, shared(*args))) or snapshots[-1][1],
+    )
+    rows, failures, _ = experiments._run_sweep(config, "residual")
+    n_eps = len(config.epsilons)
+    assert len(rows) == n_eps and failures == []
+    assert counts == {"build_U2": 1 + 2 * n_eps, "fourier_interpolate": 3 * n_eps}
+    assert len(snapshots) == 3 * n_eps
+    for (fields, state, eps, grid), (full, leading) in snapshots:
+        alone = synthesize_app(fields[:1], state, eps, grid)
+        dev = np.linalg.norm(leading.values - alone.values) / np.linalg.norm(alone.values)
+        assert dev <= 1e-13
+        assert np.array_equal(full.values, synthesize_app(fields, state, eps, grid).values)
+
+
+def test_a_failed_t_star_build_fails_every_residual_cell(monkeypatch):
+    # the t* correctors are built once per sweep; their failure is still
+    # recorded once per eps, with the build tried once
+    config = ExperimentConfig(convergence_mode="residual", epsilons=(2**-4, 2**-5)).validate()
+    t_star, tried = _tkey(config.residual_time), []
+    build = experiments.build_U2
+
+    def failing(gauss, grid, state, pair, external):
+        if _tkey(state.t) == t_star:
+            tried.append(state.t)
+            raise EigensolverError("no U2 at t*")
+        return build(gauss, grid, state, pair, external)
+
+    monkeypatch.setattr(experiments, "build_U2", failing)
+    rows, failures, _ = experiments._run_sweep(config, "residual")
+    assert rows == [] and len(tried) == 1
+    assert failures == [
+        {"epsilon": eps, "reason": "EigensolverError: no U2 at t*"} for eps in config.epsilons
+    ]
+
+
 # recorded values of the pipelines that the acceptance gate does not run
 PIN_REL = 1e-9
 
@@ -702,8 +753,9 @@ class RegaugedBand(BlochBand):
             pair, coeffs=phase * pair.coeffs, dk_coeffs=phase * dk, berry=pair.berry + 1j * _dtheta(k)
         )
 
-    def berry(self, p):
-        return super().berry(p) + 1j * _dtheta(np.asarray(p, dtype=float))
+    def hess_and_berry(self, p):  # `berry` reads the connection through it
+        hess, berry = super().hess_and_berry(p)
+        return hess, berry + 1j * _dtheta(np.asarray(p, dtype=float))
 
 
 def test_packets_are_gauge_covariant(monkeypatch):
