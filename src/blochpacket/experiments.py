@@ -8,8 +8,8 @@ prepared dynamics (`_box_terms`), and all grids are derived from the config,
 so identical configs produce identical bytes; each output row carries the config hash.
 
 The expensive epsilon-independent work (trajectory and envelope evolution
-to the sample times) is prepared once and shared by the per
-epsilon cells, which run one after another in the calling process.
+to the sample times, and the correctors at a prepared time) is done once and
+shared by the epsilon cells, which run one after another in the calling process.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def _correctors(bundle: DynamicsBundle, t: float, base_time: float | None = None
     set, the envelope is carried from the prepared entry at base_time by a
     short exact-landing hop, so the residual's off-center snapshots stay
     consistent with the envelope dynamics instead of being re-integrated
-    from zero."""
+    from zero; at a prepared time itself, `_snapshot` builds them once."""
     config = bundle.config
     _, gauss = bundle.at(t if base_time is None else base_time)
     gauss = evolve_gaussian(gauss, bundle.coefficients, t, max(abs(t - gauss.t), 1e-12))

@@ -430,7 +430,7 @@ def test_residual_sweep_does_each_piece_of_work_once(monkeypatch):
     # one interpolation per snapshot, and the leading packet of each
     # snapshot's shared synthesis against a synthesis of [U0] alone. Bound,
     # set before measuring: 1e-13 relative L2, the rounding of a batched
-    # interpolation; the full packet is synthesize_app's bit for bit.
+    # cell-function product; the full packet is synthesize_app's bit for bit.
     config = ExperimentConfig(convergence_mode="residual", epsilons=(2**-4, 2**-5)).validate()
     counts, snapshots = {"build_U2": 0, "fourier_interpolate": 0}, []
     for module, name in ((experiments, "build_U2"), (assembly, "fourier_interpolate")):
