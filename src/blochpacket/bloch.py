@@ -122,8 +122,10 @@ def _anchor_point(basis: tuple, potential: FourierPotential, m: int, cutoff: int
 
     At the zone corners k in {0, b/2}^d the Bloch waves are real and vanish
     somewhere; y0 is the point of an ANCHOR_SAMPLES^d cell grid maximizing
-    the smallest |chi_k(y0)| / max |chi_k| over the corners, taken to 9 digits
-    so that mirror points tie and the first wins at every cutoff.
+    the smallest |chi_k(y0)| / max |chi_k| over the corners where band m is
+    simple, taken to 9 digits so that mirror points tie and the first wins at
+    every cutoff. At a corner where band m is degenerate, `eigh` returns an
+    arbitrary vector of the eigenspace, so such corners are skipped.
     """
     lattice = LatticeSpec.from_basis(basis)
     d = lattice.dimension
@@ -132,10 +134,15 @@ def _anchor_point(basis: tuple, potential: FourierPotential, m: int, cutoff: int
     worst = np.full(points.shape[0], np.inf)
     for corner in itertools.product((0.0, 0.5), repeat=d):
         k = np.asarray(corner) @ lattice.dual_basis
-        h = build_bloch_hamiltonian(lattice, potential, k, cutoff)
-        vec = np.linalg.eigh(h)[1][:, m - 1]
-        values = np.abs(evaluate_cell_coeffs(lattice, cutoff, vec, points))
+        evals, evecs = np.linalg.eigh(build_bloch_hamiltonian(lattice, potential, k, cutoff))
+        try:
+            _check_isolated(_gaps(evals, m).min(initial=np.inf), evals[-1] - evals[0], m)
+        except DegenerateBandError:
+            continue
+        values = np.abs(evaluate_cell_coeffs(lattice, cutoff, evecs[:, m - 1], points))
         worst = np.minimum(worst, values / values.max())
+    if np.all(np.isinf(worst)):
+        raise GaugeError(f"band {m} is simple at no zone corner; no anchor point")
     return points[int(np.argmax(np.round(worst, 9)))]
 
 
@@ -174,6 +181,11 @@ def sized_cutoff(basis: tuple, potential: FourierPotential, m: int, bands: range
     raise EigensolverError(
         f"band {m} data move by over {CUTOFF_TOL:.0e} up to {MAX_PLANE_WAVES} plane waves; set cutoff"
     )
+
+
+def _gaps(evals: np.ndarray, m: int) -> np.ndarray:
+    """Distances from band m (1-based) to the bands just below and above, where they exist."""
+    return np.concatenate([evals[m - 1] - evals[m - 2 : m - 1], evals[m : m + 1] - evals[m - 1]])
 
 
 def _check_isolated(gap: float, width: float, m: int) -> None:
@@ -240,7 +252,7 @@ def band_derivatives(
         evals, evecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
-    gaps = np.concatenate([evals[m - 1] - evals[m - 2 : m - 1], evals[m : m + 1] - evals[m - 1]])
+    gaps = _gaps(evals, m)
     width = float(evals[-1] - evals[0])
     _check_isolated(float(gaps.min(initial=np.inf)), width, m)
     vec = evecs[:, m - 1].astype(complex)

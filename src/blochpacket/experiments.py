@@ -46,8 +46,8 @@ logger = logging.getLogger("blochpacket")
 
 TIME_KEY_DIGITS = 12
 TABLE_DEVIATION_TOL = 1e-10  # largest |table - direct| / max(1, |direct|) a band scan accepts
-FIRST_DT = 1e-2  # first trial step of a sized layer
-MAX_DOUBLINGS = 10  # a sized step never falls below FIRST_DT / 2^10
+FIRST_DT = 4e-2  # first trial step of a sized layer
+MAX_DOUBLINGS = 12  # a sized step never falls below FIRST_DT / 2^12 = 1e-2 / 2^10
 FLOW_TOL = 1e-12  # flow estimate, max over q, p and S
 GAUSSIAN_TOL = 1e-12  # Gaussian estimate, max over A, B and the phase integral, as FLOW_TOL
 STEP_FIELDS = {"flow": "flow_dt", "gaussian": "envelope_dt", "grid_envelope": "grid_envelope_dt"}
@@ -92,14 +92,15 @@ def loglog_fit(epsilons, values) -> dict:
     return {"slope": float(slope), "intercept": float(intercept), "points": int(np.sum(keep))}
 
 
-def refine(run, span: float, dt, layer: str, order: int, deviation, tol: float, error):
-    """run(dt) and its resolution; with dt None, run(span / n) for n = step_count(span, FIRST_DT),
+def refine(run, span: float, dt, layer: str, order: int, deviation, tol: float, error,
+           first: float = FIRST_DT):
+    """run(dt) and its resolution; with dt None, run(span / n) for n = step_count(span, first),
     2n, ... until the finer run's Richardson estimate deviation(coarse, fine) / (2^order - 1)
     is within tol (Hairer, Norsett & Wanner, ch. II.4); past MAX_DOUBLINGS raise error."""
     if dt is not None:
         logger.info("%s: fixed step %g", layer, dt)
         return run(dt), {"fixed": True, "dt": dt}
-    n = step_count(span, FIRST_DT)
+    n = step_count(span, first)
     fine = run(span / n)
     for _ in range(MAX_DOUBLINGS):
         coarse, fine, n = fine, run(span / (2 * n)), 2 * n
@@ -123,9 +124,16 @@ def _flow(config: ExperimentConfig, horizon: float, band, external) -> tuple:
     )
 
 
-def _gaussians(config: ExperimentConfig, coefficients, times, span: float) -> tuple:
-    """The Gaussian chained through the times, by time, and its resolution, sized on the
-    largest deviation of A, B or the geometric phase's integral at the times."""
+def _first_step(starts) -> float:
+    """First trial step of a layer chained through the times starts[1:]: at most its longest
+    segment, so the first pair's finer run halves that segment's step. Were every segment at
+    most half the step, each would take one step in both runs, and the estimate would read 0."""
+    return float(min(FIRST_DT, max(np.diff(starts), default=FIRST_DT)))
+
+
+def _gaussians(config: ExperimentConfig, coefficients, times) -> tuple:
+    """The Gaussian chained from 0 through the times, by time, and its resolution, sized on
+    the largest deviation of A, B or the geometric phase's integral at the times."""
 
     def run(dt):
         out = {0.0: config.make_gaussian()}
@@ -138,7 +146,8 @@ def _gaussians(config: ExperimentConfig, coefficients, times, span: float) -> tu
                              abs(f.berry_integral - c.berry_integral))
                          for c, f in zip(coarse.values(), fine.values())))
 
-    return refine(run, span, config.envelope_dt, "gaussian", 4, deviation, GAUSSIAN_TOL, EnvelopeError)
+    return refine(run, times[-1], config.envelope_dt, "gaussian", 4, deviation, GAUSSIAN_TOL,
+                  EnvelopeError, _first_step(times))
 
 
 def _grid_envelopes(config: ExperimentConfig, coefficients, u0, times) -> tuple:
@@ -153,7 +162,7 @@ def _grid_envelopes(config: ExperimentConfig, coefficients, u0, times) -> tuple:
     return refine(
         run, times[-1] - u0.t, config.grid_envelope_dt, "grid_envelope", 2,
         lambda coarse, fine: max(f.grid.norm(f.values - c.values) for c, f in zip(coarse, fine)),
-        GRID_ENVELOPE_TOL, EnvelopeError,
+        GRID_ENVELOPE_TOL, EnvelopeError, _first_step([u0.t, *times]),
     )
 
 
@@ -203,7 +212,7 @@ def prepare_dynamics(config: ExperimentConfig, times) -> DynamicsBundle:
     resolution = {}
     trajectory, resolution["flow"] = _flow(config, horizon, band, external)
     coefficients = HomogenizedCoefficients(trajectory, band, external)
-    gaussians, resolution["gaussian"] = _gaussians(config, coefficients, wanted, horizon)
+    gaussians, resolution["gaussian"] = _gaussians(config, coefficients, wanted)
     return DynamicsBundle(
         config=config,
         band=band,

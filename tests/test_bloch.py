@@ -176,6 +176,23 @@ def test_anchor_below_the_floor_raises_gauge_error(lattice1d, cosine1d, monkeypa
         band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 16)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_anchor_of_a_band_degenerate_at_zone_corners_does_not_depend_on_the_cutoff(m):
+    # bands 2 and 3 of cos y1 + cos y2 are degenerate at k = 0 and (1/2, 1/2),
+    # where eigh returns an arbitrary vector of the pair; the anchor reads only
+    # the corners where the band is simple, so it is one point at every cutoff
+    lattice, potential = LatticeSpec.cubic(2), FourierPotential.cosine(2)
+    basis = tuple(map(tuple, lattice.basis.tolist()))
+    for cutoff in (4, 7, 8, 12):
+        assert np.allclose(bloch._anchor_point(basis, potential, m, cutoff), 0.75 * np.pi)
+
+
+def test_band_simple_at_no_zone_corner_has_no_anchor(lattice1d):
+    # band 2 of the free lattice meets band 1 at k = 1/2 and band 3 at k = 0
+    with pytest.raises(GaugeError, match="^band 2 is simple at no zone corner; no anchor point$"):
+        band_derivatives(lattice1d, FourierPotential.zero(1), np.array([0.3]), 2, 4)
+
+
 def test_dk_coeffs_orthogonality_real_part(lattice1d, cosine1d):
     # Re<chi, d_k chi> = 0 under the normalization constraint
     pair = band_derivatives(lattice1d, cosine1d, np.array([0.3]), 1, 32)
@@ -461,9 +478,9 @@ def test_default_flow_makes_at_most_32_node_solves(monkeypatch):
         calls.append(args[2])
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(bloch, "band_derivatives", counted)
     cfg = ExperimentConfig()
-    band = cfg.make_band()
+    band = cfg.make_band()  # sizing the cutoff solves at the zone corners, once per process
+    monkeypatch.setattr(bloch, "band_derivatives", counted)
     _flow(cfg, cfg.t_final, band, cfg.make_external())
     assert len(calls) <= 32
     assert band.node_solves == len(calls)

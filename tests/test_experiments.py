@@ -24,6 +24,7 @@ from blochpacket.experiments import (
     _initial_field,
     _leading_packet,
     _make_grid,
+    _needed_times,
     _tkey,
     loglog_fit,
     prepare_dynamics,
@@ -36,7 +37,7 @@ from blochpacket.experiments import (
     run_reference,
 )
 from blochpacket.flow import integrate_flow
-from blochpacket.grid import SpatialGrid
+from blochpacket.grid import SpatialGrid, step_count
 from blochpacket.reference import SolverParams, l2_error, solve_schrodinger
 
 
@@ -171,41 +172,48 @@ DISPERSIVE = {
 def test_default_flow_is_sized_by_step_doubling(tmp_path):
     summary = run_flow(ExperimentConfig(kind="flow", output_dir=str(tmp_path)))
     resolution = summary["resolution"]["flow"]
-    assert (resolution["steps"], resolution["dt"], summary["dt"]) == (200, 0.005, 0.005)
+    assert (resolution["steps"], resolution["dt"], summary["dt"]) == (50, 0.02, 0.02)
     assert resolution["error_estimate"] <= resolution["tol"] == experiments.FLOW_TOL
-    assert len(read_rows(summary["csv"])) == 201
+    assert len(read_rows(summary["csv"])) == 51
+    # the finest step the doubling can reach at T = 1
+    finest = 1.0 / (step_count(1.0, experiments.FIRST_DT) * 2**experiments.MAX_DOUBLINGS)
+    assert finest == pytest.approx(1e-2 / 2**10, rel=1e-15)
 
 
 @pytest.mark.parametrize("model", [{}, DISPERSIVE], ids=["defaults", "dispersive"])
 def test_step_doubling_estimates_hold_against_a_run_ten_times_finer(model):
     # each sized layer against its own integrator at a tenth of the chosen
-    # step, at T = 1: the flow read at 777 off-node times through both dense
-    # outputs, over q, p and S; the Gaussian over A, B and the geometric
-    # phase's integral; the grid envelope in L2. Bounds set before measuring:
-    # each error is within its layer's tolerance; the flow and Gaussian errors
-    # are within 10x their estimates plus a 1e-13 rounding floor (a few
-    # thousand RK4 steps on O(1) values); the order-2 grid estimate is within
-    # 2x its error
+    # step: the flow read at 777 off-node times through both dense outputs,
+    # over q, p and S; the Gaussian over A, B and the geometric phase's
+    # integral; the grid envelope in L2. The flow and the Gaussian run to the
+    # residual sweep's padded horizon t* + 2 pad = 0.502, whose doubling ladder
+    # 13 * 2^k shares no rung with T = 1's, and then to T = 1, where the grid
+    # envelope runs too. Bounds set before measuring: each error is within its
+    # layer's tolerance; the flow and Gaussian errors are within 10x their
+    # estimates plus a 1e-13 rounding floor (a few thousand RK4 steps on O(1)
+    # values); the order-2 grid estimate is within 2x its error
     cfg = ExperimentConfig(kind="envelope", **model).validate()
-    bundle = prepare_dynamics(cfg, [cfg.t_final])
-    flow = bundle.resolution["flow"]
-    finer = integrate_flow(
-        cfg.q0, cfg.p0, cfg.t_final, flow["dt"] / 10, bundle.band, bundle.external
-    )
-    ts = (np.arange(777) + 0.5) * cfg.t_final / 777
-    got, want = bundle.trajectory.state_at(ts), finer.state_at(ts)
-    flow_error = max(np.max(np.abs(got.q - want.q)), np.max(np.abs(got.p - want.p)),
-                     np.max(np.abs(got.S - want.S)))
-    assert flow_error <= experiments.FLOW_TOL
-    assert flow_error <= 10 * flow["error_estimate"] + 1e-13
+    for times in (_needed_times(cfg, "residual"), [cfg.t_final]):
+        horizon = times[-1]
+        bundle = prepare_dynamics(cfg, times)
+        flow = bundle.resolution["flow"]
+        finer = integrate_flow(
+            cfg.q0, cfg.p0, horizon, flow["dt"] / 10, bundle.band, bundle.external
+        )
+        ts = (np.arange(777) + 0.5) * horizon / 777
+        got, want = bundle.trajectory.state_at(ts), finer.state_at(ts)
+        flow_error = max(np.max(np.abs(got.q - want.q)), np.max(np.abs(got.p - want.p)),
+                         np.max(np.abs(got.S - want.S)))
+        assert flow_error <= experiments.FLOW_TOL
+        assert flow_error <= 10 * flow["error_estimate"] + 1e-13
 
-    gaussian = bundle.resolution["gaussian"]
-    got = bundle.at(cfg.t_final)[1]
-    want = evolve_gaussian(cfg.make_gaussian(), bundle.coefficients, cfg.t_final, gaussian["dt"] / 10)
-    gaussian_error = max(np.max(np.abs(got.A - want.A)), np.max(np.abs(got.B - want.B)),
-                         abs(got.berry_integral - want.berry_integral))
-    assert gaussian_error <= experiments.GAUSSIAN_TOL
-    assert gaussian_error <= 10 * gaussian["error_estimate"] + 1e-13
+        gaussian = bundle.resolution["gaussian"]
+        got = bundle.at(horizon)[1]
+        want = evolve_gaussian(cfg.make_gaussian(), bundle.coefficients, horizon, gaussian["dt"] / 10)
+        gaussian_error = max(np.max(np.abs(got.A - want.A)), np.max(np.abs(got.B - want.B)),
+                             abs(got.berry_integral - want.berry_integral))
+        assert gaussian_error <= experiments.GAUSSIAN_TOL
+        assert gaussian_error <= 10 * gaussian["error_estimate"] + 1e-13
 
     u0 = grid_envelope_from_gaussian(
         cfg.make_gaussian(), cfg.envelope_half_width, cfg.envelope_points
@@ -226,15 +234,29 @@ def test_step_doubling_estimates_hold_against_a_run_ten_times_finer(model):
     ],
 )
 def test_step_doubling_stops_loudly_at_its_cap(tmp_path, monkeypatch, tol, layer, error):
-    # a tolerance no run meets: MAX_DOUBLINGS doublings from 2 steps on
-    # T = 0.02, then the typed error names the layer, tolerance and field
+    # a tolerance no run meets: MAX_DOUBLINGS doublings from the first step
+    # count on T = 0.02, then the typed error names the layer, tolerance and field
     monkeypatch.setattr(experiments, tol, 0.0)
     cfg = ExperimentConfig(kind="envelope", t_final=0.02, output_dir=str(tmp_path))
-    steps = 2 * 2**experiments.MAX_DOUBLINGS
+    steps = step_count(0.02, experiments.FIRST_DT) * 2**experiments.MAX_DOUBLINGS
     field = {"gaussian": "envelope"}.get(layer, layer) + "_dt"
     with pytest.raises(error, match=rf"^{layer}: estimate \S+ > tol 0e\+00 at {steps} steps; "
                                     rf"set {field}$"):
         run_envelope(cfg)
+
+
+def test_chained_layers_halve_their_longest_segment_in_the_first_pair(tmp_path):
+    # sample times 0.01 apart, each under half of FIRST_DT: were the first trial
+    # step FIRST_DT, every segment would take one step in both runs of the first
+    # pair, and the Gaussian and grid estimates would read an exact 0. Each
+    # chained layer starts at its longest segment instead, so the estimate is
+    # positive and the kept step is at most half a segment
+    times = tuple(round(0.01 * i, 2) for i in range(1, 21))
+    cfg = ExperimentConfig(kind="envelope", t_final=0.2, sample_times=times, output_dir=str(tmp_path))
+    resolution = run_envelope(cfg)["resolution"]
+    for layer in ("gaussian", "grid_envelope"):
+        assert 0.0 < resolution[layer]["error_estimate"] <= resolution[layer]["tol"]
+        assert resolution[layer]["dt"] <= 0.005
 
 
 def test_explicit_steps_run_the_integrators_unchanged():

@@ -9,8 +9,11 @@ Every seed and each of the three workloads gives one pair: the parent runs
 first at even seeds and the change first at odd seeds. The end-to-end
 metrics of each side are summarised by their median and quartiles
 (inclusive method) over the seeds, with how many pairs the change read lower
-in, and the file is written as BENCH_<slug>.json at the root of the
-repository.
+in. So are two figures per run that `run_s` is scaled from, read from the
+run's benchmark/_out/<workload>-seed<S>-trace0/result.json: `wall_s`, the
+median of its unscaled `wall_s_samples`, and `probe_s`, the median of its
+`probe_s_samples`. The file is written as BENCH_<slug>.json at the root of
+the repository.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("error-sweep", "residual-sweep", "envelope-run")
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
+SAMPLED = {"wall_s": "wall_s_samples", "probe_s": "probe_s_samples"}  # per-run medians
 
 
 def _git(*args: str) -> str:
@@ -53,7 +57,8 @@ def _export(rev: str, dest: Path) -> dict:
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """Last JSON line of one untraced benchmark run in tree."""
+    """Last JSON line of one untraced benchmark run in tree, with the medians of the
+    SAMPLED lists of the result.json it wrote, by name."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -61,16 +66,30 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(
             f"{tree.name} {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr[-2000:]}"
         )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(
+        (tree / "benchmark" / "_out" / f"{workload}-seed{seed}-trace0" / "result.json").read_text()
+    )
+    out["sampled"] = {name: statistics.median(result[key]) for name, key in SAMPLED.items()}
+    return out
 
 
-def _spread(samples: list) -> dict:
+def _spread(samples: list, digits: int) -> dict:
     q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {
-        "median": round(statistics.median(samples), 4),
-        "q1": round(q1, 4),
-        "q3": round(q3, 4),
-        "samples": [round(s, 4) for s in samples],
+        "median": round(statistics.median(samples), digits),
+        "q1": round(q1, digits),
+        "q3": round(q3, digits),
+        "samples": [round(s, digits) for s in samples],
+    }
+
+
+def _compare(values: dict, digits: int) -> dict:
+    """Each side's spread of one metric, and in how many pairs the change read lower."""
+    lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
+    return {
+        **{side: _spread(v, digits) for side, v in values.items()},
+        "change_lower_in": f"{lower} of {len(values['parent'])}",
     }
 
 
@@ -114,7 +133,8 @@ def main(argv=None) -> int:
     record["method"] = (
         "one parent/change pair per seed and workload, parent first at even seeds and change first"
         " at odd seeds; medians and quartiles (inclusive method) over the runs of each side; run_s"
-        " is the benchmark's probe-scaled time per pipeline call"
+        " is the benchmark's probe-scaled time per pipeline call; wall_s is each run's median"
+        " unscaled time per call, and probe_s each run's median speed-probe time"
     )
 
     seeds = _seeds(args.seeds)
@@ -137,9 +157,9 @@ def main(argv=None) -> int:
         }
         for metric in METRICS:
             values = {s: [r["metrics"][metric]["value"] for r in rs] for s, rs in by_side.items()}
-            lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
-            entry[metric] = {side: _spread(v) for side, v in values.items()}
-            entry[metric]["change_lower_in"] = f"{lower} of {len(seeds)}"
+            entry[metric] = _compare(values, 4)
+        for name in SAMPLED:
+            entry[name] = _compare({s: [r["sampled"][name] for r in rs] for s, rs in by_side.items()}, 6)
         record["workloads"][workload] = entry
 
     path = ROOT / f"BENCH_{args.slug}.json"
