@@ -47,7 +47,7 @@ logger = logging.getLogger("blochpacket")
 TIME_KEY_DIGITS = 12
 TABLE_DEVIATION_TOL = 1e-10  # largest |table - direct| / max(1, |direct|) a band scan accepts
 FIRST_DT = 4e-2  # first trial step of a sized layer
-MAX_DOUBLINGS = 12  # a sized step never falls below FIRST_DT / 2^12 = 1e-2 / 2^10
+MAX_DOUBLINGS = 12  # doublings before a sized layer fails; from FIRST_DT, a finest step of 1e-2 / 2^10
 FLOW_TOL = 1e-12  # flow estimate, max over q, p and S
 GAUSSIAN_TOL = 1e-12  # Gaussian estimate, max over A, B and the phase integral, as FLOW_TOL
 STEP_FIELDS = {"flow": "flow_dt", "gaussian": "envelope_dt", "grid_envelope": "grid_envelope_dt"}
