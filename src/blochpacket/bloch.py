@@ -9,9 +9,9 @@ Eigenvector coefficients are stored in the "cell" scaling c_n, normalized so
 that |Y| * sum |c_n|^2 = 1, i.e. the cell function has unit L^2(Y) norm.
 Inner products over the cell in this scaling are |Y| * sum conj(a) b.
 
-`BlochBand` serves band energy, gradient, Hessian and connection from a band
-table: Chebyshev series on patches of the Brillouin zone, each built
-from `band_derivatives` at its nodes the first time a query falls inside it.
+`BlochBand` serves band energy, gradient, Hessian and connection from a band table:
+Chebyshev series on zone patches, each built when a query first falls inside it by one
+stacked `band_derivatives` solve per row of n nodes (n * M^2 entries per array).
 Cell functions are solved at the momentum asked for, and every reduced resolvent
 comes from the dense eigendecomposition that the solve's record keeps.
 
@@ -56,7 +56,7 @@ class BlochEigenpair:
     """One simple band at one k: energy, anchored cell function, their first and second
     k-derivatives, the band's isolation, and the eigendecomposition of H(k)."""
 
-    k: np.ndarray            # quasimomentum, possibly outside the first zone
+    k: np.ndarray            # quasimomentum, possibly outside the first zone; (N, d): arrays lead with N
     m: int                   # band index, 1-based, bands sorted ascending
     energy: float
     coeffs: np.ndarray       # cell-scaled plane-wave coefficients, lex order
@@ -88,20 +88,19 @@ def build_bloch_hamiltonian(
     k,
     cutoff: int,
 ) -> np.ndarray:
-    """Dense fiber Hamiltonian in the plane-wave basis at quasimomentum k."""
+    """Dense fiber Hamiltonian in the plane-wave basis at quasimomentum k (d,), or one
+    per row of a stack k (N, d), shape (N, M, M): the potential part is built once, and
+    only the kinetic diagonal depends on k."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     d = lattice.dimension
-    if k.shape != (d,):
-        raise EigensolverError(f"quasimomentum shape {k.shape} != ({d},)")
+    if k.ndim > 2 or k.shape[-1:] != (d,):
+        raise EigensolverError(f"quasimomentum shape {k.shape} is not ({d},) or (N, {d})")
     if not np.all(np.isfinite(k)):
         raise EigensolverError("quasimomentum must be finite")
     if cutoff < potential.cutoff:
-        raise EigensolverError(
-            f"cutoff {cutoff} below potential support {potential.cutoff}"
-        )
+        raise EigensolverError(f"cutoff {cutoff} below potential support {potential.cutoff}")
     n = pw_indices(d, cutoff)
-    g = lattice.dual_vectors(n)
-    kinetic = 0.5 * np.sum((g + k) ** 2, axis=1)
+    kinetic = 0.5 * np.sum((lattice.dual_vectors(n) + k[..., None, :]) ** 2, axis=-1)
 
     # Dense cube of coefficients over index differences, fancy-indexed below.
     width = 4 * cutoff + 1
@@ -109,10 +108,9 @@ def build_bloch_hamiltonian(
     for idx, v in potential.coeffs:
         cube[tuple(c + 2 * cutoff for c in idx)] = v
     diff = n[:, None, :] - n[None, :, :] + 2 * cutoff
-    h = cube[tuple(diff[..., j] for j in range(d))]
-    if potential.is_real_matrix:
-        h = h.real.copy()
-    h[np.diag_indices_from(h)] += kinetic
+    v = cube[tuple(diff[..., j] for j in range(d))]
+    h = np.broadcast_to(v.real if potential.is_real_matrix else v, kinetic.shape[:-1] + v.shape).copy()
+    h[..., range(len(n)), range(len(n))] += kinetic
     return h
 
 
@@ -184,8 +182,10 @@ def sized_cutoff(basis: tuple, potential: FourierPotential, m: int, bands: range
 
 
 def _gaps(evals: np.ndarray, m: int) -> np.ndarray:
-    """Distances from band m (1-based) to the bands just below and above, where they exist."""
-    return np.concatenate([evals[m - 1] - evals[m - 2 : m - 1], evals[m : m + 1] - evals[m - 1]])
+    """Distances from band m (1-based) to the bands just below and above, where they exist,
+    along the last axis."""
+    lam = evals[..., m - 1 : m]
+    return np.concatenate([lam - evals[..., m - 2 : m - 1], evals[..., m : m + 1] - lam], axis=-1)
 
 
 def _check_isolated(gap: float, width: float, m: int) -> None:
@@ -193,9 +193,7 @@ def _check_isolated(gap: float, width: float, m: int) -> None:
     k, given its smallest gap to them and the spectrum width."""
     scale = max(float(width), 1.0)
     if gap < GAP_TOL_RELATIVE * scale:
-        raise DegenerateBandError(
-            f"band {m} gap {gap:.3e} below {GAP_TOL_RELATIVE:.1e} * {scale:.3e}"
-        )
+        raise DegenerateBandError(f"band {m} gap {gap:.3e} below {GAP_TOL_RELATIVE:.1e} * {scale:.3e}")
 
 
 def reduced_resolvent_solve(
@@ -206,21 +204,22 @@ def reduced_resolvent_solve(
 
     x = sum_{n != m} w_n <w_n, rhs> / (lam_n - E_m), for rhs of shape (M,) or
     (M, R) with one right-hand side per column. It is finite exactly when
-    band m (1-based) is simple.
+    band m (1-based) is simple. A stack of N Hamiltonians (N, M, M), with
+    evals (N, M), evecs (N, M, M) and rhs (N, M) or (N, M, R), is solved at once.
     """
-    energy = evals[m - 1]
-    shift = evals - energy
-    shift[m - 1] = np.inf
-    weights = (evecs.conj().T @ rhs) / shift.reshape((-1,) + (1,) * (rhs.ndim - 1))
-    x = evecs @ weights
-    chi = evecs[:, m - 1]
-    rhs_perp = rhs - np.multiply.outer(chi, chi.conj() @ rhs)
-    residual = np.linalg.norm(h @ x - energy * x - rhs_perp, axis=0)
-    if np.any(residual > 1e-8 * np.maximum(1.0, np.linalg.norm(rhs_perp, axis=0))):
+    b = rhs[..., None] if rhs.ndim == evals.ndim else rhs  # (..., M, R)
+    energy = evals[..., m - 1, None, None]
+    shift = evals - energy[..., 0]
+    shift[..., m - 1] = np.inf
+    x = evecs @ ((evecs.conj().swapaxes(-1, -2) @ b) / shift[..., None])
+    chi = evecs[..., m - 1 : m]
+    rhs_perp = b - chi @ (chi.conj().swapaxes(-1, -2) @ b)
+    residual = np.linalg.norm(h @ x - energy * x - rhs_perp, axis=-2)
+    if np.any(residual > 1e-8 * np.maximum(1.0, np.linalg.norm(rhs_perp, axis=-2))):
         raise EigensolverError(f"reduced-resolvent residual {np.max(residual):.3e}")
-    if np.any(np.abs(chi.conj() @ x) > ORTHO_TOL):
+    if np.any(np.abs(chi.conj().swapaxes(-1, -2) @ x) > ORTHO_TOL):
         raise EigensolverError("reduced-resolvent solution not orthogonal")
-    return x
+    return x if b is rhs else x[..., 0]
 
 
 def band_derivatives(
@@ -230,7 +229,9 @@ def band_derivatives(
     m: int,
     cutoff: int,
 ) -> BlochEigenpair:
-    """Energy, cell function and their k-derivatives for one simple band.
+    """Energy, cell function and their k-derivatives for one simple band, at one k (d,)
+    or at every row of a stack k (N, d) from one batched eigensolve; the record's array
+    fields then carry a leading N axis.
 
     The cell function is in the anchored gauge: its phase makes the Bloch
     wave psi_k(y0) = sum_n c_n exp(i <G_n + k, y0>) real and positive at the
@@ -242,54 +243,63 @@ def band_derivatives(
     coefficient derivative combines the reduced-resolvent solution x_j (the
     component orthogonal to chi) with the phase rate of the anchored gauge;
     the latter is also returned as the purely imaginary connection vector.
+
+    A failed check names the k it failed at; a stack that fails one is solved again
+    one node at a time, so the first failing node in node order raises.
     """
     d = lattice.dimension
     k = np.atleast_1d(np.asarray(k, dtype=float))
     h = build_bloch_hamiltonian(lattice, potential, k, cutoff)
-    if not 1 <= m <= h.shape[0]:
-        raise EigensolverError(f"band index {m} outside [1, {h.shape[0]}]")
-    try:
-        evals, evecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
-    gaps = _gaps(evals, m)
-    width = float(evals[-1] - evals[0])
-    _check_isolated(float(gaps.min(initial=np.inf)), width, m)
-    vec = evecs[:, m - 1].astype(complex)
-    residual = np.linalg.norm(h @ vec - evals[m - 1] * vec)
-    if residual > EIG_RESIDUAL_TOL:
-        raise EigensolverError(f"eigen-residual {residual:.3e} for band {m}")
-    n = pw_indices(d, cutoff)
-    g_plus_k = lattice.dual_vectors(n) + k
+    ks, h = k.reshape(-1, d), h.reshape((-1,) + h.shape[-2:])
+    if not 1 <= m <= h.shape[-1]:
+        raise EigensolverError(f"band index {m} outside [1, {h.shape[-1]}] at k = {ks[0]}")
     y0 = _anchor_point(tuple(map(tuple, lattice.basis.tolist())), potential, m, cutoff)
-    row = np.exp(1j * (g_plus_k @ y0))
-    anchor = complex(row @ vec)
-    if abs(anchor) < ANCHOR_FLOOR:
-        raise GaugeError(
-            f"Bloch wave at the anchor point has modulus {abs(anchor):.3e}"
-            f" below {ANCHOR_FLOOR:.0e} at k = {k}"
-        )
-    a = vec * (np.conj(anchor) / abs(anchor))
-    grad = (np.abs(a) ** 2) @ g_plus_k
-
-    xs = reduced_resolvent_solve(h, evals, evecs, m, -(g_plus_k * a[:, None])).T
-    # Hess E_jl = delta_jl + <a, (G + k)_j x_l> + <a, (G + k)_l x_j>
-    terms = (np.conj(a) * g_plus_k.T) @ xs.T
-    terms = terms + terms.T
-    if np.any(np.abs(terms.imag) > 1e-9 * np.maximum(1.0, np.abs(terms.real))):
-        raise EigensolverError("Hessian assembly produced imaginary part")
-    hess = np.eye(d) + terms.real
+    g_plus_k = lattice.dual_vectors(pw_indices(d, cutoff)) + ks[:, None, :]  # (N, M, d)
+    try:
+        try:
+            evals, evecs = np.linalg.eigh(h)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
+        gaps, width = _gaps(evals, m), evals[:, -1] - evals[:, 0]
+        i = int(np.argmax(gaps.min(axis=1, initial=np.inf) < GAP_TOL_RELATIVE * np.maximum(width, 1.0)))
+        _check_isolated(float(gaps[i].min(initial=np.inf)), float(width[i]), m)
+        vec, energy = evecs[..., m - 1].astype(complex), evals[:, m - 1]
+        residual = np.linalg.norm((h @ vec[..., None])[..., 0] - energy[:, None] * vec, axis=1)
+        if residual.max() > EIG_RESIDUAL_TOL:
+            raise EigensolverError(f"eigen-residual {residual.max():.3e} for band {m}")
+        row = np.exp(1j * (g_plus_k @ y0))
+        wave = (row[:, None, :] @ vec[..., None])[:, 0, 0]  # psi_k(y0) before the phase is fixed
+        anchor = np.hypot(wave.real, wave.imag)  # |wave| rounded as a scalar's abs rounds it
+        if anchor.min() < ANCHOR_FLOOR:
+            raise GaugeError(
+                f"Bloch wave at the anchor point has modulus {anchor.min():.3e} below {ANCHOR_FLOOR:.0e}"
+            )
+        a = vec * (np.conj(wave) / anchor)[:, None]
+        x = reduced_resolvent_solve(h, evals, evecs, m, -(g_plus_k * a[..., None]))  # (N, M, d)
+        # Hess E_jl = delta_jl + <a, (G + k)_j x_l> + <a, (G + k)_l x_j>
+        terms = (np.conj(a)[..., None] * g_plus_k).swapaxes(1, 2) @ x
+        terms = terms + terms.swapaxes(1, 2)
+        if np.any(np.abs(terms.imag) > 1e-9 * np.maximum(1.0, np.abs(terms.real))):
+            raise EigensolverError("Hessian assembly produced imaginary part")
+    except (DegenerateBandError, EigensolverError, GaugeError) as exc:
+        if len(ks) == 1:
+            raise type(exc)(f"{exc} at k = {ks[0]}") from exc
+        for node in ks:
+            band_derivatives(lattice, potential, node, m, cutoff)
+        raise
 
     # Phase rate of the anchored gauge: differentiating Im psi_k(y0) = 0 with
     # d_k row = i y0 row and psi_k(y0) = |anchor| gives
     # alpha_j = -y0_j - Im(row @ x_j) / |anchor|.
-    alphas = -y0 - (xs @ row).imag / abs(anchor)
-    return BlochEigenpair(
-        k=k, m=m, energy=float(evals[m - 1]), coeffs=a / np.sqrt(lattice.cell_volume),
-        cutoff=cutoff, lattice=lattice, grad=grad, hess=hess,
-        dk_coeffs=(xs + 1j * alphas[:, None] * a) / np.sqrt(lattice.cell_volume),
-        berry=1j * alphas, gaps=gaps, width=width, potential=potential, evals=evals, evecs=evecs,
+    alphas = -y0 - (row[:, None, :] @ x)[:, 0].imag / anchor[:, None]
+    scale = np.sqrt(lattice.cell_volume)
+    fields = dict(
+        k=ks, energy=energy, coeffs=a / scale, grad=(np.abs(a[:, None, :]) ** 2 @ g_plus_k)[:, 0],
+        hess=np.eye(d) + terms.real, berry=1j * alphas, gaps=gaps, width=width, evals=evals,
+        evecs=evecs, dk_coeffs=(x.swapaxes(1, 2) + 1j * alphas[..., None] * a[:, None, :]) / scale,
     )
+    fields = {name: value[0] for name, value in fields.items()} if k.ndim == 1 else fields
+    return BlochEigenpair(m=m, cutoff=cutoff, lattice=lattice, potential=potential, **fields)
 
 
 def evaluate_cell_coeffs(lattice, cutoff: int, coeffs: np.ndarray, points) -> np.ndarray:
@@ -357,9 +367,10 @@ class BlochBand:
 
     Energy, gradient, Hessian and connection come from the band table. The
     first zone, [-1/2, 1/2)^d in fractional coordinates, is split into
-    PATCHES_PER_AXIS^d equal patches. The first query inside a patch calls
-    `band_derivatives` at its PATCH_NODES[0]^d Chebyshev points (none on a
-    patch boundary); queries sum the Chebyshev series of the node values
+    PATCHES_PER_AXIS^d equal patches. The first query inside a patch solves
+    its PATCH_NODES[0]^d Chebyshev points (none on a patch boundary), one
+    stacked `band_derivatives` call per row of n nodes, which holds n M^2
+    entries per array; queries sum the Chebyshev series of the node values
     (`BandPatch`). The accessors take one momentum (d,) or a batch (N, d),
     served patch by patch. A patch whose Chebyshev tail exceeds TAIL_TOL is
     rebuilt with twice the points, and past PATCH_NODES[-1] the build raises.
@@ -420,19 +431,13 @@ class BlochBand:
         d = self.dimension
         smooth = 1 + 2 * d + d * d  # E, grad, Hess and berry columns
         for n in PATCH_NODES:
-            points = _chebyshev(n)[0]
-            axes = [-0.5 + (i + 0.5 * (points + 1.0)) / PATCHES_PER_AXIS for i in index]
+            axes = [-0.5 + (i + 0.5 * (_chebyshev(n)[0] + 1.0)) / PATCHES_PER_AXIS for i in index]
             rows = []
-            for frac in itertools.product(*axes):
-                self.node_solves += 1
-                pair = band_derivatives(
-                    self.lattice, self.potential, np.asarray(frac) @ self.lattice.dual_basis,
-                    self.m, self.cutoff,
-                )
-                rows.append(np.concatenate([
-                    [pair.energy], pair.grad, pair.hess.ravel(), pair.berry.imag, pair.gaps,
-                    [pair.width],
-                ]))
+            for ks in mesh(axes).reshape(-1, n, d) @ self.lattice.dual_basis:  # one solve per row of nodes
+                self.node_solves += n
+                pair = band_derivatives(self.lattice, self.potential, ks, self.m, self.cutoff)
+                rows.append(np.column_stack([pair.energy, pair.grad, pair.hess.reshape(n, -1),
+                                             pair.berry.imag, pair.gaps, pair.width]))
             patch = BandPatch(np.array(rows).reshape((n,) * d + (-1,)), smooth)
             if patch.tail <= TAIL_TOL:
                 self.patches[index] = patch
@@ -479,10 +484,8 @@ class BlochBand:
             rows = group.ravel() == g
             values[rows] = self._patch(key).interpolate_rows(local[rows])
         gaps = values[:, 1 + 2 * d + d * d : -1].min(axis=1, initial=math.inf)
-        close = gaps < GAP_TOL_RELATIVE * np.maximum(values[:, -1], 1.0)
-        if close.any():
-            first = int(np.argmax(close))
-            _check_isolated(float(gaps[first]), float(values[first, -1]), self.m)
+        first = int(np.argmax(gaps < GAP_TOL_RELATIVE * np.maximum(values[:, -1], 1.0)))  # 0 if none
+        _check_isolated(float(gaps[first]), float(values[first, -1]), self.m)
         self.min_gap = min(self.min_gap, float(gaps.min()))
         return values
 

@@ -134,6 +134,8 @@ def _first_step(starts) -> float:
 def _gaussians(config: ExperimentConfig, coefficients, times) -> tuple:
     """The Gaussian chained from 0 through the times, by time, and its resolution, sized on
     the largest deviation of A, B or the geometric phase's integral at the times."""
+    if times[-1] == 0.0:  # read only at t = 0: a zero span, so the initial Gaussian is not refined
+        return {0.0: config.make_gaussian()}, {"steps": 0, "span": 0.0}
 
     def run(dt):
         out = {0.0: config.make_gaussian()}

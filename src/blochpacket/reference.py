@@ -10,8 +10,9 @@ In d = 1, V is the external potential and H = -(eps/2) Lap + V_lat(x/eps)/eps is
 by the Bloch decomposition of Huang, Jin, Markowich and Sparber (SIAM J. Sci. Comput.
 29 (2007)): on K whole cells of P points it is K Hermitian P x P blocks, one per
 residue r of the Fourier index mK + r, built on the cell-Bloch components
-X[r, a] = sum_b x[a + P b] e^{-2 pi i r b / K} and diagonalized once per solve, so only
-the splitting error of V limits the default dt = eps.  A kernel step takes P FFTs of
+X[r, a] = sum_b x[a + P b] e^{-2 pi i r b / K} and diagonalized once per solve (only
+r = 0 .. K/2: H_per is real, so block K - r is conj(block r)), so only the splitting
+error of V limits the default dt = eps.  A kernel step takes P FFTs of
 length K across the cells, applies one of the three propagators W diag(e^{-i a h lam}) W^H
 each snapshot segment stores, and transforms back.  In d >= 2 the blocks do not fit in
 memory: V is the total potential, H the kinetic part, and each step of dt takes
@@ -114,7 +115,10 @@ def solve_schrodinger(
     dt = params.resolve_dt(eps)
     if grid.dimension == 1:  # H_per = W diag(lam) W^H on the cell-Bloch components
         vgrid = external.value(grid.points())
-        lam, vecs = np.linalg.eigh(_bloch_blocks(grid, lattice, lattice_potential, eps))
+        blocks = _bloch_blocks(grid, lattice, lattice_potential, eps)
+        lam, vecs = np.linalg.eigh(blocks[: len(blocks) // 2 + 1])  # block K - r = conj(block r)
+        mirror = slice(len(blocks) - len(lam), 0, -1)  # H_per is real: K - r from r = K - 1 - K // 2 .. 1
+        lam, vecs = np.concatenate([lam, lam[mirror]]), np.concatenate([vecs, vecs[mirror].conj()])
         # one Newton step to W^H W = I, or eigh's 1e-15 adds up over six kernel steps per step
         vecs -= 0.5 * vecs @ (vecs.conj().swapaxes(1, 2) @ vecs - np.eye(vecs.shape[1]))
         step_fn, substeps = _bloch_step, 1

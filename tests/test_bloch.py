@@ -474,8 +474,8 @@ def test_default_flow_makes_at_most_32_node_solves(monkeypatch):
     calls = []
     solve = bloch.band_derivatives
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
+    def counted(*args, **kwargs):  # one entry per momentum: a patch solves a stack of them at once
+        calls.extend(np.reshape(args[2], (-1, args[0].dimension)))
         return solve(*args, **kwargs)
 
     cfg = ExperimentConfig()
@@ -505,3 +505,81 @@ def test_band_table_2d_matches_direct_solve():
     assert _relative_dev(band.grad_energy(k), pair.grad) <= 1e-11
     assert _relative_dev(band.hess_energy(k), pair.hess) <= 1e-11
     assert _relative_dev(band.berry(k), pair.berry) <= 1e-11
+
+
+RECORD_ARRAYS = ("k", "energy", "coeffs", "grad", "hess", "dk_coeffs", "berry", "gaps", "width", "evals", "evecs")
+
+
+@pytest.mark.parametrize(
+    "lattice, potential, m, cutoff, ks",
+    [
+        (LatticeSpec.cubic(1), FourierPotential.cosine(1), 1, 7, np.linspace(-0.49, 0.49, 16)[:, None]),
+        (LatticeSpec.cubic(1), TILTED, 2, 9, np.linspace(-0.3, 0.45, 5)[:, None]),
+        (LatticeSpec.cubic(2), FourierPotential.cosine(2), 1, 3, [[0.1, -0.2], [0.3, 0.05], [-0.45, 0.4]]),
+    ],
+    ids=["cosine-1d", "tilted-band2", "cosine-2d"],
+)
+def test_stacked_solve_matches_one_at_a_time_solves(lattice, potential, m, cutoff, ks):
+    # one record with a leading N axis, field by field against a (d,) solve per
+    # row; bound set before measuring: bit-identical or within 1e-15 relative
+    ks = np.asarray(ks, dtype=float)
+    stacked = band_derivatives(lattice, potential, ks, m, cutoff)
+    assert stacked.evecs.shape[0] == len(ks) and stacked.m == m and stacked.cutoff == cutoff
+    for i, k in enumerate(ks):
+        single = band_derivatives(lattice, potential, k, m, cutoff)
+        for name in RECORD_ARRAYS:
+            got, want = getattr(stacked, name)[i], getattr(single, name)
+            assert np.shape(got) == np.shape(want)
+            assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want))), name
+    h = build_bloch_hamiltonian(lattice, potential, ks, cutoff)
+    assert h.dtype == (float if potential.is_real_matrix else complex) and h.shape == (len(ks),) + (stacked.evecs.shape[-1],) * 2
+    assert all(np.array_equal(h[i], build_bloch_hamiltonian(lattice, potential, k, cutoff)) for i, k in enumerate(ks))
+
+
+def test_stacked_resolvent_matches_one_solve_per_node(lattice1d, cosine1d):
+    # (N, M, M) Hamiltonians with (N, M) and (N, M, R) right-hand sides
+    ks = np.array([[0.1], [0.3], [-0.4]])
+    pair = band_derivatives(lattice1d, cosine1d, ks, 2, 8)
+    h = build_bloch_hamiltonian(lattice1d, cosine1d, ks, 8)
+    rhs = np.random.default_rng(3).normal(size=(3, h.shape[-1], 2)) + 0j
+    columns = reduced_resolvent_solve(h, pair.evals, pair.evecs, 2, rhs)
+    vectors = reduced_resolvent_solve(h, pair.evals, pair.evecs, 2, rhs[..., 0])
+    for i in range(3):
+        one = reduced_resolvent_solve(h[i], pair.evals[i], pair.evecs[i], 2, rhs[i])
+        assert np.allclose(columns[i], one, rtol=0, atol=1e-14)
+        assert np.allclose(vectors[i], one[:, 0], rtol=0, atol=1e-14)
+
+
+def test_each_check_raises_inside_a_stack_and_names_its_node(lattice1d, cosine1d, monkeypatch):
+    # band 1 of the free lattice meets band 2 at the zone edge k = 1/2
+    free = FourierPotential.zero(1)
+    with pytest.raises(DegenerateBandError, match=r"^band 1 gap \S+ below .* at k = \[0\.5\]$"):
+        band_derivatives(lattice1d, free, np.array([[0.1], [-0.3], [0.5], [0.2], [-0.5]]), 1, 4)
+    with pytest.raises(EigensolverError, match=r"^band index 10 outside \[1, 9\] at k = \[0\.1\]$"):
+        band_derivatives(lattice1d, free, np.array([[0.1], [0.5]]), 10, 4)
+    # the unit cosine's Bloch wave at y0 = pi grows from k = 0 to the zone edge; a floor
+    # between the moduli at k = 0.3 and 0.2 fails the stack's nodes from 0.2 on
+    ks = np.array([[0.4], [0.3], [0.2], [0.1]])
+    pair = band_derivatives(lattice1d, cosine1d, ks, 1, 8)
+    moduli = np.abs(np.sum(pair.coeffs * np.exp(1j * (pw_indices(1, 8)[:, 0] + ks) * np.pi), axis=1))
+    moduli *= np.sqrt(lattice1d.cell_volume)
+    assert np.all(np.diff(moduli) < 0)
+    monkeypatch.setattr(bloch, "ANCHOR_FLOOR", 0.5 * (moduli[1] + moduli[2]))
+    with pytest.raises(GaugeError, match=r"^Bloch wave at the anchor point has modulus \S+ below \S+ at k = \[0\.2\]$"):
+        band_derivatives(lattice1d, cosine1d, ks, 1, 8)
+    assert band_derivatives(lattice1d, cosine1d, ks[:2], 1, 8).energy.shape == (2,)
+    # across checks, the first failing node in node order raises, as a solve per node would
+    monkeypatch.setattr(bloch, "ANCHOR_FLOOR", 10.0)
+    with pytest.raises(GaugeError, match=r"at k = \[0\.1\]$"):
+        band_derivatives(lattice1d, free, np.array([[0.1], [0.5]]), 1, 4)
+    with pytest.raises(DegenerateBandError, match=r"at k = \[0\.5\]$"):
+        band_derivatives(lattice1d, free, np.array([[0.5], [0.1]]), 1, 4)
+
+
+def test_2d_patch_stacks_at_most_one_row_of_nodes(monkeypatch):
+    # cutoff 3 keeps the 2D solves cheap; every stacked solve holds at most n momenta
+    band = BlochBand(LatticeSpec.cubic(2), FourierPotential.cosine(2), 1, 3)
+    stacks, solve = [], bloch.band_derivatives
+    monkeypatch.setattr(bloch, "band_derivatives", lambda *args: stacks.append(np.shape(args[2])) or solve(*args))
+    n = band._patch((2, 5)).nodes
+    assert stacks == [(n, 2)] * n and band.node_solves == n * n

@@ -444,7 +444,8 @@ def test_residual_sweep_solves_each_momentum_once(monkeypatch):
     band = bundles[0].band
     info = band._direct.cache_info()
     assert info.misses == info.currsize == 9 < DIRECT_CACHE_SIZE
-    assert len(calls) == band.node_solves + info.misses
+    # matrices, not calls: a band-table patch passes its nodes to eigh as one stack
+    assert sum(h.size // h.shape[-1] ** 2 for h in calls) == band.node_solves + info.misses
 
 
 def test_residual_sweep_does_each_piece_of_work_once(monkeypatch):
@@ -815,3 +816,20 @@ def test_packets_are_gauge_covariant(monkeypatch):
                 dev = np.linalg.norm(got.values - phase * want.values) / np.linalg.norm(want.values)
                 worst = max(worst, dev)
     assert worst <= 1e-12
+
+
+def test_a_layer_read_only_at_t0_is_not_refined(monkeypatch):
+    # run_packet reads only t = 0: the Gaussian is the initial one and is not
+    # sized by empty runs; the flow keeps its FIRST_DT window, since state_at(0)
+    # needs two nodes
+    calls = []
+    evolve = experiments.evolve_gaussian
+    monkeypatch.setattr(experiments, "evolve_gaussian", lambda *args: calls.append(args) or evolve(*args))
+    config = ExperimentConfig(kind="packet").validate()
+    bundle = prepare_dynamics(config, [0.0])
+    assert calls == []
+    assert bundle.resolution["gaussian"] == {"steps": 0, "span": 0.0}
+    gauss, initial = bundle.at(0.0)[1], config.make_gaussian()
+    assert gauss.t == 0.0 and np.array_equal(gauss.A, initial.A) and np.array_equal(gauss.B, initial.B)
+    flow = bundle.resolution["flow"]
+    assert flow["steps"] * flow["dt"] == pytest.approx(experiments.FIRST_DT)

@@ -4,6 +4,7 @@ import pytest
 from conftest import harmonic
 from test_experiments import DISPERSIVE
 
+from blochpacket import reference
 from blochpacket.assembly import GridWaveField, make_grid_for, synthesize_packet
 from blochpacket.config import ExperimentConfig
 from blochpacket.envelope import gaussian_init
@@ -13,6 +14,7 @@ from blochpacket.flow import QuadraticPotential, TrajectoryState
 from blochpacket.grid import SpatialGrid, step_count, strang_step
 from blochpacket.lattice import FourierPotential, LatticeSpec
 from blochpacket.reference import (
+    KERNEL_WEIGHTS,
     SolverParams,
     _bloch_blocks,
     _bloch_step,
@@ -338,3 +340,30 @@ def test_unitarity_2d():
     for snap in snaps:
         assert abs(snap.mass() - psi0.mass()) <= 1e-12
     assert snaps[-1].boundary_mass_fraction() < 1e-12
+
+
+@pytest.mark.parametrize("cells", [None, 1, 2, 3], ids=["defaults", "one-cell", "two-cells", "three-cells"])
+def test_half_the_blocks_give_the_full_propagators(lattice1d, cosine1d, mathieu_band, monkeypatch, cells):
+    # H_per is real, so block K - r is conj(block r) and only residues 0 .. K/2 are
+    # solved; the three propagators of a step match a full eigh's to 1e-13
+    # relative, a bound set before measuring (the blocks differ by 7.6e-13 in
+    # entries up to ~1500 at 2^-7)
+    eps = 2**-7 if cells is None else 2**-4
+    if cells is None:
+        cfg = ExperimentConfig().validate()
+        psi0 = _leading_packet(prepare_dynamics(cfg, [0.0]), 0.0, eps, _make_grid(cfg, eps))
+    else:  # random data fill the box of K cells: no boundary guard
+        monkeypatch.setattr("blochpacket.grid.THRESHOLD", np.inf)
+        grid = SpatialGrid(dimension=1, half_width=cells * np.pi * eps, npoints=16 * cells)
+        rng = np.random.default_rng(cells)
+        psi0 = GridWaveField(grid=grid, epsilon=eps, time=0.0, values=rng.normal(size=16 * cells) + 0j)
+    seen, step = [], reference._bloch_step
+    monkeypatch.setattr(reference, "_bloch_step", lambda v, u: seen.append(u) or step(v, u))
+    solve_schrodinger(psi0, lattice1d, cosine1d, harmonic(1), [eps])  # one step of h = eps
+    blocks = _bloch_blocks(psi0.grid, lattice1d, cosine1d, eps)
+    lam, vecs = np.linalg.eigh(blocks)
+    vecs -= 0.5 * vecs @ (vecs.conj().swapaxes(1, 2) @ vecs - np.eye(vecs.shape[1]))
+    assert len(seen) == 2 * len(KERNEL_WEIGHTS) and len(blocks) == (cells or len(blocks))
+    for a, got in zip(KERNEL_WEIGHTS, seen):
+        want = (vecs * np.exp(-1j * a * eps * lam)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

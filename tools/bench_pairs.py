@@ -1,7 +1,7 @@
 """Interleaved parent/change pairs of the benchmark, written as one BENCH file.
 
     python3 tools/bench_pairs.py --parent 60af990 --change HEAD --slug envelope_transfer \
-        --what "..." --seeds 0-9 --seconds 25 --workdir /tmp/bench
+        --what "..." --seeds 0-9 --seconds 25 --workdir /tmp/bench --claim envelope-run
 
 Both revisions are exported with `git archive` into --workdir, and each runs
 its own `benchmark/run.py --trace 0` (its own benchmark code and sources).
@@ -12,8 +12,13 @@ metrics of each side are summarised by their median and quartiles
 in. So are two figures per run that `run_s` is scaled from, read from the
 run's benchmark/_out/<workload>-seed<S>-trace0/result.json: `wall_s`, the
 median of its unscaled `wall_s_samples`, and `probe_s`, the median of its
-`probe_s_samples`. The file is written as BENCH_<slug>.json at the root of
-the repository.
+`probe_s_samples`. With --claim W, the claimed workload W also runs an A/A
+block: the parent against an unmodified second export of itself, in the same
+interleaved pairs (the parent first at even seeds), right after each seed's
+parent/change pair of W. Every comparison gives the ratio of the second
+side's median to the first's, so the claim's ratio sits next to the ratio
+that two copies of the same code read. The file is written as
+BENCH_<slug>.json at the root of the repository.
 """
 
 from __future__ import annotations
@@ -85,12 +90,28 @@ def _spread(samples: list, digits: int) -> dict:
 
 
 def _compare(values: dict, digits: int) -> dict:
-    """Each side's spread of one metric, and in how many pairs the change read lower."""
-    lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
+    """Each side's spread of one metric, in how many pairs the second side read lower,
+    and the ratio of its median to the first side's."""
+    (first, a), (second, b) = values.items()
     return {
         **{side: _spread(v, digits) for side, v in values.items()},
-        "change_lower_in": f"{lower} of {len(values['parent'])}",
+        f"{second}_lower_in": f"{sum(y < x for x, y in zip(a, b))} of {len(a)}",
+        "median_ratio": round(statistics.median(b) / statistics.median(a), 4),
     }
+
+
+def _entry(by_side: dict, seeds: list) -> dict:
+    """The checks and the compared metrics of one workload's runs, by side."""
+    entry = {
+        "pairs": len(seeds), "seeds": seeds,
+        "failed_checks": {s: sum(r["failed"] for r in rs) for s, rs in by_side.items()},
+        "attempted_checks": {s: sum(r["attempted"] for r in rs) for s, rs in by_side.items()},
+    }
+    for metric in METRICS:
+        entry[metric] = _compare({s: [r["metrics"][metric]["value"] for r in rs] for s, rs in by_side.items()}, 4)
+    for name in SAMPLED:
+        entry[name] = _compare({s: [r["sampled"][name] for r in rs] for s, rs in by_side.items()}, 6)
+    return entry
 
 
 def _host() -> dict:
@@ -120,12 +141,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="0-9", help="seed range, as 0-9")
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--workdir", type=Path, required=True, help="where both trees are exported")
+    parser.add_argument("--claim", choices=WORKLOADS, help="the claimed workload, which gets an A/A block")
     args = parser.parse_args(argv)
 
-    sides = {side: args.workdir / side for side in ("parent", "change")}
+    sides = {side: args.workdir / side for side in ("parent", "change", "copy")}
     record = {"what": args.what}
     for side, rev in (("parent", args.parent), ("change", args.change)):
         record[side] = _export(rev, sides[side])
+    if args.claim:
+        record["copy"] = _export(args.parent, sides["copy"])
     record["host"] = _host()
     record["command"] = (
         f"python3 benchmark/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0"
@@ -134,33 +158,27 @@ def main(argv=None) -> int:
         "one parent/change pair per seed and workload, parent first at even seeds and change first"
         " at odd seeds; medians and quartiles (inclusive method) over the runs of each side; run_s"
         " is the benchmark's probe-scaled time per pipeline call; wall_s is each run's median"
-        " unscaled time per call, and probe_s each run's median speed-probe time"
+        " unscaled time per call, and probe_s each run's median speed-probe time; median_ratio is"
+        " the second side's median over the first's; the aa block, for the claimed workload, pairs"
+        " the parent with a second export of itself (copy) in the same interleaved order"
     )
 
     seeds = _seeds(args.seeds)
     runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
+    aa = {"parent": [], "copy": []}
     for seed in seeds:
         for workload in WORKLOADS:
-            order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
-            for side in order:
-                out = _run(sides[side], workload, seed, args.seconds)
-                runs[workload][side].append(out)
-                run_s = out["metrics"]["run_s"]["value"]
-                print(f"seed {seed} {workload} {side}: run_s {run_s:.4f}", flush=True)
+            blocks = [(runs[workload], "change")] + ([(aa, "copy")] if workload == args.claim else [])
+            for block, other in blocks:
+                for side in ("parent", other) if seed % 2 == 0 else (other, "parent"):
+                    out = _run(sides[side], workload, seed, args.seconds)
+                    block[side].append(out)
+                    run_s = out["metrics"]["run_s"]["value"]
+                    print(f"seed {seed} {workload} {side}: run_s {run_s:.4f}", flush=True)
 
-    record["workloads"] = {}
-    for workload, by_side in runs.items():
-        entry = {
-            "pairs": len(seeds), "seeds": seeds,
-            "failed_checks": {s: sum(r["failed"] for r in rs) for s, rs in by_side.items()},
-            "attempted_checks": {s: sum(r["attempted"] for r in rs) for s, rs in by_side.items()},
-        }
-        for metric in METRICS:
-            values = {s: [r["metrics"][metric]["value"] for r in rs] for s, rs in by_side.items()}
-            entry[metric] = _compare(values, 4)
-        for name in SAMPLED:
-            entry[name] = _compare({s: [r["sampled"][name] for r in rs] for s, rs in by_side.items()}, 6)
-        record["workloads"][workload] = entry
+    record["workloads"] = {workload: _entry(by_side, seeds) for workload, by_side in runs.items()}
+    if args.claim:
+        record["aa"] = {"workload": args.claim, **_entry(aa, seeds)}
 
     path = ROOT / f"BENCH_{args.slug}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
