@@ -110,7 +110,7 @@ def build_bloch_hamiltonian(
     diff = n[:, None, :] - n[None, :, :] + 2 * cutoff
     v = cube[tuple(diff[..., j] for j in range(d))]
     h = np.broadcast_to(v.real if potential.is_real_matrix else v, kinetic.shape[:-1] + v.shape).copy()
-    h[..., range(len(n)), range(len(n))] += kinetic
+    h.reshape(kinetic.shape[:-1] + (-1,))[..., :: len(n) + 1] += kinetic  # the diagonal, as a view
     return h
 
 
@@ -182,8 +182,7 @@ def sized_cutoff(basis: tuple, potential: FourierPotential, m: int, bands: range
 
 
 def _gaps(evals: np.ndarray, m: int) -> np.ndarray:
-    """Distances from band m (1-based) to the bands just below and above, where they exist,
-    along the last axis."""
+    """Gaps from band m (1-based) to the bands just below and above that exist, along the last axis."""
     lam = evals[..., m - 1 : m]
     return np.concatenate([lam - evals[..., m - 2 : m - 1], evals[..., m : m + 1] - lam], axis=-1)
 

@@ -117,8 +117,9 @@ def solve_schrodinger(
         vgrid = external.value(grid.points())
         blocks = _bloch_blocks(grid, lattice, lattice_potential, eps)
         lam, vecs = np.linalg.eigh(blocks[: len(blocks) // 2 + 1])  # block K - r = conj(block r)
-        mirror = slice(len(blocks) - len(lam), 0, -1)  # H_per is real: K - r from r = K - 1 - K // 2 .. 1
-        lam, vecs = np.concatenate([lam, lam[mirror]]), np.concatenate([vecs, vecs[mirror].conj()])
+        mirror, blocks = slice(len(blocks) - len(lam), 0, -1), None  # H_per is real; blocks freed
+        lam, vecs = np.concatenate([lam, lam[mirror]]), np.concatenate([vecs, vecs[mirror]])
+        np.conjugate(vecs[len(vecs) - mirror.start :], out=vecs[len(vecs) - mirror.start :])  # no copy
         # one Newton step to W^H W = I, or eigh's 1e-15 adds up over six kernel steps per step
         vecs -= 0.5 * vecs @ (vecs.conj().swapaxes(1, 2) @ vecs - np.eye(vecs.shape[1]))
         step_fn, substeps = _bloch_step, 1
