@@ -118,21 +118,20 @@ def build_bloch_hamiltonian(
 def _anchor_point(basis: tuple, potential: FourierPotential, m: int, cutoff: int) -> np.ndarray:
     """Cell point y0 at which band m's Bloch waves are anchored.
 
-    At the zone corners k in {0, b/2}^d the Bloch waves are real and vanish
-    somewhere; y0 is the point of an ANCHOR_SAMPLES^d cell grid maximizing
-    the smallest |chi_k(y0)| / max |chi_k| over the corners where band m is
-    simple, taken to 9 digits so that mirror points tie and the first wins at
-    every cutoff. At a corner where band m is degenerate, `eigh` returns an
-    arbitrary vector of the eigenspace, so such corners are skipped.
+    At the zone corners k in {0, b/2}^d (one stacked `eigh`) the Bloch waves
+    are real and vanish somewhere; y0 is the point of an ANCHOR_SAMPLES^d cell
+    grid maximizing the smallest |chi_k(y0)| / max |chi_k| over the corners
+    where band m is simple, taken to 9 digits so that mirror points tie and the
+    first wins at every cutoff. At a corner where band m is degenerate, `eigh`
+    returns an arbitrary vector of the eigenspace, so such corners are skipped.
     """
     lattice = LatticeSpec.from_basis(basis)
     d = lattice.dimension
     fracs = np.arange(ANCHOR_SAMPLES) / ANCHOR_SAMPLES
     points = mesh([fracs] * d).reshape(-1, d) @ lattice.basis
     worst = np.full(points.shape[0], np.inf)
-    for corner in itertools.product((0.0, 0.5), repeat=d):
-        k = np.asarray(corner) @ lattice.dual_basis
-        evals, evecs = np.linalg.eigh(build_bloch_hamiltonian(lattice, potential, k, cutoff))
+    corners = np.array(list(itertools.product((0.0, 0.5), repeat=d))) @ lattice.dual_basis
+    for evals, evecs in zip(*np.linalg.eigh(build_bloch_hamiltonian(lattice, potential, corners, cutoff))):
         try:
             _check_isolated(_gaps(evals, m).min(initial=np.inf), evals[-1] - evals[0], m)
         except DegenerateBandError:

@@ -247,13 +247,13 @@ class ExperimentConfig(_Serializable):
         """Check every field and build each model object once; a model
         constructor's rejection is re-raised as a ConfigError naming its key."""
         if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+            raise ConfigError(f"kind {self.kind!r} is not one of {EXPERIMENT_KINDS}")
         _built("dimension", self.make_lattice)
         potential = _built("lattice_potential", self.make_lattice_potential)
         _built("external", self.make_external)
         _built("envelope_a/envelope_b", self.make_gaussian)
         if self.band_index < 1:
-            raise ConfigError("band index is 1-based")
+            raise ConfigError("band_index is 1-based")
         if self.kind == "bands" and self.band_index > self.num_bands:
             raise ConfigError(
                 f"band index {self.band_index} exceeds num_bands {self.num_bands}"
@@ -269,11 +269,11 @@ class ExperimentConfig(_Serializable):
         if len(self.q0) != self.dimension or len(self.p0) != self.dimension:
             raise ConfigError("q0 and p0 must have length = dimension")
         if self.initial_data not in INITIAL_DATA_KINDS:
-            raise ConfigError(f"unknown initial data kind {self.initial_data!r}")
+            raise ConfigError(f"initial_data {self.initial_data!r} is not one of {INITIAL_DATA_KINDS}")
         if not self.epsilons:
-            raise ConfigError("need at least one epsilon")
+            raise ConfigError("epsilons needs at least one value")
         if any(not 0.0 < e < 1.0 for e in self.epsilons):
-            raise ConfigError("every epsilon must lie in (0, 1)")
+            raise ConfigError("every value of epsilons must lie in (0, 1)")
         if self.t_final <= 0:
             raise ConfigError("t_final must be positive")
         for name in ("flow_dt", "envelope_dt", "grid_envelope_dt", "half_width",
@@ -281,7 +281,7 @@ class ExperimentConfig(_Serializable):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.convergence_mode not in CONVERGENCE_MODES:
-            raise ConfigError(f"unknown convergence mode {self.convergence_mode!r}")
+            raise ConfigError(f"convergence_mode {self.convergence_mode!r} is not one of {CONVERGENCE_MODES}")
         if self.kind == "convergence" and self.convergence_mode == "residual":
             # the residual's snapshots sit at residual_time +- delta, delta =
             # RESIDUAL_DELTA_FACTOR eps^2; at the largest eps the offset is
@@ -301,11 +301,11 @@ class ExperimentConfig(_Serializable):
                     f"residual_time must be >= {RESIDUAL_DELTA_FACTOR:g} * max(epsilons)^2"
                 )
         if any(t < 0 or t > self.t_final + 1e-12 for t in self.sample_times):
-            raise ConfigError("sample times must lie in [0, t_final]")
+            raise ConfigError("sample_times must lie in [0, t_final]")
         if self.kind == "ehrenfest" and not (self.c0_list and min(self.c0_list) > 0):
             raise ConfigError("ehrenfest runs need a non-empty c0_list of positive C0 values")
         if self.envelope_points < 16:
-            raise ConfigError("envelope grid is too coarse")
+            raise ConfigError("envelope_points must be at least 16")
         if self.k_samples < 2 or self.num_bands < 1:
             raise ConfigError("band scan needs k_samples >= 2, num_bands >= 1")
         return self

@@ -39,7 +39,6 @@ class CorrectorField:
     order: int              # power of sqrt(eps) that weights the field
     terms: tuple            # (z_profile, y_coeffs) pairs; z-profiles: Gaussian closed forms on grid
     grid: SpatialGrid       # envelope z-grid of the profiles
-    t: float
     pair: BlochEigenpair    # carries lattice and cutoff
 
     def norm(self) -> float:
@@ -122,7 +121,7 @@ def build_U0(env: GaussianEnvelope, grid: SpatialGrid, pair: BlochEigenpair) -> 
     """Leading term: envelope times cell function."""
     u, _, _ = _profiles(env, grid)
     terms = ((u, pair.coeffs.copy()),)
-    return CorrectorField(order=0, terms=terms, grid=grid, t=env.t, pair=pair)
+    return CorrectorField(order=0, terms=terms, grid=grid, pair=pair)
 
 
 def build_U1(env: GaussianEnvelope, grid: SpatialGrid, pair: BlochEigenpair) -> CorrectorField:
@@ -134,7 +133,7 @@ def build_U1(env: GaussianEnvelope, grid: SpatialGrid, pair: BlochEigenpair) -> 
     """
     _, grad_u, _ = _profiles(env, grid)
     terms = tuple((grad, -1j * _perp(pair, pair.dk_coeffs[j])) for j, grad in enumerate(grad_u))
-    return CorrectorField(order=1, terms=terms, grid=grid, t=env.t, pair=pair)
+    return CorrectorField(order=1, terms=terms, grid=grid, pair=pair)
 
 
 def build_U2(
@@ -150,7 +149,7 @@ def build_U2(
     u, _, hess_u = _profiles(env, grid)
     zprofs, ys = zip(*_second_order_terms(u, hess_u, state, pair, external))
     xs = reduced_resolvent_solve(h, pair.evals, pair.evecs, pair.m, np.stack(ys, axis=-1))
-    return CorrectorField(order=2, terms=tuple(zip(zprofs, xs.T)), grid=grid, t=env.t, pair=pair)
+    return CorrectorField(order=2, terms=tuple(zip(zprofs, xs.T)), grid=grid, pair=pair)
 
 
 def solvability_defect(

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -377,6 +378,28 @@ def test_write_read_round_trip(tmp_path, mathieu_band):
     assert back.epsilon == field.epsilon
     assert back.time == field.time
     assert np.array_equal(back.values, field.values)
+
+
+@pytest.mark.parametrize(
+    "entry, value, message",
+    [
+        ("layout", "planar-complex", "unsupported layout 'planar-complex'"),
+        ("byte_order", "big-endian", "unsupported byte order 'big-endian'"),
+        ("shape", [8, 4], "only square grids are supported"),
+        ("shape", [16, 16], "binary payload does not match the sidecar shape"),
+        ("box", [-4.0, 5.0], "only centered boxes are supported"),
+    ],
+)
+def test_read_field_rejects_a_corrupt_sidecar(tmp_path, entry, value, message):
+    # the sidecar comes from outside the program: one corrupted entry per case
+    grid = SpatialGrid(dimension=2, half_width=4.0, npoints=8)
+    values = np.arange(64.0).reshape(8, 8) * (1 + 2j)
+    _, meta_path = write_field(GridWaveField(grid=grid, epsilon=0.1, time=0.0, values=values), tmp_path / "f")
+    assert np.array_equal(read_field(tmp_path / "f").values, values)
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, entry: value}))
+    with pytest.raises(GridError, match=f"^{re.escape(message)}$"):
+        read_field(tmp_path / "f")
 
 
 def test_grid_wave_field_compat_checks():

@@ -583,3 +583,25 @@ def test_2d_patch_stacks_at_most_one_row_of_nodes(monkeypatch):
     monkeypatch.setattr(bloch, "band_derivatives", lambda *args: stacks.append(np.shape(args[2])) or solve(*args))
     n = band._patch((2, 5)).nodes
     assert stacks == [(n, 2)] * n and band.node_solves == n * n
+
+
+@pytest.mark.parametrize(
+    "dimension, potential, m, cutoff, anchor",
+    [
+        (1, FourierPotential.cosine(1), 1, 7, [np.pi]),
+        (1, FourierPotential.cosine(1), 2, 7, [1.9634954084936207]),
+        (1, FourierPotential.cosine(1), 3, 9, [1.1780972450961724]),
+        (1, TILTED, 2, 9, [4.319689898685965]),
+        (2, FourierPotential.cosine(2), 1, 3, [np.pi, np.pi]),
+    ],
+    ids=["cosine-band1", "cosine-band2", "cosine-band3", "tilted-band2", "cosine-2d-band1"],
+)
+def test_anchor_from_one_stacked_corner_solve_is_pinned(monkeypatch, dimension, potential, m, cutoff, anchor):
+    # the 2^d zone corners go through one stacked eigh; the anchors are exactly
+    # those of one eigh per corner
+    lattice = LatticeSpec.cubic(dimension)
+    stacks, build = [], bloch.build_bloch_hamiltonian
+    monkeypatch.setattr(bloch, "build_bloch_hamiltonian", lambda *args: stacks.append(np.shape(args[2])) or build(*args))
+    bloch._anchor_point.cache_clear()
+    assert bloch._anchor_point(tuple(map(tuple, lattice.basis.tolist())), potential, m, cutoff).tolist() == anchor
+    assert stacks == [(2**dimension, dimension)]

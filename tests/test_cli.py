@@ -127,11 +127,35 @@ def test_unmet_step_tolerance_exits_one(tmp_path, capsys, monkeypatch):
         # an unset cutoff is sized in the run, up to MAX_PLANE_WAVES plane waves
         ("flow", {"band_index": MAX_PLANE_WAVES + 1}, "band_index"),
         ("bands", {"num_bands": MAX_PLANE_WAVES + 1}, "num_bands"),
+        # every other rejection names its key too
+        ("flow", {"band_index": 0}, "band_index is 1-based"),
+        ("flow", {"initial_data": "plane_wave"}, "initial_data 'plane_wave' is not one of"),
+        ("flow", {"epsilons": []}, "epsilons needs at least one value"),
+        ("flow", {"epsilons": [1.5]}, "every value of epsilons must lie in (0, 1)"),
+        ("flow", {"convergence_mode": "exact"}, "convergence_mode 'exact' is not one of"),
+        ("flow", {"sample_times": [2.0]}, "sample_times must lie in [0, t_final]"),
+        ("flow", {"envelope_points": 8}, "envelope_points must be at least 16"),
+        ("bands", {"k_samples": 1}, "k_samples >= 2"),
+        ("flow", {"envelope_a": [[1.0, 0.0]]}, "envelope_a must be a 1 x 1 matrix"),
+        ("flow", {"lattice_potential": {"type": "fourier"}}, "lattice_potential: fourier lattice potential needs"),
+        (
+            "flow",
+            {"lattice_potential": {"type": "fourier", "coeffs": [[[1, 0], 0.5, 0.0], [[-1, 0], 0.5, 0.0]]}},
+            "lattice_potential: fourier coefficient rows",
+        ),
+        (
+            "flow",
+            {"dimension": 2, "q0": [0.0, 0.0], "p0": [0.3, 0.0], "external": {"hessian": [[1.0, 0.0], [1.0]]}},
+            "external: hessian rows differ in length",
+        ),
+        ("flow", {"external": {"type": "cosine-well", "frequencies": [1.0, 1.0]}}, "external: frequencies have"),
+        # a file that is not JSON has no key to name
+        ("flow", "{not json", "config is not valid JSON"),
     ],
 )
 def test_config_problems_exit_two(tmp_path, capsys, command, data, named):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     err = json.loads(capsys.readouterr().err)

@@ -80,6 +80,12 @@ def test_validation_rejections():
             ExperimentConfig(**kwargs).validate()
 
 
+def test_unknown_kind_names_its_key():
+    # the command line forces kind to its subcommand, so only Python reaches this check
+    with pytest.raises(ConfigError, match=r"^kind 'unknown-kind' is not one of \('bands', "):
+        ExperimentConfig(kind="unknown-kind").validate()
+
+
 def test_lattice_potential_spec_builders():
     cos = LatticePotentialSpec(type="cosine", amplitude=2.0).build(1)
     assert dict(cos.coeffs)[(1,)] == pytest.approx(1.0)

@@ -2,6 +2,7 @@ import csv
 import json
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,8 +125,11 @@ def test_run_bands_records_degenerate_points(tmp_path):
         output_dir=str(tmp_path),
     )
     summary = run_bands(cfg)
-    # free lattice: both zone-edge samples are degenerate for the lowest band
-    assert len(summary["derivative_failures"]) == 2
+    # free lattice: both zone-edge samples are degenerate for the lowest band, and
+    # each stacked sample names the node that failed
+    assert [f["reason"] for f in summary["derivative_failures"]] == [
+        f"band 1 gap 0.000e+00 below 1.0e-08 * 3.600e+01 at k = [{edge}]" for edge in ("-0.5", "0.5")
+    ]
 
 
 def test_run_bands_holds_the_band_table_against_direct_solves(tmp_path, monkeypatch):
@@ -140,6 +144,32 @@ def test_run_bands_holds_the_band_table_against_direct_solves(tmp_path, monkeypa
     monkeypatch.setattr(BlochBand, "energy", lambda band, p: table_energy(band, p) + 1e-9)
     with pytest.raises(EigensolverError, match="band table deviates"):
         run_bands(cfg)
+
+
+# 2D runs at cutoff 6: below it the solve at k = b/2 and the table's value there, read
+# at -b/2, move apart with the truncated basis (3.3e-4 at cutoff 3), and the scan raises
+@pytest.mark.parametrize("dimension, cutoff, samples", [(1, 8, 9), (2, 6, 3)], ids=["1d", "2d"])
+def test_run_bands_solves_each_sample_in_one_stack(tmp_path, monkeypatch, dimension, cutoff, samples):
+    # one band_derivatives call per sample on [k, k + h e_1, k - h e_1, ...] gives the
+    # scan of one call per momentum; bound set before measuring: bit for bit
+    origin = (0.0,) * dimension
+    cfg = ExperimentConfig(
+        kind="bands", dimension=dimension, q0=origin, p0=origin, k_samples=samples, num_bands=3,
+        cutoff=cutoff, output_dir=str(tmp_path / "stacked"),
+    )
+    solve, stacks = experiments.band_derivatives, []
+    monkeypatch.setattr(experiments, "band_derivatives", lambda *args: stacks.append(np.shape(args[2])) or solve(*args))
+    stacked = run_bands(cfg)
+    assert stacks == [(1 + 2 * dimension, dimension)] * samples
+
+    def one_call_per_momentum(lattice, potential, ks, m, cutoff):
+        pairs = [solve(lattice, potential, k, m, cutoff) for k in ks]
+        return SimpleNamespace(**{name: np.array([getattr(p, name) for p in pairs]) for name in ("energy", "grad", "hess")})
+
+    monkeypatch.setattr(experiments, "band_derivatives", one_call_per_momentum)
+    single = run_bands(replace(cfg, output_dir=str(tmp_path / "single")))
+    assert Path(stacked.pop("csv")).read_bytes() == Path(single.pop("csv")).read_bytes()
+    assert stacked["derivative_failures"] == [] and stacked == single
 
 
 def test_run_flow_writes_nodes(tmp_path):

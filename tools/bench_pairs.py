@@ -80,7 +80,8 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _spread(samples: list, digits: int) -> dict:
-    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    """Median, quartiles and samples; one sample is its own median and quartiles."""
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive") if len(samples) > 1 else samples * 3
     return {
         "median": round(statistics.median(samples), digits),
         "q1": round(q1, digits),
