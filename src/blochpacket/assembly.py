@@ -251,11 +251,7 @@ def write_field(field: GridWaveField, stem) -> tuple:
     stem.parent.mkdir(parents=True, exist_ok=True)
     bin_path = stem.with_suffix(".bin")
     json_path = stem.with_suffix(".json")
-    flat = np.ascontiguousarray(field.values).ravel()
-    interleaved = np.empty(2 * flat.size, dtype="<f8")
-    interleaved[0::2] = flat.real
-    interleaved[1::2] = flat.imag
-    interleaved.tofile(bin_path)
+    np.ascontiguousarray(field.values, dtype="<c16").tofile(bin_path)  # complex128 is re, im interleaved
     sidecar = {
         "dimension": field.grid.dimension,
         "epsilon": field.epsilon,
@@ -282,7 +278,7 @@ def read_field(stem) -> GridWaveField:
     raw = np.fromfile(stem.with_suffix(".bin"), dtype="<f8")
     if raw.size != 2 * int(np.prod(shape)):
         raise GridError("binary payload does not match the sidecar shape")
-    vals = (raw[0::2] + 1j * raw[1::2]).reshape(shape)
+    vals = raw.view("<c16").reshape(shape)
     lo, hi = sidecar["box"]
     if abs(lo + hi) > 1e-12 * max(1.0, abs(hi)):
         raise GridError("only centered boxes are supported")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -184,14 +184,10 @@ class DynamicsBundle:
     coefficients: object
     entries: dict  # time -> (TrajectoryState, GaussianEnvelope)
     resolution: dict  # layer -> resolution record of `refine`
+    snapshots: dict = field(default_factory=dict)  # time -> `_snapshot`'s correctors, or their build's error
 
     def at(self, t: float):
         return self.entries[_tkey(t)]
-
-    @cached_property
-    def snapshots(self) -> dict:
-        """Time -> what `_snapshot` built there: the correctors, or the error their build raised."""
-        return {}
 
     @cached_property
     def neighbour_speed(self) -> float:
@@ -347,82 +343,68 @@ def run_bands(config: ExperimentConfig) -> dict:
     """Spectrum scan along the first dual axis. Each sample k is solved in one
     stacked `band_derivatives` call on [k, k + h e_1, k - h e_1, ..., k - h e_d],
     whose rows give the finite-difference checks of the Hellmann-Feynman
-    derivatives; the band table is held against the solve at k at every sample
-    and raises above TABLE_DEVIATION_TOL."""
+    derivatives; the band table is held against the solve at k once per Bloch
+    momentum, so not at k = b/2, which it reads at the first sample's -b/2, and
+    raises above TABLE_DEVIATION_TOL."""
     config.validate()
     band = config.make_band()
     lattice, m, d = band.lattice, config.band_index, band.dimension
 
     fracs = np.linspace(-0.5, 0.5, config.k_samples)
-    direction = lattice.dual_basis[0]
+    ks = np.outer(fracs, lattice.dual_basis[0])
+    hamiltonians = (build_bloch_hamiltonian(lattice, band.potential, k, band.cutoff) for k in ks)
+    spectra = np.array([np.linalg.eigvalsh(h)[: config.num_bands] for h in hamiltonians])
+    # distance of band m to every other band: at the same k (gap_m), and over all
+    # scanned k, k' (uniform_gap); nan when there is no other band
+    others = np.delete(spectra, m - 1, axis=1) if spectra.shape[1] > 1 else np.full((len(ks), 1), np.nan)
+    columns = {"k_frac": fracs, **{f"k_{j}": ks[:, j] for j in range(d)}}
+    columns.update({f"E_{n}": energies for n, energies in enumerate(spectra.T, start=1)})
+    columns["gap_m"] = np.abs(others - spectra[:, m - 1, None]).min(axis=1)
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+
     fd_step = 1e-4
     steps = fd_step * np.kron(np.eye(d), [[1.0], [-1.0]])  # +h e_1, -h e_1, ..., -h e_d
-
-    rows = []
-    spectra = []
     failures = []
-    max_grad_dev = 0.0
-    max_hess_dev = 0.0
-    max_table_dev = 0.0
-    for frac in fracs:
-        k = frac * direction
-        h = build_bloch_hamiltonian(lattice, band.potential, k, band.cutoff)
-        evals = np.linalg.eigvalsh(h)[: config.num_bands]
-        spectra.append(evals)
-        row = {"k_frac": frac}
-        for j, val in enumerate(np.atleast_1d(k)):
-            row[f"k_{j}"] = val
-        for n, e in enumerate(evals, start=1):
-            row[f"E_{n}"] = e
-        others = np.delete(evals, m - 1) if evals.size > 1 else np.array([])
-        row["gap_m"] = float(np.min(np.abs(others - evals[m - 1]))) if others.size else float("nan")
-        rows.append(row)
-
+    worst = dict.fromkeys(("max_grad_deviation", "max_hess_deviation", "max_table_deviation"), 0.0)
+    for frac, k in zip(fracs, ks):
         try:
             stack = band_derivatives(lattice, band.potential, np.vstack([k, k + steps]), m, band.cutoff)
             energy, grad, hess = stack.energy[0], stack.grad[0], stack.hess[0]
             fd_grad = (stack.energy[1::2] - stack.energy[2::2]) / (2 * fd_step)
             fd_hess = ((stack.grad[1::2] - stack.grad[2::2]) / (2 * fd_step)).T
-            max_grad_dev = max(max_grad_dev, float(np.max(np.abs(grad - fd_grad))))
-            max_hess_dev = max(
-                max_hess_dev,
-                float(np.max(np.abs(hess - 0.5 * (fd_hess + fd_hess.T)))),
-            )
-            for table, solved in (
-                (band.energy(k), energy),
-                (band.grad_energy(k), grad),
-                (band.hess_energy(k), hess),
-            ):
-                dev = np.abs(table - solved) / np.maximum(1.0, np.abs(solved))
-                max_table_dev = max(max_table_dev, float(np.max(dev)))
+            found = {
+                "max_grad_deviation": np.max(np.abs(grad - fd_grad)),
+                "max_hess_deviation": np.max(np.abs(hess - 0.5 * (fd_hess + fd_hess.T))),
+            }
+            if frac < 0.5:
+                found["max_table_deviation"] = max(
+                    np.max(np.abs(table - solved) / np.maximum(1.0, np.abs(solved)))
+                    for table, solved in (
+                        (band.energy(k), energy), (band.grad_energy(k), grad), (band.hess_energy(k), hess)
+                    )
+                )
+            for name, dev in found.items():
+                worst[name] = max(worst[name], float(dev))
         except BlochpacketError as exc:
             failures.append({"k_frac": float(frac), "reason": str(exc)})
-    if max_table_dev > TABLE_DEVIATION_TOL:
+    if worst["max_table_deviation"] > TABLE_DEVIATION_TOL:
         raise EigensolverError(
-            f"band table deviates from direct solves by {max_table_dev:.3e}"
+            f"band table deviates from direct solves by {worst['max_table_deviation']:.3e}"
             f" (relative, floor 1) above {TABLE_DEVIATION_TOL:.0e}"
         )
 
-    # isolation of band m against every other band over the whole scan:
-    # min |E_m(k) - E_n(k')| over scanned k, k' and n != m
-    spectra = np.array(spectra)
-    others = np.delete(spectra, m - 1, axis=1).ravel()
-    gaps = np.abs(spectra[:, m - 1, None] - others)
-    uniform_gap = float(gaps.min()) if gaps.size else float("nan")
     return _write_outputs(
         config,
         "bands",
-        rows[0].keys(),
+        columns,
         rows,
         k_samples=config.k_samples,
         num_bands=config.num_bands,
         band_index=m,
-        uniform_gap=uniform_gap,
-        max_grad_deviation=max_grad_dev,
-        max_hess_deviation=max_hess_dev,
-        max_table_deviation=max_table_dev,
+        uniform_gap=float(np.abs(spectra[:, m - 1, None] - others.ravel()).min()),
         derivative_failures=failures,
         basis=band.basis,
+        **worst,
     )
 
 
@@ -469,21 +451,12 @@ def run_envelope(config: ExperimentConfig) -> dict:
     grids, grid_resolution = _grid_envelopes(config, bundle.coefficients, u0, times)
 
     rows = []
-    max_defect = 0.0
-    max_mass_drift = 0.0
-    max_diff = 0.0
     for t, u_grid in zip(times, grids):
         _, gauss = bundle.at(t)
         defects = gaussian_invariant_defects(gauss)
-        worst = max(defects["symmetry"], defects["inverse_width"], defects["det_branch"])
-        max_defect = max(max_defect, worst)
         sampled = grid_envelope_from_gaussian(
             gauss, config.envelope_half_width, config.envelope_points
         )
-        diff = u_grid.grid.norm(u_grid.values - sampled.values)
-        drift = abs(u_grid.mass() - mass0)
-        max_mass_drift = max(max_mass_drift, drift)
-        max_diff = max(max_diff, diff)
         rows.append(
             {
                 "t": t,
@@ -492,21 +465,22 @@ def run_envelope(config: ExperimentConfig) -> dict:
                 "gaussian_det_branch_defect": defects["det_branch"],
                 "gaussian_min_width_eig": defects["min_re_eig"],
                 "grid_mass": u_grid.mass(),
-                "grid_mass_drift": drift,
+                "grid_mass_drift": abs(u_grid.mass() - mass0),
                 "grid_boundary_fraction": u_grid.boundary_mass_fraction(),
-                "grid_vs_gaussian_l2": diff,
+                "grid_vs_gaussian_l2": u_grid.grid.norm(u_grid.values - sampled.values),
                 "sigma1_norm": sigma_norm(u_grid),
             }
         )
+    defect_columns = ("gaussian_symmetry_defect", "gaussian_width_defect", "gaussian_det_branch_defect")
 
     return _write_outputs(
         config,
         "envelope",
         rows[0].keys(),
         rows,
-        max_gaussian_defect=max_defect,
-        max_grid_mass_drift=max_mass_drift,
-        max_grid_vs_gaussian_l2=max_diff,
+        max_gaussian_defect=max(row[name] for row in rows for name in defect_columns),
+        max_grid_mass_drift=max(row["grid_mass_drift"] for row in rows),
+        max_grid_vs_gaussian_l2=max(row["grid_vs_gaussian_l2"] for row in rows),
         band_table=bundle.band.table_summary(),
         resolution={**bundle.resolution, "grid_envelope": grid_resolution},
     )
@@ -523,15 +497,15 @@ def run_packet(config: ExperimentConfig) -> dict:
     rows = []
     for i, eps in enumerate(config.epsilons):
         grid = _make_grid(config, eps)
-        field = _initial_field(bundle, eps, grid)
+        packet = _initial_field(bundle, eps, grid)
         stem = out / f"packet_eps{i}"
-        write_field(field, stem)
+        write_field(packet, stem)
         rows.append(
             {
                 "epsilon": eps,
                 "npoints": grid.npoints,
-                "mass": field.mass(),
-                "boundary_fraction": field.boundary_mass_fraction(),
+                "mass": packet.mass(),
+                "boundary_fraction": packet.boundary_mass_fraction(),
                 "stem": stem.name,
             }
         )
@@ -546,18 +520,18 @@ def run_reference(config: ExperimentConfig) -> dict:
     times = sorted({_tkey(t) for t in config.sample_times})
     bundle = prepare_dynamics(config, times)
     rows, boxes = [], []
-    max_drift = 0.0
     for i, eps in enumerate(config.epsilons):
         psi0, snaps, box = _reference_snapshots(bundle, eps, times)
         boxes.append(box)
         mass0 = psi0.mass()
-        for t, snap in zip(times, snaps):
-            drift = abs(snap.mass() - mass0)
-            max_drift = max(max_drift, drift)
-            rows.append({"epsilon": eps, "t": t, "mass": snap.mass(), "mass_drift": drift})
+        rows += [
+            {"epsilon": eps, "t": t, "mass": snap.mass(), "mass_drift": abs(snap.mass() - mass0)}
+            for t, snap in zip(times, snaps)
+        ]
         write_field(snaps[-1], out / f"reference_eps{i}")
     return _write_outputs(
-        config, "reference", rows[0].keys(), rows, max_mass_drift=max_drift, box=boxes
+        config, "reference", rows[0].keys(), rows, box=boxes,
+        max_mass_drift=max(row["mass_drift"] for row in rows),
     )
 
 
@@ -647,24 +621,16 @@ def run_convergence(config: ExperimentConfig) -> dict:
     mode = config.convergence_mode
     rows, failures, records = _run_sweep(config, mode)
 
+    def fit(sub, column):
+        return loglog_fit([row["epsilon"] for row in sub], [row[column] for row in sub])
+
     if mode == "error":
         fieldnames = ["epsilon", "time", "error", "reference_mass", "packet_mass"]
-        slopes = {}
-        for t in sorted({row["time"] for row in rows}):
-            sub = [row for row in rows if row["time"] == t]
-            fit = loglog_fit([r["epsilon"] for r in sub], [r["error"] for r in sub])
-            slopes[f"{t:.6g}"] = fit
-        extra = {"slopes": slopes}
+        times = sorted({row["time"] for row in rows})
+        extra = {"slopes": {f"{t:.6g}": fit([r for r in rows if r["time"] == t], "error") for t in times}}
     else:
         fieldnames = ["epsilon", "time", "delta", "residual_full", "residual_leading"]
-        extra = {
-            "slope_full": loglog_fit(
-                [r["epsilon"] for r in rows], [r["residual_full"] for r in rows]
-            ),
-            "slope_leading": loglog_fit(
-                [r["epsilon"] for r in rows], [r["residual_leading"] for r in rows]
-            ),
-        }
+        extra = {f"slope_{label}": fit(rows, f"residual_{label}") for label in ("full", "leading")}
 
     return _write_outputs(
         config,

@@ -22,21 +22,20 @@ Q_BOUND = 1e6  # largest |q| the flow accepts before calling it a blow-up
 
 @dataclass(frozen=True)
 class QuadraticPotential:
-    """V(x) = constant + <linear, x> + 0.5 <x, hessian x>."""
+    """V(x) = <linear, x> + 0.5 <x, hessian x>; a constant in V is a global phase."""
 
-    constant: float
     linear: np.ndarray
     hessian: np.ndarray
 
     @classmethod
-    def create(cls, dimension: int, constant=0.0, linear=None, hessian=None):
+    def create(cls, dimension: int, linear=None, hessian=None):
         lin = np.zeros(dimension) if linear is None else np.asarray(linear, float)
         hes = np.zeros((dimension, dimension)) if hessian is None else np.asarray(hessian, float)
         if lin.shape != (dimension,) or hes.shape != (dimension, dimension):
             raise PotentialError("quadratic potential shapes inconsistent")
         if np.max(np.abs(hes - hes.T)) > 1e-12 * max(1.0, np.max(np.abs(hes))):
             raise PotentialError("quadratic potential needs a symmetric Hessian")
-        return cls(constant=float(constant), linear=lin, hessian=0.5 * (hes + hes.T))
+        return cls(linear=lin, hessian=0.5 * (hes + hes.T))
 
     @property
     def dimension(self) -> int:
@@ -45,7 +44,7 @@ class QuadraticPotential:
     def value(self, x) -> np.ndarray:
         x = as_points(x, self.dimension)
         quad = 0.5 * np.einsum("...i,ij,...j->...", x, self.hessian, x)
-        return self.constant + x @ self.linear + quad
+        return x @ self.linear + quad
 
     def grad(self, x) -> np.ndarray:
         x = as_points(x, self.dimension)

@@ -380,6 +380,21 @@ def test_write_read_round_trip(tmp_path, mathieu_band):
     assert np.array_equal(back.values, field.values)
 
 
+def test_field_file_is_re_im_interleaved_in_row_major_order(tmp_path):
+    # the README's layout read back without read_field: float64 re, im of each value, the
+    # last grid axis fastest, whatever the memory order of the values
+    grid = SpatialGrid(dimension=2, half_width=4.0, npoints=8)
+    values = np.asfortranarray(np.arange(64.0).reshape(8, 8) + 1j * (100.0 + np.arange(64.0).reshape(8, 8).T))
+    bin_path, _ = write_field(GridWaveField(grid=grid, epsilon=0.1, time=0.0, values=values), tmp_path / "f")
+    want = [part for row in values for value in row for part in (value.real, value.imag)]
+    assert np.array_equal(np.fromfile(bin_path, dtype="<f8"), want)
+    # a trailing float64 is a payload the sidecar's shape does not describe
+    with open(bin_path, "ab") as handle:
+        handle.write(np.array([0.5], dtype="<f8").tobytes())
+    with pytest.raises(GridError, match="^binary payload does not match the sidecar shape$"):
+        read_field(tmp_path / "f")
+
+
 @pytest.mark.parametrize(
     "entry, value, message",
     [

@@ -31,11 +31,9 @@ def test_quadratic_potential_values():
 
 
 def test_quadratic_potential_general_affine():
-    pot = QuadraticPotential.create(
-        2, constant=0.5, linear=[1.0, -2.0], hessian=[[2.0, 0.3], [0.3, 1.0]]
-    )
+    pot = QuadraticPotential.create(2, linear=[1.0, -2.0], hessian=[[2.0, 0.3], [0.3, 1.0]])
     x = np.array([0.4, -0.2])
-    want = 0.5 + 1.0 * 0.4 + (-2.0) * (-0.2) + 0.5 * (
+    want = 1.0 * 0.4 + (-2.0) * (-0.2) + 0.5 * (
         2.0 * 0.16 + 2 * 0.3 * 0.4 * (-0.2) + 1.0 * 0.04
     )
     assert pot.value(x) == pytest.approx(want)

@@ -60,8 +60,8 @@ def test_constant_potential_pure_phase(lattice1d, monkeypatch):
     out = solve_schrodinger(
         psi0,
         lattice1d,
-        FourierPotential.zero(1),
-        QuadraticPotential.create(1, constant=c),
+        FourierPotential.from_coeffs({0: c}),  # the lattice's zero mode: V = c everywhere
+        QuadraticPotential.create(1),
         [T],
         SolverParams(dt=1e-3),
     )
