@@ -172,7 +172,7 @@ def _synthesize(
         raise GridError(
             f"packet center q = {state.q} lies outside the box [-{box:.6g}, {box:.6g})"
         )
-    cell = grid.cell_mesh(pair.lattice.basis, epsilon)
+    cell = grid.cell_mesh(epsilon)
     axis = grid.axis()
     fvals = zvals([(axis - state.q[j]) / np.sqrt(epsilon) for j in range(grid.dimension)])
     chivals = grid.tile(evaluate_cell_coeffs(pair.lattice, pair.cutoff, cell_coeffs, cell))

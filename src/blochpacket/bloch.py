@@ -115,22 +115,21 @@ def build_bloch_hamiltonian(
 
 
 @functools.lru_cache(maxsize=None)
-def _anchor_point(basis: tuple, potential: FourierPotential, m: int, cutoff: int) -> np.ndarray:
+def _anchor_point(lattice: LatticeSpec, potential: FourierPotential, m: int, cutoff: int) -> np.ndarray:
     """Cell point y0 at which band m's Bloch waves are anchored.
 
-    At the zone corners k in {0, b/2}^d (one stacked `eigh`) the Bloch waves
+    At the zone corners k in {0, 1/2}^d (one stacked `eigh`) the Bloch waves
     are real and vanish somewhere; y0 is the point of an ANCHOR_SAMPLES^d cell
     grid maximizing the smallest |chi_k(y0)| / max |chi_k| over the corners
     where band m is simple, taken to 9 digits so that mirror points tie and the
     first wins at every cutoff. At a corner where band m is degenerate, `eigh`
     returns an arbitrary vector of the eigenspace, so such corners are skipped.
     """
-    lattice = LatticeSpec.from_basis(basis)
     d = lattice.dimension
     fracs = np.arange(ANCHOR_SAMPLES) / ANCHOR_SAMPLES
     points = mesh([fracs] * d).reshape(-1, d) @ lattice.basis
     worst = np.full(points.shape[0], np.inf)
-    corners = np.array(list(itertools.product((0.0, 0.5), repeat=d))) @ lattice.dual_basis
+    corners = np.array(list(itertools.product((0.0, 0.5), repeat=d)))
     for evals, evecs in zip(*np.linalg.eigh(build_bloch_hamiltonian(lattice, potential, corners, cutoff))):
         try:
             _check_isolated(_gaps(evals, m).min(initial=np.inf), evals[-1] - evals[0], m)
@@ -145,10 +144,10 @@ def _anchor_point(basis: tuple, potential: FourierPotential, m: int, cutoff: int
 
 def _corner_data(lattice, potential, m: int, bands: range, cutoff: int) -> np.ndarray:
     """The energies of bands and band m's E, grad E, Hess E and Im berry at each
-    zone corner k in {0, b/2}^d, one row per corner; NaN where band m is not simple."""
+    zone corner k in {0, 1/2}^d, one row per corner; NaN where band m is not simple."""
     rows = []
     for corner in itertools.product((0.0, 0.5), repeat=lattice.dimension):
-        k = np.asarray(corner) @ lattice.dual_basis
+        k = np.asarray(corner)
         try:
             pair = band_derivatives(lattice, potential, k, m, cutoff)
             evals, data = pair.evals, [pair.energy, *pair.grad, *pair.hess.flat, *pair.berry.imag]
@@ -160,11 +159,10 @@ def _corner_data(lattice, potential, m: int, bands: range, cutoff: int) -> np.nd
 
 
 @functools.lru_cache(maxsize=None)
-def sized_cutoff(basis: tuple, potential: FourierPotential, m: int, bands: range) -> tuple:
+def sized_cutoff(lattice: LatticeSpec, potential: FourierPotential, m: int, bands: range) -> tuple:
     """Cutoff for band m of a run that reads the energies of bands, and its largest change:
     the smallest c at or above the potential's support, with every band in the basis, at
     which `_corner_data` moves by at most CUTOFF_TOL from c to c + 2 (NaN at both skipped)."""
-    lattice = LatticeSpec.from_basis(basis)
     d, cutoff = lattice.dimension, potential.cutoff
     while (2 * cutoff + 1) ** d < bands.stop - 1:
         cutoff += 1
@@ -251,7 +249,7 @@ def band_derivatives(
     ks, h = k.reshape(-1, d), h.reshape((-1,) + h.shape[-2:])
     if not 1 <= m <= h.shape[-1]:
         raise EigensolverError(f"band index {m} outside [1, {h.shape[-1]}] at k = {ks[0]}")
-    y0 = _anchor_point(tuple(map(tuple, lattice.basis.tolist())), potential, m, cutoff)
+    y0 = _anchor_point(lattice, potential, m, cutoff)
     g_plus_k = lattice.dual_vectors(pw_indices(d, cutoff)) + ks[:, None, :]  # (N, M, d)
     try:
         try:
@@ -364,7 +362,7 @@ class BlochBand:
     """Spectral data for one band of one periodic potential.
 
     Energy, gradient, Hessian and connection come from the band table. The
-    first zone, [-1/2, 1/2)^d in fractional coordinates, is split into
+    first zone, [-1/2, 1/2)^d, is split into
     PATCHES_PER_AXIS^d equal patches. The first query inside a patch solves
     its PATCH_NODES[0]^d Chebyshev points (none on a patch boundary), one
     stacked `band_derivatives` call per row of n nodes, which holds n M^2
@@ -403,14 +401,12 @@ class BlochBand:
         self.potential = potential
         self.m = int(m)
         if cutoff is None:
-            basis = tuple(map(tuple, lattice.basis.tolist()))
             bands = bands or range(max(1, self.m - 2), self.m + 3)
-            cutoff, change = sized_cutoff(basis, potential, self.m, bands)
+            cutoff, change = sized_cutoff(lattice, potential, self.m, bands)
             self.basis = {"cutoff": cutoff, "error_estimate": change, "tol": CUTOFF_TOL}
         else:
             self.basis = {"fixed": True, "cutoff": int(cutoff)}
         self.cutoff = int(cutoff)
-        self._to_frac = np.linalg.inv(lattice.dual_basis)
         self.patches: dict[tuple, BandPatch] = {}
         self._direct = functools.lru_cache(maxsize=DIRECT_CACHE_SIZE)(
             lambda p: band_derivatives(self.lattice, self.potential, np.array(p), self.m, self.cutoff)
@@ -431,7 +427,7 @@ class BlochBand:
         for n in PATCH_NODES:
             axes = [-0.5 + (i + 0.5 * (_chebyshev(n)[0] + 1.0)) / PATCHES_PER_AXIS for i in index]
             rows = []
-            for ks in mesh(axes).reshape(-1, n, d) @ self.lattice.dual_basis:  # one solve per row of nodes
+            for ks in mesh(axes).reshape(-1, n, d):  # one solve per row of nodes
                 self.node_solves += n
                 pair = band_derivatives(self.lattice, self.potential, ks, self.m, self.cutoff)
                 rows.append(np.column_stack([pair.energy, pair.grad, pair.hess.reshape(n, -1),
@@ -455,7 +451,7 @@ class BlochBand:
         if p.shape != (d,) or not all(map(math.isfinite, p.tolist())):
             raise EigensolverError(f"quasimomentum {p} is not a finite {d}-vector")
         index, local = [], []
-        for frac in (p @ self._to_frac).tolist():
+        for frac in p.tolist():
             scaled = (frac - math.floor(frac + 0.5) + 0.5) * PATCHES_PER_AXIS
             i = min(max(math.floor(scaled), 0), PATCHES_PER_AXIS - 1)
             index.append(i)
@@ -472,8 +468,7 @@ class BlochBand:
         d = self.dimension
         if p.shape[1] != d or not np.all(np.isfinite(p)):
             raise EigensolverError(f"quasimomenta of shape {p.shape} are not finite {d}-vectors")
-        frac = p @ self._to_frac
-        scaled = (frac - np.floor(frac + 0.5) + 0.5) * PATCHES_PER_AXIS
+        scaled = (p - np.floor(p + 0.5) + 0.5) * PATCHES_PER_AXIS
         index = np.clip(np.floor(scaled), 0, PATCHES_PER_AXIS - 1)
         local = 2.0 * (scaled - index) - 1.0
         keys, group = np.unique(index.astype(int), axis=0, return_inverse=True)
@@ -522,7 +517,7 @@ class BlochBand:
         return self._direct(tuple(np.atleast_1d(np.asarray(p, dtype=float)).tolist()))
 
     def derivatives(self, p) -> BlochEigenpair:
-        """The `eigenpair` record, kept as a separate entry point for callers
-        that patch or override it."""
+        """The `eigenpair` record. No run calls it; the benchmark tracer wraps
+        it by name, so it stays until the tracer no longer does."""
         return self.eigenpair(p)
 

@@ -237,7 +237,7 @@ class ExperimentConfig(_Serializable):
         super().__post_init__()
         d = self.dimension
         for name in ("envelope_a", "envelope_b"):
-            rows = getattr(self, name) or tuple(map(tuple, np.eye(d).tolist()))
+            rows = getattr(self, name) or tuple(tuple(row) for row in np.eye(d).tolist())
             if len(rows) != d or any(len(r) != d for r in rows):
                 raise ConfigError(f"{name} must be a {d} x {d} matrix")
             object.__setattr__(self, name, rows)

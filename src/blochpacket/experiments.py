@@ -340,18 +340,18 @@ def _make_grid(config: ExperimentConfig, epsilon: float, half_width: float = BOX
 
 
 def run_bands(config: ExperimentConfig) -> dict:
-    """Spectrum scan along the first dual axis. Each sample k is solved in one
+    """Spectrum scan at k = frac e_1, frac in [-1/2, 1/2]. Each sample k is solved in one
     stacked `band_derivatives` call on [k, k + h e_1, k - h e_1, ..., k - h e_d],
     whose rows give the finite-difference checks of the Hellmann-Feynman
     derivatives; the band table is held against the solve at k once per Bloch
-    momentum, so not at k = b/2, which it reads at the first sample's -b/2, and
+    momentum, so not at frac = 1/2, which it reads at the first sample's -1/2, and
     raises above TABLE_DEVIATION_TOL."""
     config.validate()
     band = config.make_band()
     lattice, m, d = band.lattice, config.band_index, band.dimension
 
     fracs = np.linspace(-0.5, 0.5, config.k_samples)
-    ks = np.outer(fracs, lattice.dual_basis[0])
+    ks = np.outer(fracs, np.eye(d)[0])
     hamiltonians = (build_bloch_hamiltonian(lattice, band.potential, k, band.cutoff) for k in ks)
     spectra = np.array([np.linalg.eigvalsh(h)[: config.num_bands] for h in hamiltonians])
     # distance of band m to every other band: at the same k (gap_m), and over all

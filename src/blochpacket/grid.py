@@ -123,28 +123,20 @@ class SpatialGrid:
         """All grid points, shape (npoints**dimension, dimension)."""
         return self._mesh(self.axis())
 
-    def cell_mesh(self, basis: np.ndarray, scale: float) -> np.ndarray:
+    def cell_mesh(self, scale: float) -> np.ndarray:
         """y = x / scale at the grid points of the box's first cell of the
-        lattice whose generators are the rows of scale * basis; shape
-        (P,)*d + (d,).
+        lattice (2 pi scale Z)^d; shape (P,)*d + (d,).
 
         A factor periodic on that lattice, sampled here, covers the grid
-        exactly through `tile`.  Raises GridError unless the lattice is cubic
-        and the box holds a whole number of its cells, each of P whole grid
-        points.
+        exactly through `tile`.  Raises GridError unless the box holds a
+        whole number of its cells, each of P whole grid points.
         """
-        period = basis[0, 0]
-        ratio = 2.0 * self.half_width / (period * scale)
+        ratio = 2.0 * self.half_width / (2.0 * np.pi * scale)
         cells = round(ratio)
-        if (
-            not np.array_equal(basis, period * np.eye(self.dimension))
-            or cells < 1
-            or abs(ratio - cells) > CELL_TOL * ratio
-            or self.npoints % cells
-        ):
+        if cells < 1 or abs(ratio - cells) > CELL_TOL * ratio or self.npoints % cells:
             raise GridError(
                 f"box [-{self.half_width:.6g}, {self.half_width:.6g})^{self.dimension} of"
-                f" {self.npoints} points does not hold whole cells of {scale:.6g} * {basis.tolist()}"
+                f" {self.npoints} points does not hold whole cells of side 2 pi * {scale:.6g}"
             )
         return mesh([self.axis()[: self.npoints // cells] / scale] * self.dimension)
 

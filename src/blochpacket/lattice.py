@@ -1,9 +1,10 @@
-"""Lattice geometry and Fourier-represented periodic potentials.
+"""The lattice (2 pi Z)^d and Fourier-represented periodic potentials.
 
-A lattice is specified by d independent generators (rows of ``basis``).
-The dual basis rows g_j satisfy <eta_i, g_j> = 2*pi*delta_ij, so dual
-lattice vectors are integer combinations of the g_j and the centered
-fundamental cell of the dual lattice serves as the Brillouin zone.
+Every run uses the cubic lattice Gamma = (2 pi Z)^d: a lattice of period L is
+this one at eps' = L eps / 2 pi, with both potentials scaled by (L / 2 pi)^2
+and time by 2 pi / L. Its dual lattice is Z^d, so the dual vector of an
+integer index n is n itself, a quasimomentum is its own fractional
+coordinates, and the first Brillouin zone is [-1/2, 1/2)^d.
 """
 
 from __future__ import annotations
@@ -15,70 +16,45 @@ import numpy as np
 from .errors import LatticeError, PotentialError
 from .grid import as_points
 
-DUALITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Geometry of a d-dimensional lattice and its dual."""
+    """The lattice (2 pi Z)^d, hashable so that band caches key on it."""
 
-    basis: np.ndarray        # (d, d), rows are the generators
-    dual_basis: np.ndarray   # (d, d), rows g_j with <eta_i, g_j> = 2 pi delta_ij
-    cell_volume: float
+    dimension: int
 
     @classmethod
-    def from_basis(cls, basis) -> "LatticeSpec":
-        b = np.asarray(basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise LatticeError(f"basis must be square (d, d), got shape {b.shape}")
-        det = np.linalg.det(b)
-        if abs(det) < 1e-12:
-            raise LatticeError("basis vectors are linearly dependent")
-        dual = 2.0 * np.pi * np.linalg.inv(b).T
-        spec = cls(basis=b, dual_basis=dual, cell_volume=abs(det))
-        spec.validate()
-        return spec
-
-    @classmethod
-    def cubic(cls, dimension: int, period: float = 2.0 * np.pi) -> "LatticeSpec":
+    def cubic(cls, dimension: int) -> "LatticeSpec":
         if dimension < 1:
             raise LatticeError("dimension must be >= 1")
-        return cls.from_basis(period * np.eye(dimension))
+        return cls(dimension)
 
     @property
-    def dimension(self) -> int:
-        return self.basis.shape[0]
+    def basis(self) -> np.ndarray:
+        """(d, d) generators as rows, 2 pi I."""
+        return 2.0 * np.pi * np.eye(self.dimension)
 
-    def validate(self) -> None:
-        gram = self.basis @ self.dual_basis.T
-        target = 2.0 * np.pi * np.eye(self.dimension)
-        if np.max(np.abs(gram - target)) > DUALITY_TOL * 2.0 * np.pi:
-            raise LatticeError("dual basis fails <eta_i, g_j> = 2 pi delta_ij")
-        if abs(self.cell_volume - abs(np.linalg.det(self.basis))) > 1e-9:
-            raise LatticeError("cell volume inconsistent with basis determinant")
+    @property
+    def cell_volume(self) -> float:
+        return (2.0 * np.pi) ** self.dimension
 
     def dual_vectors(self, indices: np.ndarray) -> np.ndarray:
-        """Map integer multi-indices (..., d) to dual lattice vectors (..., d)."""
-        return np.asarray(indices, dtype=float) @ self.dual_basis
+        """Dual lattice vectors (..., d) of integer multi-indices (..., d): the indices."""
+        return np.asarray(indices, dtype=float)
 
     def fold(self, p) -> tuple[np.ndarray, np.ndarray]:
-        """Fold p into the centered dual fundamental cell.
-
-        Returns (p_folded, winding) with p = p_folded + winding @ dual_basis
-        and fractional coordinates of p_folded in [-1/2, 1/2).
-        """
+        """Fold p into the first zone: (p - winding, winding) with
+        winding = floor(p + 1/2), so the folded p lies in [-1/2, 1/2)."""
         p = np.asarray(p, dtype=float)
-        frac = np.linalg.solve(self.dual_basis.T, p)
-        winding = np.floor(frac + 0.5).astype(int)
-        folded = (frac - winding) @ self.dual_basis
-        return folded, winding
+        winding = np.floor(p + 0.5)
+        return p - winding, winding.astype(int)
 
 
 @dataclass(frozen=True)
 class FourierPotential:
     """Periodic potential given by finitely many Fourier coefficients.
 
-    V(y) = sum_n vhat(n) exp(i <G_n, y>) with G_n = n @ dual_basis.
+    V(y) = sum_n vhat(n) exp(i <n, y>) on the lattice (2 pi Z)^d.
     Coefficients must be Hermitian-symmetric so that V is real-valued.
     """
 

@@ -54,7 +54,7 @@ class SolverParams:
 def _total_potential_grid(psi: GridWaveField, lattice, lattice_potential, external) -> np.ndarray:
     """(V_lat(x/eps) + V(x)) sampled on the grid, V_lat on one cell and tiled."""
     grid = psi.grid
-    vlat = lattice_potential.evaluate(lattice, grid.cell_mesh(lattice.basis, psi.epsilon))
+    vlat = lattice_potential.evaluate(lattice, grid.cell_mesh(psi.epsilon))
     return grid.tile(vlat) + external.value(grid.points()).reshape(grid.shape)
 
 
@@ -69,7 +69,7 @@ def _bloch_blocks(grid: SpatialGrid, lattice, lattice_potential, eps: float) -> 
     sum_a e^{-2 pi i (mK + r) a / KP} X[r, a], so V_cell(x/eps)/eps is diagonal
     and the kinetic part of block r is e^{2 pi i r (a - b) / KP} c_r[(a - b) mod P],
     with c_r the inverse DFT over m of (eps/2) xi_{mK+r}^2."""
-    vcell = lattice_potential.evaluate(lattice, grid.cell_mesh(lattice.basis, eps))
+    vcell = lattice_potential.evaluate(lattice, grid.cell_mesh(eps))
     a = np.arange(vcell.shape[0])
     xi = grid.freq_axis().reshape(a.size, -1).T
     twist = np.exp(2j * np.pi * np.outer(np.arange(xi.shape[0]), a) / grid.size)

@@ -154,7 +154,7 @@ def test_residual_law_and_ablation(capsys, residual_sweep):
 
 def test_band_derivative_identities(capsys, lattice1d, cosine1d):
     band = BlochBand(lattice1d, cosine1d, 1, 32)
-    direction = lattice1d.dual_basis[0]
+    direction = lattice1d.dual_vectors(np.array([1]))
     h = 1e-4
     grad_dev = 0.0
     hess_dev = 0.0
@@ -300,7 +300,7 @@ def test_ehrenfest_error_trend(capsys, sweep):
 
 def test_free_lattice_closed_forms(capsys, monkeypatch, lattice1d, free_band):
     # folded parabola on the first band away from the zone edge
-    direction = lattice1d.dual_basis[0]
+    direction = lattice1d.dual_vectors(np.array([1]))
     parabola_dev = 0.0
     for frac in np.linspace(-0.45, 0.45, 13):
         k = frac * direction

@@ -35,7 +35,6 @@ from blochpacket.lattice import FourierPotential, LatticeSpec
 # leading-order packet mass for u = exp(-z^2/2) and unit-average cell
 # function: ||u|| * |Y|^{-1/2} = pi^(1/4) / sqrt(2 pi), by hand
 PACKET_MASS = np.pi**0.25 / np.sqrt(2.0 * np.pi)
-LATTICE_1D = LatticeSpec.cubic(1).basis
 
 
 def make_state(q=0.0, p=0.3, t=0.0, S=0.0):
@@ -59,7 +58,7 @@ def test_make_grid_for_sizes():
     assert g7.half_width == 2.0 * np.pi
     tiny = make_grid_for(0.9, half_width=1.0)
     assert tiny.npoints == 64  # floor kicks in: one cell of 64 points
-    assert tiny.cell_mesh(LATTICE_1D, 0.9).shape == (64, 1)
+    assert tiny.cell_mesh(0.9).shape == (64, 1)
     with pytest.raises(GridError):
         make_grid_for(1.5)
 
@@ -68,7 +67,7 @@ def test_make_grid_for_float_edge_does_not_double_the_grid():
     eps = 2**-7
     g = make_grid_for(eps, half_width=4096.0000001 * np.pi * eps)
     assert g.npoints == 4096 * 16
-    assert g.cell_mesh(LATTICE_1D, eps).shape == (16, 1)
+    assert g.cell_mesh(eps).shape == (16, 1)
 
 
 @pytest.mark.parametrize("eps, half_width", [(0.1, 2.0 * np.pi), (0.1, 16.0), (2**-4, 16.0)])
@@ -79,7 +78,7 @@ def test_make_grid_for_rounds_up_to_whole_cells(eps, half_width):
     assert next_pow2(round(cells)) == round(cells)
     assert half_width <= g.half_width < 2.0 * half_width
     assert g.npoints == 16 * round(cells)
-    assert g.cell_mesh(LATTICE_1D, eps).shape == (16, 1)
+    assert g.cell_mesh(eps).shape == (16, 1)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -88,7 +87,7 @@ def test_tiled_cell_factors_match_direct_evaluation(dimension):
     lattice = LatticeSpec.cubic(dimension)
     grid = make_grid_for(eps, dimension)
     y = grid.points().reshape(*grid.shape, dimension) / eps
-    cell = grid.cell_mesh(lattice.basis, eps)
+    cell = grid.cell_mesh(eps)
     assert cell.shape == (16,) * dimension + (dimension,)
     rng = np.random.default_rng(0)
     cutoff = 3
@@ -105,12 +104,9 @@ def test_tiled_cell_factors_match_direct_evaluation(dimension):
 
 def test_cell_mesh_rejects_a_box_without_whole_cells():
     with pytest.raises(GridError):
-        SpatialGrid(dimension=1, half_width=16.0, npoints=2048).cell_mesh(LATTICE_1D, 2**-4)
+        SpatialGrid(dimension=1, half_width=16.0, npoints=2048).cell_mesh(2**-4)
     with pytest.raises(GridError):  # three whole cells of 512 / 3 points
-        make_grid_for(2**-4).cell_mesh(LATTICE_1D, 2.0 / 3.0)
-    skewed = LatticeSpec.from_basis([[2.0 * np.pi, 0.0], [1.0, 2.0 * np.pi]])
-    with pytest.raises(GridError):
-        make_grid_for(2**-4, 2).cell_mesh(skewed.basis, 2**-4)
+        make_grid_for(2**-4).cell_mesh(2.0 / 3.0)
 
 
 def test_spatial_grid_accessors():

@@ -182,9 +182,8 @@ def test_anchor_of_a_band_degenerate_at_zone_corners_does_not_depend_on_the_cuto
     # where eigh returns an arbitrary vector of the pair; the anchor reads only
     # the corners where the band is simple, so it is one point at every cutoff
     lattice, potential = LatticeSpec.cubic(2), FourierPotential.cosine(2)
-    basis = tuple(map(tuple, lattice.basis.tolist()))
     for cutoff in (4, 7, 8, 12):
-        assert np.allclose(bloch._anchor_point(basis, potential, m, cutoff), 0.75 * np.pi)
+        assert np.allclose(bloch._anchor_point(lattice, potential, m, cutoff), 0.75 * np.pi)
 
 
 def test_band_simple_at_no_zone_corner_has_no_anchor(lattice1d):
@@ -263,7 +262,7 @@ def test_batched_table_matches_single_lookups(mathieu_band):
         -0.5 + (2 + 0.5 * (nodes + 1.0)) / PATCHES_PER_AXIS,
         -0.5 + (6 + 0.5 * (nodes + 1.0)) / PATCHES_PER_AXIS,
     ])
-    ps = fracs[:, None] * mathieu_band.lattice.dual_basis[0]
+    ps = fracs[:, None]
     _rows_match_scalar_lookups(mathieu_band, ps)
     hess = mathieu_band.hess_energy(ps)
     berry = mathieu_band.berry(ps)
@@ -290,7 +289,7 @@ def test_table_reproduces_its_node_solves(lattice1d, potential, m):
     for index in (0, 3, PATCHES_PER_AXIS - 1):
         nodes = bloch._chebyshev(band._patch((index,)).nodes)[0]
         fracs = -0.5 + (index + 0.5 * (nodes + 1.0)) / PATCHES_PER_AXIS
-        ps = fracs[:, None] @ lattice1d.dual_basis
+        ps = fracs[:, None]
         solved = []
         for p in ps:
             pair = band_derivatives(lattice1d, potential, p, m, band.cutoff)
@@ -374,18 +373,17 @@ def test_sized_cutoff_resolves_the_band(dimension, largest, ks):
         sized, want = (_band_data(lattice, potential, k, c) for c in (band.cutoff, wide))
         assert np.all(np.abs(sized - want) <= CUTOFF_TOL * np.maximum(1.0, np.abs(want)))
     # the unit cosine's anchor point stays y0 = pi at the sized cutoff
-    basis = tuple(map(tuple, lattice.basis.tolist()))
-    assert np.allclose(bloch._anchor_point(basis, potential, 1, band.cutoff), np.pi)
+    assert np.allclose(bloch._anchor_point(lattice, potential, 1, band.cutoff), np.pi)
 
 
 def test_sized_cutoff_is_computed_once_per_band_set(lattice1d, cosine1d, monkeypatch):
-    # bands 1..3 of a run and 1..8 of a scan are sized apart, each once per process
-    basis = tuple(map(tuple, lattice1d.basis.tolist()))
-    dynamics, scan = sized_cutoff(basis, cosine1d, 1, range(1, 4)), sized_cutoff(basis, cosine1d, 1, range(1, 9))
+    # bands 1..3 of a run and 1..8 of a scan are sized apart, each once per process;
+    # the cache keys on the lattice's value, so a lattice built apart hits it
+    dynamics, scan = (sized_cutoff(lattice1d, cosine1d, 1, range(1, stop)) for stop in (4, 9))
     assert dynamics[0] <= scan[0]
     monkeypatch.setattr(bloch, "band_derivatives", None)  # any new solve would raise
-    assert BlochBand(lattice1d, cosine1d, 1).cutoff == dynamics[0]
-    assert BlochBand(lattice1d, cosine1d, 1, bands=range(1, 9)).cutoff == scan[0]
+    assert BlochBand(LatticeSpec.cubic(1), cosine1d, 1).cutoff == dynamics[0]
+    assert BlochBand(LatticeSpec.cubic(1), cosine1d, 1, bands=range(1, 9)).cutoff == scan[0]
 
 
 @pytest.mark.parametrize("m", [2, 3, 6])
@@ -394,8 +392,7 @@ def test_sized_cutoff_holds_higher_bands(lattice1d, cosine1d, m):
     # every cutoff: mirror points of the anchor search tie, and the first wins
     band = BlochBand(lattice1d, cosine1d, m)
     assert band.cutoff <= 12 and band.basis["error_estimate"] <= CUTOFF_TOL
-    basis = tuple(map(tuple, lattice1d.basis.tolist()))
-    anchors = {float(bloch._anchor_point(basis, cosine1d, m, c)[0]) for c in range(band.cutoff, 33)}
+    anchors = {float(bloch._anchor_point(lattice1d, cosine1d, m, c)[0]) for c in range(band.cutoff, 33)}
     assert len(anchors) == 1
 
 
@@ -603,5 +600,5 @@ def test_anchor_from_one_stacked_corner_solve_is_pinned(monkeypatch, dimension, 
     stacks, build = [], bloch.build_bloch_hamiltonian
     monkeypatch.setattr(bloch, "build_bloch_hamiltonian", lambda *args: stacks.append(np.shape(args[2])) or build(*args))
     bloch._anchor_point.cache_clear()
-    assert bloch._anchor_point(tuple(map(tuple, lattice.basis.tolist())), potential, m, cutoff).tolist() == anchor
+    assert bloch._anchor_point(lattice, potential, m, cutoff).tolist() == anchor
     assert stacks == [(2**dimension, dimension)]

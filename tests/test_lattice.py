@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blochpacket.errors import LatticeError, PotentialError
+from blochpacket.errors import PotentialError
 from blochpacket.lattice import FourierPotential, LatticeSpec
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -11,21 +11,16 @@ finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 def test_cubic_dual_basis_is_reciprocal():
     lat = LatticeSpec.cubic(1)
-    assert np.allclose(lat.basis, 2.0 * np.pi)
-    assert np.allclose(lat.dual_basis, 1.0)
-    lat2 = LatticeSpec.cubic(2, period=1.0)
+    assert np.array_equal(lat.basis, [[2.0 * np.pi]])
+    assert np.array_equal(lat.dual_vectors(np.array([[-2], [3]])), [[-2.0], [3.0]])
+    lat2 = LatticeSpec.cubic(2)
     # <eta_i, g_j> = 2 pi delta_ij
-    assert np.allclose(lat2.basis @ lat2.dual_basis.T, 2.0 * np.pi * np.eye(2))
+    assert np.allclose(lat2.basis @ lat2.dual_vectors(np.eye(2, dtype=int)).T, 2.0 * np.pi * np.eye(2))
 
 
 def test_cell_volume():
-    assert np.isclose(LatticeSpec.cubic(1).cell_volume, 2.0 * np.pi)
-    assert np.isclose(LatticeSpec.cubic(2, period=3.0).cell_volume, 9.0)
-
-
-def test_from_basis_rejects_singular():
-    with pytest.raises(LatticeError):
-        LatticeSpec.from_basis([[1.0, 1.0], [1.0, 1.0]])
+    assert LatticeSpec.cubic(1).cell_volume == 2.0 * np.pi
+    assert LatticeSpec.cubic(2).cell_volume == (2.0 * np.pi) ** 2
 
 
 @given(p=finite)
@@ -34,18 +29,17 @@ def test_fold_reconstruction_1d(p):
     folded, winding = lat.fold(np.array([p]))
     # dual lattice is Z: folded + integer winding rebuilds p exactly
     assert winding.dtype.kind == "i"
-    assert np.allclose(folded + winding @ lat.dual_basis, p, atol=1e-12)
+    assert np.allclose(folded + winding, p, atol=1e-12)
     assert -0.5 - 1e-12 <= folded[0] < 0.5 + 1e-12
 
 
 @given(px=finite, py=finite)
 def test_fold_reconstruction_2d(px, py):
-    lat = LatticeSpec.cubic(2, period=1.5)
+    lat = LatticeSpec.cubic(2)
     p = np.array([px, py])
     folded, winding = lat.fold(p)
-    assert np.allclose(folded + winding @ lat.dual_basis, p, atol=1e-10)
-    frac = np.linalg.solve(lat.dual_basis.T, folded)
-    assert np.all(np.abs(frac) <= 0.5 + 1e-12)
+    assert np.allclose(folded + winding, p, atol=1e-10)
+    assert np.all(np.abs(folded) <= 0.5 + 1e-12)
 
 
 def test_fold_idempotent():
