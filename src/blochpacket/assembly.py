@@ -163,8 +163,8 @@ def _synthesize(
     """
     if state.dimension != grid.dimension:
         raise GridError("trajectory node dimension does not match the grid")
-    if pair.lattice.dimension != grid.dimension:
-        raise GridError("lattice dimension does not match the grid")
+    if pair.dimension != grid.dimension:
+        raise GridError("cell function dimension does not match the grid")
     if np.max(np.abs(np.asarray(pair.k) - state.p)) > MOMENTUM_MATCH_TOL:
         raise GridError("cell function momentum disagrees with the trajectory node")
     box = grid.half_width
@@ -175,7 +175,7 @@ def _synthesize(
     cell = grid.cell_mesh(epsilon)
     axis = grid.axis()
     fvals = zvals([(axis - state.q[j]) / np.sqrt(epsilon) for j in range(grid.dimension)])
-    chivals = grid.tile(evaluate_cell_coeffs(pair.lattice, pair.cutoff, cell_coeffs, cell))
+    chivals = grid.tile(evaluate_cell_coeffs(grid.dimension, pair.cutoff, cell_coeffs, cell))
     phase = np.full(grid.shape, float(state.S))
     for j in range(grid.dimension):
         phase = phase + grid.along(j, state.p[j] * (axis - state.q[j]))

@@ -1,13 +1,16 @@
 """Plane-wave Bloch eigenproblem: bands, cell functions, k-derivatives.
 
 The fiber Hamiltonian at quasimomentum k acts on cell-periodic functions as
-0.5 * (-i grad_y + k)^2 + V(y). In the plane-wave basis e_n = exp(i<G_n, y>)
+0.5 * (-i grad_y + k)^2 + V(y) on the lattice (2 pi Z)^d, whose dual vectors G_n
+are the integer indices n themselves. In the plane-wave basis e_n = exp(i<G_n, y>)
 (indices |n|_inf <= cutoff, lexicographic order) it is dense Hermitian with
-kinetic diagonal 0.5 * |G_n + k|^2 and potential entries vhat(n - n').
+kinetic diagonal 0.5 * |G_n + k|^2 and potential entries vhat(n - n'). No function
+takes the lattice: d is the potential's, and the caches key on the potential.
 
 Eigenvector coefficients are stored in the "cell" scaling c_n, normalized so
-that |Y| * sum |c_n|^2 = 1, i.e. the cell function has unit L^2(Y) norm.
-Inner products over the cell in this scaling are |Y| * sum conj(a) b.
+that |Y| * sum |c_n|^2 = 1, i.e. the cell function has unit L^2(Y) norm, with
+|Y| = (2 pi)^d = `cell_volume(d)`. Inner products over the cell in this scaling
+are |Y| * sum conj(a) b.
 
 `BlochBand` serves band energy, gradient, Hessian and connection from a band table:
 Chebyshev series on zone patches, each built when a query first falls inside it by one
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateBandError, EigensolverError, GaugeError
 from .grid import as_points, mesh
-from .lattice import FourierPotential, LatticeSpec
+from .lattice import FourierPotential
 
 EIG_RESIDUAL_TOL = 1e-9
 GAP_TOL_RELATIVE = 1e-8
@@ -61,7 +64,6 @@ class BlochEigenpair:
     energy: float
     coeffs: np.ndarray       # cell-scaled plane-wave coefficients, lex order
     cutoff: int
-    lattice: LatticeSpec
     grad: np.ndarray         # (d,) gradient of the band energy
     hess: np.ndarray         # (d, d) symmetric Hessian of the band energy
     dk_coeffs: np.ndarray    # (d, M) cell-scaled coefficients of d_k(cell function)
@@ -74,25 +76,25 @@ class BlochEigenpair:
 
     @property
     def dimension(self) -> int:
-        return self.lattice.dimension
+        return self.potential.dimension
 
 
-def cell_inner(lattice: LatticeSpec, a: np.ndarray, b: np.ndarray) -> complex:
+def cell_volume(d: int) -> float:
+    """|Y|, the volume of the cell [0, 2 pi)^d."""
+    return (2.0 * np.pi) ** d
+
+
+def cell_inner(d: int, a: np.ndarray, b: np.ndarray) -> complex:
     """L^2(Y) inner product of cell functions given cell-scaled coefficients."""
-    return lattice.cell_volume * complex(np.vdot(a, b))
+    return cell_volume(d) * complex(np.vdot(a, b))
 
 
-def build_bloch_hamiltonian(
-    lattice: LatticeSpec,
-    potential: FourierPotential,
-    k,
-    cutoff: int,
-) -> np.ndarray:
+def build_bloch_hamiltonian(potential: FourierPotential, k, cutoff: int) -> np.ndarray:
     """Dense fiber Hamiltonian in the plane-wave basis at quasimomentum k (d,), or one
     per row of a stack k (N, d), shape (N, M, M): the potential part is built once, and
     only the kinetic diagonal depends on k."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    d = lattice.dimension
+    d = potential.dimension
     if k.ndim > 2 or k.shape[-1:] != (d,):
         raise EigensolverError(f"quasimomentum shape {k.shape} is not ({d},) or (N, {d})")
     if not np.all(np.isfinite(k)):
@@ -100,7 +102,7 @@ def build_bloch_hamiltonian(
     if cutoff < potential.cutoff:
         raise EigensolverError(f"cutoff {cutoff} below potential support {potential.cutoff}")
     n = pw_indices(d, cutoff)
-    kinetic = 0.5 * np.sum((lattice.dual_vectors(n) + k[..., None, :]) ** 2, axis=-1)
+    kinetic = 0.5 * np.sum((n + k[..., None, :]) ** 2, axis=-1)
 
     # Dense cube of coefficients over index differences, fancy-indexed below.
     width = 4 * cutoff + 1
@@ -115,7 +117,7 @@ def build_bloch_hamiltonian(
 
 
 @functools.lru_cache(maxsize=None)
-def _anchor_point(lattice: LatticeSpec, potential: FourierPotential, m: int, cutoff: int) -> np.ndarray:
+def _anchor_point(potential: FourierPotential, m: int, cutoff: int) -> np.ndarray:
     """Cell point y0 at which band m's Bloch waves are anchored.
 
     At the zone corners k in {0, 1/2}^d (one stacked `eigh`) the Bloch waves
@@ -125,48 +127,48 @@ def _anchor_point(lattice: LatticeSpec, potential: FourierPotential, m: int, cut
     first wins at every cutoff. At a corner where band m is degenerate, `eigh`
     returns an arbitrary vector of the eigenspace, so such corners are skipped.
     """
-    d = lattice.dimension
+    d = potential.dimension
     fracs = np.arange(ANCHOR_SAMPLES) / ANCHOR_SAMPLES
-    points = mesh([fracs] * d).reshape(-1, d) @ lattice.basis
+    points = 2.0 * np.pi * mesh([fracs] * d).reshape(-1, d)
     worst = np.full(points.shape[0], np.inf)
     corners = np.array(list(itertools.product((0.0, 0.5), repeat=d)))
-    for evals, evecs in zip(*np.linalg.eigh(build_bloch_hamiltonian(lattice, potential, corners, cutoff))):
+    for evals, evecs in zip(*np.linalg.eigh(build_bloch_hamiltonian(potential, corners, cutoff))):
         try:
             _check_isolated(_gaps(evals, m).min(initial=np.inf), evals[-1] - evals[0], m)
         except DegenerateBandError:
             continue
-        values = np.abs(evaluate_cell_coeffs(lattice, cutoff, evecs[:, m - 1], points))
+        values = np.abs(evaluate_cell_coeffs(d, cutoff, evecs[:, m - 1], points))
         worst = np.minimum(worst, values / values.max())
     if np.all(np.isinf(worst)):
         raise GaugeError(f"band {m} is simple at no zone corner; no anchor point")
     return points[int(np.argmax(np.round(worst, 9)))]
 
 
-def _corner_data(lattice, potential, m: int, bands: range, cutoff: int) -> np.ndarray:
+def _corner_data(potential: FourierPotential, m: int, bands: range, cutoff: int) -> np.ndarray:
     """The energies of bands and band m's E, grad E, Hess E and Im berry at each
     zone corner k in {0, 1/2}^d, one row per corner; NaN where band m is not simple."""
-    rows = []
-    for corner in itertools.product((0.0, 0.5), repeat=lattice.dimension):
+    rows, d = [], potential.dimension
+    for corner in itertools.product((0.0, 0.5), repeat=d):
         k = np.asarray(corner)
         try:
-            pair = band_derivatives(lattice, potential, k, m, cutoff)
+            pair = band_derivatives(potential, k, m, cutoff)
             evals, data = pair.evals, [pair.energy, *pair.grad, *pair.hess.flat, *pair.berry.imag]
         except (DegenerateBandError, EigensolverError, GaugeError):  # band m not simple here
-            evals = np.linalg.eigh(build_bloch_hamiltonian(lattice, potential, k, cutoff))[0]
-            data = [np.nan] * (1 + 2 * lattice.dimension + lattice.dimension**2)
+            evals = np.linalg.eigh(build_bloch_hamiltonian(potential, k, cutoff))[0]
+            data = [np.nan] * (1 + 2 * d + d**2)
         rows.append(np.concatenate([evals[bands.start - 1 : bands.stop - 1], data]))
     return np.array(rows)
 
 
 @functools.lru_cache(maxsize=None)
-def sized_cutoff(lattice: LatticeSpec, potential: FourierPotential, m: int, bands: range) -> tuple:
+def sized_cutoff(potential: FourierPotential, m: int, bands: range) -> tuple:
     """Cutoff for band m of a run that reads the energies of bands, and its largest change:
     the smallest c at or above the potential's support, with every band in the basis, at
     which `_corner_data` moves by at most CUTOFF_TOL from c to c + 2 (NaN at both skipped)."""
-    d, cutoff = lattice.dimension, potential.cutoff
+    d, cutoff = potential.dimension, potential.cutoff
     while (2 * cutoff + 1) ** d < bands.stop - 1:
         cutoff += 1
-    data = functools.cache(lambda c: _corner_data(lattice, potential, m, bands, c))
+    data = functools.cache(lambda c: _corner_data(potential, m, bands, c))
     while (2 * cutoff + 5) ** d <= MAX_PLANE_WAVES:
         a, b = data(cutoff), data(cutoff + 2)
         change = np.where(np.isnan(a) & np.isnan(b), 0.0, abs(b - a) / np.maximum(1.0, abs(b)))
@@ -218,13 +220,7 @@ def reduced_resolvent_solve(
     return x if b is rhs else x[..., 0]
 
 
-def band_derivatives(
-    lattice: LatticeSpec,
-    potential: FourierPotential,
-    k,
-    m: int,
-    cutoff: int,
-) -> BlochEigenpair:
+def band_derivatives(potential: FourierPotential, k, m: int, cutoff: int) -> BlochEigenpair:
     """Energy, cell function and their k-derivatives for one simple band, at one k (d,)
     or at every row of a stack k (N, d) from one batched eigensolve; the record's array
     fields then carry a leading N axis.
@@ -243,14 +239,14 @@ def band_derivatives(
     A failed check names the k it failed at; a stack that fails one is solved again
     one node at a time, so the first failing node in node order raises.
     """
-    d = lattice.dimension
+    d = potential.dimension
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    h = build_bloch_hamiltonian(lattice, potential, k, cutoff)
+    h = build_bloch_hamiltonian(potential, k, cutoff)
     ks, h = k.reshape(-1, d), h.reshape((-1,) + h.shape[-2:])
     if not 1 <= m <= h.shape[-1]:
         raise EigensolverError(f"band index {m} outside [1, {h.shape[-1]}] at k = {ks[0]}")
-    y0 = _anchor_point(lattice, potential, m, cutoff)
-    g_plus_k = lattice.dual_vectors(pw_indices(d, cutoff)) + ks[:, None, :]  # (N, M, d)
+    y0 = _anchor_point(potential, m, cutoff)
+    g_plus_k = pw_indices(d, cutoff) + ks[:, None, :]  # (N, M, d)
     try:
         try:
             evals, evecs = np.linalg.eigh(h)
@@ -281,31 +277,30 @@ def band_derivatives(
         if len(ks) == 1:
             raise type(exc)(f"{exc} at k = {ks[0]}") from exc
         for node in ks:
-            band_derivatives(lattice, potential, node, m, cutoff)
+            band_derivatives(potential, node, m, cutoff)
         raise
 
     # Phase rate of the anchored gauge: differentiating Im psi_k(y0) = 0 with
     # d_k row = i y0 row and psi_k(y0) = |anchor| gives
     # alpha_j = -y0_j - Im(row @ x_j) / |anchor|.
     alphas = -y0 - (row[:, None, :] @ x)[:, 0].imag / anchor[:, None]
-    scale = np.sqrt(lattice.cell_volume)
+    scale = np.sqrt(cell_volume(d))
     fields = dict(
         k=ks, energy=energy, coeffs=a / scale, grad=(np.abs(a[:, None, :]) ** 2 @ g_plus_k)[:, 0],
         hess=np.eye(d) + terms.real, berry=1j * alphas, gaps=gaps, width=width, evals=evals,
         evecs=evecs, dk_coeffs=(x.swapaxes(1, 2) + 1j * alphas[..., None] * a[:, None, :]) / scale,
     )
     fields = {name: value[0] for name, value in fields.items()} if k.ndim == 1 else fields
-    return BlochEigenpair(m=m, cutoff=cutoff, lattice=lattice, potential=potential, **fields)
+    return BlochEigenpair(m=m, cutoff=cutoff, potential=potential, **fields)
 
 
-def evaluate_cell_coeffs(lattice, cutoff: int, coeffs: np.ndarray, points) -> np.ndarray:
+def evaluate_cell_coeffs(d: int, cutoff: int, coeffs: np.ndarray, points) -> np.ndarray:
     """Values of sum_n c_n exp(i <G_n, y>) at points (..., d) for any c.
 
     Coefficient columns (M, R) give R cell functions at once, on a
     trailing axis of the result.
     """
-    d = lattice.dimension
-    g = lattice.dual_vectors(pw_indices(d, cutoff))
+    g = pw_indices(d, cutoff).astype(float)
     return np.exp(1j * (as_points(points, d) @ g.T)) @ coeffs
 
 
@@ -388,35 +383,29 @@ class BlochBand:
     """
 
     def __init__(
-        self,
-        lattice: LatticeSpec,
-        potential: FourierPotential,
-        m: int,
-        cutoff: int | None = None,
-        bands: range | None = None,
+        self, potential: FourierPotential, m: int, cutoff: int | None = None, bands: range | None = None
     ):
         if m < 1:
             raise EigensolverError(f"band index {m} must be at least 1")
-        self.lattice = lattice
         self.potential = potential
         self.m = int(m)
         if cutoff is None:
             bands = bands or range(max(1, self.m - 2), self.m + 3)
-            cutoff, change = sized_cutoff(lattice, potential, self.m, bands)
+            cutoff, change = sized_cutoff(potential, self.m, bands)
             self.basis = {"cutoff": cutoff, "error_estimate": change, "tol": CUTOFF_TOL}
         else:
             self.basis = {"fixed": True, "cutoff": int(cutoff)}
         self.cutoff = int(cutoff)
         self.patches: dict[tuple, BandPatch] = {}
         self._direct = functools.lru_cache(maxsize=DIRECT_CACHE_SIZE)(
-            lambda p: band_derivatives(self.lattice, self.potential, np.array(p), self.m, self.cutoff)
+            lambda p: band_derivatives(self.potential, np.array(p), self.m, self.cutoff)
         )
         self.node_solves = 0
         self.min_gap = math.inf
 
     @property
     def dimension(self) -> int:
-        return self.lattice.dimension
+        return self.potential.dimension
 
     def _patch(self, index: tuple) -> BandPatch:
         """The patch at a patch index, built from node solves on first use."""
@@ -429,7 +418,7 @@ class BlochBand:
             rows = []
             for ks in mesh(axes).reshape(-1, n, d):  # one solve per row of nodes
                 self.node_solves += n
-                pair = band_derivatives(self.lattice, self.potential, ks, self.m, self.cutoff)
+                pair = band_derivatives(self.potential, ks, self.m, self.cutoff)
                 rows.append(np.column_stack([pair.energy, pair.grad, pair.hess.reshape(n, -1),
                                              pair.berry.imag, pair.gaps, pair.width]))
             patch = BandPatch(np.array(rows).reshape((n,) * d + (-1,)), smooth)

@@ -6,8 +6,8 @@ a whitelist of external potentials whose growth is at most quadratic with
 bounded higher derivatives ("quadratic", "cosine-well").  Every derived
 output row carries sha256(canonical config)[:12] for provenance.
 
-Validating a config builds its model: `ExperimentConfig.validate` builds the
-lattice, both potentials and the Gaussian once each, and the model
+Validating a config builds its model: `ExperimentConfig.validate` builds
+both potentials and the Gaussian once each, and the model
 constructors make the shape, symmetry, sign and Hermitian checks.  Their
 rejections come back as a `ConfigError` naming the config key.
 """
@@ -24,9 +24,9 @@ import numpy as np
 
 from .bloch import MAX_PLANE_WAVES, BlochBand
 from .envelope import GaussianEnvelope, gaussian_init
-from .errors import ConfigError, EnvelopeError, LatticeError, PotentialError
+from .errors import ConfigError, EnvelopeError, PotentialError
 from .flow import CosineWellPotential, QuadraticPotential
-from .lattice import FourierPotential, LatticeSpec
+from .lattice import FourierPotential
 from .reference import RESIDUAL_DELTA_FACTOR, RESIDUAL_DELTA_LIMIT
 
 EXPERIMENT_KINDS = (
@@ -194,7 +194,7 @@ def _built(key: str, make):
     re-raised as a ConfigError that names the config key."""
     try:
         return make()
-    except (ConfigError, LatticeError, PotentialError, EnvelopeError) as exc:
+    except (ConfigError, PotentialError, EnvelopeError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -248,7 +248,8 @@ class ExperimentConfig(_Serializable):
         constructor's rejection is re-raised as a ConfigError naming its key."""
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"kind {self.kind!r} is not one of {EXPERIMENT_KINDS}")
-        _built("dimension", self.make_lattice)
+        if self.dimension < 1:
+            raise ConfigError("dimension: dimension must be >= 1")
         potential = _built("lattice_potential", self.make_lattice_potential)
         _built("external", self.make_external)
         _built("envelope_a/envelope_b", self.make_gaussian)
@@ -312,9 +313,6 @@ class ExperimentConfig(_Serializable):
 
     # ---- builders -------------------------------------------------------
 
-    def make_lattice(self) -> LatticeSpec:
-        return LatticeSpec.cubic(self.dimension)
-
     def make_lattice_potential(self) -> FourierPotential:
         return self.lattice_potential.build(self.dimension)
 
@@ -325,9 +323,7 @@ class ExperimentConfig(_Serializable):
         """The band; a scan's sized cutoff also resolves the energies of bands 1..num_bands."""
         top = max(self.num_bands, self.band_index + 2)
         scan = range(1, top + 1) if self.kind == "bands" else None
-        return BlochBand(
-            self.make_lattice(), self.make_lattice_potential(), self.band_index, self.cutoff, scan
-        )
+        return BlochBand(self.make_lattice_potential(), self.band_index, self.cutoff, scan)
 
     def make_gaussian(self) -> GaussianEnvelope:
         a = np.asarray(self.envelope_a, dtype=complex)

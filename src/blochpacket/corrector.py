@@ -26,6 +26,7 @@ from .bloch import (
     reduced_resolvent_solve,
     build_bloch_hamiltonian,
     cell_inner,
+    cell_volume,
     pw_indices,
 )
 from .envelope import GaussianEnvelope, gaussian_eval, geometric_rate
@@ -39,7 +40,7 @@ class CorrectorField:
     order: int              # power of sqrt(eps) that weights the field
     terms: tuple            # (z_profile, y_coeffs) pairs; z-profiles: Gaussian closed forms on grid
     grid: SpatialGrid       # envelope z-grid of the profiles
-    pair: BlochEigenpair    # carries lattice and cutoff
+    pair: BlochEigenpair    # carries the potential and cutoff
 
     def norm(self) -> float:
         """|| sum_r f_r g_r ||_L2(dz x dy) as || R G^T || sqrt(dv |Y|), with
@@ -48,20 +49,18 @@ class CorrectorField:
         zmat = np.stack([np.ravel(f) for f, _ in self.terms], axis=-1)
         ymat = np.stack([g for _, g in self.terms])
         rmat = np.linalg.qr(zmat, mode="r")
-        volume = self.grid.dv * self.pair.lattice.cell_volume
+        volume = self.grid.dv * cell_volume(self.pair.dimension)
         return float(np.linalg.norm(rmat @ ymat) * np.sqrt(volume))
 
 
 def _perp(pair: BlochEigenpair, vec: np.ndarray) -> np.ndarray:
     """Component of a coefficient vector orthogonal to the cell function."""
-    return vec - pair.coeffs * cell_inner(pair.lattice, pair.coeffs, vec)
+    return vec - pair.coeffs * cell_inner(pair.dimension, pair.coeffs, vec)
 
 
 def _dy(pair: BlochEigenpair, vec: np.ndarray, axis: int) -> np.ndarray:
     """Coefficient action of d/dy_axis: multiply by i (G_n)_axis."""
-    n = pw_indices(pair.dimension, pair.cutoff)
-    g = pair.lattice.dual_vectors(n)
-    return 1j * g[:, axis] * vec
+    return 1j * pw_indices(pair.dimension, pair.cutoff)[:, axis] * vec
 
 
 def _profiles(env: GaussianEnvelope, grid: SpatialGrid) -> tuple:
@@ -110,7 +109,7 @@ def _second_order_terms(u, hess_u, state, pair: BlochEigenpair, external) -> lis
 
 def _chi_profile(pair: BlochEigenpair, terms) -> np.ndarray:
     """<chi, sum f g>(z): projection of separable terms onto the cell function."""
-    return sum(f * cell_inner(pair.lattice, pair.coeffs, g) for f, g in terms)
+    return sum(f * cell_inner(pair.dimension, pair.coeffs, g) for f, g in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,7 @@ def build_U2(
     from the record's eigendecomposition of H(p), with <chi, w> = 0, so <chi, U_2> = 0; the
     chi-parallel part is the envelope equation and drops out.
     """
-    h = build_bloch_hamiltonian(pair.lattice, pair.potential, pair.k, pair.cutoff)
+    h = build_bloch_hamiltonian(pair.potential, pair.k, pair.cutoff)
     u, _, hess_u = _profiles(env, grid)
     zprofs, ys = zip(*_second_order_terms(u, hess_u, state, pair, external))
     xs = reduced_resolvent_solve(h, pair.evals, pair.evecs, pair.m, np.stack(ys, axis=-1))

@@ -9,10 +9,6 @@ class ConfigError(BlochpacketError):
     """Invalid experiment configuration."""
 
 
-class LatticeError(BlochpacketError):
-    """Inconsistent lattice geometry."""
-
-
 class PotentialError(BlochpacketError):
     """Invalid potential data (symmetry, growth class, ...)."""
 

@@ -175,7 +175,7 @@ def _grid_envelopes(config: ExperimentConfig, coefficients, u0, times) -> tuple:
 @dataclass
 class DynamicsBundle:
     """Trajectory, envelope and band shared by every epsilon cell; the
-    lattice and its potential are the band's."""
+    lattice potential is the band's."""
 
     config: ExperimentConfig
     band: object
@@ -193,7 +193,7 @@ class DynamicsBundle:
     def neighbour_speed(self) -> float:
         """Largest |d_j E_n(p0)| of the bands m + BOX_NEIGHBOURS that exist, by Hellmann-Feynman."""
         pair = self.band.eigenpair(self.config.p0)
-        g_plus_k = pair.lattice.dual_vectors(pw_indices(pair.dimension, pair.cutoff)) + pair.k
+        g_plus_k = pw_indices(pair.dimension, pair.cutoff) + pair.k
         speeds = np.abs((np.abs(pair.evecs) ** 2).T @ g_plus_k)
         rows = [pair.m - 1 + j for j in BOX_NEIGHBOURS if 0 <= pair.m - 1 + j < len(speeds)]
         return float(speeds[rows].max())
@@ -314,7 +314,7 @@ def _reference_snapshots(bundle: DynamicsBundle, epsilon: float, times) -> tuple
         grid = _make_grid(config, epsilon, half_width)
         psi0 = _initial_field(bundle, epsilon, grid)
         try:
-            snaps = solve_schrodinger(psi0, band.lattice, band.potential, bundle.external, times)
+            snaps = solve_schrodinger(psi0, band.potential, bundle.external, times)
             break
         except SolverError:  # a fixed box is its own default, so it never doubles
             widest = _make_grid(config, epsilon).half_width
@@ -342,33 +342,24 @@ def _make_grid(config: ExperimentConfig, epsilon: float, half_width: float = BOX
 def run_bands(config: ExperimentConfig) -> dict:
     """Spectrum scan at k = frac e_1, frac in [-1/2, 1/2]. Each sample k is solved in one
     stacked `band_derivatives` call on [k, k + h e_1, k - h e_1, ..., k - h e_d],
-    whose rows give the finite-difference checks of the Hellmann-Feynman
-    derivatives; the band table is held against the solve at k once per Bloch
+    whose first row gives the spectrum (one `eigvalsh` where the call raises) and whose
+    rows give the finite-difference checks of the Hellmann-Feynman derivatives; the band table is held against the solve at k once per Bloch
     momentum, so not at frac = 1/2, which it reads at the first sample's -1/2, and
     raises above TABLE_DEVIATION_TOL."""
     config.validate()
     band = config.make_band()
-    lattice, m, d = band.lattice, config.band_index, band.dimension
+    potential, m, d = band.potential, config.band_index, band.dimension
 
     fracs = np.linspace(-0.5, 0.5, config.k_samples)
     ks = np.outer(fracs, np.eye(d)[0])
-    hamiltonians = (build_bloch_hamiltonian(lattice, band.potential, k, band.cutoff) for k in ks)
-    spectra = np.array([np.linalg.eigvalsh(h)[: config.num_bands] for h in hamiltonians])
-    # distance of band m to every other band: at the same k (gap_m), and over all
-    # scanned k, k' (uniform_gap); nan when there is no other band
-    others = np.delete(spectra, m - 1, axis=1) if spectra.shape[1] > 1 else np.full((len(ks), 1), np.nan)
-    columns = {"k_frac": fracs, **{f"k_{j}": ks[:, j] for j in range(d)}}
-    columns.update({f"E_{n}": energies for n, energies in enumerate(spectra.T, start=1)})
-    columns["gap_m"] = np.abs(others - spectra[:, m - 1, None]).min(axis=1)
-    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-
     fd_step = 1e-4
     steps = fd_step * np.kron(np.eye(d), [[1.0], [-1.0]])  # +h e_1, -h e_1, ..., -h e_d
-    failures = []
+    spectra, failures = [], []
     worst = dict.fromkeys(("max_grad_deviation", "max_hess_deviation", "max_table_deviation"), 0.0)
     for frac, k in zip(fracs, ks):
+        stack = None
         try:
-            stack = band_derivatives(lattice, band.potential, np.vstack([k, k + steps]), m, band.cutoff)
+            stack = band_derivatives(potential, np.vstack([k, k + steps]), m, band.cutoff)
             energy, grad, hess = stack.energy[0], stack.grad[0], stack.hess[0]
             fd_grad = (stack.energy[1::2] - stack.energy[2::2]) / (2 * fd_step)
             fd_hess = ((stack.grad[1::2] - stack.grad[2::2]) / (2 * fd_step)).T
@@ -387,6 +378,17 @@ def run_bands(config: ExperimentConfig) -> dict:
                 worst[name] = max(worst[name], float(dev))
         except BlochpacketError as exc:
             failures.append({"k_frac": float(frac), "reason": str(exc)})
+        # the spectrum at k is the stack's, or a dense solve's where the stack raised
+        spectra.append(np.linalg.eigvalsh(build_bloch_hamiltonian(potential, k, band.cutoff))
+                       if stack is None else stack.evals[0])
+    # distance of band m to every other band: at the same k (gap_m), and over all
+    # scanned k, k' (uniform_gap); nan when there is no other band
+    spectra = np.array(spectra)[:, : config.num_bands]
+    others = np.delete(spectra, m - 1, axis=1) if spectra.shape[1] > 1 else np.full((len(ks), 1), np.nan)
+    columns = {"k_frac": fracs, **{f"k_{j}": ks[:, j] for j in range(d)}}
+    columns.update({f"E_{n}": energies for n, energies in enumerate(spectra.T, start=1)})
+    columns["gap_m"] = np.abs(others - spectra[:, m - 1, None]).min(axis=1)
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     if worst["max_table_deviation"] > TABLE_DEVIATION_TOL:
         raise EigensolverError(
             f"band table deviates from direct solves by {worst['max_table_deviation']:.3e}"
@@ -580,9 +582,7 @@ def _residual_cell(bundle: DynamicsBundle, eps: float) -> list:
     band = bundle.band
     row = {"epsilon": eps, "time": t_star, "delta": delta}
     for label, fields in _residual_packets(bundle, eps, grid, t_star, delta).items():
-        row[f"residual_{label}"] = pde_residual(
-            *fields, band.lattice, band.potential, bundle.external
-        )
+        row[f"residual_{label}"] = pde_residual(*fields, band.potential, bundle.external)
     return [row]
 
 

@@ -4,7 +4,9 @@ Every run uses the cubic lattice Gamma = (2 pi Z)^d: a lattice of period L is
 this one at eps' = L eps / 2 pi, with both potentials scaled by (L / 2 pi)^2
 and time by 2 pi / L. Its dual lattice is Z^d, so the dual vector of an
 integer index n is n itself, a quasimomentum is its own fractional
-coordinates, and the first Brillouin zone is [-1/2, 1/2)^d.
+coordinates, and the first Brillouin zone is [-1/2, 1/2)^d. The lattice is
+therefore never passed: d is the potential's, and the cell volume (2 pi)^d is
+`bloch.cell_volume(d)`.
 """
 
 from __future__ import annotations
@@ -13,34 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LatticeError, PotentialError
+from .errors import PotentialError
 from .grid import as_points
 
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """The lattice (2 pi Z)^d, hashable so that band caches key on it."""
+    """The lattice (2 pi Z)^d; it only folds momenta into the first zone."""
 
     dimension: int
-
-    @classmethod
-    def cubic(cls, dimension: int) -> "LatticeSpec":
-        if dimension < 1:
-            raise LatticeError("dimension must be >= 1")
-        return cls(dimension)
-
-    @property
-    def basis(self) -> np.ndarray:
-        """(d, d) generators as rows, 2 pi I."""
-        return 2.0 * np.pi * np.eye(self.dimension)
-
-    @property
-    def cell_volume(self) -> float:
-        return (2.0 * np.pi) ** self.dimension
-
-    def dual_vectors(self, indices: np.ndarray) -> np.ndarray:
-        """Dual lattice vectors (..., d) of integer multi-indices (..., d): the indices."""
-        return np.asarray(indices, dtype=float)
 
     def fold(self, p) -> tuple[np.ndarray, np.ndarray]:
         """Fold p into the first zone: (p - winding, winding) with
@@ -109,13 +92,12 @@ class FourierPotential:
             if abs(table[neg] - np.conj(v)) > 1e-12 * max(1.0, abs(v)):
                 raise PotentialError(f"Hermitian symmetry violated at index {n}")
 
-    def evaluate(self, lattice: LatticeSpec, points) -> np.ndarray:
+    def evaluate(self, points) -> np.ndarray:
         """Real values V(y) at points of shape (..., d) (or (...,) when d=1)."""
-        pts = as_points(points, lattice.dimension)
+        pts = as_points(points, self.dimension)
         out = np.zeros(pts.shape[:-1], dtype=complex)
         for n, v in self.coeffs:
-            g = lattice.dual_vectors(np.asarray(n))
-            out += v * np.exp(1j * (pts @ g))
+            out += v * np.exp(1j * (pts @ np.asarray(n, dtype=float)))
         if np.max(np.abs(out.imag)) > 1e-10 * max(1.0, np.max(np.abs(out.real))):
             raise PotentialError("potential evaluates to a non-real field")
         return out.real

@@ -17,6 +17,8 @@ length K across the cells, applies one of the three propagators W diag(e^{-i a h
 each snapshot segment stores, and transforms back.  In d >= 2 the blocks do not fit in
 memory: V is the total potential, H the kinetic part, and each step of dt takes
 FOURIER_SUBSTEPS composite steps.  Every factor is unitary, so the mass is conserved to rounding.
+The lattice is (2 pi Z)^d, so the solver takes only its potential, sampled on one cell of
+side 2 pi eps and tiled.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ class SolverParams:
         return dt
 
 
-def _total_potential_grid(psi: GridWaveField, lattice, lattice_potential, external) -> np.ndarray:
+def _total_potential_grid(psi: GridWaveField, lattice_potential, external) -> np.ndarray:
     """(V_lat(x/eps) + V(x)) sampled on the grid, V_lat on one cell and tiled."""
     grid = psi.grid
-    vlat = lattice_potential.evaluate(lattice, grid.cell_mesh(psi.epsilon))
+    vlat = lattice_potential.evaluate(grid.cell_mesh(psi.epsilon))
     return grid.tile(vlat) + external.value(grid.points()).reshape(grid.shape)
 
 
@@ -63,13 +65,13 @@ def _kinetic_symbol(grid: SpatialGrid) -> np.ndarray:
     return 0.5 * grid.quadratic_form(np.eye(grid.dimension), fourier=True)
 
 
-def _bloch_blocks(grid: SpatialGrid, lattice, lattice_potential, eps: float) -> np.ndarray:
+def _bloch_blocks(grid: SpatialGrid, lattice_potential, eps: float) -> np.ndarray:
     """H_per on the cell-Bloch components X[r, a] of a 1D grid of K whole cells
     of P points, shape (K, P, P).  Coefficient mK + r is
     sum_a e^{-2 pi i (mK + r) a / KP} X[r, a], so V_cell(x/eps)/eps is diagonal
     and the kinetic part of block r is e^{2 pi i r (a - b) / KP} c_r[(a - b) mod P],
     with c_r the inverse DFT over m of (eps/2) xi_{mK+r}^2."""
-    vcell = lattice_potential.evaluate(lattice, grid.cell_mesh(eps))
+    vcell = lattice_potential.evaluate(grid.cell_mesh(eps))
     a = np.arange(vcell.shape[0])
     xi = grid.freq_axis().reshape(a.size, -1).T
     twist = np.exp(2j * np.pi * np.outer(np.arange(xi.shape[0]), a) / grid.size)
@@ -89,12 +91,7 @@ def _bloch_step(values: np.ndarray, propagator: np.ndarray) -> np.ndarray:
 
 
 def solve_schrodinger(
-    psi0: GridWaveField,
-    lattice,
-    lattice_potential,
-    external,
-    times,
-    params: SolverParams = SolverParams(),
+    psi0: GridWaveField, lattice_potential, external, times, params: SolverParams = SolverParams()
 ) -> list:
     """Propagate psi0 and return snapshots at the requested times.
 
@@ -115,7 +112,7 @@ def solve_schrodinger(
     dt = params.resolve_dt(eps)
     if grid.dimension == 1:  # H_per = W diag(lam) W^H on the cell-Bloch components
         vgrid = external.value(grid.points())
-        blocks = _bloch_blocks(grid, lattice, lattice_potential, eps)
+        blocks = _bloch_blocks(grid, lattice_potential, eps)
         lam, vecs = np.linalg.eigh(blocks[: len(blocks) // 2 + 1])  # block K - r = conj(block r)
         mirror, blocks = slice(len(blocks) - len(lam), 0, -1), None  # H_per is real; blocks freed
         lam, vecs = np.concatenate([lam, lam[mirror]]), np.concatenate([vecs, vecs[mirror]])
@@ -124,7 +121,7 @@ def solve_schrodinger(
         vecs -= 0.5 * vecs @ (vecs.conj().swapaxes(1, 2) @ vecs - np.eye(vecs.shape[1]))
         step_fn, substeps = _bloch_step, 1
     else:  # only the kinetic part, diagonal on the FFT coefficients
-        vgrid = _total_potential_grid(psi0, lattice, lattice_potential, external)
+        vgrid = _total_potential_grid(psi0, lattice_potential, external)
         lam, substeps = eps * _kinetic_symbol(grid), FOURIER_SUBSTEPS
         step_fn = lambda values, multiplier: np.fft.ifftn(multiplier * np.fft.fftn(values))  # noqa: E731
 
@@ -170,7 +167,6 @@ def pde_residual(
     before: GridWaveField,
     middle: GridWaveField,
     after: GridWaveField,
-    lattice,
     lattice_potential,
     external,
 ) -> float:
@@ -193,7 +189,7 @@ def pde_residual(
             f" oscillation; need delta <= {RESIDUAL_DELTA_LIMIT * eps:.3e}"
         )
     dpsi_dt = (after.values - before.values) / (2.0 * delta)
-    vgrid = _total_potential_grid(middle, lattice, lattice_potential, external)
+    vgrid = _total_potential_grid(middle, lattice_potential, external)
     resid = (
         1j * eps * dpsi_dt
         + 0.5 * eps**2 * laplacian(middle)

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, settings
 
 from blochpacket.bloch import BlochBand
 from blochpacket.flow import QuadraticPotential
-from blochpacket.lattice import FourierPotential, LatticeSpec
+from blochpacket.lattice import FourierPotential
 
 settings.register_profile(
     "suite",
@@ -17,25 +17,20 @@ settings.load_profile("suite")
 
 
 @pytest.fixture(scope="session")
-def lattice1d():
-    return LatticeSpec.cubic(1)
-
-
-@pytest.fixture(scope="session")
 def cosine1d():
     return FourierPotential.cosine(1, 1.0)
 
 
 @pytest.fixture(scope="session")
-def mathieu_band(lattice1d, cosine1d):
+def mathieu_band(cosine1d):
     # ground band of -1/2 d^2/dy^2 + cos(y) on the 2 pi cell, shared so the
     # eigensolve cache survives across tests
-    return BlochBand(lattice1d, cosine1d, 1, 32)
+    return BlochBand(cosine1d, 1, 32)
 
 
 @pytest.fixture(scope="session")
-def free_band(lattice1d):
-    return BlochBand(lattice1d, FourierPotential.zero(1), 1, 16)
+def free_band():
+    return BlochBand(FourierPotential.zero(1), 1, 16)
 
 
 def l2_grid(values: np.ndarray, dvol: float) -> float:

@@ -38,7 +38,7 @@ from blochpacket.experiments import (
 )
 from blochpacket.flow import QuadraticPotential, TrajectoryState, total_energy
 from blochpacket.grid import SpatialGrid
-from blochpacket.lattice import FourierPotential, LatticeSpec
+from blochpacket.lattice import FourierPotential
 from blochpacket.reference import RESIDUAL_DELTA_FACTOR, SolverParams, l2_error, solve_schrodinger
 
 EPS_LIST = (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
@@ -152,9 +152,9 @@ def test_residual_law_and_ablation(capsys, residual_sweep):
     assert slope_leading < 1.0, f"ablated slope {slope_leading}; values={leading.tolist()}"
 
 
-def test_band_derivative_identities(capsys, lattice1d, cosine1d):
-    band = BlochBand(lattice1d, cosine1d, 1, 32)
-    direction = lattice1d.dual_vectors(np.array([1]))
+def test_band_derivative_identities(capsys, cosine1d):
+    band = BlochBand(cosine1d, 1, 32)
+    direction = np.array([1.0])
     h = 1e-4
     grad_dev = 0.0
     hess_dev = 0.0
@@ -298,9 +298,9 @@ def test_ehrenfest_error_trend(capsys, sweep):
     assert ok, f"Ehrenfest-horizon errors not monotone: {errors}"
 
 
-def test_free_lattice_closed_forms(capsys, monkeypatch, lattice1d, free_band):
+def test_free_lattice_closed_forms(capsys, monkeypatch, free_band):
     # folded parabola on the first band away from the zone edge
-    direction = lattice1d.dual_vectors(np.array([1]))
+    direction = np.array([1.0])
     parabola_dev = 0.0
     for frac in np.linspace(-0.45, 0.45, 13):
         k = frac * direction
@@ -331,7 +331,6 @@ def test_free_lattice_closed_forms(capsys, monkeypatch, lattice1d, free_band):
     T = 0.37
     out = solve_schrodinger(
         psi0,
-        lattice1d,
         FourierPotential.zero(1),
         QuadraticPotential.create(1),
         [T],

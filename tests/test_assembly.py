@@ -19,7 +19,7 @@ from blochpacket.assembly import (
     synthesize_packet,
     write_field,
 )
-from blochpacket.bloch import BlochBand, evaluate_cell_coeffs
+from blochpacket.bloch import BlochBand, cell_volume, evaluate_cell_coeffs
 from blochpacket.corrector import build_U0, build_U1, build_U2
 from blochpacket.envelope import (
     GridEnvelope,
@@ -30,7 +30,7 @@ from blochpacket.envelope import (
 from blochpacket.errors import GridError
 from blochpacket.flow import TrajectoryState
 from blochpacket.grid import SpatialGrid
-from blochpacket.lattice import FourierPotential, LatticeSpec
+from blochpacket.lattice import FourierPotential
 
 # leading-order packet mass for u = exp(-z^2/2) and unit-average cell
 # function: ||u|| * |Y|^{-1/2} = pi^(1/4) / sqrt(2 pi), by hand
@@ -84,7 +84,6 @@ def test_make_grid_for_rounds_up_to_whole_cells(eps, half_width):
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_tiled_cell_factors_match_direct_evaluation(dimension):
     eps = 0.25
-    lattice = LatticeSpec.cubic(dimension)
     grid = make_grid_for(eps, dimension)
     y = grid.points().reshape(*grid.shape, dimension) / eps
     cell = grid.cell_mesh(eps)
@@ -92,13 +91,13 @@ def test_tiled_cell_factors_match_direct_evaluation(dimension):
     rng = np.random.default_rng(0)
     cutoff = 3
     coeffs = rng.normal(size=((2 * cutoff + 1) ** dimension, 2)) * (1 + 1j)
-    direct = evaluate_cell_coeffs(lattice, cutoff, coeffs, y)
-    tiled = grid.tile(evaluate_cell_coeffs(lattice, cutoff, coeffs, cell))
+    direct = evaluate_cell_coeffs(dimension, cutoff, coeffs, y)
+    tiled = grid.tile(evaluate_cell_coeffs(dimension, cutoff, coeffs, cell))
     assert tiled.shape == direct.shape
     assert np.max(np.abs(tiled - direct)) <= 1e-13 * np.max(np.abs(direct))
     pot = FourierPotential.cosine(dimension)
-    direct_v = pot.evaluate(lattice, y)
-    tiled_v = grid.tile(pot.evaluate(lattice, cell))
+    direct_v = pot.evaluate(y)
+    tiled_v = grid.tile(pot.evaluate(cell))
     assert np.max(np.abs(tiled_v - direct_v)) <= 1e-13
 
 
@@ -223,7 +222,7 @@ def test_free_lattice_leading_packet_closed_form(free_band):
     eps = 2**-4
     state = make_state(q=0.1, p=0.3, S=0.25)
     pair = free_band.eigenpair(state.p)
-    chi_phase = pair.coeffs[pair.cutoff] * np.sqrt(pair.lattice.cell_volume)
+    chi_phase = pair.coeffs[pair.cutoff] * np.sqrt(cell_volume(pair.dimension))
     assert abs(chi_phase) == pytest.approx(1.0, abs=1e-12)
     g = gaussian_init(np.eye(1), np.eye(1))
     grid = make_grid_for(eps)

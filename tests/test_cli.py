@@ -151,6 +151,8 @@ def test_unmet_step_tolerance_exits_one(tmp_path, capsys, monkeypatch):
         ("flow", {"external": {"type": "cosine-well", "frequencies": [1.0, 1.0]}}, "external: frequencies have"),
         # a file that is not JSON has no key to name
         ("flow", "{not json", "config is not valid JSON"),
+        # validate checks the dimension itself, ahead of every model built in d dimensions
+        ("flow", {"dimension": 0}, "dimension: dimension must be >= 1"),
     ],
 )
 def test_config_problems_exit_two(tmp_path, capsys, command, data, named):

@@ -26,17 +26,17 @@ from blochpacket.flow import (
     TrajectoryState,
     integrate_flow,
 )
-from blochpacket.lattice import FourierPotential, LatticeSpec
+from blochpacket.lattice import FourierPotential
 
 
 def chi_projection(field):
     """<chi, field>(z): projection of a corrector onto its cell function."""
     pair = field.pair
-    return sum(f * cell_inner(pair.lattice, pair.coeffs, g) for f, g in field.terms)
+    return sum(f * cell_inner(pair.dimension, pair.coeffs, g) for f, g in field.terms)
 
 
 @pytest.fixture(scope="module")
-def nodes(mathieu_band, lattice1d):
+def nodes(mathieu_band):
     # one mid-trajectory node on two bands: the unit cosine, whose anchored
     # connection is the constant -i pi, so the geometric rate at q = 0.8 is
     # -0.8 pi i, and cos y + 0.4 sin 2y, whose connection at p = 0.3 is
@@ -45,7 +45,7 @@ def nodes(mathieu_band, lattice1d):
     state = TrajectoryState(t=0.0, q=np.array([0.8]), p=np.array([0.3]), S=0.1)
     g = gaussian_init(np.eye(1), np.eye(1))
     u = grid_envelope_from_gaussian(g, 16.0, 512)
-    return [(mathieu_band, state, g, u), (BlochBand(lattice1d, tilted, 1, 32), state, g, u)]
+    return [(mathieu_band, state, g, u), (BlochBand(tilted, 1, 32), state, g, u)]
 
 
 def test_nodes_cover_a_nonzero_geometric_rate(nodes):
@@ -185,7 +185,7 @@ def test_effective_mass_identity(nodes):
     for band, state, _, _ in nodes:
         pair = band.eigenpair(state.p)
         x0 = _perp(pair, pair.dk_coeffs[0])
-        t00 = -1j * cell_inner(pair.lattice, pair.coeffs, _dy(pair, x0, 0))
+        t00 = -1j * cell_inner(pair.dimension, pair.coeffs, _dy(pair, x0, 0))
         assert 1.0 + 2.0 * t00.real == pytest.approx(pair.hess[0, 0], abs=1e-9)
 
 
@@ -196,8 +196,7 @@ def test_correctors_in_two_dimensions():
     # measuring: U1 and U2 at least 1e-3 in norm and orthogonal to chi to
     # 1e-12, defect1 below 1e-10, defect2 at most 1e-12, and the stale
     # du_dt control above 1e-2.
-    lattice = LatticeSpec.cubic(2)
-    band = BlochBand(lattice, FourierPotential.cosine(2), 1, 4)
+    band = BlochBand(FourierPotential.cosine(2), 1, 4)
     ext = QuadraticPotential.create(2, hessian=[[1.0, 0.3], [0.3, 1.0]])
     state = TrajectoryState(t=0.0, q=np.array([0.4, -0.2]), p=np.array([0.17, -0.31]), S=0.0)
     a = np.array([[1.0, 0.3], [0.3, 0.8]])

@@ -113,9 +113,11 @@ def test_run_bands_uniform_gap_positive_for_mathieu(tmp_path):
     assert np.isnan(run_bands(lone)["uniform_gap"])  # no other band to compare against
 
 
-def test_run_bands_records_degenerate_points(tmp_path):
+def test_run_bands_records_degenerate_points(tmp_path, monkeypatch):
     from blochpacket.config import LatticePotentialSpec
 
+    dense, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: dense.append(h.shape) or eigvalsh(h))
     cfg = ExperimentConfig(
         kind="bands",
         lattice_potential=LatticePotentialSpec(type="zero"),
@@ -130,6 +132,12 @@ def test_run_bands_records_degenerate_points(tmp_path):
     assert [f["reason"] for f in summary["derivative_failures"]] == [
         f"band 1 gap 0.000e+00 below 1.0e-08 * 3.600e+01 at k = [{edge}]" for edge in ("-0.5", "0.5")
     ]
+    # the spectrum comes from each sample's stacked solve, and from one dense solve only
+    # at the two samples whose stack raised; every sample keeps the free bands (k + n)^2 / 2
+    assert dense.count((17, 17)) == 2  # the Gaussian check makes its own (1, 1) one
+    for row in read_rows(tmp_path / "bands.csv"):
+        free = np.sort(0.5 * (float(row["k_frac"]) + np.arange(-8, 9)) ** 2)[:2]
+        assert np.allclose([float(row["E_1"]), float(row["E_2"])], free, rtol=0, atol=1e-12)
 
 
 def test_run_bands_holds_the_band_table_against_direct_solves(tmp_path, monkeypatch):
@@ -169,13 +177,13 @@ def test_run_bands_solves_each_sample_in_one_stack(tmp_path, monkeypatch, dimens
         cutoff=cutoff, output_dir=str(tmp_path / "stacked"),
     )
     solve, stacks = experiments.band_derivatives, []
-    monkeypatch.setattr(experiments, "band_derivatives", lambda *args: stacks.append(np.shape(args[2])) or solve(*args))
+    monkeypatch.setattr(experiments, "band_derivatives", lambda *args: stacks.append(np.shape(args[1])) or solve(*args))
     stacked = run_bands(cfg)
     assert stacks == [(1 + 2 * dimension, dimension)] * samples
 
-    def one_call_per_momentum(lattice, potential, ks, m, cutoff):
-        pairs = [solve(lattice, potential, k, m, cutoff) for k in ks]
-        return SimpleNamespace(**{name: np.array([getattr(p, name) for p in pairs]) for name in ("energy", "grad", "hess")})
+    def one_call_per_momentum(potential, ks, m, cutoff):
+        pairs = [solve(potential, k, m, cutoff) for k in ks]
+        return SimpleNamespace(**{name: np.array([getattr(p, name) for p in pairs]) for name in ("energy", "grad", "hess", "evals")})
 
     monkeypatch.setattr(experiments, "band_derivatives", one_call_per_momentum)
     single = run_bands(replace(cfg, output_dir=str(tmp_path / "single")))
@@ -718,8 +726,7 @@ def test_an_explicit_half_width_keeps_the_fixed_box_bit_for_bit(tmp_path):
         assert box == {"epsilon": eps, "fixed": True, "half_width": 2 * np.pi, "doublings": 0,
                        "cells": int(2 / eps), "boundary_fraction": box["boundary_fraction"]}
         psi0 = _leading_packet(bundle, 0.0, eps, grid)
-        (snap,) = solve_schrodinger(psi0, band.lattice, band.potential, bundle.external, [1.0],
-                                    SolverParams(dt=eps))
+        (snap,) = solve_schrodinger(psi0, band.potential, bundle.external, [1.0], SolverParams(dt=eps))
         assert float(row["error"]) == l2_error(snap, _leading_packet(bundle, 1.0, eps, grid))
         assert float(row["reference_mass"]) == snap.mass()
     # residual and packet runs keep the 2 pi box with half_width unset
@@ -747,15 +754,14 @@ def test_geometric_factor_matches_discrete_transport(tmp_path, band_index, q0, p
     ).validate()
     bundle = prepare_dynamics(cfg, [1.0])
     band, trajectory = bundle.band, bundle.trajectory
-    lattice = band.lattice
     carried = band.eigenpair(trajectory.state_at(0.0).p).coeffs
     for i in range(1, len(trajectory.ts)):
         nxt = band.eigenpair(trajectory.state_at(trajectory.ts[i]).p).coeffs
-        link = cell_inner(lattice, carried, nxt)
+        link = cell_inner(band.dimension, carried, nxt)
         carried = nxt * np.conj(link) / abs(link)
     state, gauss = bundle.at(1.0)
     chi = band.eigenpair(state.p).coeffs
-    overlap = cell_inner(lattice, carried, chi * np.exp(gauss.berry_integral))
+    overlap = cell_inner(band.dimension, carried, chi * np.exp(gauss.berry_integral))
     assert abs(1.0 - abs(overlap)) <= 1e-9
     assert abs(np.angle(overlap)) <= 1e-9
 
@@ -832,9 +838,7 @@ def test_packets_are_gauge_covariant(monkeypatch):
     plain = prepare_dynamics(cfg, times)
     monkeypatch.setattr(
         ExperimentConfig, "make_band",
-        lambda self: RegaugedBand(
-            self.make_lattice(), self.make_lattice_potential(), self.band_index, self.cutoff
-        ),
+        lambda self: RegaugedBand(self.make_lattice_potential(), self.band_index, self.cutoff),
     )
     regauged = prepare_dynamics(cfg, times)
     assert abs(regauged.trajectory.state_at(1.0).p[0] - 0.3) >= 0.4

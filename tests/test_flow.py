@@ -15,7 +15,7 @@ from blochpacket.flow import (
     integrate_flow,
     total_energy,
 )
-from blochpacket.lattice import FourierPotential, LatticeSpec
+from blochpacket.lattice import FourierPotential
 
 
 def test_quadratic_potential_values():
@@ -119,7 +119,7 @@ def test_action_on_a_dispersive_band():
     # band 1 of the amplitude-0.3 cosine, swept across several zones by a
     # cosine well: S(T) against Simpson's rule for p E'(p) - E(p) - V(q)
     # over the trajectory's nodes, to 1e-9 (stated before measuring)
-    band = BlochBand(LatticeSpec.cubic(1), FourierPotential.cosine(1, 0.3), 1, 32)
+    band = BlochBand(FourierPotential.cosine(1, 0.3), 1, 32)
     well = CosineWellPotential.create(2.0, [1.0])
     traj = integrate_flow([1.0], [0.3], 2.0, 1e-3, band, well)
     nodes = traj.state_at(traj.ts)

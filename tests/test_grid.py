@@ -67,7 +67,7 @@ def test_norm_and_quadratic_forms_2d():
     assert grid.along(1, grid.axis()).shape == (1, 16)
 
 
-def test_every_boundary_guard_reports_the_mass_fraction(lattice1d, mathieu_band):
+def test_every_boundary_guard_reports_the_mass_fraction(mathieu_band):
     # the envelope, the reference and the synthesis each name the fraction
     # that tripped (7 of 64 points of a constant lie in the shell), the two
     # propagators the time as well
@@ -79,7 +79,7 @@ def test_every_boundary_guard_reports_the_mass_fraction(lattice1d, mathieu_band)
     psi0 = GridWaveField(grid=grid, epsilon=0.125, time=0.0, values=u.values)
     with pytest.raises(SolverError, match=r"mass fraction 1\.094e-01 reached .* near t = 0\.01;"):
         solve_schrodinger(
-            psi0, lattice1d, FourierPotential.zero(1), QuadraticPotential.create(1), [0.01]
+            psi0, FourierPotential.zero(1), QuadraticPotential.create(1), [0.01]
         )
     state = TrajectoryState(t=0.0, q=np.array([2.0 * np.pi - 0.5]), p=np.array([0.3]), S=0.0)
     with pytest.raises(GridError, match="mass fraction .* reached the box boundary; enlarge"):

@@ -39,7 +39,6 @@ UNREACHED = {
     "bloch.BlochBand.berry": "the benchmark tracer wraps it by name",
     "bloch.BlochBand.derivatives": "the benchmark tracer wraps it by name",
     "lattice.LatticeSpec.fold": "the benchmark tracer wraps it by name",
-    "assembly.synthesize_app": "reached only with initial_data = well_prepared, which no config sets",
 }
 
 

@@ -12,7 +12,7 @@ from blochpacket.errors import GridError, SolverError
 from blochpacket.experiments import _leading_packet, _make_grid, prepare_dynamics
 from blochpacket.flow import QuadraticPotential, TrajectoryState
 from blochpacket.grid import SpatialGrid, step_count, strang_step
-from blochpacket.lattice import FourierPotential, LatticeSpec
+from blochpacket.lattice import FourierPotential
 from blochpacket.reference import (
     KERNEL_WEIGHTS,
     SolverParams,
@@ -35,14 +35,13 @@ def plane_wave_field(eps=0.125, n=256, mode=8):
     return grid, x, k, GridWaveField(grid=grid, epsilon=eps, time=0.0, values=vals)
 
 
-def test_plane_wave_free_evolution_exact(lattice1d, monkeypatch):
+def test_plane_wave_free_evolution_exact(monkeypatch):
     # the plane wave fills the whole box: no boundary guard
     monkeypatch.setattr("blochpacket.grid.THRESHOLD", np.inf)
     grid, x, k, psi0 = plane_wave_field()
     T = 0.37
     out = solve_schrodinger(
         psi0,
-        lattice1d,
         FourierPotential.zero(1),
         QuadraticPotential.create(1),
         [T],
@@ -52,14 +51,13 @@ def test_plane_wave_free_evolution_exact(lattice1d, monkeypatch):
     assert l2_error(out[0], GridWaveField(grid=grid, epsilon=psi0.epsilon, time=T, values=exact)) < 1e-12
 
 
-def test_constant_potential_pure_phase(lattice1d, monkeypatch):
+def test_constant_potential_pure_phase(monkeypatch):
     monkeypatch.setattr("blochpacket.grid.THRESHOLD", np.inf)
     grid, x, k, psi0 = plane_wave_field()
     T = 0.2
     c = 0.7
     out = solve_schrodinger(
         psi0,
-        lattice1d,
         FourierPotential.from_coeffs({0: c}),  # the lattice's zero mode: V = c everywhere
         QuadraticPotential.create(1),
         [T],
@@ -70,20 +68,20 @@ def test_constant_potential_pure_phase(lattice1d, monkeypatch):
     assert err < 1e-12
 
 
-def test_unitarity(lattice1d, cosine1d, mathieu_band):
+def test_unitarity(cosine1d, mathieu_band):
     eps = 2**-4
     state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0)
     pair = mathieu_band.eigenpair(state.p)
     g = gaussian_init(np.eye(1), np.eye(1))
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
     out = solve_schrodinger(
-        psi0, lattice1d, cosine1d, harmonic(1), [1.0],
+        psi0, cosine1d, harmonic(1), [1.0],
         SolverParams(dt=eps / 100),
     )
     assert abs(out[0].mass() - psi0.mass()) < 1e-12
 
 
-def test_snapshots_at_multiple_times(lattice1d, cosine1d, mathieu_band):
+def test_snapshots_at_multiple_times(cosine1d, mathieu_band):
     eps = 2**-4
     state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0)
     pair = mathieu_band.eigenpair(state.p)
@@ -91,23 +89,23 @@ def test_snapshots_at_multiple_times(lattice1d, cosine1d, mathieu_band):
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
     times = [0.1, 0.25, 0.4]
     outs = solve_schrodinger(
-        psi0, lattice1d, cosine1d, harmonic(1), times,
+        psi0, cosine1d, harmonic(1), times,
         SolverParams(dt=eps / 50),
     )
     assert [o.time for o in outs] == times
     # one-shot solve to the last time agrees with the chained segments
     direct = solve_schrodinger(
-        psi0, lattice1d, cosine1d, harmonic(1), [0.4],
+        psi0, cosine1d, harmonic(1), [0.4],
         SolverParams(dt=eps / 50),
     )
     assert l2_error(outs[-1], direct[0]) < 1e-10
 
 
-def test_times_must_be_nondecreasing(lattice1d, cosine1d):
+def test_times_must_be_nondecreasing(cosine1d):
     _, _, _, psi0 = plane_wave_field()
     with pytest.raises(SolverError):
         solve_schrodinger(
-            psi0, lattice1d, cosine1d, harmonic(1), [0.4, 0.2],
+            psi0, cosine1d, harmonic(1), [0.4, 0.2],
             SolverParams(dt=1e-3),
         )
 
@@ -134,10 +132,10 @@ def test_self_convergence_fourth_order(mathieu_band, dimension):
     # FOURIER_SUBSTEPS composite steps per dt; bounds set before measuring
     eps = 2**-3 if dimension == 1 else 0.25
     psi0 = mathieu_packet(mathieu_band, eps) if dimension == 1 else packet_2d(eps)
-    lattice, potential = LatticeSpec.cubic(dimension), FourierPotential.cosine(dimension)
+    potential = FourierPotential.cosine(dimension)
     outs = [
         solve_schrodinger(
-            psi0, lattice, potential, harmonic(dimension), [0.25], SolverParams(dt=eps / 2 ** (k + 1))
+            psi0, potential, harmonic(dimension), [0.25], SolverParams(dt=eps / 2 ** (k + 1))
         )[0]
         for k in range(3)
     ]
@@ -146,31 +144,31 @@ def test_self_convergence_fourth_order(mathieu_band, dimension):
 
 
 @pytest.mark.parametrize("eps", [2**-4, 2**-5])
-def test_bloch_blocks_equal_the_periodic_operator(lattice1d, eps):
+def test_bloch_blocks_equal_the_periodic_operator(eps):
     # H_per v = (eps/2) |xi|^2 v^ + V_cell(x/eps) v / eps, with coefficient
     # j = mK + r in block r: this pins the blocks as built on the cell-Bloch
     # components, their residue mapping and the step that applies them;
     # cos y + 0.4 sin 2y is not even, so a transposed block shows too
     tilted = FourierPotential.from_coeffs({1: 0.5, -1: 0.5, 2: -0.2j, -2: 0.2j})
     grid = make_grid_for(eps)
-    blocks = _bloch_blocks(grid, lattice1d, tilted, eps)
+    blocks = _bloch_blocks(grid, tilted, eps)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     lam, vecs = np.linalg.eigh(blocks)
     product = np.matmul(vecs * lam[:, None, :], vecs.conj().swapaxes(1, 2))
     lhs = _bloch_step(v, product)  # W diag(lam) W^H v
     field = GridWaveField(grid=grid, epsilon=eps, time=0.0, values=v)
-    vtile = _total_potential_grid(field, lattice1d, tilted, QuadraticPotential.create(1))
+    vtile = _total_potential_grid(field, tilted, QuadraticPotential.create(1))
     rhs = np.fft.ifft(2 * _kinetic_symbol(grid) * np.fft.fft(v)) * eps / 2 + vtile * v / eps
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
-def strang_solve(psi0, lattice, lattice_potential, external, t_final, dt):
+def strang_solve(psi0, lattice_potential, external, t_final, dt):
     """Fourier split step on the total potential, the d = 1 reference."""
     eps = psi0.epsilon
     nsteps = step_count(t_final - psi0.time, dt)
     h = (t_final - psi0.time) / nsteps
-    vgrid = _total_potential_grid(psi0, lattice, lattice_potential, external)
+    vgrid = _total_potential_grid(psi0, lattice_potential, external)
     half = np.exp(-0.5j * h * vgrid / eps)
     kinetic = np.exp(-1j * h * eps * _kinetic_symbol(psi0.grid))
     vals = psi0.values
@@ -190,7 +188,7 @@ def strang_solve(psi0, lattice, lattice_potential, external, t_final, dt):
     ],
     ids=["0.0625", "0.03125", "0.0625-two-segments", "0.03125-two-segments", "0.0625-dispersive"],
 )
-def test_bloch_step_at_default_dt_beats_strang(lattice1d, cosine1d, mathieu_band, eps, times, model):
+def test_bloch_step_at_default_dt_beats_strang(cosine1d, mathieu_band, eps, times, model):
     # the default dt = eps against a Fourier split step at dt = eps/800; the
     # block kernel leaves only the splitting error of the smooth V, and the
     # bound, set before measuring, is below what the second-order step at
@@ -198,15 +196,15 @@ def test_bloch_step_at_default_dt_beats_strang(lattice1d, cosine1d, mathieu_band
     # two snapshots the segments step with different h, each with its own
     # stored propagators; the dispersive band's packet starts in a cosine well
     if model is None:
-        psi0, lattice, potential, ext = mathieu_packet(mathieu_band, eps), lattice1d, cosine1d, harmonic(1)
+        psi0, potential, ext = mathieu_packet(mathieu_band, eps), cosine1d, harmonic(1)
     else:
         cfg = ExperimentConfig(**model).validate()
         bundle = prepare_dynamics(cfg, [0.0])
         psi0 = _leading_packet(bundle, 0.0, eps, _make_grid(cfg, eps))
-        lattice, potential, ext = bundle.band.lattice, bundle.band.potential, bundle.external
-    bloch = solve_schrodinger(psi0, lattice, potential, ext, times)[-1]
-    fine = strang_solve(psi0, lattice, potential, ext, 1.0, eps / 800)
-    coarse = strang_solve(psi0, lattice, potential, ext, 1.0, eps / 100)
+        potential, ext = bundle.band.potential, bundle.external
+    bloch = solve_schrodinger(psi0, potential, ext, times)[-1]
+    fine = strang_solve(psi0, potential, ext, 1.0, eps / 800)
+    coarse = strang_solve(psi0, potential, ext, 1.0, eps / 100)
     deviation = l2_error(bloch, fine) / fine.grid.norm(fine.values)
     assert deviation <= 2e-6
     assert deviation < l2_error(coarse, fine) / fine.grid.norm(fine.values)
@@ -221,7 +219,7 @@ def test_laplacian_spectral(mathieu_band):
     assert np.max(np.abs(laplacian(f) - (-9.0) * f.values)) < 1e-10
 
 
-def test_pde_residual_small_for_solver_output(lattice1d, cosine1d, mathieu_band):
+def test_pde_residual_small_for_solver_output(cosine1d, mathieu_band):
     eps = 2**-4
     delta = 0.25 * eps * eps
     state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0)
@@ -230,14 +228,14 @@ def test_pde_residual_small_for_solver_output(lattice1d, cosine1d, mathieu_band)
     psi0 = synthesize_packet(g, state, pair, eps, make_grid_for(eps))
     ext = harmonic(1)
     snaps = solve_schrodinger(
-        psi0, lattice1d, cosine1d, ext, [0.5 - delta, 0.5, 0.5 + delta],
+        psi0, cosine1d, ext, [0.5 - delta, 0.5, 0.5 + delta],
         SolverParams(dt=eps / 100),
     )
-    res = pde_residual(snaps[0], snaps[1], snaps[2], lattice1d, cosine1d, ext)
+    res = pde_residual(snaps[0], snaps[1], snaps[2], cosine1d, ext)
     assert res < 1e-4
 
 
-def test_pde_residual_rejects_wide_stencil(lattice1d, cosine1d, mathieu_band):
+def test_pde_residual_rejects_wide_stencil(cosine1d, mathieu_band):
     # centered stencil wider than eps/10 is outside the guard
     eps = 2**-4
     state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0)
@@ -247,14 +245,14 @@ def test_pde_residual_rejects_wide_stencil(lattice1d, cosine1d, mathieu_band):
     ext = harmonic(1)
     big = eps / 2
     snaps = solve_schrodinger(
-        psi0, lattice1d, cosine1d, ext, [0.5 - big, 0.5, 0.5 + big],
+        psi0, cosine1d, ext, [0.5 - big, 0.5, 0.5 + big],
         SolverParams(dt=eps / 50),
     )
     with pytest.raises(SolverError):
-        pde_residual(snaps[0], snaps[1], snaps[2], lattice1d, cosine1d, ext)
+        pde_residual(snaps[0], snaps[1], snaps[2], cosine1d, ext)
 
 
-def test_pde_residual_rejects_asymmetric_stencil(lattice1d, cosine1d, mathieu_band):
+def test_pde_residual_rejects_asymmetric_stencil(cosine1d, mathieu_band):
     eps = 2**-4
     state = TrajectoryState(t=0.0, q=np.array([0.0]), p=np.array([0.3]), S=0.0)
     pair = mathieu_band.eigenpair(state.p)
@@ -263,14 +261,14 @@ def test_pde_residual_rejects_asymmetric_stencil(lattice1d, cosine1d, mathieu_ba
     ext = harmonic(1)
     d = 0.25 * eps * eps
     snaps = solve_schrodinger(
-        psi0, lattice1d, cosine1d, ext, [0.5 - d, 0.5, 0.5 + 2 * d],
+        psi0, cosine1d, ext, [0.5 - d, 0.5, 0.5 + 2 * d],
         SolverParams(dt=eps / 50),
     )
     with pytest.raises(SolverError):
-        pde_residual(snaps[0], snaps[1], snaps[2], lattice1d, cosine1d, ext)
+        pde_residual(snaps[0], snaps[1], snaps[2], cosine1d, ext)
 
 
-def test_boundary_guard_trips_for_escaping_packet(lattice1d):
+def test_boundary_guard_trips_for_escaping_packet():
     # free packet with momentum in a small box reaches the shell
     eps = 2**-3
     grid = SpatialGrid(dimension=1, half_width=np.pi, npoints=512)
@@ -280,12 +278,12 @@ def test_boundary_guard_trips_for_escaping_packet(lattice1d):
     psi0 = GridWaveField(grid=grid, epsilon=eps, time=0.0, values=vals.astype(complex))
     with pytest.raises(SolverError):
         solve_schrodinger(
-            psi0, lattice1d, FourierPotential.zero(1), QuadraticPotential.create(1),
+            psi0, FourierPotential.zero(1), QuadraticPotential.create(1),
             [40.0], SolverParams(dt=1e-2),
         )
 
 
-def test_boundary_guard_trips_mid_segment_at_the_default_dt(lattice1d, monkeypatch):
+def test_boundary_guard_trips_mid_segment_at_the_default_dt(monkeypatch):
     # the guard runs at least every 1.6 eps of simulated time, as it did at
     # the earlier dt = eps/10 with a check every 16 steps, so an escaping
     # packet stops inside the one segment and names a time before its end
@@ -299,21 +297,21 @@ def test_boundary_guard_trips_mid_segment_at_the_default_dt(lattice1d, monkeypat
     monkeypatch.setattr(SpatialGrid, "guard", lambda self, v, e, t=None: checked.append(t) or guard(self, v, e, t))
     with pytest.raises(SolverError, match="near t = ") as raised:
         solve_schrodinger(
-            psi0, lattice1d, FourierPotential.zero(1), QuadraticPotential.create(1), [target], SolverParams()
+            psi0, FourierPotential.zero(1), QuadraticPotential.create(1), [target], SolverParams()
         )
     assert float(str(raised.value).split("near t = ")[1].split(";")[0]) == pytest.approx(checked[-1], rel=1e-5)
     assert checked[-1] < target
     assert max(np.diff([0.0] + checked)) <= 1.6 * eps
 
 
-def test_reference_rejects_a_box_without_whole_cells(lattice1d, cosine1d):
+def test_reference_rejects_a_box_without_whole_cells(cosine1d):
     # V_lat(x/eps) is tiled from one cell, so the box must hold whole cells
     eps = 2**-4
     grid = SpatialGrid(dimension=1, half_width=16.0, npoints=2048)
     psi0 = GridWaveField(grid=grid, epsilon=eps, time=0.0, values=np.ones(grid.shape))
     with pytest.raises(GridError):
         solve_schrodinger(
-            psi0, lattice1d, cosine1d, harmonic(1), [0.1], SolverParams()
+            psi0, cosine1d, harmonic(1), [0.1], SolverParams()
         )
 
 
@@ -326,11 +324,9 @@ def test_dt_validation():
 
 def test_unitarity_2d():
     eps = 0.25
-    lattice = LatticeSpec.cubic(2)
     psi0 = packet_2d(eps)
     snaps = solve_schrodinger(
         psi0,
-        lattice,
         FourierPotential.cosine(2),
         harmonic(2),
         [0.25, 0.5],
@@ -343,7 +339,7 @@ def test_unitarity_2d():
 
 
 @pytest.mark.parametrize("cells", [None, 1, 2, 3], ids=["defaults", "one-cell", "two-cells", "three-cells"])
-def test_half_the_blocks_give_the_full_propagators(lattice1d, cosine1d, mathieu_band, monkeypatch, cells):
+def test_half_the_blocks_give_the_full_propagators(cosine1d, mathieu_band, monkeypatch, cells):
     # H_per is real, so block K - r is conj(block r) and only residues 0 .. K/2 are
     # solved; the three propagators of a step match a full eigh's to 1e-13
     # relative, a bound set before measuring (the blocks differ by 7.6e-13 in
@@ -359,8 +355,8 @@ def test_half_the_blocks_give_the_full_propagators(lattice1d, cosine1d, mathieu_
         psi0 = GridWaveField(grid=grid, epsilon=eps, time=0.0, values=rng.normal(size=16 * cells) + 0j)
     seen, step = [], reference._bloch_step
     monkeypatch.setattr(reference, "_bloch_step", lambda v, u: seen.append(u) or step(v, u))
-    solve_schrodinger(psi0, lattice1d, cosine1d, harmonic(1), [eps])  # one step of h = eps
-    blocks = _bloch_blocks(psi0.grid, lattice1d, cosine1d, eps)
+    solve_schrodinger(psi0, cosine1d, harmonic(1), [eps])  # one step of h = eps
+    blocks = _bloch_blocks(psi0.grid, cosine1d, eps)
     lam, vecs = np.linalg.eigh(blocks)
     vecs -= 0.5 * vecs @ (vecs.conj().swapaxes(1, 2) @ vecs - np.eye(vecs.shape[1]))
     assert len(seen) == 2 * len(KERNEL_WEIGHTS) and len(blocks) == (cells or len(blocks))

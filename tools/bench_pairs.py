@@ -12,13 +12,15 @@ metrics of each side are summarised by their median and quartiles
 in. So are two figures per run that `run_s` is scaled from, read from the
 run's benchmark/_out/<workload>-seed<S>-trace0/result.json: `wall_s`, the
 median of its unscaled `wall_s_samples`, and `probe_s`, the median of its
-`probe_s_samples`. With --claim W, the claimed workload W also runs an A/A
-block: the parent against an unmodified second export of itself, in the same
-interleaved pairs (the parent first at even seeds), right after each seed's
-parent/change pair of W. Every comparison gives the ratio of the second
-side's median to the first's, so the claim's ratio sits next to the ratio
-that two copies of the same code read. The file is written as
-BENCH_<slug>.json at the root of the repository.
+`probe_s_samples`; the length of that list is kept as the run's probe-sample
+count. Every comparison also gives the median and quartiles of its per-seed
+ratios, the second side's value over the first's in each pair. With --claim
+W, the claimed workload W also runs an A/A block: the parent against an
+unmodified second export of itself, in the same interleaved pairs (the parent
+first at even seeds), right after each seed's parent/change pair of W. Every
+comparison gives the ratio of the second side's median to the first's, so the
+claim's ratio sits next to the ratio that two copies of the same code read.
+The file is written as BENCH_<slug>.json at the root of the repository.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         (tree / "benchmark" / "_out" / f"{workload}-seed{seed}-trace0" / "result.json").read_text()
     )
     out["sampled"] = {name: statistics.median(result[key]) for name, key in SAMPLED.items()}
+    out["probe_samples"] = len(result["probe_s_samples"])
     return out
 
 
@@ -92,12 +95,13 @@ def _spread(samples: list, digits: int) -> dict:
 
 def _compare(values: dict, digits: int) -> dict:
     """Each side's spread of one metric, in how many pairs the second side read lower,
-    and the ratio of its median to the first side's."""
+    the ratio of its median to the first side's, and the spread of the per-seed ratios."""
     (first, a), (second, b) = values.items()
     return {
         **{side: _spread(v, digits) for side, v in values.items()},
         f"{second}_lower_in": f"{sum(y < x for x, y in zip(a, b))} of {len(a)}",
         "median_ratio": round(statistics.median(b) / statistics.median(a), 4),
+        "ratios": _spread([y / x for x, y in zip(a, b)], 4),
     }
 
 
@@ -107,6 +111,7 @@ def _entry(by_side: dict, seeds: list) -> dict:
         "pairs": len(seeds), "seeds": seeds,
         "failed_checks": {s: sum(r["failed"] for r in rs) for s, rs in by_side.items()},
         "attempted_checks": {s: sum(r["attempted"] for r in rs) for s, rs in by_side.items()},
+        "probe_samples": {s: [r["probe_samples"] for r in rs] for s, rs in by_side.items()},
     }
     for metric in METRICS:
         entry[metric] = _compare({s: [r["metrics"][metric]["value"] for r in rs] for s, rs in by_side.items()}, 4)
@@ -159,8 +164,9 @@ def main(argv=None) -> int:
         "one parent/change pair per seed and workload, parent first at even seeds and change first"
         " at odd seeds; medians and quartiles (inclusive method) over the runs of each side; run_s"
         " is the benchmark's probe-scaled time per pipeline call; wall_s is each run's median"
-        " unscaled time per call, and probe_s each run's median speed-probe time; median_ratio is"
-        " the second side's median over the first's; the aa block, for the claimed workload, pairs"
+        " unscaled time per call, and probe_s each run's median speed-probe time; probe_samples is"
+        " each run's number of probe samples; median_ratio is the second side's median over the"
+        " first's, and ratios the spread of the per-seed ratios, second side over first; the aa block, for the claimed workload, pairs"
         " the parent with a second export of itself (copy) in the same interleaved order"
     )
 
