@@ -5,6 +5,7 @@ z = (x - q) / sqrt(eps), the lattice cell function at y = x / eps, and the
 action phase exp(i (S + p.(x - q)) / eps).  Everything here evaluates those
 factors on a periodic tensor grid and combines them, so a synthesized field
 can be compared in L2 against a direct solution of the oscillatory equation.
+Every envelope factor is a closed form of the Gaussian at the stretched points.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bloch import BlochEigenpair, evaluate_cell_coeffs
+from .corrector import term_profiles
 from .envelope import GaussianEnvelope, gaussian_eval
 from .errors import GridError
 from .flow import TrajectoryState
@@ -100,7 +102,8 @@ def fourier_interpolate(values, box: SpatialGrid, target_axes) -> np.ndarray:
     chirp-z transform (`_chirp_z`), and targets outside it evaluate to
     zero.  The trig interpolant is periodic, and the stretched-frame targets
     sweep many periods of the envelope box; without the mask every period
-    would receive a spurious copy of the packet.
+    would receive a spurious copy of the packet.  No synthesis calls it: the
+    z-profiles are closed forms (`corrector.term_profiles`).
     """
     axes = [np.atleast_1d(np.asarray(t, dtype=float)) for t in target_axes]
     values = np.asarray(values)
@@ -206,22 +209,18 @@ def synthesize_packet(
 
 
 def _synthesize_fields(fields, state, epsilon, grid, sums=(None,)) -> list:
-    """`_synthesize` over the separable terms of the corrector fields, each
-    weighted by its own order n by eps^(n/2)."""
-    box = fields[0].grid
-    profiles, cells = [], []
-    for field in fields:
-        if field.grid != box:
-            raise GridError("corrector fields must share one z-grid")
-        weight = (1.0, np.sqrt(epsilon), epsilon)[field.order]
-        profiles += [weight * f for f, _ in field.terms]
-        cells += [g for _, g in field.terms]
+    """`_synthesize` over the separable terms of the corrector fields, their
+    z-profiles evaluated in closed form at the stretched fine-grid points and
+    each field weighted by its own order n by eps^(n/2)."""
+    cells = [(1.0, np.sqrt(epsilon), epsilon)[f.order] * g for f in fields for _, g in f.terms]
 
-    def interpolated(z_axes):
-        return fourier_interpolate(np.stack(profiles), box, z_axes)
+    def profiles(z_axes):
+        return term_profiles(fields, mesh(z_axes).reshape(-1, grid.dimension)).reshape(
+            (-1,) + grid.shape
+        )
 
     return _synthesize(
-        state, fields[0].pair, epsilon, grid, interpolated, np.stack(cells, axis=-1), sums
+        state, fields[0].pair, epsilon, grid, profiles, np.stack(cells, axis=-1), sums
     )
 
 
@@ -231,16 +230,16 @@ def synthesize_app(
     """Corrected packet  eps^(-d/4) sum_n eps^(n/2) U_n e^(i phase/eps) over
     the corrector fields given, each weighted by its own order n.
 
-    Passing [U0] alone ablates the expansion.  The weighted z-profiles of
-    every separable term are interpolated as one batch, so all fields must
-    share one z-grid.
+    Passing [U0] alone ablates the expansion.  Every z-profile is a closed
+    form of the one Gaussian envelope all fields must share, so no field is
+    read on its z-grid.
     """
     return _synthesize_fields(fields, state, epsilon, grid)[0]
 
 
 def synthesize_snapshot(fields, state: TrajectoryState, epsilon: float, grid: SpatialGrid) -> tuple:
     """`synthesize_app` of the fields and of fields[:1] from one synthesis:
-    the leading packet sums the U_0 terms of the same interpolated batch."""
+    the leading packet sums the U_0 terms of the same batch."""
     return tuple(_synthesize_fields(fields, state, epsilon, grid, (None, len(fields[0].terms))))
 
 

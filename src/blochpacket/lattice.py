@@ -82,6 +82,8 @@ class FourierPotential:
         return all(abs(v.imag) == 0.0 for _, v in self.coeffs)
 
     def validate(self) -> None:
+        if not self.coeffs or self.dimension < 1:
+            raise PotentialError("a potential needs coefficients of dimension >= 1")
         table = dict(self.coeffs)
         for n, v in self.coeffs:
             if len(n) != self.dimension:

@@ -12,6 +12,7 @@ from blochpacket.corrector import (
     build_U1,
     build_U2,
     solvability_defect,
+    term_profiles,
 )
 from blochpacket.envelope import (
     HomogenizedCoefficients,
@@ -29,10 +30,18 @@ from blochpacket.flow import (
 from blochpacket.lattice import FourierPotential
 
 
+def sampled(field):
+    """The field's z-profiles on its grid, each shaped like the grid."""
+    return term_profiles([field], field.grid.points()).reshape((-1,) + field.grid.shape)
+
+
 def chi_projection(field):
     """<chi, field>(z): projection of a corrector onto its cell function."""
     pair = field.pair
-    return sum(f * cell_inner(pair.dimension, pair.coeffs, g) for f, g in field.terms)
+    return sum(
+        f * cell_inner(pair.dimension, pair.coeffs, g)
+        for f, (_, g) in zip(sampled(field), field.terms)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +70,9 @@ def test_u0_is_product_state(nodes):
         u0 = build_U0(g, u.grid, pair)
         assert u0.order == 0
         assert len(u0.terms) == 1
-        zprof, ycoef = u0.terms[0]
-        assert np.allclose(zprof, u.values)
+        axes, ycoef = u0.terms[0]
+        assert axes == ()
+        assert np.allclose(sampled(u0)[0], u.values)
         assert np.allclose(ycoef, pair.coeffs)
         # norm separates: ||u|| * ||chi||_L2(Y) with unit cell normalization
         assert u0.norm() == pytest.approx(u.mass(), rel=1e-12)
@@ -101,7 +111,7 @@ def test_u1_linear_in_envelope(nodes):
         pair = band.eigenpair(state.p)
         u1 = build_U1(g, u.grid, pair)
         u1b = build_U1(replace(g, berry_integral=np.log(2.5)), u.grid, pair)
-        for (f, g), (fb, gb) in zip(u1.terms, u1b.terms):
+        for f, fb, (_, g), (_, gb) in zip(sampled(u1), sampled(u1b), u1.terms, u1b.terms):
             assert np.allclose(2.5 * f, fb, atol=1e-12)
             assert np.allclose(g, gb, atol=1e-14)
 
@@ -109,7 +119,7 @@ def test_u1_linear_in_envelope(nodes):
 def test_scaled_corrector_norm(nodes):
     for band, state, g, u in nodes:
         u1 = build_U1(g, u.grid, band.eigenpair(state.p))
-        tripled = replace(u1, terms=tuple((3.0 * f, g) for f, g in u1.terms))
+        tripled = replace(u1, terms=tuple((a, 3.0 * g) for a, g in u1.terms))
         assert tripled.norm() == pytest.approx(3.0 * u1.norm(), rel=1e-12)
 
 
@@ -119,10 +129,10 @@ def test_corrector_norm_resolves_cancelling_terms(nodes):
     # (or 0.0) on these, depending on the sign of the rounding
     for band, state, g, u in nodes:
         u1 = build_U1(g, u.grid, band.eigenpair(state.p))
-        split = tuple((-f, 0.3 * g) for f, g in u1.terms) + tuple(
-            (-f, 0.7 * g) for f, g in u1.terms
+        split = tuple((a, -0.3 * g) for a, g in u1.terms) + tuple(
+            (a, -0.7 * g) for a, g in u1.terms
         )
-        rescaled = tuple((-3.0 * f, g / 3.0) for f, g in u1.terms)
+        rescaled = tuple((a, -3.0 * (g / 3.0)) for a, g in u1.terms)
         for negatives in (split, rescaled):
             cancelled = replace(u1, terms=u1.terms + negatives)
             assert cancelled.norm() <= 1e-15
@@ -248,7 +258,8 @@ def test_closed_form_derivatives_match_fft(mathieu_band):
 
     for g, half_width, npoints in ((evolved, 16.0, 512), (chirped, 8.0, 64)):
         u = grid_envelope_from_gaussian(g, half_width, npoints)
-        values, grad, hess = _profiles(g, u.grid)
+        shaped = (f.reshape(f.shape[:-1] + u.grid.shape) for f in _profiles(g, u.grid.points()))
+        values, grad, hess = shaped
         fft_grad, fft_hess = fft_derivatives(u)
         scale = np.max(np.abs(u.values))
         assert np.array_equal(values, u.values)

@@ -499,7 +499,7 @@ def test_residual_sweep_solves_each_momentum_once(monkeypatch):
 
 def test_residual_sweep_does_each_piece_of_work_once(monkeypatch):
     # two eps: U2 at t* once for the sweep and at t* +- delta once per eps,
-    # one interpolation per snapshot, and the leading packet of each
+    # no interpolation (the z-profiles are closed forms), and the leading packet of each
     # snapshot's shared synthesis against a synthesis of [U0] alone. Bound,
     # set before measuring: 1e-13 relative L2, the rounding of a batched
     # cell-function product; the full packet is synthesize_app's bit for bit.
@@ -518,7 +518,7 @@ def test_residual_sweep_does_each_piece_of_work_once(monkeypatch):
     rows, failures, _ = experiments._run_sweep(config, "residual")
     n_eps = len(config.epsilons)
     assert len(rows) == n_eps and failures == []
-    assert counts == {"build_U2": 1 + 2 * n_eps, "fourier_interpolate": 3 * n_eps}
+    assert counts == {"build_U2": 1 + 2 * n_eps, "fourier_interpolate": 0}
     assert len(snapshots) == 3 * n_eps
     for (fields, state, eps, grid), (full, leading) in snapshots:
         alone = synthesize_app(fields[:1], state, eps, grid)

@@ -52,6 +52,17 @@ def test_cosine_coefficients():
     assert pot.is_real_matrix
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: FourierPotential.cosine(0), lambda: FourierPotential.from_coeffs({}),
+     lambda: FourierPotential.zero(0)],
+    ids=["cosine", "from_coeffs", "zero"],
+)
+def test_potential_of_no_dimension_is_rejected(build):
+    with pytest.raises(PotentialError, match="dimension >= 1"):
+        build()
+
+
 def test_zero_potential():
     pot = FourierPotential.zero(2)
     assert pot.cutoff == 0

@@ -39,6 +39,8 @@ UNREACHED = {
     "bloch.BlochBand.berry": "the benchmark tracer wraps it by name",
     "bloch.BlochBand.derivatives": "the benchmark tracer wraps it by name",
     "lattice.LatticeSpec.fold": "the benchmark tracer wraps it by name",
+    "assembly.fourier_interpolate": "the benchmark tracer wraps it by name",
+    "assembly._chirp_z": "fourier_interpolate's transform, which the benchmark tracer wraps by name",
 }
 
 
