@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -504,6 +504,13 @@ class BlochBand:
     def eigenpair(self, p) -> BlochEigenpair:
         """`band_derivatives` at the momentum p (anchored gauge), cached."""
         return self._direct(tuple(np.atleast_1d(np.asarray(p, dtype=float)).tolist()))
+
+    def eigenpairs(self, ps) -> list:
+        """`band_derivatives` at each momentum of ps (N, d) from one stacked solve, split into
+        one record per momentum; none enters the `eigenpair` cache."""
+        stack = band_derivatives(self.potential, np.asarray(ps, dtype=float), self.m, self.cutoff)
+        rows = {name: v for name, v in vars(stack).items() if isinstance(v, np.ndarray)}
+        return [replace(stack, **{name: v[i] for name, v in rows.items()}) for i in range(len(ps))]
 
     def derivatives(self, p) -> BlochEigenpair:
         """The `eigenpair` record. No run calls it; the benchmark tracer wraps

@@ -158,69 +158,70 @@ def gaussian_init(A, B) -> GaussianEnvelope:
     return env
 
 
-def evolve_gaussian(
-    env: GaussianEnvelope,
-    coefficients,
-    t_final: float,
-    dt: float,
-) -> GaussianEnvelope:
+def evolve_gaussian(env: GaussianEnvelope, coefficients, t_final, dt: float) -> GaussianEnvelope | list:
     """RK4 on the pair (A, B) from env.t to t_final, one transfer matrix per step.
 
     log det A takes the modulus of det A at the end and its argument
     continued from env.log_det's branch over the RK4 nodes, so evaluation
     uses a smooth square root of det A. The integral of beta adds the RK4
     increments of the prefetched rates, which is Simpson's rule.
+
+    An array t_final gives a list of envelopes, one per target, each reached from
+    env with its own h in the step count of the longest span, from one coefficient
+    read; each equals a scalar call that takes as many steps.
     """
-    t0, t1 = env.t, float(t_final)
-    if t1 == t0:
+    t0, t1 = env.t, np.asarray(t_final, dtype=float)
+    if t1.ndim == 0 and t1 == t0:
         return env
     if dt <= 0:
         raise EnvelopeError("dt must be positive")
-    nsteps = step_count(abs(t1 - t0), dt)
-    h = (t1 - t0) / nsteps
+    nsteps = step_count(np.abs(t1 - t0).max(), dt)
+    h = (t1 - t0) / nsteps  # or one per target: arrays below lead with the step axis
 
     # every RK4 stage time t0 + k h / 2 fetched at once
-    stages = t0 + 0.5 * h * np.arange(2 * nsteps + 1)
+    stages = t0 + np.multiply.outer(np.arange(2 * nsteps + 1), 0.5 * h)
     stages[-1] = t1
-    ms, qs = coefficients.dispersion(stages), coefficients.vhess(stages)
-    betas = coefficients.berry_rate(stages)
+    d = env.dimension
+    ms = coefficients.dispersion(stages.ravel()).reshape(stages.shape + (d, d))
+    qs = coefficients.vhess(stages.ravel()).reshape(stages.shape + (d, d))
+    betas = coefficients.berry_rate(stages.ravel()).reshape(stages.shape)
 
     # y = (A; B) solves y' = L y, L = [[0, i M], [i Q, 0]], so an RK4 step is
     # y -> R y with R a polynomial in its stage matrices, built for all steps at once
-    d = env.dimension
-    lin = np.zeros((2 * nsteps + 1, 2 * d, 2 * d), dtype=complex)
-    lin[:, :d, d:], lin[:, d:, :d] = 1j * ms, 1j * qs
-    eye = np.eye(2 * d)
+    lin = np.zeros(stages.shape + (2 * d, 2 * d), dtype=complex)
+    lin[..., :d, d:], lin[..., d:, :d] = 1j * ms, 1j * qs
+    eye, hm = np.eye(2 * d), h[..., None, None] if t1.ndim else h
     l1, l2, l4 = lin[:-1:2], lin[1::2], lin[2::2]
-    k2 = l2 @ (eye + 0.5 * h * l1)
-    k3 = l2 @ (eye + 0.5 * h * k2)
-    steps = eye + (h / 6.0) * (l1 + 2 * k2 + 2 * k3 + l4 @ (eye + h * k3))
-    nodes = np.empty((nsteps + 1, 2 * d, d), dtype=complex)
+    k2 = l2 @ (eye + 0.5 * hm * l1)
+    k3 = l2 @ (eye + 0.5 * hm * k2)
+    steps = eye + (hm / 6.0) * (l1 + 2 * k2 + 2 * k3 + l4 @ (eye + hm * k3))
+    nodes = np.empty((nsteps + 1,) + t1.shape + (2 * d, d), dtype=complex)
     nodes[0] = np.concatenate([env.A, env.B])
     for i in range(nsteps):
         nodes[i + 1] = steps[i] @ nodes[i]
-    a, b = nodes[-1, :d].copy(), nodes[-1, d:].copy()  # views would keep every node alive
+    a, b = nodes[-1, ..., :d, :].copy(), nodes[-1, ..., d:, :].copy()  # views keep every node alive
 
-    # Branch snap: exact modulus, argument continued from env.log_det's branch
-    # to the nearest 2 pi branch of the principal argument.
-    dets = np.linalg.det(nodes[:, :d])
-    arg = np.unwrap(np.angle(dets))
-    det = dets[-1]
-    turns = np.round((env.log_det.imag + arg[-1] - arg[0] - np.angle(det)) / (2 * np.pi))
-    ld = complex(np.log(abs(det)), np.angle(det) + 2 * np.pi * turns)
+    # Branch snap: exact modulus, argument continued from env.log_det's branch, by
+    # the angles swept from node to node, to the nearest 2 pi branch of the principal argument.
+    dets = np.linalg.det(nodes[..., :d, :])
+    det, swept = dets[-1], np.angle(dets[1:] / dets[:-1]).sum(axis=0)
+    turns = np.round((env.log_det.imag + swept - np.angle(det)) / (2 * np.pi))
 
     increments = (h / 6.0) * (betas[:-1:2] + 2 * betas[1::2] + 2 * betas[1::2] + betas[2::2])
-    br = np.cumsum(np.concatenate([[env.berry_integral], increments]))[-1]
-    br = 1j * br.imag  # beta is purely imaginary; drop roundoff real part
+    start = np.full((1,) + t1.shape, env.berry_integral)
+    br = np.cumsum(np.concatenate([start, increments]), axis=0)[-1]
+    br = br.imag  # beta is purely imaginary; drop roundoff real part
 
-    out = GaussianEnvelope(A=a, B=b, log_det=ld, berry_integral=br, t=t1)
-    defects = gaussian_invariant_defects(out)
-    worst = max(defects["symmetry"], defects["inverse_width"], defects["det_branch"])
-    if worst > INVARIANT_TOL or defects["min_re_eig"] <= 0:
-        raise EnvelopeError(
-            f"Gaussian invariants drifted to {worst:.3e}; use a smaller dt"
-        )
-    return out
+    outs = []
+    for i in np.ndindex(t1.shape):
+        ld = complex(np.log(abs(det[i])), np.angle(det[i]) + 2 * np.pi * turns[i])
+        out = GaussianEnvelope(A=a[i], B=b[i], log_det=ld, berry_integral=1j * br[i], t=float(t1[i]))
+        defects = gaussian_invariant_defects(out)
+        worst = max(defects["symmetry"], defects["inverse_width"], defects["det_branch"])
+        if worst > INVARIANT_TOL or defects["min_re_eig"] <= 0:
+            raise EnvelopeError(f"Gaussian invariants drifted to {worst:.3e}; use a smaller dt")
+        outs.append(out)
+    return outs if t1.ndim else outs[0]
 
 
 def gaussian_eval(env: GaussianEnvelope, points) -> np.ndarray:

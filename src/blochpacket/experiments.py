@@ -8,8 +8,8 @@ prepared dynamics (`_box_terms`), and all grids are derived from the config,
 so identical configs produce identical bytes; each output row carries the config hash.
 
 The expensive epsilon-independent work (trajectory and envelope evolution
-to the sample times, and the correctors at a prepared time) is done once and
-shared by the epsilon cells, which run one after another in the calling process.
+to the sample times, and the correctors of every snapshot, in one batch) is done
+once and shared by the epsilon cells, which run one after another in the calling process.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .envelope import (
     sigma_norm,
 )
 from .errors import BlochpacketError, EigensolverError, EnvelopeError, FlowError, SolverError
-from .flow import integrate_flow, total_energy
+from .flow import TrajectoryState, integrate_flow, total_energy
 from .grid import THRESHOLD, SpatialGrid, step_count
 from .reference import RESIDUAL_DELTA_FACTOR, l2_error, pde_residual, solve_schrodinger
 
@@ -184,7 +184,7 @@ class DynamicsBundle:
     coefficients: object
     entries: dict  # time -> (TrajectoryState, GaussianEnvelope)
     resolution: dict  # layer -> resolution record of `refine`
-    snapshots: dict = field(default_factory=dict)  # time -> `_snapshot`'s correctors, or their build's error
+    snapshots: dict = field(default_factory=dict)  # time -> (state, correctors), or the build's error
 
     def at(self, t: float):
         return self.entries[_tkey(t)]
@@ -227,47 +227,63 @@ def _leading_packet(bundle: DynamicsBundle, t: float, epsilon: float, grid):
     return synthesize_packet(gauss, state, bundle.band.eigenpair(state.p), epsilon, grid)
 
 
-def _correctors(bundle: DynamicsBundle, t: float, base_time: float | None = None) -> tuple:
-    """Trajectory state and the fields [U_0, U_1, U_2] at t.  With base_time
-    set, the envelope is carried from the prepared entry at base_time by a
-    short exact-landing hop, so the residual's off-center snapshots stay
-    consistent with the envelope dynamics instead of being re-integrated
-    from zero; at a prepared time itself, `_snapshot` builds them once."""
+def _build_snapshots(bundle: DynamicsBundle, times, base: float) -> None:
+    """Fill bundle.snapshots with the state and the fields [U_0, U_1, U_2] at each of the times
+    not built yet, or with the error of that time's build. One `evolve_gaussian` call carries
+    the prepared Gaussian at base to the other times, so the residual's off-centre snapshots
+    follow the envelope dynamics, and one stacked solve gives their cell data (base's come from
+    `eigenpair`). A batched step that raises builds each time alone, so failures stay apart."""
+    times = [t for t in dict.fromkeys(times) if _tkey(t) not in bundle.snapshots]
+    if not times:
+        return
+    hops = [t for t in times if t != base]
+    try:
+        read = bundle.trajectory.state_at(np.array(times, dtype=float))
+        states = dict(zip(times, map(TrajectoryState, read.t, read.q, read.p, read.S)))
+        gauss = {base: bundle.at(base)[1]}
+        pairs = {t: bundle.band.eigenpair(states[t].p) for t in times if t == base}
+        if hops:
+            span = max(abs(t - base) for t in hops)  # one step to each time
+            gauss.update(zip(hops, evolve_gaussian(gauss[base], bundle.coefficients, hops, span)))
+            pairs.update(zip(hops, bundle.band.eigenpairs([states[t].p for t in hops])))
+    except BlochpacketError as exc:
+        if len(times) == 1:
+            bundle.snapshots[_tkey(times[0])] = exc
+        else:
+            for t in times:
+                _build_snapshots(bundle, [t], base)
+        return
     config = bundle.config
-    _, gauss = bundle.at(t if base_time is None else base_time)
-    gauss = evolve_gaussian(gauss, bundle.coefficients, t, max(abs(t - gauss.t), 1e-12))
-    state = bundle.trajectory.state_at(t)
-    pair = bundle.band.eigenpair(state.p)
     grid = SpatialGrid(config.dimension, config.envelope_half_width, config.envelope_points)
-    u2 = build_U2(gauss, grid, state, pair, bundle.external)
-    return state, [build_U0(gauss, grid, pair), build_U1(gauss, grid, pair), u2]
+    for t, state in states.items():
+        env, pair = gauss[t], pairs[t]
+        try:
+            u2 = build_U2(env, grid, state, pair, bundle.external)
+            snap = state, [build_U0(env, grid, pair), build_U1(env, grid, pair), u2]
+        except BlochpacketError as exc:
+            snap = exc
+        bundle.snapshots[_tkey(t)] = snap
 
 
 def _snapshot(bundle: DynamicsBundle, t: float) -> tuple:
-    """`_correctors` at a prepared time, built once per bundle; every epsilon
-    cell shares it, and a build that failed raises its error again in each."""
-    t = _tkey(t)
-    if t not in bundle.snapshots:
-        try:
-            bundle.snapshots[t] = _correctors(bundle, t)
-        except BlochpacketError as exc:
-            bundle.snapshots[t] = exc
-    if isinstance(bundle.snapshots[t], BlochpacketError):
-        raise bundle.snapshots[t]
-    return bundle.snapshots[t]
+    """The state and correctors at t, built at a prepared t on first use; every epsilon
+    cell shares them, and a build that failed raises its error again in each."""
+    _build_snapshots(bundle, [t], t)
+    if isinstance(bundle.snapshots[_tkey(t)], BlochpacketError):
+        raise bundle.snapshots[_tkey(t)]
+    return bundle.snapshots[_tkey(t)]
 
 
-def _residual_packets(bundle: DynamicsBundle, epsilon: float, grid, t_star: float, delta: float):
-    """Three-term ("full") and leading-only ("leading") packets at
-    t_star - delta, t_star and t_star + delta. The t_star correctors are the
-    bundle's `_snapshot`, the off-center ones are built per epsilon, and
-    each snapshot's one synthesis gives both packets."""
+def _residual_packets(bundle: DynamicsBundle, epsilon: float, grid, t_star: float):
+    """Three-term ("full") and leading-only ("leading") packets at t_star and t_star +- delta,
+    delta = RESIDUAL_DELTA_FACTOR eps^2. The first cell builds the snapshots of every epsilon
+    of the config in one batch, and each snapshot's one synthesis gives both packets."""
+    times = [t_star + side * RESIDUAL_DELTA_FACTOR * eps**2
+             for eps in (epsilon, *bundle.config.epsilons) for side in (-1, 0, 1)]
+    _build_snapshots(bundle, times, t_star)
     packets = {"full": [], "leading": []}
-    for off in (-delta, 0.0, delta):
-        if off:
-            state, fields = _correctors(bundle, t_star + off, base_time=t_star)
-        else:
-            state, fields = _snapshot(bundle, t_star)
+    for t in times[:3]:
+        state, fields = _snapshot(bundle, t)
         full, leading = synthesize_snapshot(fields, state, epsilon, grid)
         packets["full"].append(full)
         packets["leading"].append(leading)
@@ -578,10 +594,9 @@ def _residual_cell(bundle: DynamicsBundle, eps: float) -> list:
     config = bundle.config
     grid = _make_grid(config, eps)
     t_star = _tkey(config.residual_time)
-    delta = RESIDUAL_DELTA_FACTOR * eps**2
     band = bundle.band
-    row = {"epsilon": eps, "time": t_star, "delta": delta}
-    for label, fields in _residual_packets(bundle, eps, grid, t_star, delta).items():
+    row = {"epsilon": eps, "time": t_star, "delta": RESIDUAL_DELTA_FACTOR * eps**2}
+    for label, fields in _residual_packets(bundle, eps, grid, t_star).items():
         row[f"residual_{label}"] = pde_residual(*fields, band.potential, bundle.external)
     return [row]
 

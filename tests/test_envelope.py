@@ -120,6 +120,26 @@ def test_evolve_gaussian_backward_returns_to_start():
     assert back.log_det == pytest.approx(0.0, abs=1e-10)
 
 
+def test_an_array_of_targets_gives_each_scalar_call(mathieu_band):
+    # each target of one array call is bit for bit a scalar call that takes the
+    # same number of steps: forward and backward one-step hops, and targets that
+    # share the six steps of the longest span, one of them backward
+    pot = harmonic(1)
+    traj = integrate_flow([0.0], [0.3], 1.0, 1e-2, mathieu_band, pot)
+    coeffs = HomogenizedCoefficients(traj, mathieu_band, pot)
+    g = evolve_gaussian(gaussian_init(np.eye(1), np.eye(1)), coeffs, 0.5, 1e-2)
+    for targets, dt, nsteps in (([0.5 + 1e-5, 0.5 - 1e-5, 0.5 + 4e-6], 1e-5, 1),
+                                ([0.8, 0.65, 0.2], 0.05, 6)):
+        batch = evolve_gaussian(g, coeffs, np.array(targets), dt)
+        assert len(batch) == len(targets)
+        for t, got in zip(targets, batch):
+            # a step a hair above span / nsteps takes exactly nsteps steps
+            want = evolve_gaussian(g, coeffs, t, abs(t - g.t) / nsteps * (1 + 1e-9))
+            assert got.t == want.t == t
+            for name in ("A", "B", "log_det", "berry_integral"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (t, name)
+
+
 def test_evolve_gaussian_time_noop():
     g = gaussian_init(np.eye(1), np.eye(1))
     coeffs = ConstantCoefficients(dispersion=np.eye(1), vhess=np.eye(1))

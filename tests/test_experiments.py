@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from blochpacket import assembly, experiments
+from blochpacket import assembly, bloch, experiments
 from blochpacket.assembly import make_grid_for, read_field, synthesize_app
 from blochpacket.bloch import DIRECT_CACHE_SIZE, BlochBand, cell_inner
 from blochpacket.config import ExperimentConfig, ExternalPotentialSpec, LatticePotentialSpec
@@ -20,7 +20,7 @@ from blochpacket.envelope import (
 from blochpacket.errors import EigensolverError, EnvelopeError, FlowError
 from blochpacket.experiments import (
     DynamicsBundle,
-    _correctors,
+    _snapshot,
     _grid_envelopes,
     _initial_field,
     _leading_packet,
@@ -39,7 +39,7 @@ from blochpacket.experiments import (
 )
 from blochpacket.flow import integrate_flow
 from blochpacket.grid import SpatialGrid, step_count
-from blochpacket.reference import SolverParams, l2_error, solve_schrodinger
+from blochpacket.reference import RESIDUAL_DELTA_FACTOR, SolverParams, l2_error, solve_schrodinger
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -479,37 +479,50 @@ def test_residual_sweep_on_the_delta_bound_fails_no_cell(tmp_path):
 
 def test_residual_sweep_solves_each_momentum_once(monkeypatch):
     # t_star and t_star +- delta at the four default eps: 9 distinct momenta,
-    # each solved once and all kept by the band's direct cache; every
-    # eigensolve is a band-table node or one of those 9
+    # each solved once, t_star by the band's direct cache and the 8 off-centre
+    # ones in one stacked call; every eigensolve is a band-table node or one of those 9
     config = ExperimentConfig(convergence_mode="residual").validate()
     config.make_band().eigenpair(config.p0)  # the anchor point is found once per process
-    bundles, calls = [], []
-    prepare, eigh = experiments.prepare_dynamics, np.linalg.eigh
+    bundles, calls, stacks = [], [], []
+    prepare, eigh, eigenpairs = experiments.prepare_dynamics, np.linalg.eigh, BlochBand.eigenpairs
     monkeypatch.setattr(
         experiments, "prepare_dynamics", lambda *args: bundles.append(prepare(*args)) or bundles[0]
     )
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
+    monkeypatch.setattr(BlochBand, "eigenpairs", lambda band, ps: stacks.append(ps) or eigenpairs(band, ps))
     experiments._run_sweep(config, "residual")
     band = bundles[0].band
     info = band._direct.cache_info()
-    assert info.misses == info.currsize == 9 < DIRECT_CACHE_SIZE
+    assert info.misses == info.currsize == 1 < DIRECT_CACHE_SIZE
+    (stack,) = stacks
+    t_star_p = bundles[0].at(config.residual_time)[0].p
+    assert len(np.unique(np.vstack([t_star_p, *stack]), axis=0)) == 9 == 1 + len(stack)
     # matrices, not calls: a band-table patch passes its nodes to eigh as one stack
-    assert sum(h.size // h.shape[-1] ** 2 for h in calls) == band.node_solves + info.misses
+    assert sum(h.size // h.shape[-1] ** 2 for h in calls) == band.node_solves + info.misses + len(stack)
 
 
 def test_residual_sweep_does_each_piece_of_work_once(monkeypatch):
     # two eps: U2 at t* once for the sweep and at t* +- delta once per eps,
+    # one Gaussian hop call from t* to every off-centre time,
     # no interpolation (the z-profiles are closed forms), and the leading packet of each
     # snapshot's shared synthesis against a synthesis of [U0] alone. Bound,
     # set before measuring: 1e-13 relative L2, the rounding of a batched
     # cell-function product; the full packet is synthesize_app's bit for bit.
     config = ExperimentConfig(convergence_mode="residual", epsilons=(2**-4, 2**-5)).validate()
-    counts, snapshots = {"build_U2": 0, "fourier_interpolate": 0}, []
+    counts, snapshots, hops = {"build_U2": 0, "fourier_interpolate": 0}, [], []
     for module, name in ((experiments, "build_U2"), (assembly, "fourier_interpolate")):
         def counted(*args, _fn=getattr(module, name), _name=name):
             counts[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(module, name, counted)
+    evolve = experiments.evolve_gaussian
+
+    def hop(env, coefficients, t_final, dt):  # the prepared chain's calls take one scalar target
+        if np.ndim(t_final):
+            hops.append((env.t, t_final))
+        return evolve(env, coefficients, t_final, dt)
+
+    monkeypatch.setattr(experiments, "evolve_gaussian", hop)
     shared = experiments.synthesize_snapshot
     monkeypatch.setattr(
         experiments, "synthesize_snapshot",
@@ -519,6 +532,7 @@ def test_residual_sweep_does_each_piece_of_work_once(monkeypatch):
     n_eps = len(config.epsilons)
     assert len(rows) == n_eps and failures == []
     assert counts == {"build_U2": 1 + 2 * n_eps, "fourier_interpolate": 0}
+    assert len(hops) == 1 and hops[0][0] == _tkey(config.residual_time) and len(hops[0][1]) == 2 * n_eps
     assert len(snapshots) == 3 * n_eps
     for (fields, state, eps, grid), (full, leading) in snapshots:
         alone = synthesize_app(fields[:1], state, eps, grid)
@@ -546,6 +560,42 @@ def test_a_failed_t_star_build_fails_every_residual_cell(monkeypatch):
     assert failures == [
         {"epsilon": eps, "reason": "EigensolverError: no U2 at t*"} for eps in config.epsilons
     ]
+
+
+@pytest.mark.parametrize("where", ["build_U2", "stacked solve"])
+def test_a_failed_off_centre_build_fails_only_its_residual_cell(monkeypatch, where):
+    # t* + delta(eps_1) fails in its own U2 build, or inside the batched Bloch
+    # solve, which the builder then repeats one time at a time: only eps_1's
+    # cell records the failure
+    config = ExperimentConfig(convergence_mode="residual", epsilons=(2**-4, 2**-5)).validate()
+    t_fail = _tkey(config.residual_time) + RESIDUAL_DELTA_FACTOR * config.epsilons[0] ** 2
+    bundles, stacks = [], []
+    prepare, build, solve = experiments.prepare_dynamics, experiments.build_U2, bloch.band_derivatives
+    monkeypatch.setattr(
+        experiments, "prepare_dynamics", lambda *args: bundles.append(prepare(*args)) or bundles[0]
+    )
+
+    def failing_build(gauss, grid, state, pair, external):
+        if state.t == t_fail:
+            raise EigensolverError("no U2 at t* + delta")
+        return build(gauss, grid, state, pair, external)
+
+    def failing_solve(potential, k, m, cutoff):
+        if bundles and np.any(np.all(np.atleast_2d(k) == bundles[0].trajectory.state_at(t_fail).p, axis=1)):
+            stacks.append(len(np.atleast_2d(k)))
+            raise EigensolverError("no solve at t* + delta")
+        return solve(potential, k, m, cutoff)
+
+    if where == "build_U2":
+        monkeypatch.setattr(experiments, "build_U2", failing_build)
+    else:
+        monkeypatch.setattr(bloch, "band_derivatives", failing_solve)
+    rows, failures, _ = experiments._run_sweep(config, "residual")
+    assert [row["epsilon"] for row in rows] == [config.epsilons[1]]
+    reason = "no U2 at t* + delta" if where == "build_U2" else "no solve at t* + delta"
+    assert failures == [{"epsilon": config.epsilons[0], "reason": f"EigensolverError: {reason}"}]
+    # the stack of the 4 off-centre momenta, then the failing one alone
+    assert stacks == ([] if where == "build_U2" else [4, 1])
 
 
 # recorded values of the pipelines that the acceptance gate does not run
@@ -849,7 +899,7 @@ def test_packets_are_gauge_covariant(monkeypatch):
                 _initial_field(replace(bundle, config=replace(cfg, initial_data=kind)), eps, grid)
                 for kind in ("packet", "well_prepared")
             ]
-        state, fields = _correctors(bundle, t)
+        state, fields = _snapshot(bundle, t)
         return [_leading_packet(bundle, t, eps, grid), synthesize_app(fields, state, eps, grid)]
 
     phase = np.exp(1j * _theta(0.3))
