@@ -43,7 +43,7 @@ ANCHOR_SAMPLES = 16  # cell points per axis searched for the anchor point
 PATCHES_PER_AXIS = 8  # band-table patches per zone axis; k = 0 and the edge are patch boundaries
 PATCH_NODES = (16, 32, 64)  # Chebyshev points per patch axis, doubled while the tail is too large
 TAIL_TOL = 1e-12  # largest last-quarter Chebyshev coefficient, relative to max(1, |node values|)
-DIRECT_CACHE_SIZE = 16  # records kept (1.8 KB each at cutoff 7 in 1D); a residual sweep asks for 9
+DIRECT_CACHE_SIZE = 16  # records kept (1.8 KB each at cutoff 7 in 1D); the busiest run asks for 5
 CUTOFF_TOL = 1e-13  # largest c -> c + 2 change of a sized cutoff's band data, relative, floor 1
 MAX_PLANE_WAVES = 1089  # largest basis a sized cutoff compares against: cutoff 16 in 2D
 

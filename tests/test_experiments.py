@@ -20,12 +20,12 @@ from blochpacket.envelope import (
 from blochpacket.errors import EigensolverError, EnvelopeError, FlowError
 from blochpacket.experiments import (
     DynamicsBundle,
-    _snapshot,
     _grid_envelopes,
     _initial_field,
     _leading_packet,
     _make_grid,
     _needed_times,
+    _snapshot,
     _tkey,
     loglog_fit,
     prepare_dynamics,
